@@ -32,7 +32,7 @@ from .errors import (
     UnknownContext,
 )
 from .prompts import AgentPromptSet, render_prompt
-from .transport import DEFAULT_MODEL_ID, ChatMessage, CompletionRequest, UsageRecord
+from .transport import ChatMessage, CompletionRequest, UsageRecord
 
 logger = logging.getLogger(__name__)
 
@@ -236,7 +236,7 @@ def _complete(llm, messages: list[ChatMessage], cfg: SessionConfig):
     req = CompletionRequest(
         messages=tuple(messages),
         temperature=cfg.temperature,
-        model_id=cfg.model_id or DEFAULT_MODEL_ID,
+        model_id=cfg.model_id,
     )
     return llm.complete(req)
 

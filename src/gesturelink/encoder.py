@@ -9,6 +9,7 @@ hand-center column.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
@@ -68,6 +69,8 @@ class GestureWindow:
         for f in self.frames:
             if not (self.start_time <= f.timestamp <= self.end_time):
                 raise MalformedInput("window frame outside [start, end]")
+        if any(a.timestamp > b.timestamp for a, b in zip(self.frames, self.frames[1:])):
+            raise MalformedInput("window frames out of time order")
 
     @property
     def duration(self) -> float:
@@ -142,19 +145,32 @@ def detect_gesture_window(
 
 def sample_window(window: GestureWindow) -> list[HandLandmarkFrame]:
     """Frames nearest to the 0.2 s sample instants; ties go to the
-    earlier frame. Produces floor(duration / 0.2) + 1 samples."""
+    earlier frame. Produces floor(duration / 0.2) + 1 samples.
+
+    A later frame replaces the best so far only if its error is smaller
+    by more than _TIME_EPS, as in a scan from the first frame. The scan
+    starts at the last frame at or before the target that displaces every
+    earlier frame and stops at the first frame past the target that
+    cannot win, so a sample costs a bisection plus a few frames.
+    """
     times = [f.timestamp for f in window.frames]
     k_max = int(math.floor(window.duration / SAMPLE_INTERVAL + _TIME_EPS))
     samples = []
     for k in range(k_max + 1):
         target = window.start_time + SAMPLE_INTERVAL * k
-        best_idx = 0
-        best_err = abs(times[0] - target)
-        for idx in range(1, len(times)):
+        best_idx = max(bisect.bisect_right(times, target) - 1, 0)
+        while best_idx > 0 and not (
+            abs(times[best_idx] - target) < abs(times[best_idx - 1] - target) - _TIME_EPS
+        ):
+            best_idx -= 1
+        best_err = abs(times[best_idx] - target)
+        for idx in range(best_idx + 1, len(times)):
             err = abs(times[idx] - target)
             if err < best_err - _TIME_EPS:
                 best_err = err
                 best_idx = idx
+            elif times[idx] > target:
+                break
         samples.append(window.frames[best_idx])
     return samples
 

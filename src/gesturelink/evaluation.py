@@ -29,7 +29,7 @@ from .context import (
     make_history_context,
 )
 from .encoder import SegmentationConfig, encode_stream
-from .errors import MalformedInput
+from .errors import GestureLinkError, MalformedInput
 from .landmarks import LandmarkStream, parse_landmark_stream
 from .prompts import AgentPromptSet
 from .rules import RuleThresholds
@@ -203,7 +203,8 @@ def run_setting(
 ) -> SettingRun:
     """Run every task `repetitions` times under one context setting.
 
-    Failures score Negative and are counted, never raised. With jobs > 1
+    Pipeline failures (GestureLinkError, OSError) score Negative and are
+    counted, never raised; anything else is a bug and propagates. With jobs > 1
     the tasks of one repetition run in parallel sessions; each task gets
     its own backend, so results match sequential evaluation.
     """
@@ -217,7 +218,7 @@ def run_setting(
     def attempt(task: TaskRecord, rep: int):
         try:
             return run_task(task, setting, handles)
-        except Exception as exc:  # noqa: BLE001 - scored Negative by contract
+        except (GestureLinkError, OSError) as exc:
             logger.warning(
                 "task %s rep %d failed (%s); scoring Negative",
                 task.scenario_id, rep, exc,

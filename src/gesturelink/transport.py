@@ -47,7 +47,7 @@ class ChatMessage:
 class CompletionRequest:
     messages: tuple[ChatMessage, ...]
     temperature: float = 0.0
-    model_id: str = DEFAULT_MODEL_ID
+    model_id: str | None = None  # None: the backend's configured model
 
     def __post_init__(self):
         if not self.messages:

@@ -30,6 +30,7 @@ from .rules import (
     finger_curl_deg,
     palm_orientation_measurement,
     proximity_distance,
+    three_way_verdict,
     thumb_direction_measurement,
 )
 
@@ -233,22 +234,24 @@ def _tuning_arrays(dataset: Sequence[MeasuredSample], paired: bool):
     cand_ok = np.array(
         [s.candidate_state in s.label.acceptable_states for s in dataset]
     )
-    return m, cand_ok
+    return m, cand_ok, cand_ok
 
 
-def _paired_cell_loss(m, pos_ok, neg_ok, low, high, w: LossWeights) -> float:
-    verdict = np.where(m <= low, 1, np.where(m >= high, -1, 0))
-    correct = ((verdict == 1) & pos_ok) | ((verdict == -1) & neg_ok)
+def _verdicts(m: np.ndarray, cell: tuple[float, ...]) -> np.ndarray:
+    """three_way_verdict over an array: 1 where m <= low, -1 where m >= high,
+    0 (unsure) otherwise. A single-threshold cell has no high, so it gives
+    only 1 (decided) or 0."""
+    high = cell[1] if len(cell) > 1 else np.nan
+    return np.where(m <= cell[0], 1, np.where(m >= high, -1, 0))
+
+
+def _cell_loss(m, ok, cell, w: LossWeights) -> float:
+    """Average of one cell's per-sample loss vector. ok pairs the "+1 is
+    correct" and "-1 is correct" masks."""
+    verdict = _verdicts(m, cell)
+    correct = np.where(verdict == 1, ok[0], ok[1])
     loss = np.where(
         verdict == 0, w.unsure_loss, np.where(correct, w.correct_loss, w.error_loss)
-    )
-    return float(loss.mean())
-
-
-def _single_cell_loss(m, cand_ok, threshold, w: LossWeights) -> float:
-    decided = m <= threshold
-    loss = np.where(
-        ~decided, w.unsure_loss, np.where(cand_ok, w.correct_loss, w.error_loss)
     )
     return float(loss.mean())
 
@@ -258,34 +261,49 @@ def grid_search(
 ) -> tuple[tuple[float, ...], float]:
     """Exhaustive sweep; returns (best cell, minimal average loss).
 
-    Ties go to the lexicographically smallest cell. The dataset must be
-    pre-filtered of ambiguous labels (asserted here).
+    Every cell is scored at once from counts over the sorted measurements,
+    O(n log n + cells); only cells within a rounding tolerance of the best
+    score get their loss recomputed per sample. Ties go to the
+    lexicographically smallest cell. The dataset must be pre-filtered of
+    ambiguous labels (asserted here).
     """
     w = w or LossWeights()
-    cells = grid.cells()
-    if not cells:
-        raise EmptyGrid("grid expands to zero cells")
-    arrays = _tuning_arrays(dataset, grid.paired)
-    best_cell: tuple[float, ...] | None = None
-    best_loss = np.inf
-    for cell in cells:
-        if grid.paired:
-            loss = _paired_cell_loss(*arrays, cell[0], cell[1], w)
-        else:
-            loss = _single_cell_loss(*arrays, cell[0], w)
+    m, *ok = _tuning_arrays(dataset, grid.paired)
+    lows = sorted(grid.low_values)
+    highs = sorted(grid.high_values) if grid.paired else [np.nan]
+    order = np.argsort(m, kind="stable")
+    s = m[order]
+    n = len(s)
+    pos_c, neg_c = (np.concatenate(([0], np.cumsum(o[order]))) for o in ok)
+    lo_v, hi_v = np.array(lows, dtype=float), np.array(highs, dtype=float)
+    # i: count of m <= low; s[j:] are the m >= high plus any NaN, which
+    # sorts last and adds the same count to every cell.
+    i = np.where(np.isnan(lo_v), 0, np.searchsorted(s, lo_v, "right"))
+    j = np.searchsorted(s, hi_v, "left")
+    decided = i[:, None] + (n - j)[None, :]
+    correct = pos_c[i][:, None] + (neg_c[n] - neg_c[j])[None, :]
+    score = (
+        correct * w.correct_loss
+        + (decided - correct) * w.error_loss
+        + (n - decided) * w.unsure_loss
+    )
+    if grid.paired:
+        score[~(lo_v[:, None] < hi_v[None, :])] = np.inf
+    near = score <= score.min() + 1e-9 * n * w.error_loss
+    # Cells that split the sorted samples alike share one loss vector.
+    best_cell, best_loss, seen = None, np.inf, set()
+    for a, b in np.argwhere(near).tolist():
+        if (i[a], j[b]) in seen:
+            continue
+        seen.add((i[a], j[b]))
+        cell = (lows[a], highs[b]) if grid.paired else (lows[a],)
+        loss = _cell_loss(m, ok, cell, w)
         if loss < best_loss:
-            best_loss = loss
-            best_cell = cell
-    return best_cell, float(best_loss)
+            best_cell, best_loss = cell, loss
+    return best_cell, best_loss
 
 
-def classify_paired(measurement: float, low: float, high: float) -> int:
-    """Three-way verdict as an int (+1 / 0 / -1)."""
-    if measurement <= low:
-        return 1
-    if measurement >= high:
-        return -1
-    return 0
+classify_paired = three_way_verdict
 
 
 def classify_single(measurement: float, candidate_state, threshold: float, unsure):
@@ -296,12 +314,11 @@ def predictions_for_cell(
     dataset: Sequence[MeasuredSample], grid_paired: bool, cell: tuple[float, ...], unsure=0
 ) -> list:
     """Verdicts of one grid cell over the dataset (report generation)."""
+    m = np.array([s.measurement for s in dataset], dtype=float)
+    verdicts = _verdicts(m, cell if grid_paired else cell[:1]).tolist()
     if grid_paired:
-        return [classify_paired(s.measurement, cell[0], cell[1]) for s in dataset]
-    return [
-        classify_single(s.measurement, s.candidate_state, cell[0], unsure)
-        for s in dataset
-    ]
+        return verdicts
+    return [s.candidate_state if v else unsure for s, v in zip(dataset, verdicts)]
 
 
 def rule_measurement(

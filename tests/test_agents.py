@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -30,7 +31,7 @@ from gesturelink.encoder import build_state_matrix
 from gesturelink.errors import ParseError, TransportError, UnknownContext
 from gesturelink.prompts import load_prompt_set
 from gesturelink.rules import RuleThresholds
-from gesturelink.transport import ScriptedBackend, UsageRecord
+from gesturelink.transport import BackendConfig, LiveBackend, ScriptedBackend, UsageRecord
 
 PROMPTS = load_prompt_set()
 TH = RuleThresholds()
@@ -118,6 +119,33 @@ def test_describe_pose_replays_fixture():
     assert desc == PoseDescription(candidate_gestures="pinch and move up", time_span=(1, 2))
     # The prompt carried the serialized matrix.
     assert "gesture-state-matrix v1" in backend.requests[0].messages[0].content
+
+
+@pytest.mark.parametrize(
+    "session_model, sent_model", [(None, "config-model"), ("session-model", "session-model")]
+)
+def test_live_backend_receives_model_id(monkeypatch, session_model, sent_model):
+    bodies = []
+
+    class Reply(io.BytesIO):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    def fake_urlopen(request, timeout):
+        bodies.append(json.loads(request.data))
+        payload = {"choices": [{"message": {"content": pose_reply()}}], "usage": {}}
+        return Reply(json.dumps(payload).encode())
+
+    monkeypatch.setenv("GESTURELINK_TEST_KEY", "k")
+    monkeypatch.setattr("gesturelink.transport.urllib.request.urlopen", fake_urlopen)
+    backend = LiveBackend(
+        BackendConfig(model_id="config-model", api_key_env="GESTURELINK_TEST_KEY")
+    )
+    describe_pose(make_matrix(), PROMPTS, backend, SessionConfig(model_id=session_model))
+    assert [b["model"] for b in bodies] == [sent_model]
 
 
 def test_describe_pose_clamps_span():

@@ -158,6 +158,22 @@ def test_tune_recovers_planted_thresholds(tmp_path, capsys):
     assert "filtered 1 ambiguous" in err
 
 
+def test_tune_integer_grid_writes_integers(tmp_path, capsys):
+    # Default flexion grid (0..180 step 1): the first zero-loss cell is (53, 54).
+    lines = [tuning_line(t, [1]) for t in (10, 30, 52.5)]
+    lines += [tuning_line(t, [-1]) for t in (55.5, 90, 140)]
+    dataset = tmp_path / "labels.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "tuned.json"
+    rep = tmp_path / "report.json"
+    assert main(["tune", str(dataset), "--out", str(out), "--report", str(rep)]) == 0
+    tuned = json.loads(out.read_text())
+    assert tuned["flexion_finger"] == [53, 54]
+    assert all(type(v) is int for v in tuned["flexion_finger"])
+    assert "53.0" not in out.read_text() and "53.0" not in rep.read_text()
+    assert "flexion_finger: params=[53, 54] loss=0.0000" in capsys.readouterr().out
+
+
 def test_tune_all_ambiguous_exits_2(tmp_path):
     dataset = tmp_path / "labels.jsonl"
     dataset.write_text(tuning_line(20, [1, -1]) + "\n")

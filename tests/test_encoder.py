@@ -7,6 +7,7 @@ import pytest
 from conftest import FLAT_HAND_POINTS, hand_at, make_frame, make_stream, trajectory_stream, translate
 from gesturelink.encoder import (
     GestureStateMatrix,
+    GestureWindow,
     SegmentationConfig,
     build_state_matrix,
     detect_gesture_window,
@@ -124,6 +125,71 @@ def test_sampling_tie_goes_to_earlier_frame():
     samples = sample_window(w)
     # Target 0.2 is equidistant from frames at 0.1 and 0.3.
     assert samples[1].timestamp == 0.1
+
+
+def _scan_sample_window(window):
+    """Reference: for each target, scan every frame from the first; a later
+    frame wins only if its error is smaller by more than 1e-9."""
+    times = [f.timestamp for f in window.frames]
+    k_max = int(math.floor(window.duration / 0.2 + 1e-9))
+    samples = []
+    for k in range(k_max + 1):
+        target = window.start_time + 0.2 * k
+        best_idx, best_err = 0, abs(times[0] - target)
+        for idx in range(1, len(times)):
+            err = abs(times[idx] - target)
+            if err < best_err - 1e-9:
+                best_idx, best_err = idx, err
+        samples.append(window.frames[best_idx])
+    return samples
+
+
+def _window_at(times):
+    frames = tuple(make_frame(FLAT_HAND_POINTS, t=t) for t in times)
+    return GestureWindow(start_time=times[0], end_time=times[-1] + 0.05, frames=frames)
+
+
+def _assert_matches_scan(times):
+    w = _window_at(times)
+    got = sample_window(w)
+    want = _scan_sample_window(w)
+    assert [f.timestamp for f in got] == [f.timestamp for f in want]
+    assert all(a is b for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sampling_matches_full_scan_on_irregular_timestamps(seed):
+    local = random.Random(seed)
+    times = [local.uniform(0.0, 3.0)]
+    for _ in range(local.randint(1, 120)):
+        times.append(times[-1] + local.choice([0.001, 0.0333, 0.1, 0.35, local.uniform(0, 0.6)]))
+    _assert_matches_scan(times)
+
+
+def test_sampling_matches_full_scan_halfway_between_frames():
+    # Frames straddle each 0.2 s target by the same offset.
+    for start in (0.0, 0.1, 1.7, 12.3):
+        for d in (0.05, 0.1, 0.0333, 1e-9, 5e-10):
+            times = sorted({start} | {start + 0.2 * k + s * d for k in range(1, 12) for s in (-1, 1)})
+            _assert_matches_scan(times)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sampling_matches_full_scan_on_sub_eps_spacing(seed):
+    local = random.Random(seed)
+    start = local.choice([0.0, 0.5, 41.7, 1234.5])
+    times = [start]
+    for k in range(1, 10):
+        centre = start + 0.2 * k + local.choice([-0.1, -1e-9, 0.0, 1e-9, 0.1, local.uniform(-0.1, 0.1)])
+        spacing = local.choice([1e-10, 3e-10, 5e-10, 1e-9, 2e-9, 0.0])
+        first = max(centre - spacing * local.randint(0, 6), times[-1])
+        times.extend(first + spacing * j for j in range(local.randint(1, 12)))
+    _assert_matches_scan(sorted(times))
+
+
+def test_window_rejects_frames_out_of_time_order():
+    with pytest.raises(MalformedInput):
+        _window_at([0.0, 0.4, 0.2])
 
 
 # --- matrix assembly --------------------------------------------------------------

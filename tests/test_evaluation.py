@@ -223,6 +223,18 @@ def test_task_failure_scores_negative_without_aborting():
     assert run.metrics.top1.mean == pytest.approx(0.5)
 
 
+def test_programming_error_propagates_out_of_run_setting():
+    class BrokenBackend:
+        deterministic = True
+
+        def complete(self, req):
+            raise TypeError("bug in backend")
+
+    handles = PipelineHandles(prompts=PROMPTS, backend_factory=lambda task: BrokenBackend())
+    with pytest.raises(TypeError):
+        run_setting([make_task()], ContextSetting.ALL, repetitions=1, handles=handles)
+
+
 def test_no_window_scores_negative():
     task = TaskRecord(
         scenario_id="flatline",

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,6 +219,135 @@ def test_grid_search_matches_exhaustive_rescan(rng):
     assert loss == pytest.approx(min(losses.values()))
     assert all(loss <= v + 1e-12 for v in losses.values())
     assert losses[cell] == pytest.approx(loss)
+
+
+def _rescan(dataset, grid, w):
+    """Reference sweep: every cell of grid.cells() in order, each scored by
+    its own per-sample loss vector; a cell wins only on a strictly smaller
+    loss, so ties keep the lexicographically first."""
+    m = np.array([s.measurement for s in dataset], dtype=float)
+    best_cell, best_loss = None, np.inf
+    for cell in grid.cells():
+        if grid.paired:
+            verdict = np.where(m <= cell[0], 1, np.where(m >= cell[1], -1, 0))
+            correct = np.array(
+                [v in s.label.acceptable_states for v, s in zip(verdict.tolist(), dataset)]
+            )
+        else:
+            verdict = np.where(m <= cell[0], 1, 0)
+            correct = np.array([s.candidate_state in s.label.acceptable_states for s in dataset])
+        loss = np.where(
+            verdict == 0, w.unsure_loss, np.where(correct, w.correct_loss, w.error_loss)
+        )
+        loss = float(loss.mean())
+        if loss < best_loss:
+            best_cell, best_loss = cell, loss
+    return best_cell, best_loss
+
+
+def _assert_matches_rescan(dataset, grid, w):
+    cell, loss = grid_search(dataset, grid, w)
+    want_cell, want_loss = _rescan(dataset, grid, w)
+    assert (cell, loss) == (want_cell, want_loss)
+    assert [type(v) for v in cell] == [type(v) for v in want_cell]
+
+
+def _random_weights(local):
+    error = local.choice([1.0, 0.7, 3.0])
+    unsure = local.choice([error, error * local.uniform(0.05, 0.95), 0.2 * error])
+    correct = local.choice([0.0, 0.0, unsure * local.uniform(0.0, 0.9)])
+    return LossWeights(unsure_loss=unsure, error_loss=error, correct_loss=correct)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grid_search_matches_rescan_on_integer_ties(seed):
+    local = random.Random(seed)
+    dataset = [
+        MeasuredSample(measurement=local.randint(0, 15), label=label(local.choice([1, -1])))
+        for _ in range(local.randint(1, 60))
+    ]
+    grid = GridSpec.from_ranges((0, 15, 1), (local.randint(0, 8), 16, 1))
+    _assert_matches_rescan(dataset, grid, W)
+    _assert_matches_rescan(dataset, grid, _random_weights(local))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grid_search_matches_rescan_on_grid_valued_measurements(seed):
+    local = random.Random(seed)
+    grid = GridSpec.from_ranges((0.0, 0.03, 0.001), (0.01, 0.05, 0.001))
+    values = grid.low_values + grid.high_values
+    dataset = [
+        MeasuredSample(measurement=local.choice(values), label=label(local.choice([1, -1])))
+        for _ in range(local.randint(1, 80))
+    ]
+    _assert_matches_rescan(dataset, grid, W)
+    _assert_matches_rescan(dataset, grid, _random_weights(local))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grid_search_matches_rescan_on_duplicate_and_disjoint_grids(seed):
+    local = random.Random(seed)
+    dataset = [
+        MeasuredSample(
+            measurement=local.choice([local.uniform(0, 100), float(local.randint(0, 10) * 10)]),
+            label=label(local.choice([1, -1])),
+        )
+        for _ in range(local.randint(1, 50))
+    ]
+    lows = tuple(local.choice(range(0, 70, 10)) for _ in range(8))
+    if local.random() < 0.5:  # disjoint: every high above every low
+        highs = tuple(local.choice(range(70, 110, 5)) for _ in range(6))
+    else:  # overlapping, with repeats
+        highs = tuple(local.choice(range(0, 110, 10)) for _ in range(8)) + (100,)
+    grid = GridSpec(low_values=lows + (0,), high_values=highs)
+    for w in (W, _random_weights(local), LossWeights(unsure_loss=1.0, error_loss=1.0)):
+        _assert_matches_rescan(dataset, grid, w)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grid_search_matches_rescan_on_palm_candidates(seed):
+    local = random.Random(seed)
+    decided = [o for o in PalmOrientation if o != PalmOrientation.UNKNOWN]
+    dataset = [
+        MeasuredSample(
+            measurement=local.choice([float(local.randint(0, 90)), local.uniform(0, 90)]),
+            label=label(local.choice(decided)),
+            candidate_state=local.choice(decided),
+        )
+        for _ in range(local.randint(1, 60))
+    ]
+    grid = GridSpec.from_ranges((0, 90, 1))
+    for w in (W, _random_weights(local), LossWeights(unsure_loss=1.0, error_loss=1.0)):
+        _assert_matches_rescan(dataset, grid, w)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_search_matches_rescan_with_nan(seed):
+    # NaN is neither <= low nor >= high: always unsure, as in the rescan.
+    local = random.Random(seed)
+    dataset = [
+        MeasuredSample(
+            measurement=local.choice([float("nan"), float(local.randint(0, 10))]),
+            label=label(local.choice([1, -1])),
+            candidate_state=local.choice([1, -1]),
+        )
+        for _ in range(local.randint(1, 30))
+    ]
+    nan = float("nan")
+    _assert_matches_rescan(dataset, GridSpec(low_values=(2, nan, 5), high_values=(nan, 6, 9)), W)
+    _assert_matches_rescan(dataset, GridSpec(low_values=(nan, 3, 7)), W)
+
+
+def test_grid_search_real_valued_tie_goes_to_first_cell():
+    # (1, 5.2) leaves the five positives unsure (5 x 0.2); (6, 7) decides
+    # them all but calls the negative at 5.5 positive (1 x 1.0). Equal loss.
+    dataset = [MeasuredSample(measurement=5.0, label=label(1)) for _ in range(5)]
+    dataset.append(MeasuredSample(measurement=5.5, label=label(-1)))
+    grid = GridSpec(low_values=(6.0, 1.0), high_values=(7.0, 5.2))
+    cell, loss = grid_search(dataset, grid, W)
+    assert cell == (1.0, 5.2)
+    assert loss == pytest.approx(1 / 6)
+    assert (cell, loss) == _rescan(dataset, grid, W)
 
 
 def test_single_threshold_grid_search():
