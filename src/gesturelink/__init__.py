@@ -38,7 +38,6 @@ from .evaluation import (
 from .landmarks import (
     HandLandmarkFrame,
     Handedness,
-    Landmark,
     LandmarkStream,
     landmark_index,
     parse_landmark_stream,

@@ -16,25 +16,24 @@ import logging
 from dataclasses import dataclass, field
 
 from .context import (
-    PLACEHOLDER_RE,
     ContextLibrary,
     FunctionEntry,
-    calculate,
     function_entries,
     render_library_prompt,
+    resolve_placeholders,
 )
 from .encoder import GestureStateMatrix, serialize_matrix, serialize_movement
-from .errors import (
-    CalculatorFailure,
-    ParseError,
-    TransportError,
-    UnknownCalculator,
-    UnknownContext,
-)
+from .errors import ParseError, TransportError, UnknownContext
 from .prompts import AgentPromptSet, render_prompt
 from .transport import ChatMessage, CompletionRequest, UsageRecord
 
 logger = logging.getLogger(__name__)
+
+# Longest model reply extract_json_object will parse. Trying a decode at
+# every "{" costs time that grows with the square of the reply length,
+# so the cap bounds the cost of a degenerate reply.
+MAX_REPLY_CHARS = 32_000
+_DECODER = json.JSONDecoder()
 
 _REPAIR_REMINDER = (
     "Your previous reply could not be parsed. Respond again with exactly one "
@@ -152,53 +151,36 @@ class DialogueTranscript:
 
 
 def extract_json_object(raw: str) -> dict:
-    """First JSON object in raw text; tolerates code fences and prose."""
+    """First JSON object in raw text; tolerates code fences and prose.
+
+    Tries the whole text, then each fenced block, then every "{" in
+    order. Replies longer than MAX_REPLY_CHARS and objects nested too
+    deeply to decode raise ParseError.
+    """
+    if len(raw) > MAX_REPLY_CHARS:
+        raise ParseError(f"response of {len(raw)} characters exceeds {MAX_REPLY_CHARS}")
     text = raw.strip()
-    try:
-        obj = json.loads(text)
-        if isinstance(obj, dict):
-            return obj
-    except json.JSONDecodeError:
-        pass
+    candidates = [text]
     if "```" in text:
         for block in text.split("```")[1::2]:
-            candidate = block.strip()
-            if candidate.startswith("json"):
-                candidate = candidate[4:].strip()
+            block = block.strip()
+            candidates.append(block[4:].strip() if block.startswith("json") else block)
+    try:
+        for candidate in candidates:
             try:
                 obj = json.loads(candidate)
-                if isinstance(obj, dict):
-                    return obj
             except json.JSONDecodeError:
                 continue
-    start = text.find("{")
-    while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        obj = json.loads(text[start : i + 1])
-                        if isinstance(obj, dict):
-                            return obj
-                    except json.JSONDecodeError:
-                        break
-        start = text.find("{", start + 1)
+            if isinstance(obj, dict):
+                return obj
+        start = text.find("{")
+        while start != -1:
+            try:
+                return _DECODER.raw_decode(text, start)[0]
+            except json.JSONDecodeError:
+                start = text.find("{", start + 1)
+    except RecursionError:
+        raise ParseError("JSON in response is nested too deeply") from None
     raise ParseError(f"no JSON object found in response: {raw[:120]!r}")
 
 
@@ -382,20 +364,6 @@ def _prune_conclusion(ids: tuple[str, ...], valid: set[str]) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _resolve_answer(lib: ContextLibrary, answer: str) -> str:
-    """Placeholder resolution that never leaves a token unresolved: failed
-    calculations are replaced with an explicit unavailability note."""
-
-    def _sub(match):
-        try:
-            return calculate(lib, match.group(0))
-        except (UnknownCalculator, CalculatorFailure) as exc:
-            logger.warning("placeholder %s failed: %s", match.group(0), exc)
-            return f"[calculation {match.group(1)} unavailable]"
-
-    return PLACEHOLDER_RE.sub(_sub, answer)
-
-
 def run_inference_session(
     description: str,
     lib: ContextLibrary,
@@ -501,7 +469,7 @@ def run_inference_session(
                 ctx_usage = getattr(exc, "usage", None)
                 answer = ctx_raw or "no answer available"
                 ctx_parsed = {"answer": answer, "parse_fallback": True}
-            resolved = _resolve_answer(lib, answer)
+            resolved = resolve_placeholders(lib, answer)
             ctx_parsed["delivered"] = resolved
             transcript.append(
                 TranscriptTurn(role="context", raw=ctx_raw, parsed=ctx_parsed, usage=ctx_usage)

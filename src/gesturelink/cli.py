@@ -34,7 +34,7 @@ from .evaluation import (
     report,
     run_setting,
 )
-from .landmarks import parse_landmark_stream
+from .landmarks import Handedness, parse_frame, parse_landmark_stream
 from .prompts import load_prompt_set
 from .rules import PalmOrientation, RuleThresholds
 from .transport import RetryPolicy, load_backend
@@ -126,14 +126,19 @@ def _load_tuning_dataset(path: Path, distance_mode: str):
             ambiguous += 1
             continue
         if "frame" in entry:
-            frame_doc = {"handedness": "right", "frames": [entry["frame"]]}
-            stream = parse_landmark_stream(json.dumps(frame_doc))
-            frame = stream.frames[0]
+            frame = parse_frame(entry["frame"], Handedness.RIGHT)
         elif "stream" in entry:
             ref = str(path.parent / entry["stream"])
             if ref not in stream_cache:
                 stream_cache[ref] = parse_landmark_stream(Path(ref).read_bytes())
-            frame = stream_cache[ref].frames[int(entry.get("frame_index", 0))]
+            frames = stream_cache[ref].frames
+            index = entry.get("frame_index", 0)
+            if type(index) is not int or not 0 <= index < len(frames):
+                raise MalformedInput(
+                    f"{path}:{line_no}: frame_index must be an integer in [0, {len(frames)}), "
+                    f"got {index!r}"
+                )
+            frame = frames[index]
         else:
             raise MalformedInput(f"{path}:{line_no}: needs 'frame' or 'stream'")
         measurement, candidate = rule_measurement(

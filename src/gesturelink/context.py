@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import logging
 import math
 import re
 import subprocess
@@ -25,6 +26,8 @@ from .errors import (
     UnknownCalculator,
     UnknownContext,
 )
+
+logger = logging.getLogger(__name__)
 
 PLACEHOLDER_RE = re.compile(r"\{\{CALC:([A-Za-z0-9_\-]+)(?::(.+?))?\}\}")
 
@@ -244,9 +247,21 @@ def calculate(lib: ContextLibrary, placeholder: str) -> str:
 
 
 def resolve_placeholders(lib: ContextLibrary, text: str) -> str:
-    """Replace every calculation placeholder in text with its output."""
+    """Replace every calculation placeholder in text with its output.
+
+    Never raises: a failed calculation becomes an explicit unavailability
+    note, and the failure is logged with the calculator's diagnostics.
+    """
     def _sub(match: re.Match) -> str:
-        return calculate(lib, match.group(0))
+        try:
+            return calculate(lib, match.group(0))
+        except UnknownCalculator as exc:
+            logger.warning("placeholder %s failed: %s", match.group(0), exc)
+        except CalculatorFailure as exc:
+            logger.warning(
+                "placeholder %s failed: %s; diagnostics: %s", match.group(0), exc, exc.diagnostics
+            )
+        return f"[calculation {match.group(1)} unavailable]"
 
     return PLACEHOLDER_RE.sub(_sub, text)
 

@@ -68,53 +68,50 @@ class SourceView(str, Enum):
     THIRD_PERSON = "third_person"
 
 
-@dataclass(frozen=True)
-class Landmark:
-    """One normalized-image landmark; x/y may slightly leave [0, 1]."""
-
-    x: float
-    y: float
-    z: float = 0.0
-
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z):
-            if not math.isfinite(v):
-                raise MalformedInput(f"non-finite landmark coordinate: {v!r}")
-        for v in (self.x, self.y):
-            if not (_COORD_MIN <= v <= _COORD_MAX):
-                raise MalformedInput(
-                    f"landmark coordinate {v} outside [{_COORD_MIN}, {_COORD_MAX}]"
-                )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HandLandmarkFrame:
     """One timestamped set of 21 landmarks for one hand.
 
-    has_depth records whether the source stream carried a z component;
-    2D streams get z=0 substituted and has_depth=False.
+    coords is a read-only (21, 3) float array of (x, y, z) rows in
+    landmark-index order; x/y may slightly leave [0, 1]. has_depth
+    records whether the source stream carried a z component; 2D streams
+    get z=0 substituted and has_depth=False.
     """
 
     timestamp: float
     handedness: Handedness
-    landmarks: tuple[Landmark, ...]
+    coords: np.ndarray
     has_depth: bool = True
 
     def __post_init__(self):
-        if len(self.landmarks) != 21:
+        try:
+            coords = np.array(self.coords, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInput(f"bad landmark coordinates at t={self.timestamp}: {exc}") from exc
+        if coords.shape != (21, 3):
             raise BadLandmarkCount(
-                f"frame at t={self.timestamp} has {len(self.landmarks)} landmarks, expected 21"
+                f"frame at t={self.timestamp} has landmark shape {coords.shape}, expected (21, 3)"
+            )
+        if not np.isfinite(coords).all():
+            raise MalformedInput(f"non-finite landmark coordinate at t={self.timestamp}")
+        xy = coords[:, :2]
+        if xy.min() < _COORD_MIN or xy.max() > _COORD_MAX:
+            raise MalformedInput(
+                f"landmark coordinate outside [{_COORD_MIN}, {_COORD_MAX}] at t={self.timestamp}"
             )
         if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
             raise MalformedInput(f"bad frame timestamp: {self.timestamp!r}")
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
 
-    def as_array(self) -> np.ndarray:
-        """Landmarks as a (21, 3) float array."""
-        return np.array([(p.x, p.y, p.z) for p in self.landmarks], dtype=float)
-
-    def point(self, index: int) -> np.ndarray:
-        return np.array(
-            (self.landmarks[index].x, self.landmarks[index].y, self.landmarks[index].z)
+    def __eq__(self, other):
+        if not isinstance(other, HandLandmarkFrame):
+            return NotImplemented
+        return (
+            self.timestamp == other.timestamp
+            and self.handedness == other.handedness
+            and self.has_depth == other.has_depth
+            and np.array_equal(self.coords, other.coords)
         )
 
 
@@ -136,6 +133,34 @@ class LandmarkStream:
     @property
     def has_depth(self) -> bool:
         return all(f.has_depth for f in self.frames)
+
+
+def parse_frame(entry, handedness: Handedness) -> HandLandmarkFrame:
+    """One {"t": seconds, "lm": [[x, y, z] or [x, y]] * 21} frame entry.
+
+    Two-component landmarks get z=0 and mark the frame has_depth=False.
+    """
+    if not isinstance(entry, dict) or "t" not in entry or "lm" not in entry:
+        raise MalformedInput('each frame needs "t" and "lm"')
+    lm = entry["lm"]
+    if not isinstance(lm, list) or len(lm) != 21:
+        raise BadLandmarkCount(
+            f"frame at t={entry['t']} has {len(lm) if isinstance(lm, list) else '?'} landmarks"
+        )
+    has_depth = True
+    rows = []
+    for coords in lm:
+        if not isinstance(coords, list) or len(coords) not in (2, 3):
+            raise MalformedInput(f"landmark entry must be [x,y] or [x,y,z]: {coords!r}")
+        if len(coords) == 2:
+            has_depth = False
+            coords = [coords[0], coords[1], 0.0]
+        rows.append(coords)
+    try:
+        t = float(entry["t"])
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"bad timestamp: {entry['t']!r}") from exc
+    return HandLandmarkFrame(timestamp=t, handedness=handedness, coords=rows, has_depth=has_depth)
 
 
 def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
@@ -163,41 +188,8 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
     if not isinstance(raw_frames, list):
         raise MalformedInput('missing or non-list "frames"')
 
-    frames = []
-    for entry in raw_frames:
-        if not isinstance(entry, dict) or "t" not in entry or "lm" not in entry:
-            raise MalformedInput('each frame needs "t" and "lm"')
-        lm = entry["lm"]
-        if not isinstance(lm, list) or len(lm) != 21:
-            raise BadLandmarkCount(
-                f"frame at t={entry['t']} has {len(lm) if isinstance(lm, list) else '?'} landmarks"
-            )
-        has_depth = True
-        points = []
-        for coords in lm:
-            if not isinstance(coords, list) or len(coords) not in (2, 3):
-                raise MalformedInput(f"landmark entry must be [x,y] or [x,y,z]: {coords!r}")
-            if len(coords) == 2:
-                has_depth = False
-                coords = [coords[0], coords[1], 0.0]
-            try:
-                points.append(Landmark(float(coords[0]), float(coords[1]), float(coords[2])))
-            except (TypeError, ValueError) as exc:
-                raise MalformedInput(f"bad landmark coordinates: {coords!r}") from exc
-        try:
-            t = float(entry["t"])
-        except (TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad timestamp: {entry['t']!r}") from exc
-        frames.append(
-            HandLandmarkFrame(
-                timestamp=t,
-                handedness=handedness,
-                landmarks=tuple(points),
-                has_depth=has_depth,
-            )
-        )
-
-    return LandmarkStream(frames=tuple(frames), source_view=source_view)
+    frames = tuple(parse_frame(entry, handedness) for entry in raw_frames)
+    return LandmarkStream(frames=frames, source_view=source_view)
 
 
 def serialize_landmark_stream(stream: LandmarkStream) -> bytes:
@@ -213,10 +205,7 @@ def serialize_landmark_stream(stream: LandmarkStream) -> bytes:
         "frames": [
             {
                 "t": f.timestamp,
-                "lm": [
-                    [p.x, p.y, p.z] if f.has_depth else [p.x, p.y]
-                    for p in f.landmarks
-                ],
+                "lm": (f.coords if f.has_depth else f.coords[:, :2]).tolist(),
             }
             for f in stream.frames
         ],

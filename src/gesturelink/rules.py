@@ -18,7 +18,6 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from .errors import DegenerateGeometry, MalformedInput
-from .geometry import angle_between_deg, cross, point_polyline_distance
 from .landmarks import FINGER_JOINTS, HandLandmarkFrame, Handedness, landmark_index
 
 logger = logging.getLogger(__name__)
@@ -79,6 +78,14 @@ _PALM_REFERENCES = (
 )
 
 _NORMAL_EPS = 1e-9
+_EPS = 1e-12
+
+_THUMB_MCP = landmark_index("THUMB_MCP")
+_THUMB_TIP = landmark_index("THUMB_TIP")
+_WRIST = landmark_index("WRIST")
+_INDEX_MCP = landmark_index("INDEX_FINGER_MCP")
+_MIDDLE_MCP = landmark_index("MIDDLE_FINGER_MCP")
+_PINKY_MCP = landmark_index("PINKY_MCP")
 
 
 @dataclass(frozen=True)
@@ -169,8 +176,32 @@ def three_way_verdict(measurement: float, low: float, high: float) -> ThreeWay:
     return ThreeWay.UNSURE
 
 
-def _joint_points(frame: HandLandmarkFrame, finger: str) -> list[np.ndarray]:
-    return [frame.point(i) for i in FINGER_JOINTS[finger]]
+def _angle_deg(v1: np.ndarray, v2: np.ndarray) -> float:
+    """Angle between two vectors in degrees, in [0, 180]; raises
+    DegenerateGeometry when either vector is (numerically) zero."""
+    n1 = np.linalg.norm(v1)
+    n2 = np.linalg.norm(v2)
+    if n1 < _EPS or n2 < _EPS:
+        raise DegenerateGeometry("zero-length vector in angle computation")
+    cos = np.clip(np.dot(v1, v2) / (n1 * n2), -1.0, 1.0)
+    return float(np.degrees(np.arccos(cos)))
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, with the same rounding as np.dot."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
+    """Distance from each row of points to the polyline through the rows of
+    polyline. A zero-length segment degrades to the distance to its start."""
+    a = polyline[:-1]
+    ab = polyline[1:] - a
+    denom = _rowdot(ab, ab)
+    num = _rowdot(points[:, None, :] - a, ab)
+    t = np.divide(num, denom, out=np.zeros_like(num), where=denom >= _EPS)
+    gap = points[:, None, :] - (a + np.clip(t, 0.0, 1.0)[..., None] * ab)
+    return np.sqrt(_rowdot(gap, gap)).min(axis=1)
 
 
 def finger_curl_deg(frame: HandLandmarkFrame, finger: str) -> float:
@@ -181,12 +212,10 @@ def finger_curl_deg(frame: HandLandmarkFrame, finger: str) -> float:
     zero-length bone.
     """
     if finger == "thumb":
-        _, mcp, ip, tip = _joint_points(frame, "thumb")
-        return angle_between_deg(ip - mcp, tip - ip)
-    mcp, pip_, dip, tip = _joint_points(frame, finger)
-    return angle_between_deg(pip_ - mcp, dip - pip_) + angle_between_deg(
-        dip - pip_, tip - dip
-    )
+        _, mcp, ip, tip = frame.coords[list(FINGER_JOINTS["thumb"])]
+        return _angle_deg(ip - mcp, tip - ip)
+    mcp, pip_, dip, tip = frame.coords[list(FINGER_JOINTS[finger])]
+    return _angle_deg(pip_ - mcp, dip - pip_) + _angle_deg(dip - pip_, tip - dip)
 
 
 def flexion(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeWay:
@@ -202,12 +231,10 @@ def flexion(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeW
     return three_way_verdict(curl, low, high)
 
 
-def _distal_points(frame: HandLandmarkFrame, finger: str, mode: str) -> list[np.ndarray]:
-    """PIP, DIP, TIP of a non-thumb finger, projected per distance mode."""
-    pts = _joint_points(frame, finger)[1:]
-    if mode == "xy":
-        return [p[:2] for p in pts]
-    return pts
+def _distal_points(frame: HandLandmarkFrame, finger: str, mode: str) -> np.ndarray:
+    """PIP, DIP, TIP rows of a non-thumb finger, projected per distance mode."""
+    dims = 2 if mode == "xy" else 3
+    return frame.coords[list(FINGER_JOINTS[finger][1:]), :dims]
 
 
 def proximity_distance(frame: HandLandmarkFrame, pair: str, mode: str = "xy") -> float:
@@ -218,10 +245,7 @@ def proximity_distance(frame: HandLandmarkFrame, pair: str, mode: str = "xy") ->
     f1, f2 = pair.split("_")
     pts1 = _distal_points(frame, f1, mode)
     pts2 = _distal_points(frame, f2, mode)
-    per_level = [
-        min(point_polyline_distance(pts1[i], pts2), point_polyline_distance(pts2[i], pts1))
-        for i in range(3)
-    ]
+    per_level = np.minimum(_polyline_distances(pts1, pts2), _polyline_distances(pts2, pts1))
     return float(np.mean(per_level))
 
 
@@ -236,10 +260,9 @@ def contact_distance(frame: HandLandmarkFrame, finger: str, mode: str = "xy") ->
     """Distance between the thumb tip and the given finger's tip."""
     if finger not in CONTACT_FINGERS:
         raise ValueError(f"contact is defined against the thumb; got {finger!r}")
-    thumb_tip = frame.point(landmark_index("THUMB_TIP"))
-    finger_tip = frame.point(FINGER_JOINTS[finger][3])
-    if mode == "xy":
-        thumb_tip, finger_tip = thumb_tip[:2], finger_tip[:2]
+    dims = 2 if mode == "xy" else 3
+    thumb_tip = frame.coords[_THUMB_TIP, :dims]
+    finger_tip = frame.coords[FINGER_JOINTS[finger][3], :dims]
     return float(np.linalg.norm(thumb_tip - finger_tip))
 
 
@@ -253,13 +276,11 @@ def contact(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeW
 def thumb_direction_measurement(frame: HandLandmarkFrame) -> tuple[float, ThumbDirection]:
     """(angle to the closer of down/up, that direction) for the thumb
     MCP->TIP vector. Raises DegenerateGeometry if the vector vanishes."""
-    mcp = frame.point(landmark_index("THUMB_MCP"))
-    tip = frame.point(landmark_index("THUMB_TIP"))
-    v = tip - mcp
+    v = frame.coords[_THUMB_TIP] - frame.coords[_THUMB_MCP]
     best_angle = math.inf
     best_dir = ThumbDirection.UNSURE
     for direction, ref in _THUMB_REFERENCES:
-        angle = angle_between_deg(v, ref)
+        angle = _angle_deg(v, ref)
         if angle < best_angle:
             best_angle = angle
             best_dir = direction
@@ -285,15 +306,12 @@ def thumb_pointing(
 def palm_normal(frame: HandLandmarkFrame) -> np.ndarray:
     """Palm-plane normal: v1 spans pinky MCP -> index MCP, v2 spans
     wrist -> middle MCP; right hands use v2 x v1, left hands v1 x v2."""
-    v1 = frame.point(landmark_index("INDEX_FINGER_MCP")) - frame.point(
-        landmark_index("PINKY_MCP")
-    )
-    v2 = frame.point(landmark_index("MIDDLE_FINGER_MCP")) - frame.point(
-        landmark_index("WRIST")
-    )
+    c = frame.coords
+    v1 = c[_INDEX_MCP] - c[_PINKY_MCP]
+    v2 = c[_MIDDLE_MCP] - c[_WRIST]
     if frame.handedness == Handedness.LEFT:
-        return cross(v1, v2)
-    return cross(v2, v1)
+        return np.cross(v1, v2)
+    return np.cross(v2, v1)
 
 
 def palm_orientation_measurement(
@@ -309,7 +327,7 @@ def palm_orientation_measurement(
     best_angle = math.inf
     best_ref = PalmOrientation.UNKNOWN
     for orientation, ref in _PALM_REFERENCES:
-        angle = angle_between_deg(n, ref)
+        angle = _angle_deg(n, ref)
         if angle < best_angle:
             best_angle = angle
             best_ref = orientation
@@ -339,11 +357,8 @@ def palm_orientation(frame: HandLandmarkFrame, th: RuleThresholds) -> PalmOrient
 
 def hand_center(frame: HandLandmarkFrame) -> HandCenter:
     """Component-wise mean of all 21 landmarks plus the hand width."""
-    pts = frame.as_array()
-    cx, cy, cz = pts.mean(axis=0)
-    index_mcp = frame.point(landmark_index("INDEX_FINGER_MCP"))
-    pinky_mcp = frame.point(landmark_index("PINKY_MCP"))
-    width = float(np.linalg.norm(index_mcp[:2] - pinky_mcp[:2]))
+    cx, cy, cz = frame.coords.mean(axis=0)
+    width = float(np.linalg.norm(frame.coords[_INDEX_MCP, :2] - frame.coords[_PINKY_MCP, :2]))
     return HandCenter(
         x=float(cx), y=float(cy), z=float(cz), hand_width=width, has_depth=frame.has_depth
     )

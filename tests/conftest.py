@@ -7,7 +7,7 @@ from collections import defaultdict
 
 import pytest
 
-from gesturelink.landmarks import HandLandmarkFrame, Handedness, Landmark, LandmarkStream
+from gesturelink.landmarks import HandLandmarkFrame, Handedness, LandmarkStream
 
 # --- acceptance summary ---------------------------------------------------------
 # One PASS/FAIL line per acceptance criterion at the end of the run.
@@ -71,7 +71,7 @@ def make_frame(points, t=0.0, handedness=Handedness.RIGHT, has_depth=True):
     return HandLandmarkFrame(
         timestamp=t,
         handedness=handedness,
-        landmarks=tuple(Landmark(x, y, z) for x, y, z in points),
+        coords=points,
         has_depth=has_depth,
     )
 

@@ -77,7 +77,7 @@ def test_criterion_1_rule_oracle_equivalence():
     started = time.perf_counter()
     mismatches = 0
     for frame in frames:
-        points = [(p.x, p.y, p.z) for p in frame.landmarks]
+        points = frame.coords.tolist()
         for finger in ("thumb", "index", "middle", "ring", "pinky"):
             low, high = TH.flexion_thumb if finger == "thumb" else TH.flexion_finger
             if int(flexion(frame, finger, TH)) != oracles.oracle_flexion(points, finger, low, high):

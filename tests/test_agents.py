@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -17,6 +18,7 @@ from conftest import (
 from gesturelink.agents import (
     Conclusion,
     DialogueTranscript,
+    MAX_REPLY_CHARS,
     PoseDescription,
     SessionConfig,
     compose_description,
@@ -80,6 +82,29 @@ def test_extract_handles_braces_inside_strings():
 def test_extract_no_object_raises():
     with pytest.raises(ParseError):
         extract_json_object("no json here")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "{" * 32_000,
+        '{"' * 16_000,
+        '{"a":' * 3000,
+        "prose " + '{"a":' * 3000,
+        '{"a": 1}' + " " * MAX_REPLY_CHARS,
+    ],
+    ids=["open-braces", "brace-quotes", "deep-nesting", "deep-nesting-in-prose", "over-cap"],
+)
+def test_extract_degenerate_reply_fails_fast(raw):
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        extract_json_object(raw)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_extract_accepts_reply_at_cap():
+    raw = '{"a": 1}'.ljust(MAX_REPLY_CHARS)
+    assert extract_json_object(raw) == {"a": 1}
 
 
 # --- inference turn parsing ------------------------------------------------------

@@ -181,6 +181,30 @@ def test_tune_all_ambiguous_exits_2(tmp_path):
                  "--report", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.mark.parametrize("index", [5, -1, "x"])
+def test_tune_bad_frame_index_exits_2(tmp_path, capsys, index):
+    write_stream(tmp_path / "two.json", [0.8, 0.8])
+    entry = {"rule": "flexion_finger", "target": "index", "acceptable_states": [1],
+             "stream": "two.json", "frame_index": index}
+    dataset = tmp_path / "labels.jsonl"
+    dataset.write_text(json.dumps(entry) + "\n")
+    assert main(["tune", str(dataset), "--out", str(tmp_path / "o.json"),
+                 "--report", str(tmp_path / "r.json")]) == 2
+    assert f"{dataset}:1: frame_index" in capsys.readouterr().err
+
+
+def test_tune_stream_frame_index_selects_frame(tmp_path):
+    write_stream(tmp_path / "two.json", [0.8, 0.8])
+    lines = [json.dumps({"rule": "flexion_finger", "target": "index", "acceptable_states": [1],
+                         "stream": "two.json", "frame_index": i}) for i in (0, 1)]
+    dataset = tmp_path / "labels.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    rep = tmp_path / "r.json"
+    assert main(["tune", str(dataset), "--out", str(tmp_path / "o.json"),
+                 "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["flexion_finger"]["samples"] == 2
+
+
 # --- ground ---------------------------------------------------------------------
 
 def test_ground_produces_deterministic_transcript(tmp_path, matrix_file, library_file, capsys):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,10 +12,11 @@ from gesturelink.errors import (
 )
 from gesturelink.landmarks import (
     LANDMARK_NAMES,
+    HandLandmarkFrame,
     Handedness,
-    Landmark,
     SourceView,
     landmark_index,
+    parse_frame,
     parse_landmark_stream,
     serialize_landmark_stream,
 )
@@ -58,7 +60,54 @@ def test_parse_rejects_out_of_range_coordinates():
 
 def test_landmark_rejects_non_finite():
     with pytest.raises(MalformedInput):
-        Landmark(float("nan"), 0.5, 0.0)
+        HandLandmarkFrame(0.0, Handedness.RIGHT, [(float("nan"), 0.5, 0.0)] + FLAT_HAND_POINTS[1:])
+
+
+@pytest.mark.parametrize(
+    "row,value,error",
+    [(3, (float("nan"), 0.5, 0.0), MalformedInput), (3, (0.5, 0.5, float("inf")), MalformedInput),
+     (3, (1.6, 0.5, 0.0), MalformedInput), (3, (0.5, -0.6, 0.0), MalformedInput),
+     (None, None, BadLandmarkCount)],
+)
+def test_direct_frame_construction_validates_like_parsing(row, value, error):
+    points = [list(p) for p in FLAT_HAND_POINTS]
+    if row is None:
+        points = points[:20]
+    else:
+        points[row] = list(value)
+    with pytest.raises(error):
+        HandLandmarkFrame(0.0, Handedness.RIGHT, np.array(points))
+    doc = {"frames": [{"t": 0.0, "lm": points}]}
+    with pytest.raises(error):
+        parse_landmark_stream(json.dumps(doc))
+
+
+def test_frame_coords_are_read_only():
+    source = np.array(FLAT_HAND_POINTS)
+    frame = HandLandmarkFrame(0.0, Handedness.RIGHT, source)
+    assert frame.coords.shape == (21, 3)
+    with pytest.raises(ValueError):
+        frame.coords[0, 0] = 0.9
+    source[0, 0] = 0.9  # the frame holds its own copy
+    assert frame.coords[0, 0] == FLAT_HAND_POINTS[0][0]
+
+
+def test_frame_equality_compares_coordinates():
+    a = HandLandmarkFrame(0.0, Handedness.RIGHT, FLAT_HAND_POINTS)
+    b = HandLandmarkFrame(0.0, Handedness.RIGHT, np.array(FLAT_HAND_POINTS))
+    moved = [list(p) for p in FLAT_HAND_POINTS]
+    moved[8][1] += 0.01
+    assert a == b
+    assert a != HandLandmarkFrame(0.0, Handedness.RIGHT, moved)
+    assert a != HandLandmarkFrame(0.0, Handedness.RIGHT, FLAT_HAND_POINTS, has_depth=False)
+
+
+def test_parse_frame_fills_missing_depth():
+    entry = {"t": 0.5, "lm": [[x, y] for x, y, _ in FLAT_HAND_POINTS]}
+    frame = parse_frame(entry, Handedness.LEFT)
+    assert frame.timestamp == 0.5 and frame.handedness == Handedness.LEFT
+    assert frame.has_depth is False
+    assert frame.coords[:, :2].tolist() == [[x, y] for x, y, _ in FLAT_HAND_POINTS]
 
 
 def test_two_component_landmarks_mark_stream_flat():
@@ -66,7 +115,7 @@ def test_two_component_landmarks_mark_stream_flat():
     doc["frames"][0]["lm"] = [[x, y] for x, y, _ in FLAT_HAND_POINTS]
     stream = parse_landmark_stream(json.dumps(doc))
     assert stream.frames[0].has_depth is False
-    assert all(p.z == 0.0 for p in stream.frames[0].landmarks)
+    assert (stream.frames[0].coords[:, 2] == 0.0).all()
 
 
 def test_left_hand_parses():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import FLAT_HAND_POINTS, make_frame, random_points, scale_about, translate
-from gesturelink.errors import MalformedInput
+from gesturelink.errors import DegenerateGeometry, MalformedInput
 from gesturelink.landmarks import Handedness
 from gesturelink.rules import (
     PALM_ONE_HOT_ORDER,
@@ -19,6 +19,7 @@ from gesturelink.rules import (
     contact,
     contact_distance,
     encode_pose_vector,
+    finger_curl_deg,
     flexion,
     hand_center,
     palm_orientation,
@@ -63,7 +64,7 @@ def test_flexion_thumb_in_unsure_band():
         3: (0.50, 0.40, 0.0),
         4: (0.50 + 0.1 * s, 0.40 - 0.1 * c, 0.0),
     })
-    curl = oracles.oracle_curl([ (p.x, p.y, p.z) for p in frame.landmarks ], "thumb")
+    curl = oracles.oracle_curl(frame.coords.tolist(), "thumb")
     assert curl == pytest.approx(25.0, abs=1e-9)
     assert flexion(frame, "thumb", TH) == ThreeWay.UNSURE
 
@@ -95,7 +96,7 @@ def test_proximity_apart():
 
 def test_proximity_unsure_band_verified_by_oracle():
     frame = _parallel_fingers(0.026)
-    points = [(p.x, p.y, p.z) for p in frame.landmarks]
+    points = frame.coords.tolist()
     d = oracles.oracle_proximity_distance(points, "index", "middle", "xy")
     assert d == pytest.approx(0.026, abs=1e-12)
     assert TH.proximity[0] < d < TH.proximity[1]
@@ -184,7 +185,7 @@ PALM_EXAMPLE = {
 
 def test_palm_outward_right_hand():
     frame = with_points(PALM_EXAMPLE)
-    points = [(p.x, p.y, p.z) for p in frame.landmarks]
+    points = frame.coords.tolist()
     n = oracles.oracle_palm_normal(points, is_left=False)
     assert n == pytest.approx((0.0, 0.0, -0.06))
     assert palm_orientation(frame, TH) == PalmOrientation.OUTWARD
@@ -193,7 +194,7 @@ def test_palm_outward_right_hand():
 def test_palm_outward_mirrored_left_hand():
     mirrored = {i: (1.0 - x, y, z) for i, (x, y, z) in PALM_EXAMPLE.items()}
     frame = with_points(mirrored, handedness=Handedness.LEFT)
-    points = [(p.x, p.y, p.z) for p in frame.landmarks]
+    points = frame.coords.tolist()
     assert oracles.oracle_palm_orientation(points, is_left=True, threshold=41) == "outward"
     assert palm_orientation(frame, TH) == PalmOrientation.OUTWARD
 
@@ -206,7 +207,7 @@ def test_palm_diagonal_normal_is_unknown():
         17: (0.5, 0.5, 0.0),
         5: (0.5, 0.6, 0.0),
     })
-    points = [(p.x, p.y, p.z) for p in frame.landmarks]
+    points = frame.coords.tolist()
     n = oracles.oracle_palm_normal(points, is_left=False)
     angles = [oracles.angle_deg(n, ref) for _, ref in oracles.PALM_REFS]
     assert min(angles) > TH.palm_angle_threshold
@@ -227,6 +228,66 @@ def test_palm_without_depth_hides_inward_outward(flat_hand):
     assert palm_orientation(flat_2d, TH) == PalmOrientation.UNKNOWN
 
 
+# --- measurements against the scalar oracles ---------------------------------------
+# Measurement-level agreement, not just verdicts: the rules index the frame's
+# coordinate array directly and measure proximity with one broadcast
+# point-to-polyline pass, while the oracles loop in plain Python.
+
+MEASURE_TOL = 1e-12
+
+
+def _measured_hands(rng, n=200):
+    """Random hands; every third one has a finger whose DIP sits on its
+    PIP, so one distal segment has zero length."""
+    for i in range(n):
+        points = random_points(rng)
+        if i % 3 == 0:
+            joints = oracles.FINGER_IDX[rng.choice(["index", "middle", "ring", "pinky"])]
+            points[joints[2]] = points[joints[1]]
+        yield make_frame(points)
+
+
+@pytest.mark.parametrize("mode", ["xy", "xyz"])
+def test_proximity_distance_matches_oracle(rng, mode):
+    for frame in _measured_hands(rng):
+        points = frame.coords.tolist()
+        for pair in PROXIMITY_PAIRS:
+            f1, f2 = pair.split("_")
+            expected = oracles.oracle_proximity_distance(points, f1, f2, mode)
+            assert proximity_distance(frame, pair, mode) == pytest.approx(expected, abs=MEASURE_TOL)
+
+
+def test_proximity_distance_zero_length_segment_is_point_distance():
+    # Index PIP = DIP = TIP: both of its distal segments have zero length.
+    frame = with_points({6: (0.42, 0.62, 0.0), 7: (0.42, 0.62, 0.0), 8: (0.42, 0.62, 0.0)})
+    points = frame.coords.tolist()
+    expected = oracles.oracle_proximity_distance(points, "index", "middle", "xy")
+    assert proximity_distance(frame, "index_middle") == pytest.approx(expected, abs=MEASURE_TOL)
+
+
+@pytest.mark.parametrize("mode", ["xy", "xyz"])
+def test_contact_distance_matches_oracle(rng, mode):
+    for frame in _measured_hands(rng):
+        points = frame.coords.tolist()
+        for finger in ("index", "middle", "ring", "pinky"):
+            expected = oracles.oracle_contact_distance(points, finger, mode)
+            assert contact_distance(frame, finger, mode) == pytest.approx(expected, abs=MEASURE_TOL)
+
+
+def test_finger_curl_matches_oracle(rng):
+    checked = 0
+    for frame in _measured_hands(rng):
+        points = frame.coords.tolist()
+        for finger in ("thumb", "index", "middle", "ring", "pinky"):
+            try:
+                curl = finger_curl_deg(frame, finger)
+            except DegenerateGeometry:
+                continue
+            assert curl == pytest.approx(oracles.oracle_curl(points, finger), abs=MEASURE_TOL)
+            checked += 1
+    assert checked > 900
+
+
 # --- hand center ---------------------------------------------------------------
 
 def test_hand_center_of_identical_points():
@@ -239,9 +300,7 @@ def test_hand_center_matches_brute_force(rng):
     for _ in range(100):
         frame = make_frame(random_points(rng))
         c = hand_center(frame)
-        ox, oy, oz = oracles.oracle_hand_center(
-            [(p.x, p.y, p.z) for p in frame.landmarks]
-        )
+        ox, oy, oz = oracles.oracle_hand_center(frame.coords.tolist())
         assert abs(c.x - ox) < 1e-12 and abs(c.y - oy) < 1e-12 and abs(c.z - oz) < 1e-12
 
 
