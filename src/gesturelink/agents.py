@@ -39,6 +39,8 @@ _REPAIR_REMINDER = (
     "Your previous reply could not be parsed. Respond again with exactly one "
     "JSON object in the documented output format, and nothing else."
 )
+# A malformed reply is re-asked once, with _REPAIR_REMINDER appended.
+_PARSE_ATTEMPTS = 2
 _FORCED_CONCLUSION = (
     "You have reached the round limit. Do not ask further questions: respond "
     "now with your final JSON conclusion ranking up to five function ids."
@@ -48,15 +50,10 @@ _FORCED_CONCLUSION = (
 @dataclass(frozen=True)
 class SessionConfig:
     max_rounds: int = 10
-    parse_retries: int = 1
-    temperature: float = 0.0
-    model_id: str | None = None
 
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-        if self.parse_retries < 0:
-            raise ValueError("parse_retries must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -214,29 +211,18 @@ def parse_context_turn(raw: str) -> ContextTurn:
     return ContextTurn(thought=thought, answer=answer)
 
 
-def _complete(llm, messages: list[ChatMessage], cfg: SessionConfig):
-    req = CompletionRequest(
-        messages=tuple(messages),
-        temperature=cfg.temperature,
-        model_id=cfg.model_id,
-    )
-    return llm.complete(req)
-
-
-def _call_with_repair(llm, messages, parser, cfg: SessionConfig):
-    """One completion, re-asked up to cfg.parse_retries times with a format
-    reminder when the reply cannot be parsed. Returns (parsed, raw, usage)
-    or raises ParseError carrying the last raw reply."""
-    attempts = cfg.parse_retries + 1
-    raw, usage = "", None
-    for attempt in range(attempts):
-        raw, usage = _complete(llm, messages, cfg)
+def _call_with_repair(llm, messages, parser):
+    """One completion, re-asked once with a format reminder when the reply
+    cannot be parsed. Returns (parsed, raw, usage) or raises ParseError
+    carrying the last raw reply and its usage."""
+    for attempt in range(1, _PARSE_ATTEMPTS + 1):
+        raw, usage = llm.complete(CompletionRequest(messages=tuple(messages)))
         try:
             return parser(raw), raw, usage
         except ParseError as exc:
-            logger.warning("malformed agent reply (attempt %d): %s", attempt + 1, exc)
-            if attempt + 1 == attempts:
-                last = ParseError(f"unparseable after {attempts} attempts: {exc}")
+            logger.warning("malformed agent reply (attempt %d): %s", attempt, exc)
+            if attempt == _PARSE_ATTEMPTS:
+                last = ParseError(f"unparseable after {_PARSE_ATTEMPTS} attempts: {exc}")
                 last.raw = raw
                 last.usage = usage
                 raise last from exc
@@ -246,16 +232,24 @@ def _call_with_repair(llm, messages, parser, cfg: SessionConfig):
             ]
 
 
+def _describe(llm, role: str, prompt: str, parser, to_doc, transcript):
+    """One description completion, recorded as a `role` turn."""
+    parsed, raw, usage = _call_with_repair(llm, [ChatMessage("user", prompt)], parser)
+    if transcript is not None:
+        transcript.append(
+            TranscriptTurn(role=role, raw=raw, parsed=to_doc(parsed), usage=usage)
+        )
+    return parsed
+
+
 def describe_pose(
     matrix: GestureStateMatrix,
     prompts: AgentPromptSet,
     llm,
-    cfg: SessionConfig | None = None,
     transcript: DialogueTranscript | None = None,
 ) -> PoseDescription:
     """Pose-channel description: candidate gestures plus the time span,
     clamped to the matrix's column range."""
-    cfg = cfg or SessionConfig()
     prompt = render_prompt(
         prompts.description_pose_prompt, matrix_text=serialize_matrix(matrix)
     )
@@ -279,20 +273,10 @@ def describe_pose(
             raise ParseError(f"time span reversed: {span}")
         return PoseDescription(candidate_gestures=gestures, time_span=clamped)
 
-    parsed, raw, usage = _call_with_repair(llm, [ChatMessage("user", prompt)], parser, cfg)
-    if transcript is not None:
-        transcript.append(
-            TranscriptTurn(
-                role="description_pose",
-                raw=raw,
-                parsed={
-                    "candidate_gestures": parsed.candidate_gestures,
-                    "time_span": list(parsed.time_span),
-                },
-                usage=usage,
-            )
-        )
-    return parsed
+    def to_doc(pose: PoseDescription) -> dict:
+        return {"candidate_gestures": pose.candidate_gestures, "time_span": list(pose.time_span)}
+
+    return _describe(llm, "description_pose", prompt, parser, to_doc, transcript)
 
 
 def describe_movement(
@@ -300,11 +284,9 @@ def describe_movement(
     span: tuple[int, int],
     prompts: AgentPromptSet,
     llm,
-    cfg: SessionConfig | None = None,
     transcript: DialogueTranscript | None = None,
 ) -> str:
     """Movement description over the pose's time span."""
-    cfg = cfg or SessionConfig()
     prompt = render_prompt(
         prompts.description_movement_prompt,
         movement_text=serialize_movement(matrix, span[0], span[1]),
@@ -317,17 +299,10 @@ def describe_movement(
             raise ParseError("missing 'movement'")
         return movement
 
-    parsed, raw, usage = _call_with_repair(llm, [ChatMessage("user", prompt)], parser, cfg)
-    if transcript is not None:
-        transcript.append(
-            TranscriptTurn(
-                role="description_movement",
-                raw=raw,
-                parsed={"movement": parsed},
-                usage=usage,
-            )
-        )
-    return parsed
+    return _describe(
+        llm, "description_movement", prompt, parser,
+        lambda movement: {"movement": movement}, transcript,
+    )
 
 
 def compose_description(pose: PoseDescription, movement: str) -> str:
@@ -364,6 +339,16 @@ def _prune_conclusion(ids: tuple[str, ...], valid: set[str]) -> tuple[str, ...]:
     return tuple(seen)
 
 
+def _outcome(transcript: DialogueTranscript, **parsed) -> None:
+    """Close the transcript with an outcome marker."""
+    transcript.append(TranscriptTurn(role="outcome", raw="", parsed=parsed))
+
+
+def _negative(transcript: DialogueTranscript, reason: str) -> tuple[None, DialogueTranscript]:
+    _outcome(transcript, result="negative", reason=reason)
+    return None, transcript
+
+
 def run_inference_session(
     description: str,
     lib: ContextLibrary,
@@ -398,14 +383,6 @@ def run_inference_session(
         )),
     ]
 
-    def negative(reason: str) -> tuple[None, DialogueTranscript]:
-        transcript.append(
-            TranscriptTurn(
-                role="outcome", raw="", parsed={"result": "negative", "reason": reason}
-            )
-        )
-        return None, transcript
-
     try:
         rounds = 0
         forced = False
@@ -413,7 +390,7 @@ def run_inference_session(
             rounds += 1
             try:
                 turn, raw, usage = _call_with_repair(
-                    llm, inference_messages, parse_inference_turn, cfg
+                    llm, inference_messages, parse_inference_turn
                 )
             except ParseError as exc:
                 transcript.append(
@@ -424,7 +401,7 @@ def run_inference_session(
                         usage=getattr(exc, "usage", None),
                     )
                 )
-                return negative(f"unparseable inference turn: {exc}")
+                return _negative(transcript, f"unparseable inference turn: {exc}")
             parsed_doc = {"thought": turn.thought}
             if turn.question is not None:
                 parsed_doc["question"] = turn.question
@@ -438,19 +415,12 @@ def run_inference_session(
             if turn.conclusion is not None:
                 kept = _prune_conclusion(turn.conclusion, valid_ids)
                 if not kept:
-                    return negative("conclusion contained no valid function ids")
-                conclusion = Conclusion(ranked_functions=kept)
-                transcript.append(
-                    TranscriptTurn(
-                        role="outcome",
-                        raw="",
-                        parsed={"result": "conclusion", "ranked": list(kept)},
-                    )
-                )
-                return conclusion, transcript
+                    return _negative(transcript, "conclusion contained no valid function ids")
+                _outcome(transcript, result="conclusion", ranked=list(kept))
+                return Conclusion(ranked_functions=kept), transcript
 
             if forced:
-                return negative("no conclusion after the forced turn")
+                return _negative(transcript, "no conclusion after the forced turn")
             if rounds >= cfg.max_rounds:
                 forced = True
                 inference_messages.append(ChatMessage("user", _FORCED_CONCLUSION))
@@ -459,7 +429,7 @@ def run_inference_session(
             context_messages.append(ChatMessage("user", turn.question))
             try:
                 ctx_turn, ctx_raw, ctx_usage = _call_with_repair(
-                    llm, context_messages, parse_context_turn, cfg
+                    llm, context_messages, parse_context_turn
                 )
                 answer = ctx_turn.answer
                 ctx_parsed = {"thought": ctx_turn.thought, "answer": ctx_turn.answer}
@@ -492,20 +462,12 @@ def ground_matrix(
 ) -> tuple[Conclusion | None, DialogueTranscript]:
     """Full grounding of one matrix: describe (pose + movement), compose,
     then run the inference session. One transcript covers all stages."""
-    cfg = cfg or SessionConfig()
     transcript = DialogueTranscript()
     try:
-        pose = describe_pose(matrix, prompts, llm, cfg, transcript)
-        movement = describe_movement(matrix, pose.time_span, prompts, llm, cfg, transcript)
+        pose = describe_pose(matrix, prompts, llm, transcript)
+        movement = describe_movement(matrix, pose.time_span, prompts, llm, transcript)
     except ParseError as exc:
-        transcript.append(
-            TranscriptTurn(
-                role="outcome",
-                raw="",
-                parsed={"result": "negative", "reason": f"description failed: {exc}"},
-            )
-        )
-        return None, transcript
+        return _negative(transcript, f"description failed: {exc}")
     except TransportError as exc:
         exc.transcript = transcript
         raise

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .agents import SessionConfig, ground_matrix
@@ -120,30 +122,32 @@ def _load_tuning_dataset(path: Path, distance_mode: str):
             entry = json.loads(line)
             rule_id = entry["rule"]
             label = _parse_label(rule_id, entry["acceptable_states"])
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"{path}:{line_no}: bad dataset line: {exc}") from exc
         if label.is_ambiguous:
             ambiguous += 1
             continue
-        if "frame" in entry:
-            frame = parse_frame(entry["frame"], Handedness.RIGHT)
-        elif "stream" in entry:
-            ref = str(path.parent / entry["stream"])
-            if ref not in stream_cache:
-                stream_cache[ref] = parse_landmark_stream(Path(ref).read_bytes())
-            frames = stream_cache[ref].frames
-            index = entry.get("frame_index", 0)
-            if type(index) is not int or not 0 <= index < len(frames):
-                raise MalformedInput(
-                    f"{path}:{line_no}: frame_index must be an integer in [0, {len(frames)}), "
-                    f"got {index!r}"
-                )
-            frame = frames[index]
-        else:
-            raise MalformedInput(f"{path}:{line_no}: needs 'frame' or 'stream'")
-        measurement, candidate = rule_measurement(
-            frame, rule_id, entry.get("target"), distance_mode
-        )
+        try:
+            if "frame" in entry:
+                frame = parse_frame(entry["frame"], Handedness.RIGHT)
+            elif "stream" in entry:
+                ref = str(path.parent / entry["stream"])
+                if ref not in stream_cache:
+                    stream_cache[ref] = parse_landmark_stream(Path(ref).read_bytes())
+                frames = stream_cache[ref].frames
+                index = entry.get("frame_index", 0)
+                if type(index) is not int or not 0 <= index < len(frames):
+                    raise MalformedInput(
+                        f"frame_index must be an integer in [0, {len(frames)}), got {index!r}"
+                    )
+                frame = frames[index]
+            else:
+                raise MalformedInput("needs 'frame' or 'stream'")
+            measurement, candidate = rule_measurement(
+                frame, rule_id, entry.get("target"), distance_mode
+            )
+        except GestureLinkError as exc:
+            raise MalformedInput(f"{path}:{line_no}: {exc}") from exc
         per_rule.setdefault(rule_id, []).append(
             MeasuredSample(measurement=measurement, label=label, candidate_state=candidate)
         )
@@ -153,13 +157,45 @@ def _load_tuning_dataset(path: Path, distance_mode: str):
     return per_rule
 
 
-def _grid_from_file(doc: dict, rule_id: str) -> GridSpec:
+# RuleThresholds field of each single-threshold rule; a paired rule's
+# field has the rule's own name.
+_ANGLE_FIELDS = {
+    "thumb_direction": "thumb_dir_angle_threshold",
+    "palm_orientation": "palm_angle_threshold",
+}
+
+
+def _load_grid_doc(path: str | None) -> dict:
+    if path is None:
+        return {}
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise MalformedInput(f"{path}: bad grid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedInput(f"{path}: grid file must hold a JSON object")
+    return doc
+
+
+def _grid_from_file(doc: dict, rule_id: str, path: str | None) -> GridSpec:
+    """{"low": range, "high": range} for a paired rule, {"threshold": range}
+    for a single-threshold one; each range is [start, stop, step]. A rule
+    the file leaves out gets its default grid."""
     if rule_id not in doc:
         return default_grid(rule_id)
+    keys = ("threshold",) if rule_id in _ANGLE_FIELDS else ("low", "high")
     spec = doc[rule_id]
-    if "threshold" in spec:
-        return GridSpec.from_ranges(tuple(spec["threshold"]))
-    return GridSpec.from_ranges(tuple(spec["low"]), tuple(spec["high"]))
+    if not isinstance(spec, dict) or any(k not in spec for k in keys):
+        raise MalformedInput(f"{path}: {rule_id} needs {' and '.join(keys)} ranges")
+    for key in keys:
+        r = spec[key]
+        numbers = isinstance(r, list) and all(type(v) in (int, float) for v in r)
+        if not (numbers and len(r) == 3 and all(map(math.isfinite, r))):
+            raise MalformedInput(f"{path}: {rule_id} {key} must be [start, stop, step], got {r!r}")
+    try:
+        return GridSpec.from_ranges(*(tuple(spec[k]) for k in keys))
+    except GestureLinkError as exc:
+        raise MalformedInput(f"{path}: {rule_id}: {exc}") from exc
 
 
 def cmd_tune(args) -> int:
@@ -168,12 +204,12 @@ def cmd_tune(args) -> int:
     if not any(per_rule.values()):
         print("no usable samples after filtering ambiguous labels", file=sys.stderr)
         return EXIT_INPUT
-    grid_doc = json.loads(Path(args.grid).read_text()) if args.grid else {}
+    grid_doc = _load_grid_doc(args.grid)
     weights = LossWeights()
     report_doc: dict = {}
-    optima: dict = {}
+    tuned: dict = {}
     for rule_id, samples in sorted(per_rule.items()):
-        grid = _grid_from_file(grid_doc, rule_id)
+        grid = _grid_from_file(grid_doc, rule_id, args.grid)
         cell, loss = grid_search(samples, grid, weights)
         space = RULE_STATE_SPACES[rule_id]
         preds = predictions_for_cell(samples, grid.paired, cell, unsure=space.unsure)
@@ -186,21 +222,13 @@ def cmd_tune(args) -> int:
             "rates": rates,
             "samples": len(samples),
         }
-        optima[rule_id] = cell
-    updated = {
-        "flexion_thumb": list(optima.get("flexion_thumb", th_defaults.flexion_thumb)),
-        "flexion_finger": list(optima.get("flexion_finger", th_defaults.flexion_finger)),
-        "proximity": list(optima.get("proximity", th_defaults.proximity)),
-        "contact": list(optima.get("contact", th_defaults.contact)),
-        "thumb_dir_angle_threshold": optima.get(
-            "thumb_direction", (th_defaults.thumb_dir_angle_threshold,)
-        )[0],
-        "palm_angle_threshold": optima.get(
-            "palm_orientation", (th_defaults.palm_angle_threshold,)
-        )[0],
-        "distance_mode": th_defaults.distance_mode,
-    }
-    _write_atomic(Path(args.out), json.dumps(updated, indent=2, sort_keys=True) + "\n")
+        if rule_id in _ANGLE_FIELDS:
+            tuned[_ANGLE_FIELDS[rule_id]] = cell[0]
+        else:
+            tuned[rule_id] = cell
+    # Validates the optima, so nothing encode would reject gets written.
+    thresholds = replace(th_defaults, **tuned)
+    _write_atomic(Path(args.out), thresholds.to_json())
     _write_atomic(Path(args.report), json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
     for rule_id, entry in sorted(report_doc.items()):
         r = entry["rates"]

@@ -28,7 +28,7 @@ from .context import (
     make_gaze_context,
     make_history_context,
 )
-from .encoder import SegmentationConfig, encode_stream
+from .encoder import encode_stream
 from .errors import GestureLinkError, MalformedInput
 from .landmarks import LandmarkStream, parse_landmark_stream
 from .prompts import AgentPromptSet
@@ -121,7 +121,6 @@ class PipelineHandles:
     prompts: AgentPromptSet
     backend_factory: Callable[[TaskRecord], object]
     thresholds: RuleThresholds = RuleThresholds()
-    segmentation: SegmentationConfig = SegmentationConfig()
     session: SessionConfig = SessionConfig()
 
 
@@ -153,7 +152,7 @@ def run_task(
     task: TaskRecord, setting: ContextSetting, handles: PipelineHandles
 ) -> tuple[int | None, SessionCost]:
     """Encode the stream, ground the first gesture window, rank the truth."""
-    matrices = encode_stream(task.stream, handles.thresholds, handles.segmentation)
+    matrices = encode_stream(task.stream, handles.thresholds)
     if not matrices:
         logger.warning("task %s: no gesture window detected", task.scenario_id)
         return None, SessionCost(0, 0, 0, 0.0)

@@ -33,8 +33,6 @@ LANDMARK_NAMES = (
 
 _NAME_TO_INDEX = {name: i for i, name in enumerate(LANDMARK_NAMES)}
 
-FINGERS = ("thumb", "index", "middle", "ring", "pinky")
-
 # Joint indices per finger, proximal to tip. The thumb row is
 # (CMC, MCP, IP, TIP); other fingers are (MCP, PIP, DIP, TIP).
 FINGER_JOINTS = {

@@ -46,14 +46,10 @@ class ChatMessage:
 @dataclass(frozen=True)
 class CompletionRequest:
     messages: tuple[ChatMessage, ...]
-    temperature: float = 0.0
-    model_id: str | None = None  # None: the backend's configured model
 
     def __post_init__(self):
         if not self.messages:
             raise MalformedInput("request needs at least one message")
-        if self.temperature < 0:
-            raise MalformedInput("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,6 @@ class UsageRecord:
 
 
 class Backend(Protocol):
-    deterministic: bool
-
     def complete(self, req: CompletionRequest) -> tuple[str, UsageRecord]: ...
 
 
@@ -90,8 +84,6 @@ class ScriptedBackend:
     """Replays fixture responses; pure given the fixture file and the
     call sequence. Sequence fixtures are consumed in order; hash fixtures
     are keyed by message_hash and reusable."""
-
-    deterministic = True
 
     def __init__(self, fixtures: list[dict]):
         self._queue: list[str] = []
@@ -166,9 +158,8 @@ class BackendConfig:
 
 
 class LiveBackend:
-    """OpenAI-compatible chat-completions client over HTTP."""
-
-    deterministic = False
+    """OpenAI-compatible chat-completions client over HTTP. Every request
+    asks the configured model for temperature 0."""
 
     def __init__(self, config: BackendConfig | None = None):
         self.config = config or BackendConfig()
@@ -181,8 +172,8 @@ class LiveBackend:
             )
         body = json.dumps(
             {
-                "model": req.model_id or self.config.model_id,
-                "temperature": req.temperature,
+                "model": self.config.model_id,
+                "temperature": 0.0,
                 "messages": [
                     {"role": m.role, "content": m.content} for m in req.messages
                 ],
@@ -200,7 +191,7 @@ class LiveBackend:
         started = time.monotonic()
         try:
             with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
-                payload = json.loads(resp.read())
+                reply = resp.read()
         except urllib.error.HTTPError as exc:
             detail = exc.read().decode(errors="replace")[:500]
             if exc.code == 429:
@@ -212,14 +203,17 @@ class LiveBackend:
             raise TransportError(f"request failed: {exc}") from exc
         latency = time.monotonic() - started
         try:
+            payload = json.loads(reply)
             text = payload["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}, not a string")
             usage = payload.get("usage", {})
             record = UsageRecord(
                 input_tokens=int(usage.get("prompt_tokens", 0)),
                 output_tokens=int(usage.get("completion_tokens", 0)),
                 latency=latency,
             )
-        except (KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             raise TransportError(f"unexpected response shape: {exc}") from exc
         return text, record
 
@@ -239,8 +233,8 @@ class RetryPolicy:
 class RetryingBackend:
     """Retries transient failures with exponential backoff + full jitter.
 
-    AuthError and FixtureExhausted are permanent; deterministic backends
-    are never retried at all (a replay cannot transiently fail).
+    AuthError and FixtureExhausted are permanent, so a scripted replay
+    is never retried.
     """
 
     def __init__(self, inner, policy: RetryPolicy, sleep=time.sleep):
@@ -250,14 +244,7 @@ class RetryingBackend:
         self._rng = random.Random(policy.seed)
         self.last_attempts = 0
 
-    @property
-    def deterministic(self) -> bool:
-        return self.inner.deterministic
-
     def complete(self, req: CompletionRequest) -> tuple[str, UsageRecord]:
-        if self.inner.deterministic:
-            self.last_attempts = 1
-            return self.inner.complete(req)
         last_error: TransportError | None = None
         for attempt in range(1, self.policy.max_attempts + 1):
             self.last_attempts = attempt

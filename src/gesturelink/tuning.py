@@ -25,6 +25,8 @@ from .errors import (
 )
 from .landmarks import HandLandmarkFrame
 from .rules import (
+    CONTACT_FINGERS,
+    PROXIMITY_PAIRS,
     PalmOrientation,
     contact_distance,
     finger_curl_deg,
@@ -86,9 +88,6 @@ RULE_STATE_SPACES = {
     "thumb_direction": THREE_WAY_SPACE,
     "palm_orientation": PALM_SPACE,
 }
-
-# Rules tuned over a (low, high) pair; the rest sweep one angle threshold.
-PAIRED_RULES = ("flexion_thumb", "flexion_finger", "proximity", "contact")
 
 
 @dataclass(frozen=True)
@@ -208,13 +207,14 @@ def _expand_range(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 def default_grid(rule_id: str) -> GridSpec:
     """Defaults that bracket the shipped tuned values: degrees step 1 for
-    flexion, 0.001 for distances, 1 degree for direction/orientation angles."""
+    flexion, 0.001 for distances, 1 degree for direction/orientation angles.
+    Each grid starts at its step, since RuleThresholds rejects 0."""
     if rule_id in ("flexion_thumb", "flexion_finger"):
-        return GridSpec.from_ranges((0, 180, 1), (0, 180, 1))
+        return GridSpec.from_ranges((1, 180, 1), (1, 180, 1))
     if rule_id in ("proximity", "contact"):
-        return GridSpec.from_ranges((0.0, 0.2, 0.001), (0.0, 0.2, 0.001))
+        return GridSpec.from_ranges((0.001, 0.2, 0.001), (0.001, 0.2, 0.001))
     if rule_id in ("thumb_direction", "palm_orientation"):
-        return GridSpec.from_ranges((0, 90, 1))
+        return GridSpec.from_ranges((1, 90, 1))
     raise MalformedInput(f"unknown rule id: {rule_id!r}")
 
 
@@ -321,6 +321,12 @@ def predictions_for_cell(
     return [s.candidate_state if v else unsure for s, v in zip(dataset, verdicts)]
 
 
+def _target(rule_id: str, target, valid: tuple[str, ...]) -> str:
+    if target not in valid:
+        raise MalformedInput(f"{rule_id} needs a target in {', '.join(valid)}, got {target!r}")
+    return target
+
+
 def rule_measurement(
     frame: HandLandmarkFrame, rule_id: str, target: str | None, distance_mode: str = "xy"
 ) -> tuple[float, Hashable]:
@@ -330,13 +336,13 @@ def rule_measurement(
     if rule_id == "flexion_thumb":
         return finger_curl_deg(frame, "thumb"), None
     if rule_id == "flexion_finger":
-        if target not in ("index", "middle", "ring", "pinky"):
-            raise MalformedInput(f"flexion_finger needs a finger target, got {target!r}")
-        return finger_curl_deg(frame, target), None
+        return finger_curl_deg(frame, _target(rule_id, target, CONTACT_FINGERS)), None
     if rule_id == "proximity":
-        return proximity_distance(frame, target, distance_mode), None
+        pair = _target(rule_id, target, PROXIMITY_PAIRS)
+        return proximity_distance(frame, pair, distance_mode), None
     if rule_id == "contact":
-        return contact_distance(frame, target, distance_mode), None
+        finger = _target(rule_id, target, CONTACT_FINGERS)
+        return contact_distance(frame, finger, distance_mode), None
     if rule_id == "thumb_direction":
         angle, direction = thumb_direction_measurement(frame)
         return angle, int(direction)

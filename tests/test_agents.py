@@ -47,8 +47,6 @@ def make_matrix(t_count=4):
 class RecordingBackend:
     """Wraps a scripted backend and keeps every request for inspection."""
 
-    deterministic = True
-
     def __init__(self, responses):
         self.inner = ScriptedBackend(seq_fixtures(*responses))
         self.requests = []
@@ -147,7 +145,7 @@ def test_describe_pose_replays_fixture():
 
 
 @pytest.mark.parametrize(
-    "session_model, sent_model", [(None, "config-model"), ("session-model", "session-model")]
+    "session_model, sent_model", [(None, "config-model")]
 )
 def test_live_backend_receives_model_id(monkeypatch, session_model, sent_model):
     bodies = []
@@ -169,7 +167,7 @@ def test_live_backend_receives_model_id(monkeypatch, session_model, sent_model):
     backend = LiveBackend(
         BackendConfig(model_id="config-model", api_key_env="GESTURELINK_TEST_KEY")
     )
-    describe_pose(make_matrix(), PROMPTS, backend, SessionConfig(model_id=session_model))
+    describe_pose(make_matrix(), PROMPTS, backend)
     assert [b["model"] for b in bodies] == [sent_model]
 
 
@@ -409,8 +407,6 @@ def test_session_requires_function_list():
 
 def test_transport_error_carries_partial_transcript():
     class DyingBackend:
-        deterministic = True
-
         def __init__(self):
             self.inner = ScriptedBackend(seq_fixtures(question_reply("gaze?")))
             self.calls = 0

@@ -159,7 +159,7 @@ def test_tune_recovers_planted_thresholds(tmp_path, capsys):
 
 
 def test_tune_integer_grid_writes_integers(tmp_path, capsys):
-    # Default flexion grid (0..180 step 1): the first zero-loss cell is (53, 54).
+    # Default flexion grid (1..180 step 1): the first zero-loss cell is (53, 54).
     lines = [tuning_line(t, [1]) for t in (10, 30, 52.5)]
     lines += [tuning_line(t, [-1]) for t in (55.5, 90, 140)]
     dataset = tmp_path / "labels.jsonl"
@@ -203,6 +203,89 @@ def test_tune_stream_frame_index_selects_frame(tmp_path):
     assert main(["tune", str(dataset), "--out", str(tmp_path / "o.json"),
                  "--report", str(rep)]) == 0
     assert json.loads(rep.read_text())["flexion_finger"]["samples"] == 2
+
+
+def run_tune(tmp_path, lines, *extra):
+    dataset = tmp_path / "labels.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    out, rep = tmp_path / "o.json", tmp_path / "r.json"
+    code = main(["tune", str(dataset), "--out", str(out), "--report", str(rep), *extra])
+    return code, dataset, out, rep
+
+
+@pytest.mark.parametrize(
+    "rule_id, target", [("proximity", "bogus"), ("proximity", None), ("contact", "thumb")]
+)
+def test_tune_unknown_target_exits_2_with_location(tmp_path, capsys, rule_id, target):
+    entry = {"rule": rule_id, "target": target, "acceptable_states": [1],
+             "frame": {"t": 0.0, "lm": [list(p) for p in index_curl_points(0)]}}
+    code, dataset, out, _ = run_tune(tmp_path, [json.dumps(entry)])
+    assert code == 2
+    assert f"{dataset}:1: {rule_id} needs a target" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line", ["[1]", '{"rule": "flexion_finger", "acceptable_states": 5, "frame": {}}']
+)
+def test_tune_line_of_wrong_shape_exits_2_with_location(tmp_path, capsys, line):
+    code, dataset, _, _ = run_tune(tmp_path, [line])
+    assert code == 2
+    assert f"{dataset}:1: bad dataset line" in capsys.readouterr().err
+
+
+def test_tune_bad_inline_frame_exits_2_with_location(tmp_path, capsys):
+    entry = json.loads(tuning_line(10, [1]))
+    entry["frame"]["lm"] = entry["frame"]["lm"][:20]
+    code, dataset, _, _ = run_tune(tmp_path, [json.dumps(entry)])
+    assert code == 2
+    assert f"{dataset}:1: frame at t=0.0 has 20 landmarks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid_text",
+    [
+        "{not json",
+        json.dumps({"flexion_finger": {"high": [5, 180, 5]}}),
+        json.dumps({"flexion_finger": {"threshold": [5, 180, 5]}}),
+        json.dumps({"flexion_finger": {"low": [0, 90], "high": [5, 180, 5]}}),
+        json.dumps({"flexion_finger": {"low": ["0", 90, 5], "high": [5, 180, 5]}}),
+        json.dumps({"flexion_finger": {"low": [0, 90, 0], "high": [5, 180, 5]}}),
+        '{"flexion_finger": {"low": [0, NaN, 5], "high": [5, 180, 5]}}',
+        json.dumps({"thumb_direction": {"threshold": 40}}),
+        json.dumps(["flexion_finger"]),
+    ],
+)
+def test_tune_bad_grid_exits_2_naming_the_file(tmp_path, capsys, grid_text):
+    grid = tmp_path / "grid.json"
+    grid.write_text(grid_text)
+    lines = [tuning_line(10, [1]), tuning_line(90, [-1])]
+    lines.append(json.dumps({"rule": "thumb_direction", "acceptable_states": [1],
+                             "frame": json.loads(lines[0])["frame"]}))
+    code, _, out, rep = run_tune(tmp_path, lines, "--grid", str(grid))
+    assert code == 2
+    assert f"error: {grid}: " in capsys.readouterr().err
+    assert not out.exists() and not rep.exists()
+
+
+def test_tune_default_grid_writes_thresholds_encode_accepts(tmp_path):
+    # A straight index finger curls 0 degrees; the default grid starts at 1.
+    code, _, out, _ = run_tune(tmp_path, [tuning_line(0, [1])])
+    assert code == 0
+    assert json.loads(out.read_text())["flexion_finger"] == [1, 2]
+    stream = tmp_path / "s.json"
+    write_stream(stream, [0.8] * 5)
+    assert main(["encode", str(stream), "--thresholds", str(out),
+                 "--out-dir", str(tmp_path)]) == 0
+
+
+def test_tune_invalid_optimum_exits_2_before_writing(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"flexion_finger": {"low": [0, 10, 5], "high": [5, 180, 5]}}))
+    code, _, out, rep = run_tune(tmp_path, [tuning_line(0, [1])], "--grid", str(grid))
+    assert code == 2
+    assert "flexion_finger thresholds must satisfy 0 < low < high" in capsys.readouterr().err
+    assert not out.exists() and not rep.exists()
 
 
 # --- ground ---------------------------------------------------------------------

