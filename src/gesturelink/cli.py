@@ -20,11 +20,9 @@ from .agents import SessionConfig, ground_matrix
 from .context import ContextLibrary, ContextType, add_context_type, render_library_prompt
 from .encoder import (
     SegmentationConfig,
-    build_state_matrix,
-    detect_gesture_window,
+    encode_stream,
     matrix_from_json,
     matrix_to_json,
-    sample_window,
     serialize_matrix,
 )
 from .errors import GestureLinkError, MalformedInput, TransportError
@@ -38,18 +36,18 @@ from .evaluation import (
 )
 from .landmarks import Handedness, parse_frame, parse_landmark_stream
 from .prompts import load_prompt_set
-from .rules import PalmOrientation, RuleThresholds
+from .rules import RuleThresholds
 from .transport import RetryPolicy, load_backend
 from .tuning import (
+    TUNABLE_RULES,
     GridSpec,
-    GroundTruthLabel,
     LossWeights,
     MeasuredSample,
-    RULE_STATE_SPACES,
     assess,
     assessment_rates,
     default_grid,
     grid_search,
+    parse_label,
     predictions_for_cell,
     rule_measurement,
 )
@@ -85,27 +83,18 @@ def cmd_encode(args) -> int:
         trigger_frames=args.trigger_frames,
         end_hold=args.end_hold,
     )
-    windows = detect_gesture_window(stream, cfg)
+    matrices = encode_stream(stream, th, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.stream).stem
-    for i, window in enumerate(windows):
-        matrix = build_state_matrix(sample_window(window), th)
+    for i, matrix in enumerate(matrices):
         _write_atomic(out_dir / f"{stem}_w{i:02d}.matrix.json", matrix_to_json(matrix))
         _write_atomic(out_dir / f"{stem}_w{i:02d}.matrix.txt", serialize_matrix(matrix))
-    print(f"{len(windows)} windows")
+    print(f"{len(matrices)} windows")
     return EXIT_OK
 
 
 # --- tune -------------------------------------------------------------------
-
-def _parse_label(rule_id: str, states: list) -> GroundTruthLabel:
-    if rule_id == "palm_orientation":
-        parsed = frozenset(PalmOrientation(s) for s in states)
-    else:
-        parsed = frozenset(int(s) for s in states)
-    return GroundTruthLabel(acceptable_states=parsed)
-
 
 def _load_tuning_dataset(path: Path, distance_mode: str):
     """JSON-lines dataset -> {rule_id: [MeasuredSample]}; ambiguous labels
@@ -121,9 +110,11 @@ def _load_tuning_dataset(path: Path, distance_mode: str):
         try:
             entry = json.loads(line)
             rule_id = entry["rule"]
-            label = _parse_label(rule_id, entry["acceptable_states"])
+            label = parse_label(rule_id, entry["acceptable_states"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"{path}:{line_no}: bad dataset line: {exc}") from exc
+        except GestureLinkError as exc:
+            raise MalformedInput(f"{path}:{line_no}: {exc}") from exc
         if label.is_ambiguous:
             ambiguous += 1
             continue
@@ -131,6 +122,8 @@ def _load_tuning_dataset(path: Path, distance_mode: str):
             if "frame" in entry:
                 frame = parse_frame(entry["frame"], Handedness.RIGHT)
             elif "stream" in entry:
+                if not isinstance(entry["stream"], str):
+                    raise MalformedInput(f"stream must be a file name, got {entry['stream']!r}")
                 ref = str(path.parent / entry["stream"])
                 if ref not in stream_cache:
                     stream_cache[ref] = parse_landmark_stream(Path(ref).read_bytes())
@@ -157,14 +150,6 @@ def _load_tuning_dataset(path: Path, distance_mode: str):
     return per_rule
 
 
-# RuleThresholds field of each single-threshold rule; a paired rule's
-# field has the rule's own name.
-_ANGLE_FIELDS = {
-    "thumb_direction": "thumb_dir_angle_threshold",
-    "palm_orientation": "palm_angle_threshold",
-}
-
-
 def _load_grid_doc(path: str | None) -> dict:
     if path is None:
         return {}
@@ -181,9 +166,10 @@ def _grid_from_file(doc: dict, rule_id: str, path: str | None) -> GridSpec:
     """{"low": range, "high": range} for a paired rule, {"threshold": range}
     for a single-threshold one; each range is [start, stop, step]. A rule
     the file leaves out gets its default grid."""
+    default = default_grid(rule_id)
     if rule_id not in doc:
-        return default_grid(rule_id)
-    keys = ("threshold",) if rule_id in _ANGLE_FIELDS else ("low", "high")
+        return default
+    keys = ("low", "high") if default.paired else ("threshold",)
     spec = doc[rule_id]
     if not isinstance(spec, dict) or any(k not in spec for k in keys):
         raise MalformedInput(f"{path}: {rule_id} needs {' and '.join(keys)} ranges")
@@ -209,12 +195,12 @@ def cmd_tune(args) -> int:
     report_doc: dict = {}
     tuned: dict = {}
     for rule_id, samples in sorted(per_rule.items()):
+        rule = TUNABLE_RULES[rule_id]
         grid = _grid_from_file(grid_doc, rule_id, args.grid)
         cell, loss = grid_search(samples, grid, weights)
-        space = RULE_STATE_SPACES[rule_id]
-        preds = predictions_for_cell(samples, grid.paired, cell, unsure=space.unsure)
+        preds = predictions_for_cell(samples, grid.paired, cell, unsure=rule.space.unsure)
         rates = assessment_rates(
-            [assess(p, s.label, space) for p, s in zip(preds, samples)]
+            [assess(p, s.label, rule.space) for p, s in zip(preds, samples)]
         )
         report_doc[rule_id] = {
             "parameters": list(cell),
@@ -222,10 +208,7 @@ def cmd_tune(args) -> int:
             "rates": rates,
             "samples": len(samples),
         }
-        if rule_id in _ANGLE_FIELDS:
-            tuned[_ANGLE_FIELDS[rule_id]] = cell[0]
-        else:
-            tuned[rule_id] = cell
+        tuned[rule.field] = cell if grid.paired else cell[0]
     # Validates the optima, so nothing encode would reject gets written.
     thresholds = replace(th_defaults, **tuned)
     _write_atomic(Path(args.out), thresholds.to_json())

@@ -1,10 +1,10 @@
 """Six tunable geometric rules over one hand frame, with three-way outputs.
 
-Every calculator is a pure function of (frame, thresholds). Verdicts are
-three-way: a positive state, a negative state, or unsure when the
-measurement falls strictly between the two thresholds. Degenerate
-geometry (coincident joints, vanishing palm normal) yields unsure or
-unknown instead of raising, so borderline frames never poison a stream.
+Every calculator is a pure function of (frame, thresholds): a three-way or
+single-threshold verdict over the rule's reading, which the tuner scores
+too. A reading is NaN wherever the rule can never decide (coincident
+joints, vanishing palm normal, inward/outward without depth), so such
+frames yield unsure or unknown and never poison a stream.
 """
 
 from __future__ import annotations
@@ -176,6 +176,21 @@ def three_way_verdict(measurement: float, low: float, high: float) -> ThreeWay:
     return ThreeWay.UNSURE
 
 
+def threshold_verdict(measurement: float, candidate, threshold: float, unsure):
+    """Single-threshold comparison: the candidate state when the measurement
+    is within the threshold, else unsure. NaN is never within."""
+    return candidate if measurement <= threshold else unsure
+
+
+def _reading(measure, frame: HandLandmarkFrame, *args, degenerate=math.nan):
+    """measure(frame, *args), or a NaN reading where the geometry is degenerate."""
+    try:
+        return measure(frame, *args)
+    except DegenerateGeometry as exc:
+        logger.warning("%s at t=%s: %s; rule unsure", measure.__name__, frame.timestamp, exc)
+        return degenerate
+
+
 def _angle_deg(v1: np.ndarray, v2: np.ndarray) -> float:
     """Angle between two vectors in degrees, in [0, 180]; raises
     DegenerateGeometry when either vector is (numerically) zero."""
@@ -185,6 +200,11 @@ def _angle_deg(v1: np.ndarray, v2: np.ndarray) -> float:
         raise DegenerateGeometry("zero-length vector in angle computation")
     cos = np.clip(np.dot(v1, v2) / (n1 * n2), -1.0, 1.0)
     return float(np.degrees(np.arccos(cos)))
+
+
+def _closest_reference(v: np.ndarray, references) -> tuple[float, object]:
+    """(angle, state) of the reference closest in angle to v."""
+    return min(((_angle_deg(v, ref), state) for state, ref in references), key=lambda p: p[0])
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,17 +238,17 @@ def finger_curl_deg(frame: HandLandmarkFrame, finger: str) -> float:
     return _angle_deg(pip_ - mcp, dip - pip_) + _angle_deg(dip - pip_, tip - dip)
 
 
+def curl_reading(frame: HandLandmarkFrame, finger: str) -> float:
+    """finger_curl_deg, or NaN on a zero-length bone."""
+    return _reading(finger_curl_deg, frame, finger)
+
+
 def flexion(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeWay:
     """Straight (+1) / bent (-1) / unsure (0) state of one finger."""
     if finger not in FINGER_JOINTS:
         raise ValueError(f"unknown finger: {finger!r}")
     low, high = th.flexion_thumb if finger == "thumb" else th.flexion_finger
-    try:
-        curl = finger_curl_deg(frame, finger)
-    except DegenerateGeometry:
-        logger.warning("degenerate %s bone at t=%s; flexion unsure", finger, frame.timestamp)
-        return ThreeWay.UNSURE
-    return three_way_verdict(curl, low, high)
+    return three_way_verdict(curl_reading(frame, finger), low, high)
 
 
 def _distal_points(frame: HandLandmarkFrame, finger: str, mode: str) -> np.ndarray:
@@ -251,9 +271,7 @@ def proximity_distance(frame: HandLandmarkFrame, pair: str, mode: str = "xy") ->
 
 def proximity(frame: HandLandmarkFrame, pair: str, th: RuleThresholds) -> ThreeWay:
     """Pressed together (+1) / apart (-1) / unsure (0) for adjacent fingers."""
-    low, high = th.proximity
-    d = proximity_distance(frame, pair, th.distance_mode)
-    return three_way_verdict(d, low, high)
+    return three_way_verdict(proximity_distance(frame, pair, th.distance_mode), *th.proximity)
 
 
 def contact_distance(frame: HandLandmarkFrame, finger: str, mode: str = "xy") -> float:
@@ -268,23 +286,20 @@ def contact_distance(frame: HandLandmarkFrame, finger: str, mode: str = "xy") ->
 
 def contact(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeWay:
     """Fingertip contact (+1) / no contact (-1) / unsure (0) with the thumb."""
-    low, high = th.contact
-    d = contact_distance(frame, finger, th.distance_mode)
-    return three_way_verdict(d, low, high)
+    return three_way_verdict(contact_distance(frame, finger, th.distance_mode), *th.contact)
 
 
 def thumb_direction_measurement(frame: HandLandmarkFrame) -> tuple[float, ThumbDirection]:
     """(angle to the closer of down/up, that direction) for the thumb
     MCP->TIP vector. Raises DegenerateGeometry if the vector vanishes."""
     v = frame.coords[_THUMB_TIP] - frame.coords[_THUMB_MCP]
-    best_angle = math.inf
-    best_dir = ThumbDirection.UNSURE
-    for direction, ref in _THUMB_REFERENCES:
-        angle = _angle_deg(v, ref)
-        if angle < best_angle:
-            best_angle = angle
-            best_dir = direction
-    return best_angle, best_dir
+    return _closest_reference(v, _THUMB_REFERENCES)
+
+
+def thumb_direction_reading(frame: HandLandmarkFrame) -> tuple[float, ThumbDirection]:
+    """thumb_direction_measurement, or (NaN, UNSURE) if the vector vanishes."""
+    unsure = (math.nan, ThumbDirection.UNSURE)
+    return _reading(thumb_direction_measurement, frame, degenerate=unsure)
 
 
 def thumb_pointing(
@@ -293,14 +308,8 @@ def thumb_pointing(
     """Up (+1) / down (-1) / unsure (0). Only a straight thumb points."""
     if thumb_flexion != ThreeWay.POSITIVE:
         return ThumbDirection.UNSURE
-    try:
-        angle, direction = thumb_direction_measurement(frame)
-    except DegenerateGeometry:
-        logger.warning("degenerate thumb vector at t=%s; direction unsure", frame.timestamp)
-        return ThumbDirection.UNSURE
-    if angle <= th.thumb_dir_angle_threshold:
-        return direction
-    return ThumbDirection.UNSURE
+    angle, direction = thumb_direction_reading(frame)
+    return threshold_verdict(angle, direction, th.thumb_dir_angle_threshold, ThumbDirection.UNSURE)
 
 
 def palm_normal(frame: HandLandmarkFrame) -> np.ndarray:
@@ -324,35 +333,24 @@ def palm_orientation_measurement(
     n = palm_normal(frame)
     if float(np.linalg.norm(n)) < _NORMAL_EPS:
         raise DegenerateGeometry("palm normal vanishes")
-    best_angle = math.inf
-    best_ref = PalmOrientation.UNKNOWN
-    for orientation, ref in _PALM_REFERENCES:
-        angle = _angle_deg(n, ref)
-        if angle < best_angle:
-            best_angle = angle
-            best_ref = orientation
-    return best_angle, best_ref
+    return _closest_reference(n, _PALM_REFERENCES)
+
+
+def palm_reading(frame: HandLandmarkFrame) -> tuple[float, PalmOrientation]:
+    """palm_orientation_measurement, or (NaN, UNKNOWN) where no threshold
+    can decide: a vanishing normal, or inward/outward on a frame without
+    depth, whose normal degenerates to the +-z axis."""
+    unknown = (math.nan, PalmOrientation.UNKNOWN)
+    angle, orientation = _reading(palm_orientation_measurement, frame, degenerate=unknown)
+    if not frame.has_depth and orientation in (PalmOrientation.INWARD, PalmOrientation.OUTWARD):
+        return unknown
+    return angle, orientation
 
 
 def palm_orientation(frame: HandLandmarkFrame, th: RuleThresholds) -> PalmOrientation:
-    """Facing direction of the palm, or UNKNOWN outside the angle threshold.
-
-    Without depth data the normal degenerates to the +-z axis, so
-    inward/outward verdicts are meaningless and reported as UNKNOWN.
-    """
-    try:
-        angle, orientation = palm_orientation_measurement(frame)
-    except DegenerateGeometry:
-        logger.warning("degenerate palm geometry at t=%s; orientation unknown", frame.timestamp)
-        return PalmOrientation.UNKNOWN
-    if angle > th.palm_angle_threshold:
-        return PalmOrientation.UNKNOWN
-    if not frame.has_depth and orientation in (
-        PalmOrientation.INWARD,
-        PalmOrientation.OUTWARD,
-    ):
-        return PalmOrientation.UNKNOWN
-    return orientation
+    """Facing direction of the palm, or UNKNOWN outside the angle threshold."""
+    angle, orientation = palm_reading(frame)
+    return threshold_verdict(angle, orientation, th.palm_angle_threshold, PalmOrientation.UNKNOWN)
 
 
 def hand_center(frame: HandLandmarkFrame) -> HandCenter:

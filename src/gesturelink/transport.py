@@ -114,7 +114,7 @@ class ScriptedBackend:
 
     def complete(self, req: CompletionRequest) -> tuple[str, UsageRecord]:
         self.calls += 1
-        key = message_hash(req.messages)
+        key = message_hash(req.messages) if self._by_hash else None
         if key in self._by_hash:
             response = self._by_hash[key]
         elif self._cursor < len(self._queue):
@@ -122,7 +122,7 @@ class ScriptedBackend:
             self._cursor += 1
         else:
             raise FixtureExhausted(
-                f"no fixture for call {self.calls} (hash {key}, "
+                f"no fixture for call {self.calls} (hash {key or message_hash(req.messages)}, "
                 f"{len(self._queue)} sequence fixtures consumed)"
             )
         usage = UsageRecord(
@@ -149,10 +149,21 @@ class BackendConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise MalformedInput(f"bad backend config {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise MalformedInput(f"bad backend config {path}: must hold a JSON object")
+        for name in ("provider_url", "model_id", "api_key_env"):
+            if not isinstance(doc.get(name, ""), str):
+                raise MalformedInput(f"bad backend config {path}: {name} must be a string")
+        try:
+            timeout = float(doc.get("timeout", cls.timeout))
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(f"bad backend config {path}: timeout: {exc}") from exc
+        if not 0 < timeout < math.inf:
+            raise MalformedInput(f"bad backend config {path}: timeout must be > 0 seconds")
         return cls(
             provider_url=doc.get("provider_url", cls.provider_url),
             model_id=doc.get("model_id", cls.model_id),
-            timeout=float(doc.get("timeout", cls.timeout)),
+            timeout=timeout,
             api_key_env=doc.get("api_key_env", cls.api_key_env),
         )
 

@@ -1,18 +1,18 @@
 """Three-way correctness assessment, asymmetric loss, and grid search.
 
-Tuning works on scalar measurements (curl angles, joint distances,
-reference angles) extracted once per labeled sample, so sweeping a grid
-never re-runs the geometry. Rules with a (low, high) threshold pair are
-swept over all low < high cells; single-threshold rules (thumb direction,
-palm orientation) carry a per-sample candidate state and sweep only the
-angle threshold.
+Tuning works on the rules' readings (the values the encoder thresholds),
+taken once per labeled sample, so sweeping a grid never re-runs the
+geometry. Rules with a (low, high) threshold pair are swept over all
+low < high cells; single-threshold rules (thumb direction, palm
+orientation) carry a per-sample candidate state and sweep only the angle
+threshold. TUNABLE_RULES holds what tune knows of each rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -29,11 +29,12 @@ from .rules import (
     PROXIMITY_PAIRS,
     PalmOrientation,
     contact_distance,
-    finger_curl_deg,
-    palm_orientation_measurement,
+    curl_reading,
+    palm_reading,
     proximity_distance,
     three_way_verdict,
-    thumb_direction_measurement,
+    threshold_verdict,
+    thumb_direction_reading,
 )
 
 
@@ -79,15 +80,6 @@ THREE_WAY_SPACE = StateSpace(states=frozenset({-1, 0, 1}), unsure=0)
 PALM_SPACE = StateSpace(
     states=frozenset(PalmOrientation), unsure=PalmOrientation.UNKNOWN
 )
-
-RULE_STATE_SPACES = {
-    "flexion_thumb": THREE_WAY_SPACE,
-    "flexion_finger": THREE_WAY_SPACE,
-    "proximity": THREE_WAY_SPACE,
-    "contact": THREE_WAY_SPACE,
-    "thumb_direction": THREE_WAY_SPACE,
-    "palm_orientation": PALM_SPACE,
-}
 
 
 @dataclass(frozen=True)
@@ -205,17 +197,59 @@ def _expand_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(round(start + k * step, 12) for k in range(n))
 
 
+@dataclass(frozen=True)
+class TunableRule:
+    """One rule as tune sees it. read(frame, target, distance_mode) gives
+    the reading (measurement, candidate state or None)."""
+
+    field: str  # RuleThresholds field the optimum lands in
+    space: StateSpace
+    parse_state: Callable  # label state as written in a dataset -> state
+    ranges: tuple  # default grid: (low, high) ranges, or (threshold,)
+    targets: tuple[str, ...]  # valid targets; empty when the rule takes none
+    read: Callable
+
+
+# Default grids bracket the shipped tuned values and start at their step,
+# since RuleThresholds rejects 0.
+_DEGREES = ((1, 180, 1), (1, 180, 1))
+_DISTANCES = ((0.001, 0.2, 0.001), (0.001, 0.2, 0.001))
+_ANGLE = ((1, 90, 1),)
+
+TUNABLE_RULES = {
+    "flexion_thumb": TunableRule("flexion_thumb", THREE_WAY_SPACE, int, _DEGREES, (),
+                                 lambda fr, target, mode: (curl_reading(fr, "thumb"), None)),
+    "flexion_finger": TunableRule("flexion_finger", THREE_WAY_SPACE, int, _DEGREES, CONTACT_FINGERS,
+                                  lambda fr, target, mode: (curl_reading(fr, target), None)),
+    "proximity": TunableRule("proximity", THREE_WAY_SPACE, int, _DISTANCES, PROXIMITY_PAIRS,
+                             lambda fr, pair, mode: (proximity_distance(fr, pair, mode), None)),
+    "contact": TunableRule("contact", THREE_WAY_SPACE, int, _DISTANCES, CONTACT_FINGERS,
+                           lambda fr, finger, mode: (contact_distance(fr, finger, mode), None)),
+    "thumb_direction": TunableRule("thumb_dir_angle_threshold", THREE_WAY_SPACE, int, _ANGLE, (),
+                                   lambda fr, target, mode: thumb_direction_reading(fr)),
+    "palm_orientation": TunableRule("palm_angle_threshold", PALM_SPACE, PalmOrientation, _ANGLE, (),
+                                    lambda fr, target, mode: palm_reading(fr)),
+}
+RULE_STATE_SPACES = {rule_id: rule.space for rule_id, rule in TUNABLE_RULES.items()}
+
+
+def tunable_rule(rule_id: str) -> TunableRule:
+    if rule_id not in TUNABLE_RULES:
+        raise MalformedInput(f"unknown rule id: {rule_id!r}")
+    return TUNABLE_RULES[rule_id]
+
+
 def default_grid(rule_id: str) -> GridSpec:
-    """Defaults that bracket the shipped tuned values: degrees step 1 for
-    flexion, 0.001 for distances, 1 degree for direction/orientation angles.
-    Each grid starts at its step, since RuleThresholds rejects 0."""
-    if rule_id in ("flexion_thumb", "flexion_finger"):
-        return GridSpec.from_ranges((1, 180, 1), (1, 180, 1))
-    if rule_id in ("proximity", "contact"):
-        return GridSpec.from_ranges((0.001, 0.2, 0.001), (0.001, 0.2, 0.001))
-    if rule_id in ("thumb_direction", "palm_orientation"):
-        return GridSpec.from_ranges((1, 90, 1))
-    raise MalformedInput(f"unknown rule id: {rule_id!r}")
+    return GridSpec.from_ranges(*tunable_rule(rule_id).ranges)
+
+
+def parse_label(rule_id: str, states: list) -> GroundTruthLabel:
+    """A dataset label's acceptable states, which must be the rule's own."""
+    rule = tunable_rule(rule_id)
+    label = GroundTruthLabel(acceptable_states=frozenset(map(rule.parse_state, states)))
+    if not label.acceptable_states <= rule.space.states:
+        raise MalformedInput(f"{rule_id} label states outside the rule's states: {states!r}")
+    return label
 
 
 def _tuning_arrays(dataset: Sequence[MeasuredSample], paired: bool):
@@ -237,18 +271,13 @@ def _tuning_arrays(dataset: Sequence[MeasuredSample], paired: bool):
     return m, cand_ok, cand_ok
 
 
-def _verdicts(m: np.ndarray, cell: tuple[float, ...]) -> np.ndarray:
-    """three_way_verdict over an array: 1 where m <= low, -1 where m >= high,
-    0 (unsure) otherwise. A single-threshold cell has no high, so it gives
-    only 1 (decided) or 0."""
-    high = cell[1] if len(cell) > 1 else np.nan
-    return np.where(m <= cell[0], 1, np.where(m >= high, -1, 0))
-
-
 def _cell_loss(m, ok, cell, w: LossWeights) -> float:
     """Average of one cell's per-sample loss vector. ok pairs the "+1 is
-    correct" and "-1 is correct" masks."""
-    verdict = _verdicts(m, cell)
+    correct" and "-1 is correct" masks. The verdicts are those of
+    predictions_for_cell; a single-threshold cell has no high, so it
+    gives only 1 (decided) or 0."""
+    high = cell[1] if len(cell) > 1 else np.nan
+    verdict = np.where(m <= cell[0], 1, np.where(m >= high, -1, 0))
     correct = np.where(verdict == 1, ok[0], ok[1])
     loss = np.where(
         verdict == 0, w.unsure_loss, np.where(correct, w.correct_loss, w.error_loss)
@@ -304,49 +333,27 @@ def grid_search(
 
 
 classify_paired = three_way_verdict
-
-
-def classify_single(measurement: float, candidate_state, threshold: float, unsure):
-    return candidate_state if measurement <= threshold else unsure
+classify_single = threshold_verdict
 
 
 def predictions_for_cell(
     dataset: Sequence[MeasuredSample], grid_paired: bool, cell: tuple[float, ...], unsure=0
 ) -> list:
     """Verdicts of one grid cell over the dataset (report generation)."""
-    m = np.array([s.measurement for s in dataset], dtype=float)
-    verdicts = _verdicts(m, cell if grid_paired else cell[:1]).tolist()
     if grid_paired:
-        return verdicts
-    return [s.candidate_state if v else unsure for s, v in zip(dataset, verdicts)]
-
-
-def _target(rule_id: str, target, valid: tuple[str, ...]) -> str:
-    if target not in valid:
-        raise MalformedInput(f"{rule_id} needs a target in {', '.join(valid)}, got {target!r}")
-    return target
+        return [classify_paired(s.measurement, *cell) for s in dataset]
+    return [classify_single(s.measurement, s.candidate_state, cell[0], unsure) for s in dataset]
 
 
 def rule_measurement(
     frame: HandLandmarkFrame, rule_id: str, target: str | None, distance_mode: str = "xy"
 ) -> tuple[float, Hashable]:
-    """Scalar measurement (and candidate state, when applicable) that the
-    named rule derives from a frame. target selects the finger or pair
-    for flexion/proximity/contact."""
-    if rule_id == "flexion_thumb":
-        return finger_curl_deg(frame, "thumb"), None
-    if rule_id == "flexion_finger":
-        return finger_curl_deg(frame, _target(rule_id, target, CONTACT_FINGERS)), None
-    if rule_id == "proximity":
-        pair = _target(rule_id, target, PROXIMITY_PAIRS)
-        return proximity_distance(frame, pair, distance_mode), None
-    if rule_id == "contact":
-        finger = _target(rule_id, target, CONTACT_FINGERS)
-        return contact_distance(frame, finger, distance_mode), None
-    if rule_id == "thumb_direction":
-        angle, direction = thumb_direction_measurement(frame)
-        return angle, int(direction)
-    if rule_id == "palm_orientation":
-        angle, orientation = palm_orientation_measurement(frame)
-        return angle, orientation
-    raise MalformedInput(f"unknown rule id: {rule_id!r}")
+    """The named rule's reading of a frame (measurement, candidate state or
+    None): the value the encoder thresholds, NaN where it never decides.
+    target selects the finger or pair for flexion_finger/proximity/contact."""
+    rule = tunable_rule(rule_id)
+    if rule.targets and target not in rule.targets:
+        raise MalformedInput(
+            f"{rule_id} needs a target in {', '.join(rule.targets)}, got {target!r}"
+        )
+    return rule.read(frame, target, distance_mode)

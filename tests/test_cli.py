@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import (
+    FLAT_HAND_POINTS,
     conclusion_reply,
     context_reply,
     hand_at,
@@ -288,6 +289,51 @@ def test_tune_invalid_optimum_exits_2_before_writing(tmp_path, capsys):
     assert not out.exists() and not rep.exists()
 
 
+def test_tune_degenerate_frame_label_scores_unsure(tmp_path, capsys):
+    # Index MCP on its PIP: a zero-length bone, which encode reads as unsure.
+    degenerate = json.loads(tuning_line(10, [1]))
+    degenerate["frame"]["lm"][5] = degenerate["frame"]["lm"][6]
+    code, _, _, rep = run_tune(tmp_path, [tuning_line(10, [1]), json.dumps(degenerate)])
+    assert code == 0
+    entry = json.loads(rep.read_text())["flexion_finger"]
+    assert entry["rates"] == {"error": 0.0, "unsure": 0.5, "correct": 0.5}
+    assert entry["loss"] == pytest.approx(0.1)
+
+
+def test_tune_2d_inward_palm_label_scores_unsure(tmp_path):
+    # Without depth the palm normal lies on the z axis: encode reports unknown.
+    frame = {"t": 0.0, "lm": [[x, y] for x, y, _ in FLAT_HAND_POINTS]}
+    entry = {"rule": "palm_orientation", "acceptable_states": ["inward"], "frame": frame}
+    code, _, _, rep = run_tune(tmp_path, [json.dumps(entry)])
+    assert code == 0
+    entry = json.loads(rep.read_text())["palm_orientation"]
+    assert entry["rates"] == {"error": 0.0, "unsure": 1.0, "correct": 0.0}
+    assert entry["loss"] == pytest.approx(0.2)
+
+
+def test_tune_stream_that_is_not_a_file_name_exits_2_with_location(tmp_path, capsys):
+    entry = {"rule": "flexion_finger", "target": "index", "acceptable_states": [1], "stream": 5}
+    code, dataset, out, _ = run_tune(tmp_path, [json.dumps(entry)])
+    assert code == 2
+    assert f"{dataset}:1: stream must be a file name" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rule_id, states", [("flexion_finger", [5]), ("thumb_direction", [1, -2])]
+)
+def test_tune_label_state_outside_the_rule_exits_2_with_location(
+    tmp_path, capsys, rule_id, states
+):
+    entry = json.loads(tuning_line(10, states))
+    entry["rule"] = rule_id
+    lines = [tuning_line(10, [1]), json.dumps(entry)]
+    code, dataset, out, _ = run_tune(tmp_path, lines)
+    assert code == 2
+    assert f"{dataset}:2: {rule_id} label states outside" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- ground ---------------------------------------------------------------------
 
 def test_ground_produces_deterministic_transcript(tmp_path, matrix_file, library_file, capsys):
@@ -319,6 +365,22 @@ def test_ground_missing_function_list_exits_2(tmp_path, matrix_file, capsys):
     ])
     assert code == 2
     assert "function_list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config", ["[]", '{"timeout": "x"}', '{"timeout": 0}', '{"provider_url": 5}']
+)
+def test_ground_malformed_backend_config_exits_2_naming_it(
+    tmp_path, matrix_file, library_file, capsys, config
+):
+    path = tmp_path / "backend.json"
+    path.write_text(config)
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", str(path), "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert f"error: bad backend config {path}: " in capsys.readouterr().err
 
 
 def test_ground_negative_exits_3(tmp_path, matrix_file, library_file):

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from gesturelink import transport
 from gesturelink.errors import (
     AuthError,
     FixtureExhausted,
@@ -71,6 +72,19 @@ def test_third_call_on_two_fixtures_exhausts():
     backend.complete(req("b"))
     with pytest.raises(FixtureExhausted):
         backend.complete(req("c"))
+
+
+def test_sequence_fixtures_hash_only_for_the_exhausted_message(monkeypatch):
+    hashed = []
+    monkeypatch.setattr(
+        transport, "message_hash", lambda messages: hashed.append(messages) or "feedface"
+    )
+    backend = ScriptedBackend([{"response": "one"}])
+    backend.complete(req("a"))
+    assert hashed == []
+    with pytest.raises(FixtureExhausted, match="hash feedface"):
+        backend.complete(req("b"))
+    assert len(hashed) == 1
 
 
 def test_hash_fixtures_matched_by_message_content():

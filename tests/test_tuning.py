@@ -1,11 +1,12 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import FLAT_HAND_POINTS, make_frame
+from conftest import FLAT_HAND_POINTS, make_frame, random_points
 from gesturelink.errors import (
     AmbiguousLabelPresent,
     EmptyDataset,
@@ -13,11 +14,21 @@ from gesturelink.errors import (
     MalformedInput,
     StateSpaceMismatch,
 )
-from gesturelink.rules import PalmOrientation
+from gesturelink.rules import (
+    PalmOrientation,
+    RuleThresholds,
+    ThreeWay,
+    contact,
+    flexion,
+    palm_orientation,
+    proximity,
+    thumb_pointing,
+)
 from gesturelink.tuning import (
     PALM_SPACE,
     RULE_STATE_SPACES,
     THREE_WAY_SPACE,
+    TUNABLE_RULES,
     Assessment,
     GridSpec,
     GroundTruthLabel,
@@ -454,3 +465,90 @@ def test_default_grids_start_above_zero(rule_id):
     # RuleThresholds rejects 0, so no default grid may offer it.
     grid = default_grid(rule_id)
     assert min(grid.low_values + grid.high_values) > 0
+
+
+# --- tuner and encoder read a label alike ------------------------------------------
+
+# Joint groups made coincident: thumb MCP/TIP (thumb vector), index MCP/PIP and
+# middle DIP/TIP (bones), wrist and MCPs (palm normal), index PIP/DIP/TIP
+# (proximity segments), thumb/index tips (contact at distance 0).
+_COINCIDENT = ((2, 4), (5, 6), (11, 12), (0, 5, 9, 17), (6, 7, 8), (4, 8))
+
+_ENCODER_VERDICTS = {
+    "flexion_thumb": lambda frame, target, th: flexion(frame, "thumb", th),
+    "flexion_finger": lambda frame, target, th: flexion(frame, target, th),
+    "proximity": lambda frame, target, th: proximity(frame, target, th),
+    "contact": lambda frame, target, th: contact(frame, target, th),
+    "thumb_direction": lambda frame, target, th: thumb_pointing(frame, ThreeWay.POSITIVE, th),
+    "palm_orientation": lambda frame, target, th: palm_orientation(frame, th),
+}
+# Where random cells are drawn, per kind of reading.
+_CELL_SPAN = {"flexion": 300.0, "distance": 0.6, "angle": 90.0}
+
+
+def _property_frames(rng, n=1000):
+    """Random hands and jittered flat hands; every third has a coincident
+    joint group and every fourth is 2-D (z = 0, no depth)."""
+    for i in range(n):
+        if i % 2:
+            points = random_points(rng)
+        else:
+            points = [tuple(c + rng.gauss(0, 0.03) for c in p) for p in FLAT_HAND_POINTS]
+        if i % 3 == 0:
+            group = rng.choice(_COINCIDENT)
+            for j in group[1:]:
+                points[j] = points[group[0]]
+        has_depth = i % 4 != 3
+        if not has_depth:
+            points = [(x, y, 0.0) for x, y, _ in points]
+        yield make_frame(points, has_depth=has_depth)
+
+
+def _random_cell(rng, rule_id, paired, measurement):
+    kind = ("flexion" if rule_id.startswith("flexion")
+            else "distance" if rule_id in ("proximity", "contact") else "angle")
+    values = [rng.uniform(0.001, _CELL_SPAN[kind]) for _ in range(2)]
+    if measurement > 0 and rng.random() < 0.2:  # a threshold exactly on the reading
+        values[rng.randrange(2)] = measurement
+    cell = tuple(sorted(values))
+    return cell if paired else cell[:1]
+
+
+def _rule_targets():
+    for rule_id, rule in sorted(TUNABLE_RULES.items()):
+        for target in rule.targets or (None,):
+            yield rule_id, rule, target
+
+
+def test_tuner_verdict_equals_encoder_verdict_and_grid_loss(rng):
+    """Every label the tuner scores gets the verdict encode gives the same
+    frame under thresholds set to the cell, including coincident joints
+    and 2-D frames; a one-cell grid_search scores those verdicts as
+    average_loss over assess does."""
+    frames = list(_property_frames(rng))
+    checked = 0
+    for mode in ("xy", "xyz"):
+        for rule_id, rule, target in _rule_targets():
+            paired = len(rule.ranges) == 2
+            states = sorted(rule.space.states, key=str)
+            samples = []
+            for frame in frames:
+                measurement, candidate = rule_measurement(frame, rule_id, target, mode)
+                sample = MeasuredSample(measurement, label(rng.choice(states)), candidate)
+                cell = _random_cell(rng, rule_id, paired, measurement)
+                th = replace(RuleThresholds(distance_mode=mode),
+                             **{rule.field: cell if paired else cell[0]})
+                tuned = predictions_for_cell([sample], paired, cell, unsure=rule.space.unsure)
+                assert tuned == [_ENCODER_VERDICTS[rule_id](frame, target, th)], (
+                    rule_id, target, mode, frame.coords.tolist(), frame.has_depth, cell)
+                samples.append(sample)
+                checked += 1
+            for _ in range(3):
+                cell = _random_cell(rng, rule_id, paired, np.nan)
+                grid = GridSpec(low_values=cell[:1], high_values=cell[1:])
+                preds = predictions_for_cell(samples, paired, cell, unsure=rule.space.unsure)
+                want = average_loss(
+                    [assess(p, s.label, rule.space) for p, s in zip(preds, samples)], W
+                )
+                assert grid_search(samples, grid, W) == (cell, want)
+    assert checked == 2 * 14 * len(frames)
