@@ -13,7 +13,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .agents import SessionConfig, ground_matrix
@@ -66,10 +65,16 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _read_file(path: str | Path, parse):
+    """parse(the bytes of path), naming the file if they are malformed."""
+    try:
+        return parse(Path(path).read_bytes())
+    except (MalformedInput, ValueError) as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
+
+
 def _load_thresholds(path: str | None) -> RuleThresholds:
-    if path is None:
-        return RuleThresholds()
-    return RuleThresholds.from_json(Path(path).read_text())
+    return RuleThresholds() if path is None else _read_file(path, RuleThresholds.from_json)
 
 
 # --- encode -----------------------------------------------------------------
@@ -96,7 +101,7 @@ def cmd_encode(args) -> int:
 
 # --- tune -------------------------------------------------------------------
 
-def _load_tuning_dataset(path: Path, distance_mode: str):
+def _load_tuning_dataset(path: Path):
     """JSON-lines dataset -> {rule_id: [MeasuredSample]}; ambiguous labels
     are filtered out with a logged count. Entries reference an inline
     frame or a stream file plus frame index."""
@@ -136,10 +141,8 @@ def _load_tuning_dataset(path: Path, distance_mode: str):
                 frame = frames[index]
             else:
                 raise MalformedInput("needs 'frame' or 'stream'")
-            measurement, candidate = rule_measurement(
-                frame, rule_id, entry.get("target"), distance_mode
-            )
-        except GestureLinkError as exc:
+            measurement, candidate = rule_measurement(frame, rule_id, entry.get("target"))
+        except (GestureLinkError, OSError) as exc:
             raise MalformedInput(f"{path}:{line_no}: {exc}") from exc
         per_rule.setdefault(rule_id, []).append(
             MeasuredSample(measurement=measurement, label=label, candidate_state=candidate)
@@ -185,8 +188,7 @@ def _grid_from_file(doc: dict, rule_id: str, path: str | None) -> GridSpec:
 
 
 def cmd_tune(args) -> int:
-    th_defaults = RuleThresholds()
-    per_rule = _load_tuning_dataset(Path(args.dataset), th_defaults.distance_mode)
+    per_rule = _load_tuning_dataset(Path(args.dataset))
     if not any(per_rule.values()):
         print("no usable samples after filtering ambiguous labels", file=sys.stderr)
         return EXIT_INPUT
@@ -210,7 +212,7 @@ def cmd_tune(args) -> int:
         }
         tuned[rule.field] = cell if grid.paired else cell[0]
     # Validates the optima, so nothing encode would reject gets written.
-    thresholds = replace(th_defaults, **tuned)
+    thresholds = RuleThresholds(**tuned)
     _write_atomic(Path(args.out), thresholds.to_json())
     _write_atomic(Path(args.report), json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
     for rule_id, entry in sorted(report_doc.items()):
@@ -225,8 +227,8 @@ def cmd_tune(args) -> int:
 # --- ground -----------------------------------------------------------------
 
 def cmd_ground(args) -> int:
-    matrix = matrix_from_json(Path(args.matrix).read_text())
-    lib = ContextLibrary.from_json(Path(args.library).read_text())
+    matrix = _read_file(args.matrix, matrix_from_json)
+    lib = _read_file(args.library, ContextLibrary.from_json)
     if "function_list" not in lib:
         print("context library has no function_list context", file=sys.stderr)
         return EXIT_INPUT
@@ -306,12 +308,8 @@ def cmd_eval(args) -> int:
 
 def cmd_context_add(args) -> int:
     path = Path(args.library)
-    lib = (
-        ContextLibrary.from_json(path.read_text())
-        if path.exists()
-        else ContextLibrary([])
-    )
-    values = json.loads(Path(args.values).read_text()) if args.values else None
+    lib = _read_file(path, ContextLibrary.from_json) if path.exists() else ContextLibrary([])
+    values = _read_file(args.values, json.loads) if args.values else None
     description = (
         Path(args.description_file).read_text()
         if args.description_file
@@ -330,7 +328,7 @@ def cmd_context_add(args) -> int:
 
 
 def cmd_context_show(args) -> int:
-    lib = ContextLibrary.from_json(Path(args.library).read_text())
+    lib = _read_file(args.library, ContextLibrary.from_json)
     if args.name:
         print(json.dumps(lib.get(args.name).values, ensure_ascii=False, indent=2))
     else:

@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import re
-import subprocess
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -48,10 +47,10 @@ class ContextType:
     calculator_id: str | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise MalformedInput("context name must be non-empty")
-        if not self.description_md.strip():
-            raise MalformedInput("context description must be non-empty")
+        if not (isinstance(self.name, str) and self.name):
+            raise MalformedInput(f"context name must be a non-empty string, got {self.name!r}")
+        if not (isinstance(self.description_md, str) and self.description_md.strip()):
+            raise MalformedInput(f"context {self.name} needs a non-empty description string")
 
 
 @dataclass(frozen=True)
@@ -65,24 +64,9 @@ class FunctionEntry:
     metadata: str | None = None
 
 
-@dataclass(frozen=True)
-class CalculatorSpec:
-    """A registered calculator: an in-process callable or an external
-    process reading {"library", "args"} JSON on stdin and writing its
-    text result to stdout (exit 0 on success)."""
-
-    id: str
-    kind: str  # "plugin" | "process"
-    fn: Callable[["ContextLibrary", dict], str] | None = None
-    argv: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("plugin", "process"):
-            raise MalformedInput("calculator kind must be plugin or process")
-        if self.kind == "plugin" and self.fn is None:
-            raise MalformedInput("plugin calculator needs fn")
-        if self.kind == "process" and not self.argv:
-            raise MalformedInput("process calculator needs argv")
+# A calculator derives a text answer from the library and the placeholder's
+# JSON arguments.
+Calculator = Callable[["ContextLibrary", dict], str]
 
 
 class ContextLibrary:
@@ -95,7 +79,7 @@ class ContextLibrary:
     def __init__(
         self,
         contexts: Sequence[ContextType] = (),
-        calculators: dict[str, CalculatorSpec] | None = None,
+        calculators: dict[str, Calculator] | None = None,
     ):
         self._entries: dict[str, ContextType] = {}
         for ctx in contexts:
@@ -145,7 +129,7 @@ class ContextLibrary:
 
     @classmethod
     def from_json(
-        cls, text: str | bytes, calculators: dict[str, CalculatorSpec] | None = None
+        cls, text: str | bytes, calculators: dict[str, Calculator] | None = None
     ) -> "ContextLibrary":
         try:
             doc = json.loads(text)
@@ -221,29 +205,10 @@ def calculate(lib: ContextLibrary, placeholder: str) -> str:
             raise CalculatorFailure(
                 f"bad calculator args for {calc_id}", diagnostics=str(exc)
             ) from exc
-    spec = lib.calculators[calc_id]
-    if spec.kind == "plugin":
-        try:
-            return spec.fn(lib, args)
-        except Exception as exc:  # noqa: BLE001 - diagnostics wrapped for the caller
-            raise CalculatorFailure(
-                f"calculator {calc_id} raised", diagnostics=repr(exc)
-            ) from exc
-    payload = json.dumps({"library": json.loads(lib.to_json()), "args": args})
     try:
-        proc = subprocess.run(
-            list(spec.argv), input=payload.encode(), capture_output=True, timeout=30
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        raise CalculatorFailure(
-            f"calculator {calc_id} failed to run", diagnostics=repr(exc)
-        ) from exc
-    if proc.returncode != 0:
-        raise CalculatorFailure(
-            f"calculator {calc_id} exited {proc.returncode}",
-            diagnostics=proc.stderr.decode(errors="replace"),
-        )
-    return proc.stdout.decode().strip()
+        return lib.calculators[calc_id](lib, args)
+    except Exception as exc:  # noqa: BLE001 - diagnostics wrapped for the caller
+        raise CalculatorFailure(f"calculator {calc_id} raised", diagnostics=repr(exc)) from exc
 
 
 def resolve_placeholders(lib: ContextLibrary, text: str) -> str:
@@ -401,7 +366,7 @@ def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-BUILTIN_CALCULATORS = {
-    "gaze_target": CalculatorSpec(id="gaze_target", kind="plugin", fn=_gaze_target),
-    "gaze_trace": CalculatorSpec(id="gaze_trace", kind="plugin", fn=_gaze_trace),
+BUILTIN_CALCULATORS: dict[str, Calculator] = {
+    "gaze_target": _gaze_target,
+    "gaze_trace": _gaze_trace,
 }

@@ -258,38 +258,6 @@ def serialize_matrix(m: GestureStateMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix_text(text: str) -> GestureStateMatrix:
-    """Parse the serialize_matrix rendering back into a matrix."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _MATRIX_HEADER:
-        raise MalformedInput("missing gesture-state-matrix header")
-    header = dict(part.split("=", 1) for part in lines[1].split())
-    try:
-        t_count = int(header["T"])
-        interval = float(header["interval"])
-        width = float(header["hand_width"])
-    except (KeyError, ValueError) as exc:
-        raise MalformedInput(f"bad matrix header: {lines[1]!r}") from exc
-
-    rows: dict[str, list[float]] = {}
-    for line in lines[2:]:
-        parts = line.split()
-        label, cells = parts[0], parts[1:]
-        if len(cells) != t_count:
-            raise MalformedInput(f"row {label} has {len(cells)} cells, expected {t_count}")
-        rows[label] = [float(c) for c in cells]
-    missing = [lab for lab in POSE_ROW_LABELS if lab not in rows]
-    if missing or "center_x" not in rows or "center_y_up" not in rows:
-        raise MalformedInput(f"matrix text missing rows: {missing}")
-
-    channel1 = np.array([rows[lab] for lab in POSE_ROW_LABELS], dtype=int)
-    ch2_labels = [lab for lab in _CHANNEL2_LABELS if lab in rows]
-    channel2 = np.array([rows[lab] for lab in ch2_labels], dtype=float)
-    return GestureStateMatrix(
-        channel1=channel1, channel2=channel2, hand_width=width, sample_interval=interval
-    )
-
-
 def serialize_movement(m: GestureStateMatrix, start: int, end: int) -> str:
     """Channel-2 columns for span [start, end] inclusive, in the same
     text style, for the movement-description prompt."""

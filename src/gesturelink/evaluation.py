@@ -365,8 +365,11 @@ def load_manifest(path: str | Path) -> list[TaskRecord]:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"bad manifest {path}: {exc}") from exc
+    entries = doc.get("tasks", []) if isinstance(doc, dict) else None
+    if not isinstance(entries, list):
+        raise MalformedInput(f"bad manifest {path}: must hold {{\"tasks\": [...]}}")
     tasks = []
-    for entry in doc.get("tasks", []):
+    for entry in entries:
         try:
             stream_path = path.parent / entry["stream"]
             stream = parse_landmark_stream(stream_path.read_bytes())

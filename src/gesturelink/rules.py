@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -92,11 +92,7 @@ _PINKY_MCP = landmark_index("PINKY_MCP")
 class RuleThresholds:
     """All tunable rule parameters. Defaults are the tuned values that
     ship with the package (degrees for angles, normalized image units
-    for distances).
-
-    distance_mode selects whether proximity/contact distances use the
-    image plane only ("xy") or include depth ("xyz"). Flexion, thumb
-    direction, and palm orientation always use 3D geometry.
+    for distances; proximity and contact are measured in the image plane).
     """
 
     flexion_thumb: tuple[float, float] = (16.0, 38.0)
@@ -105,51 +101,48 @@ class RuleThresholds:
     contact: tuple[float, float] = (0.046, 0.055)
     thumb_dir_angle_threshold: float = 40.0
     palm_angle_threshold: float = 41.0
-    distance_mode: str = "xy"
 
     def __post_init__(self):
-        for name in ("flexion_thumb", "flexion_finger", "proximity", "contact"):
-            low, high = getattr(self, name)
-            if not (0 < low < high):
-                raise MalformedInput(f"{name} thresholds must satisfy 0 < low < high")
-        for name in ("thumb_dir_angle_threshold", "palm_angle_threshold"):
-            if getattr(self, name) <= 0:
-                raise MalformedInput(f"{name} must be > 0")
-        if self.distance_mode not in ("xy", "xyz"):
-            raise MalformedInput(f"distance_mode must be 'xy' or 'xyz'")
+        for f in fields(self):
+            if isinstance(f.default, tuple):
+                low, high = getattr(self, f.name)
+                if not (0 < low < high < math.inf):
+                    raise MalformedInput(f"{f.name} thresholds must satisfy 0 < low < high < inf")
+            elif not 0 < getattr(self, f.name) < math.inf:
+                raise MalformedInput(f"{f.name} must be > 0 and finite")
 
     def to_json(self) -> str:
-        doc = {
-            "flexion_thumb": list(self.flexion_thumb),
-            "flexion_finger": list(self.flexion_finger),
-            "proximity": list(self.proximity),
-            "contact": list(self.contact),
-            "thumb_dir_angle_threshold": self.thumb_dir_angle_threshold,
-            "palm_angle_threshold": self.palm_angle_threshold,
-            "distance_mode": self.distance_mode,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["distance_mode"] = "xy"  # a fixed key of the file format
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "RuleThresholds":
+        """Any subset of the fields (the rest keep their defaults), plus
+        an optional "distance_mode": "xy"; any other key is rejected."""
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_int=float)  # too large an integer reads as inf
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"bad thresholds JSON: {exc}") from exc
-        defaults = cls()
+        if not isinstance(doc, dict):
+            raise MalformedInput("thresholds file must hold a JSON object")
+        unknown = sorted(doc.keys() - {f.name for f in fields(cls)} - {"distance_mode"})
+        if unknown:
+            raise MalformedInput(f"unknown thresholds keys: {', '.join(unknown)}")
+        if doc.get("distance_mode", "xy") != "xy":
+            raise MalformedInput(f'distance_mode must be "xy", got {doc["distance_mode"]!r}')
         kwargs = {}
-        for name in ("flexion_thumb", "flexion_finger", "proximity", "contact"):
-            if name in doc:
-                pair = doc[name]
-                if not (isinstance(pair, list) and len(pair) == 2):
-                    raise MalformedInput(f"{name} must be a [low, high] pair")
-                kwargs[name] = (float(pair[0]), float(pair[1]))
-        for name in ("thumb_dir_angle_threshold", "palm_angle_threshold"):
-            if name in doc:
-                kwargs[name] = float(doc[name])
-        if "distance_mode" in doc:
-            kwargs["distance_mode"] = str(doc["distance_mode"])
-        return replace(defaults, **kwargs)
+        for f in fields(cls):
+            if f.name not in doc:
+                continue
+            value, pair = doc[f.name], isinstance(f.default, tuple)
+            numbers = value if pair else [value]
+            if not (isinstance(numbers, list) and len(numbers) == (2 if pair else 1)
+                    and all(type(v) is float for v in numbers)):
+                shape = "a [low, high] pair of numbers" if pair else "a number"
+                raise MalformedInput(f"{f.name} must be {shape}, got {value!r}")
+            kwargs[f.name] = tuple(value) if pair else value
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -251,42 +244,41 @@ def flexion(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeW
     return three_way_verdict(curl_reading(frame, finger), low, high)
 
 
-def _distal_points(frame: HandLandmarkFrame, finger: str, mode: str) -> np.ndarray:
-    """PIP, DIP, TIP rows of a non-thumb finger, projected per distance mode."""
-    dims = 2 if mode == "xy" else 3
-    return frame.coords[list(FINGER_JOINTS[finger][1:]), :dims]
+def _distal_points(frame: HandLandmarkFrame, finger: str) -> np.ndarray:
+    """Image-plane PIP, DIP, TIP rows of a non-thumb finger."""
+    return frame.coords[list(FINGER_JOINTS[finger][1:]), :2]
 
 
-def proximity_distance(frame: HandLandmarkFrame, pair: str, mode: str = "xy") -> float:
-    """Mean over joint levels (PIP, DIP, TIP) of the smaller distance from
-    either finger's joint to the other finger's distal polyline."""
+def proximity_distance(frame: HandLandmarkFrame, pair: str) -> float:
+    """Mean over joint levels (PIP, DIP, TIP) of the smaller image-plane
+    distance from either finger's joint to the other finger's distal
+    polyline."""
     if pair not in PROXIMITY_PAIRS:
         raise ValueError(f"unknown finger pair: {pair!r}")
     f1, f2 = pair.split("_")
-    pts1 = _distal_points(frame, f1, mode)
-    pts2 = _distal_points(frame, f2, mode)
+    pts1 = _distal_points(frame, f1)
+    pts2 = _distal_points(frame, f2)
     per_level = np.minimum(_polyline_distances(pts1, pts2), _polyline_distances(pts2, pts1))
     return float(np.mean(per_level))
 
 
 def proximity(frame: HandLandmarkFrame, pair: str, th: RuleThresholds) -> ThreeWay:
     """Pressed together (+1) / apart (-1) / unsure (0) for adjacent fingers."""
-    return three_way_verdict(proximity_distance(frame, pair, th.distance_mode), *th.proximity)
+    return three_way_verdict(proximity_distance(frame, pair), *th.proximity)
 
 
-def contact_distance(frame: HandLandmarkFrame, finger: str, mode: str = "xy") -> float:
-    """Distance between the thumb tip and the given finger's tip."""
+def contact_distance(frame: HandLandmarkFrame, finger: str) -> float:
+    """Image-plane distance between the thumb tip and the given finger's tip."""
     if finger not in CONTACT_FINGERS:
         raise ValueError(f"contact is defined against the thumb; got {finger!r}")
-    dims = 2 if mode == "xy" else 3
-    thumb_tip = frame.coords[_THUMB_TIP, :dims]
-    finger_tip = frame.coords[FINGER_JOINTS[finger][3], :dims]
+    thumb_tip = frame.coords[_THUMB_TIP, :2]
+    finger_tip = frame.coords[FINGER_JOINTS[finger][3], :2]
     return float(np.linalg.norm(thumb_tip - finger_tip))
 
 
 def contact(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeWay:
     """Fingertip contact (+1) / no contact (-1) / unsure (0) with the thumb."""
-    return three_way_verdict(contact_distance(frame, finger, th.distance_mode), *th.contact)
+    return three_way_verdict(contact_distance(frame, finger), *th.contact)
 
 
 def thumb_direction_measurement(frame: HandLandmarkFrame) -> tuple[float, ThumbDirection]:

@@ -89,6 +89,8 @@ class ScriptedBackend:
         self._queue: list[str] = []
         self._by_hash: dict[str, str] = {}
         for i, fx in enumerate(fixtures):
+            if not (isinstance(fx, dict) and isinstance(fx.get("response"), str)):
+                raise MalformedInput(f"fixture #{i} must be an object with a string 'response'")
             match = fx.get("match", "sequence")
             if match == "sequence":
                 self._queue.append(fx["response"])
@@ -109,8 +111,11 @@ class ScriptedBackend:
             except json.JSONDecodeError as exc:
                 raise MalformedInput(f"bad fixture file {path}: {exc}") from exc
         if not isinstance(fixtures, list):
-            raise MalformedInput("fixture file must hold a JSON array")
-        return cls(fixtures)
+            raise MalformedInput(f"bad fixture file {path}: must hold a JSON array")
+        try:
+            return cls(fixtures)
+        except MalformedInput as exc:
+            raise MalformedInput(f"bad fixture file {path}: {exc}") from exc
 
     def complete(self, req: CompletionRequest) -> tuple[str, UsageRecord]:
         self.calls += 1
@@ -277,9 +282,8 @@ def with_retry(backend, policy: RetryPolicy | None = None, sleep=time.sleep) -> 
 
 
 def load_backend(spec: str, policy: RetryPolicy | None = None):
-    """CLI backend selector: "scripted:<fixtures.json>" for replay, or a
-    path to a live BackendConfig JSON (optionally "live:<config.json>")."""
+    """CLI backend selector: "scripted:<fixtures.json>" for replay, or the
+    path to a live BackendConfig JSON."""
     if spec.startswith("scripted:"):
         return ScriptedBackend.from_file(spec.split(":", 1)[1])
-    path = spec.split(":", 1)[1] if spec.startswith("live:") else spec
-    return with_retry(LiveBackend(BackendConfig.from_file(path)), policy)
+    return with_retry(LiveBackend(BackendConfig.from_file(spec)), policy)

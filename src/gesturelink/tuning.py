@@ -199,8 +199,8 @@ def _expand_range(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class TunableRule:
-    """One rule as tune sees it. read(frame, target, distance_mode) gives
-    the reading (measurement, candidate state or None)."""
+    """One rule as tune sees it. read(frame, target) gives the reading
+    (measurement, candidate state or None)."""
 
     field: str  # RuleThresholds field the optimum lands in
     space: StateSpace
@@ -218,17 +218,17 @@ _ANGLE = ((1, 90, 1),)
 
 TUNABLE_RULES = {
     "flexion_thumb": TunableRule("flexion_thumb", THREE_WAY_SPACE, int, _DEGREES, (),
-                                 lambda fr, target, mode: (curl_reading(fr, "thumb"), None)),
+                                 lambda fr, target: (curl_reading(fr, "thumb"), None)),
     "flexion_finger": TunableRule("flexion_finger", THREE_WAY_SPACE, int, _DEGREES, CONTACT_FINGERS,
-                                  lambda fr, target, mode: (curl_reading(fr, target), None)),
+                                  lambda fr, target: (curl_reading(fr, target), None)),
     "proximity": TunableRule("proximity", THREE_WAY_SPACE, int, _DISTANCES, PROXIMITY_PAIRS,
-                             lambda fr, pair, mode: (proximity_distance(fr, pair, mode), None)),
+                             lambda fr, pair: (proximity_distance(fr, pair), None)),
     "contact": TunableRule("contact", THREE_WAY_SPACE, int, _DISTANCES, CONTACT_FINGERS,
-                           lambda fr, finger, mode: (contact_distance(fr, finger, mode), None)),
+                           lambda fr, finger: (contact_distance(fr, finger), None)),
     "thumb_direction": TunableRule("thumb_dir_angle_threshold", THREE_WAY_SPACE, int, _ANGLE, (),
-                                   lambda fr, target, mode: thumb_direction_reading(fr)),
+                                   lambda fr, target: thumb_direction_reading(fr)),
     "palm_orientation": TunableRule("palm_angle_threshold", PALM_SPACE, PalmOrientation, _ANGLE, (),
-                                    lambda fr, target, mode: palm_reading(fr)),
+                                    lambda fr, target: palm_reading(fr)),
 }
 RULE_STATE_SPACES = {rule_id: rule.space for rule_id, rule in TUNABLE_RULES.items()}
 
@@ -346,14 +346,17 @@ def predictions_for_cell(
 
 
 def rule_measurement(
-    frame: HandLandmarkFrame, rule_id: str, target: str | None, distance_mode: str = "xy"
+    frame: HandLandmarkFrame, rule_id: str, target: str | None
 ) -> tuple[float, Hashable]:
     """The named rule's reading of a frame (measurement, candidate state or
     None): the value the encoder thresholds, NaN where it never decides.
-    target selects the finger or pair for flexion_finger/proximity/contact."""
+    target selects the finger or pair for flexion_finger/proximity/contact,
+    and must be None for the other rules."""
     rule = tunable_rule(rule_id)
     if rule.targets and target not in rule.targets:
         raise MalformedInput(
             f"{rule_id} needs a target in {', '.join(rule.targets)}, got {target!r}"
         )
-    return rule.read(frame, target, distance_mode)
+    if not rule.targets and target is not None:
+        raise MalformedInput(f"{rule_id} takes no target, got {target!r}")
+    return rule.read(frame, target)

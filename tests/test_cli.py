@@ -117,6 +117,29 @@ def test_encode_bad_stream_exits_2(tmp_path, capsys):
     assert main(["encode", str(stream), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[]",
+        '"flexion_thumb"',
+        '{"palm_angle_threshold": null}',
+        '{"flexion_thumb": ["a", 2]}',
+        '{"flexion_thum": [16, 38]}',
+        '{"distance_mode": "xyz"}',
+        '{"palm_angle_threshold": NaN}',
+    ],
+)
+def test_encode_malformed_thresholds_exits_2_naming_the_file(tmp_path, capsys, text):
+    stream = tmp_path / "s.json"
+    write_stream(stream, [0.8] * 5 + [0.4] * 11 + [0.8] * 10)
+    th = tmp_path / "th.json"
+    th.write_text(text)
+    code = main(["encode", str(stream), "--thresholds", str(th), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"error: {th}: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.matrix.json"))
+
+
 # --- tune -----------------------------------------------------------------------
 
 def tuning_line(theta, states):
@@ -319,6 +342,28 @@ def test_tune_stream_that_is_not_a_file_name_exits_2_with_location(tmp_path, cap
     assert not out.exists()
 
 
+def test_tune_missing_stream_file_exits_2_with_location(tmp_path, capsys):
+    entry = {"rule": "flexion_finger", "target": "index", "acceptable_states": [1],
+             "stream": "missing.json"}
+    code, dataset, out, _ = run_tune(tmp_path, [tuning_line(10, [1]), json.dumps(entry)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{dataset}:2: " in err and "missing.json" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rule_id", ["flexion_thumb", "thumb_direction", "palm_orientation"])
+def test_tune_target_on_a_rule_without_targets_exits_2_with_location(tmp_path, capsys, rule_id):
+    entry = {"rule": rule_id, "target": "bogus", "acceptable_states": [1],
+             "frame": {"t": 0.0, "lm": [list(p) for p in FLAT_HAND_POINTS]}}
+    if rule_id == "palm_orientation":
+        entry["acceptable_states"] = ["up"]
+    code, dataset, out, _ = run_tune(tmp_path, [json.dumps(entry)])
+    assert code == 2
+    assert f"{dataset}:1: {rule_id} takes no target, got 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rule_id, states", [("flexion_finger", [5]), ("thumb_direction", [1, -2])]
 )
@@ -381,6 +426,39 @@ def test_ground_malformed_backend_config_exits_2_naming_it(
     ])
     assert code == 2
     assert f"error: bad backend config {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixtures", ['[{"match": "sequence"}]', '["a reply"]', '[{"response": 5}]']
+)
+def test_ground_malformed_fixture_exits_2_naming_the_file(
+    tmp_path, matrix_file, library_file, capsys, fixtures
+):
+    path = tmp_path / "fx.json"
+    path.write_text(fixtures)
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", f"scripted:{path}", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert f"error: bad fixture file {path}: fixture #0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["description_md", "name"])
+def test_ground_library_context_with_non_string_field_exits_2_naming_it(
+    tmp_path, matrix_file, library_file, capsys, field
+):
+    doc = json.loads(library_file.read_text())
+    doc["contexts"][1][field] = ["not", "text"]
+    library_file.write_text(json.dumps(doc))
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", f"scripted:{fixtures}", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert f"error: {library_file}: context " in capsys.readouterr().err
 
 
 def test_ground_negative_exits_3(tmp_path, matrix_file, library_file):
@@ -509,6 +587,13 @@ def test_eval_bad_manifest_exits_2(tmp_path):
     assert main(["eval", str(manifest), "--backend", "scripted:unused.json"]) == 2
 
 
+def test_eval_manifest_that_is_not_an_object_exits_2_naming_it(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[]")
+    assert main(["eval", str(manifest), "--backend", "scripted:unused.json"]) == 2
+    assert f"error: bad manifest {manifest}: " in capsys.readouterr().err
+
+
 # --- context ----------------------------------------------------------------------
 
 def test_context_add_and_show(tmp_path, capsys):
@@ -539,3 +624,16 @@ def test_context_add_duplicate_exits_2(tmp_path, capsys):
     ]
     assert main(argv) == 0
     assert main(argv) == 2
+
+
+def test_context_add_values_that_are_not_json_exit_2_naming_the_file(tmp_path, capsys):
+    lib_path = tmp_path / "lib.json"
+    values = tmp_path / "values.json"
+    values.write_text("doorbell: ringing")
+    code = main([
+        "context", "add", "--library", str(lib_path), "--name", "external",
+        "--description", "Reports from other devices.", "--values", str(values),
+    ])
+    assert code == 2
+    assert f"error: {values}: " in capsys.readouterr().err
+    assert not lib_path.exists()

@@ -1,13 +1,11 @@
 import json
 import math
-import sys
 
 import pytest
 
 from conftest import smart_home_functions, smart_home_library
 from gesturelink.context import (
     BUILTIN_CALCULATORS,
-    CalculatorSpec,
     ContextLibrary,
     ContextType,
     add_context_type,
@@ -183,33 +181,11 @@ def test_plugin_exception_wrapped_with_diagnostics():
 
     lib = ContextLibrary(
         [make_gaze_context([])],
-        calculators={"boom": CalculatorSpec(id="boom", kind="plugin", fn=boom)},
+        calculators={"boom": boom},
     )
     with pytest.raises(CalculatorFailure) as exc:
         calculate(lib, "{{CALC:boom}}")
     assert "broken sensor" in exc.value.diagnostics
-
-
-def test_external_process_calculator():
-    script = (
-        "import json,sys; doc=json.load(sys.stdin); "
-        "print('contexts:', len(doc['library']['contexts']), 'arg:', doc['args'].get('k'))"
-    )
-    spec = CalculatorSpec(id="probe", kind="process", argv=(sys.executable, "-c", script))
-    lib = ContextLibrary([make_gaze_context([])], calculators={"probe": spec})
-    assert calculate(lib, '{{CALC:probe:{"k": 7}}}') == "contexts: 1 arg: 7"
-
-
-def test_external_process_failure_captures_stderr():
-    spec = CalculatorSpec(
-        id="bad",
-        kind="process",
-        argv=(sys.executable, "-c", "import sys; sys.stderr.write('no gaze device'); sys.exit(3)"),
-    )
-    lib = ContextLibrary([make_gaze_context([])], calculators={"bad": spec})
-    with pytest.raises(CalculatorFailure) as exc:
-        calculate(lib, "{{CALC:bad}}")
-    assert "no gaze device" in exc.value.diagnostics
 
 
 def test_resolve_placeholders_substitutes_inline():

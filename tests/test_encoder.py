@@ -14,7 +14,6 @@ from gesturelink.encoder import (
     encode_stream,
     matrix_from_json,
     matrix_to_json,
-    parse_matrix_text,
     sample_window,
     serialize_matrix,
     serialize_movement,
@@ -289,12 +288,6 @@ def test_serialize_matches_golden_text():
 def test_serialize_is_deterministic(flat_hand):
     m = build_state_matrix([flat_hand], TH)
     assert serialize_matrix(m) == serialize_matrix(m)
-
-
-def test_text_round_trip():
-    again = parse_matrix_text(serialize_matrix(GOLDEN_MATRIX))
-    assert again == GOLDEN_MATRIX
-    assert serialize_matrix(again) == GOLDEN_TEXT
 
 
 def test_json_round_trip_is_exact(flat_hand):

@@ -110,8 +110,8 @@ def test_proximity_symmetric_under_finger_swap(rng):
         swapped = list(points)
         for a, b in zip(range(5, 9), range(9, 13)):  # swap index and middle
             swapped[a], swapped[b] = points[b], points[a]
-        assert proximity_distance(frame, "index_middle", "xy") == pytest.approx(
-            proximity_distance(make_frame(swapped), "index_middle", "xy"), abs=1e-12
+        assert proximity_distance(frame, "index_middle") == pytest.approx(
+            proximity_distance(make_frame(swapped), "index_middle"), abs=1e-12
         )
 
 
@@ -129,7 +129,7 @@ def test_contact_identical_fingertips():
 
 def test_contact_unsure_band():
     frame = with_points({4: (0.50, 0.50, 0.0), 8: (0.55, 0.50, 0.0)})
-    assert contact_distance(frame, "index", "xy") == pytest.approx(0.05)
+    assert contact_distance(frame, "index") == pytest.approx(0.05)
     assert contact(frame, "index", TH) == ThreeWay.UNSURE
 
 
@@ -247,14 +247,16 @@ def _measured_hands(rng, n=200):
         yield make_frame(points)
 
 
-@pytest.mark.parametrize("mode", ["xy", "xyz"])
+# The oracles also cover depth-inclusive distances; the rules measure in the
+# image plane only, the oracles' "xy" mode.
+@pytest.mark.parametrize("mode", ["xy"])
 def test_proximity_distance_matches_oracle(rng, mode):
     for frame in _measured_hands(rng):
         points = frame.coords.tolist()
         for pair in PROXIMITY_PAIRS:
             f1, f2 = pair.split("_")
             expected = oracles.oracle_proximity_distance(points, f1, f2, mode)
-            assert proximity_distance(frame, pair, mode) == pytest.approx(expected, abs=MEASURE_TOL)
+            assert proximity_distance(frame, pair) == pytest.approx(expected, abs=MEASURE_TOL)
 
 
 def test_proximity_distance_zero_length_segment_is_point_distance():
@@ -265,13 +267,13 @@ def test_proximity_distance_zero_length_segment_is_point_distance():
     assert proximity_distance(frame, "index_middle") == pytest.approx(expected, abs=MEASURE_TOL)
 
 
-@pytest.mark.parametrize("mode", ["xy", "xyz"])
+@pytest.mark.parametrize("mode", ["xy"])
 def test_contact_distance_matches_oracle(rng, mode):
     for frame in _measured_hands(rng):
         points = frame.coords.tolist()
         for finger in ("index", "middle", "ring", "pinky"):
             expected = oracles.oracle_contact_distance(points, finger, mode)
-            assert contact_distance(frame, finger, mode) == pytest.approx(expected, abs=MEASURE_TOL)
+            assert contact_distance(frame, finger) == pytest.approx(expected, abs=MEASURE_TOL)
 
 
 def test_finger_curl_matches_oracle(rng):
@@ -442,7 +444,7 @@ def test_scale_translation_invariance(seed, factor, dx, dy):
 # --- thresholds --------------------------------------------------------------
 
 def test_thresholds_json_round_trip():
-    th = RuleThresholds(flexion_thumb=(10, 20), distance_mode="xyz")
+    th = RuleThresholds(flexion_thumb=(10, 20))
     again = RuleThresholds.from_json(th.to_json())
     assert again == th
 
@@ -469,7 +471,7 @@ def test_shipped_defaults_match_documented_values():
         {"proximity": (0.029, 0.024)},
         {"contact": (-0.01, 0.05)},
         {"palm_angle_threshold": 0},
-        {"distance_mode": "polar"},
+        {"thumb_dir_angle_threshold": float("inf")},
     ],
 )
 def test_bad_thresholds_rejected(kwargs):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -527,28 +526,26 @@ def test_tuner_verdict_equals_encoder_verdict_and_grid_loss(rng):
     average_loss over assess does."""
     frames = list(_property_frames(rng))
     checked = 0
-    for mode in ("xy", "xyz"):
-        for rule_id, rule, target in _rule_targets():
-            paired = len(rule.ranges) == 2
-            states = sorted(rule.space.states, key=str)
-            samples = []
-            for frame in frames:
-                measurement, candidate = rule_measurement(frame, rule_id, target, mode)
-                sample = MeasuredSample(measurement, label(rng.choice(states)), candidate)
-                cell = _random_cell(rng, rule_id, paired, measurement)
-                th = replace(RuleThresholds(distance_mode=mode),
-                             **{rule.field: cell if paired else cell[0]})
-                tuned = predictions_for_cell([sample], paired, cell, unsure=rule.space.unsure)
-                assert tuned == [_ENCODER_VERDICTS[rule_id](frame, target, th)], (
-                    rule_id, target, mode, frame.coords.tolist(), frame.has_depth, cell)
-                samples.append(sample)
-                checked += 1
-            for _ in range(3):
-                cell = _random_cell(rng, rule_id, paired, np.nan)
-                grid = GridSpec(low_values=cell[:1], high_values=cell[1:])
-                preds = predictions_for_cell(samples, paired, cell, unsure=rule.space.unsure)
-                want = average_loss(
-                    [assess(p, s.label, rule.space) for p, s in zip(preds, samples)], W
-                )
-                assert grid_search(samples, grid, W) == (cell, want)
-    assert checked == 2 * 14 * len(frames)
+    for rule_id, rule, target in _rule_targets():
+        paired = len(rule.ranges) == 2
+        states = sorted(rule.space.states, key=str)
+        samples = []
+        for frame in frames:
+            measurement, candidate = rule_measurement(frame, rule_id, target)
+            sample = MeasuredSample(measurement, label(rng.choice(states)), candidate)
+            cell = _random_cell(rng, rule_id, paired, measurement)
+            th = RuleThresholds(**{rule.field: cell if paired else cell[0]})
+            tuned = predictions_for_cell([sample], paired, cell, unsure=rule.space.unsure)
+            assert tuned == [_ENCODER_VERDICTS[rule_id](frame, target, th)], (
+                rule_id, target, frame.coords.tolist(), frame.has_depth, cell)
+            samples.append(sample)
+            checked += 1
+        for _ in range(3):
+            cell = _random_cell(rng, rule_id, paired, np.nan)
+            grid = GridSpec(low_values=cell[:1], high_values=cell[1:])
+            preds = predictions_for_cell(samples, paired, cell, unsure=rule.space.unsure)
+            want = average_loss(
+                [assess(p, s.label, rule.space) for p, s in zip(preds, samples)], W
+            )
+            assert grid_search(samples, grid, W) == (cell, want)
+    assert checked == 14 * len(frames)
