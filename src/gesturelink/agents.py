@@ -4,9 +4,10 @@ final grounding to a ranked function list.
 The description stage is two completions (pose, then movement over the
 pose's time span). The inference stage is a loop: each model turn either
 asks the context agent a question or concludes with up to five ranked
-function ids. Parsing is lenient on input (fenced or prefixed JSON is
-tolerated, one repair retry per malformed turn) and strict on output
-(transcripts store canonical JSON).
+function ids. Every turn is one _exchange with the model, and each
+parser returns the record the transcript stores. Parsing is lenient on
+input (fenced or prefixed JSON is tolerated, one repair retry per
+malformed turn) and strict on output (transcripts store canonical JSON).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .context import (
     resolve_placeholders,
 )
 from .encoder import GestureStateMatrix, serialize_matrix, serialize_movement
-from .errors import ParseError, TransportError, UnknownContext
+from .errors import ParseError, UnknownContext
 from .prompts import AgentPromptSet, render_prompt
 from .transport import ChatMessage, CompletionRequest, UsageRecord
 
@@ -60,26 +61,6 @@ class SessionConfig:
 class PoseDescription:
     candidate_gestures: str
     time_span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class InferenceTurn:
-    """One parsed inference-agent reply: a thought plus either a question
-    or a proposed ranking (validated against the function list later)."""
-
-    thought: str
-    question: str | None = None
-    conclusion: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if (self.question is None) == (self.conclusion is None):
-            raise ParseError("inference turn needs exactly one of question/conclusion")
-
-
-@dataclass(frozen=True)
-class ContextTurn:
-    thought: str
-    answer: str
 
 
 @dataclass(frozen=True)
@@ -181,8 +162,9 @@ def extract_json_object(raw: str) -> dict:
     raise ParseError(f"no JSON object found in response: {raw[:120]!r}")
 
 
-def parse_inference_turn(raw: str) -> InferenceTurn:
-    """Validate the thought + (question xor conclusion) shape."""
+def parse_inference_turn(raw: str) -> dict:
+    """{"thought", "question"} or {"thought", "conclusion": [ids]}; the ids
+    are validated against the function list later."""
     obj = extract_json_object(raw)
     thought = obj.get("thought")
     if not isinstance(thought, str) or not thought.strip():
@@ -194,52 +176,51 @@ def parse_inference_turn(raw: str) -> InferenceTurn:
     if question is not None:
         if not isinstance(question, str) or not question.strip():
             raise ParseError("'question' must be a non-empty string")
-        return InferenceTurn(thought=thought, question=question)
+        return {"thought": thought, "question": question}
     if not isinstance(conclusion, list) or not conclusion:
         raise ParseError("'conclusion' must be a non-empty list of function ids")
-    return InferenceTurn(
-        thought=thought, conclusion=tuple(str(item) for item in conclusion)
-    )
+    return {"thought": thought, "conclusion": [str(item) for item in conclusion]}
 
 
-def parse_context_turn(raw: str) -> ContextTurn:
+def parse_context_turn(raw: str) -> dict:
+    """{"thought", "answer"}."""
     obj = extract_json_object(raw)
     thought = obj.get("thought")
     answer = obj.get("answer")
     if not isinstance(thought, str) or not isinstance(answer, str) or not answer.strip():
         raise ParseError("context turn needs 'thought' and a non-empty 'answer'")
-    return ContextTurn(thought=thought, answer=answer)
+    return {"thought": thought, "answer": answer}
 
 
-def _call_with_repair(llm, messages, parser):
-    """One completion, re-asked once with a format reminder when the reply
-    cannot be parsed. Returns (parsed, raw, usage) or raises ParseError
-    carrying the last raw reply and its usage."""
+def _exchange(llm, messages, parser):
+    """One agent turn: ask, and re-ask once with _REPAIR_REMINDER when the
+    reply cannot be parsed. Returns (record, error, raw, usage) for the
+    last reply: record is what parser returned, or None and error says
+    why."""
     for attempt in range(1, _PARSE_ATTEMPTS + 1):
-        raw, usage = llm.complete(CompletionRequest(messages=tuple(messages)))
-        try:
-            return parser(raw), raw, usage
-        except ParseError as exc:
-            logger.warning("malformed agent reply (attempt %d): %s", attempt, exc)
-            if attempt == _PARSE_ATTEMPTS:
-                last = ParseError(f"unparseable after {_PARSE_ATTEMPTS} attempts: {exc}")
-                last.raw = raw
-                last.usage = usage
-                raise last from exc
+        if attempt > 1:
             messages = messages + [
                 ChatMessage("assistant", raw or "(empty)"),
                 ChatMessage("user", _REPAIR_REMINDER),
             ]
+        raw, usage = llm.complete(CompletionRequest(messages=tuple(messages)))
+        try:
+            return parser(raw), None, raw, usage
+        except ParseError as exc:
+            logger.warning("malformed agent reply (attempt %d): %s", attempt, exc)
+            error = f"unparseable after {_PARSE_ATTEMPTS} attempts: {exc}"
+    return None, error, raw, usage
 
 
-def _describe(llm, role: str, prompt: str, parser, to_doc, transcript):
-    """One description completion, recorded as a `role` turn."""
-    parsed, raw, usage = _call_with_repair(llm, [ChatMessage("user", prompt)], parser)
+def _describe(llm, role: str, prompt: str, parser, transcript) -> dict:
+    """One description turn, recorded as a `role` turn; ParseError if the
+    reply stays unparseable."""
+    record, error, raw, usage = _exchange(llm, [ChatMessage("user", prompt)], parser)
+    if record is None:
+        raise ParseError(error)
     if transcript is not None:
-        transcript.append(
-            TranscriptTurn(role=role, raw=raw, parsed=to_doc(parsed), usage=usage)
-        )
-    return parsed
+        transcript.append(TranscriptTurn(role=role, raw=raw, parsed=record, usage=usage))
+    return record
 
 
 def describe_pose(
@@ -254,7 +235,7 @@ def describe_pose(
         prompts.description_pose_prompt, matrix_text=serialize_matrix(matrix)
     )
 
-    def parser(raw: str) -> PoseDescription:
+    def parser(raw: str) -> dict:
         obj = extract_json_object(raw)
         gestures = obj.get("candidate_gestures")
         span = obj.get("time_span")
@@ -271,12 +252,10 @@ def describe_pose(
             logger.warning("time span %s clamped to %s for T=%d", (start, end), clamped, matrix.T)
         if clamped[0] > clamped[1]:
             raise ParseError(f"time span reversed: {span}")
-        return PoseDescription(candidate_gestures=gestures, time_span=clamped)
+        return {"candidate_gestures": gestures, "time_span": list(clamped)}
 
-    def to_doc(pose: PoseDescription) -> dict:
-        return {"candidate_gestures": pose.candidate_gestures, "time_span": list(pose.time_span)}
-
-    return _describe(llm, "description_pose", prompt, parser, to_doc, transcript)
+    record = _describe(llm, "description_pose", prompt, parser, transcript)
+    return PoseDescription(record["candidate_gestures"], tuple(record["time_span"]))
 
 
 def describe_movement(
@@ -292,17 +271,14 @@ def describe_movement(
         movement_text=serialize_movement(matrix, span[0], span[1]),
     )
 
-    def parser(raw: str) -> str:
+    def parser(raw: str) -> dict:
         obj = extract_json_object(raw)
         movement = obj.get("movement")
         if not isinstance(movement, str):
             raise ParseError("missing 'movement'")
-        return movement
+        return {"movement": movement}
 
-    return _describe(
-        llm, "description_movement", prompt, parser,
-        lambda movement: {"movement": movement}, transcript,
-    )
+    return _describe(llm, "description_movement", prompt, parser, transcript)["movement"]
 
 
 def compose_description(pose: PoseDescription, movement: str) -> str:
@@ -326,7 +302,7 @@ def _function_list_text(functions: list[FunctionEntry]) -> str:
     return "\n".join(lines)
 
 
-def _prune_conclusion(ids: tuple[str, ...], valid: set[str]) -> tuple[str, ...]:
+def _prune_conclusion(ids: list[str], valid: set[str]) -> tuple[str, ...]:
     """Drop unknown ids and duplicates (keep first), cap at five."""
     seen: list[str] = []
     for fid in ids:
@@ -361,8 +337,8 @@ def run_inference_session(
     plus one forced turn, or an irreparable reply (Negative).
 
     Returns (Conclusion or None, transcript); the transcript always ends
-    with an outcome marker. TransportError aborts but carries the partial
-    transcript on its .transcript attribute.
+    with an outcome marker. A TransportError propagates and leaves the
+    turns so far in the transcript the caller passed in.
     """
     cfg = cfg or SessionConfig()
     transcript = transcript if transcript is not None else DialogueTranscript()
@@ -383,74 +359,42 @@ def run_inference_session(
         )),
     ]
 
-    try:
-        rounds = 0
-        forced = False
-        while True:
-            rounds += 1
-            try:
-                turn, raw, usage = _call_with_repair(
-                    llm, inference_messages, parse_inference_turn
-                )
-            except ParseError as exc:
-                transcript.append(
-                    TranscriptTurn(
-                        role="inference",
-                        raw=getattr(exc, "raw", ""),
-                        parsed={"error": str(exc)},
-                        usage=getattr(exc, "usage", None),
-                    )
-                )
-                return _negative(transcript, f"unparseable inference turn: {exc}")
-            parsed_doc = {"thought": turn.thought}
-            if turn.question is not None:
-                parsed_doc["question"] = turn.question
-            else:
-                parsed_doc["conclusion"] = list(turn.conclusion)
-            transcript.append(
-                TranscriptTurn(role="inference", raw=raw, parsed=parsed_doc, usage=usage)
-            )
-            inference_messages.append(ChatMessage("assistant", raw or "(empty)"))
+    rounds = 0
+    forced = False
+    while True:
+        rounds += 1
+        turn, error, raw, usage = _exchange(llm, inference_messages, parse_inference_turn)
+        transcript.append(TranscriptTurn(
+            role="inference", raw=raw, parsed=turn or {"error": error}, usage=usage
+        ))
+        if turn is None:
+            return _negative(transcript, f"unparseable inference turn: {error}")
+        inference_messages.append(ChatMessage("assistant", raw or "(empty)"))
 
-            if turn.conclusion is not None:
-                kept = _prune_conclusion(turn.conclusion, valid_ids)
-                if not kept:
-                    return _negative(transcript, "conclusion contained no valid function ids")
-                _outcome(transcript, result="conclusion", ranked=list(kept))
-                return Conclusion(ranked_functions=kept), transcript
+        if "conclusion" in turn:
+            kept = _prune_conclusion(turn["conclusion"], valid_ids)
+            if not kept:
+                return _negative(transcript, "conclusion contained no valid function ids")
+            _outcome(transcript, result="conclusion", ranked=list(kept))
+            return Conclusion(ranked_functions=kept), transcript
 
-            if forced:
-                return _negative(transcript, "no conclusion after the forced turn")
-            if rounds >= cfg.max_rounds:
-                forced = True
-                inference_messages.append(ChatMessage("user", _FORCED_CONCLUSION))
-                continue
+        if forced:
+            return _negative(transcript, "no conclusion after the forced turn")
+        if rounds >= cfg.max_rounds:
+            forced = True
+            inference_messages.append(ChatMessage("user", _FORCED_CONCLUSION))
+            continue
 
-            context_messages.append(ChatMessage("user", turn.question))
-            try:
-                ctx_turn, ctx_raw, ctx_usage = _call_with_repair(
-                    llm, context_messages, parse_context_turn
-                )
-                answer = ctx_turn.answer
-                ctx_parsed = {"thought": ctx_turn.thought, "answer": ctx_turn.answer}
-            except ParseError as exc:
-                # Lenient fallback: deliver the raw reply as the answer.
-                ctx_raw = getattr(exc, "raw", "")
-                ctx_usage = getattr(exc, "usage", None)
-                answer = ctx_raw or "no answer available"
-                ctx_parsed = {"answer": answer, "parse_fallback": True}
-            resolved = resolve_placeholders(lib, answer)
-            ctx_parsed["delivered"] = resolved
-            transcript.append(
-                TranscriptTurn(role="context", raw=ctx_raw, parsed=ctx_parsed, usage=ctx_usage)
-            )
-            context_messages.append(ChatMessage("assistant", ctx_raw or "(empty)"))
-            inference_messages.append(
-                ChatMessage("user", f"Context Management Agent: {resolved}")
-            )
-    except TransportError as exc:
-        exc.transcript = transcript
-        raise
+        context_messages.append(ChatMessage("user", turn["question"]))
+        reply, _, raw, usage = _exchange(llm, context_messages, parse_context_turn)
+        if reply is None:
+            # Lenient fallback: deliver the raw reply as the answer.
+            reply = {"answer": raw or "no answer available", "parse_fallback": True}
+        resolved = resolve_placeholders(lib, reply["answer"])
+        reply["delivered"] = resolved
+        transcript.append(TranscriptTurn(role="context", raw=raw, parsed=reply, usage=usage))
+        context_messages.append(ChatMessage("assistant", raw or "(empty)"))
+        inference_messages.append(ChatMessage("user", f"Context Management Agent: {resolved}"))
 
 
 def ground_matrix(
@@ -459,17 +403,16 @@ def ground_matrix(
     prompts: AgentPromptSet,
     llm,
     cfg: SessionConfig | None = None,
+    transcript: DialogueTranscript | None = None,
 ) -> tuple[Conclusion | None, DialogueTranscript]:
     """Full grounding of one matrix: describe (pose + movement), compose,
-    then run the inference session. One transcript covers all stages."""
-    transcript = DialogueTranscript()
+    then run the inference session. One transcript covers all stages; a
+    TransportError leaves the turns so far in the one passed in."""
+    transcript = transcript if transcript is not None else DialogueTranscript()
     try:
         pose = describe_pose(matrix, prompts, llm, transcript)
         movement = describe_movement(matrix, pose.time_span, prompts, llm, transcript)
     except ParseError as exc:
         return _negative(transcript, f"description failed: {exc}")
-    except TransportError as exc:
-        exc.transcript = transcript
-        raise
     description = compose_description(pose, movement)
     return run_inference_session(description, lib, prompts, llm, cfg, transcript)

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .agents import SessionConfig, ground_matrix
+from .agents import DialogueTranscript, SessionConfig, ground_matrix
 from .context import ContextLibrary, ContextType, add_context_type, render_library_prompt
 from .encoder import (
     SegmentationConfig,
@@ -80,8 +80,7 @@ def _load_thresholds(path: str | None) -> RuleThresholds:
 # --- encode -----------------------------------------------------------------
 
 def cmd_encode(args) -> int:
-    raw = Path(args.stream).read_bytes()
-    stream = parse_landmark_stream(raw)
+    stream = _read_file(args.stream, parse_landmark_stream)
     th = _load_thresholds(args.thresholds)
     cfg = SegmentationConfig(
         chest_line=args.chest_line,
@@ -237,12 +236,12 @@ def cmd_ground(args) -> int:
     cfg = SessionConfig(max_rounds=args.max_rounds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    transcript = DialogueTranscript()
     try:
-        conclusion, transcript = ground_matrix(matrix, lib, prompts, backend, cfg)
+        conclusion, _ = ground_matrix(matrix, lib, prompts, backend, cfg, transcript)
     except TransportError as exc:
-        partial = getattr(exc, "transcript", None)
-        if partial is not None and partial.turns:
-            _write_atomic(out_dir / "transcript.jsonl", partial.to_jsonl())
+        if transcript.turns:
+            _write_atomic(out_dir / "transcript.jsonl", transcript.to_jsonl())
         print(f"transport failure: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
     _write_atomic(out_dir / "transcript.jsonl", transcript.to_jsonl())

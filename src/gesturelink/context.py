@@ -51,6 +51,8 @@ class ContextType:
             raise MalformedInput(f"context name must be a non-empty string, got {self.name!r}")
         if not (isinstance(self.description_md, str) and self.description_md.strip()):
             raise MalformedInput(f"context {self.name} needs a non-empty description string")
+        if self.name == "function_list":
+            parse_function_list(self.values)
 
 
 @dataclass(frozen=True)
@@ -248,9 +250,6 @@ def render_library_prompt(lib: ContextLibrary) -> str:
 def make_function_list_context(
     interface_name: str, functions: Sequence[FunctionEntry]
 ) -> ContextType:
-    ids = [f.id for f in functions]
-    if len(set(ids)) != len(ids):
-        raise MalformedInput("function ids must be unique")
     return ContextType(
         name="function_list",
         description_md=(
@@ -305,20 +304,31 @@ def make_external_context(notes: Sequence[str]) -> ContextType:
     )
 
 
+def parse_function_list(doc: Any) -> list[FunctionEntry]:
+    """The functions of a function_list context's values or of a manifest
+    task: an object whose "functions" list holds {id, name[, location,
+    metadata]} entries with unique ids."""
+    items = doc.get("functions") if isinstance(doc, dict) else None
+    if not isinstance(items, list):
+        raise MalformedInput("function list must be an object with a 'functions' list")
+    entries: dict[str, FunctionEntry] = {}
+    for item in items:
+        if not (isinstance(item, dict) and "id" in item and "name" in item):
+            raise MalformedInput(f"function entry needs an 'id' and a 'name', got {item!r}")
+        fid = str(item["id"])
+        if fid in entries:
+            raise MalformedInput(f"duplicate function id {fid!r}")
+        try:
+            location = tuple(float(v) for v in item.get("location", ()))
+        except (TypeError, ValueError):
+            raise MalformedInput(f"function {fid!r} needs a list of numbers as location") from None
+        entries[fid] = FunctionEntry(fid, str(item["name"]), location, item.get("metadata"))
+    return list(entries.values())
+
+
 def function_entries(lib: ContextLibrary) -> list[FunctionEntry]:
     """FunctionEntry objects parsed out of the function_list context."""
-    values = lib.get("function_list").values or {}
-    entries = []
-    for item in values.get("functions", []):
-        entries.append(
-            FunctionEntry(
-                id=str(item["id"]),
-                name=str(item["name"]),
-                location=tuple(float(v) for v in item.get("location", ())),
-                metadata=item.get("metadata"),
-            )
-        )
-    return entries
+    return parse_function_list(lib.get("function_list").values)
 
 
 # --- built-in calculators --------------------------------------------------

@@ -206,16 +206,17 @@ class GestureStateMatrix:
 
 
 def validate_state_matrix(m: GestureStateMatrix) -> None:
-    """Raise AssertionError unless the matrix satisfies its invariants."""
-    assert m.channel1.ndim == 2 and m.channel1.shape[0] == 19
-    assert m.channel2.ndim == 2 and m.channel2.shape[0] in (2, 3)
-    assert m.channel1.shape[1] == m.channel2.shape[1] >= 1, "channels must share T >= 1"
-    for j in range(m.T):
-        validate_pose_vector(m.channel1[:, j])
-    for row in range(2):
-        assert np.all(m.channel2[row] >= -0.5) and np.all(m.channel2[row] <= 1.5)
-    assert m.hand_width > 0
-    assert m.sample_interval > 0
+    """Raise MalformedInput unless the matrix satisfies its invariants."""
+    c1, c2 = m.channel1, m.channel2
+    if not (c1.ndim == c2.ndim == 2 and c2.shape[0] in (2, 3) and c1.shape[1] == c2.shape[1] >= 1):
+        raise MalformedInput(f"channels must be 19 x T and 2-3 x T, T >= 1: {c1.shape}, {c2.shape}")
+    validate_pose_vector(c1)
+    if not (np.isfinite(c2).all() and (c2[:2] >= -0.5).all() and (c2[:2] <= 1.5).all()):
+        raise MalformedInput("channel2 must be finite, with x and y within [-0.5, 1.5]")
+    if not 0 < m.hand_width < math.inf:
+        raise MalformedInput(f"hand_width must be positive and finite, got {m.hand_width}")
+    if not 0 < m.sample_interval < math.inf:
+        raise MalformedInput(f"interval must be positive and finite, got {m.sample_interval}")
 
 
 def build_state_matrix(
@@ -285,20 +286,19 @@ def matrix_to_json(m: GestureStateMatrix) -> str:
 
 
 def matrix_from_json(text: str | bytes) -> GestureStateMatrix:
+    """Inverse of matrix_to_json; MalformedInput unless the document holds
+    a matrix that validate_state_matrix accepts."""
     try:
         doc = json.loads(text)
         m = GestureStateMatrix(
-            channel1=np.array(doc["channel1"], dtype=int),
+            channel1=np.array(doc["channel1"]),
             channel2=np.array(doc["channel2"], dtype=float),
             hand_width=float(doc["hand_width"]),
             sample_interval=float(doc["interval"]),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad matrix JSON: {exc}") from exc
-    if m.channel1.ndim != 2 or m.channel1.shape[0] != 19:
-        raise MalformedInput("channel1 must be 19 x T")
-    if m.channel2.ndim != 2 or m.channel2.shape[1] != m.channel1.shape[1]:
-        raise MalformedInput("channel2 must share T with channel1")
+    validate_state_matrix(m)
     return m
 
 

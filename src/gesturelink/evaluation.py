@@ -27,6 +27,7 @@ from .context import (
     make_function_list_context,
     make_gaze_context,
     make_history_context,
+    parse_function_list,
 )
 from .encoder import encode_stream
 from .errors import GestureLinkError, MalformedInput
@@ -373,19 +374,11 @@ def load_manifest(path: str | Path) -> list[TaskRecord]:
         try:
             stream_path = path.parent / entry["stream"]
             stream = parse_landmark_stream(stream_path.read_bytes())
-            functions = tuple(
-                FunctionEntry(
-                    id=str(f["id"]),
-                    name=str(f["name"]),
-                    location=tuple(float(v) for v in f.get("location", ())),
-                )
-                for f in entry["functions"]
-            )
             tasks.append(
                 TaskRecord(
                     scenario_id=str(entry["scenario_id"]),
                     stream=stream,
-                    functions=functions,
+                    functions=tuple(parse_function_list(entry)),
                     truth_id=str(entry["truth"]),
                     gaze=tuple(entry.get("gaze", ())),
                     history=tuple(entry.get("history", ())),
@@ -393,7 +386,7 @@ def load_manifest(path: str | Path) -> list[TaskRecord]:
                     interface=str(entry.get("interface", "interface")),
                 )
             )
-        except (KeyError, TypeError, ValueError, OSError) as exc:
+        except (KeyError, TypeError, ValueError, OSError, MalformedInput) as exc:
             raise MalformedInput(f"bad task entry in {path}: {exc}") from exc
     if not tasks:
         raise MalformedInput(f"manifest {path} has no tasks")

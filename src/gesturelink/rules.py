@@ -387,9 +387,14 @@ def encode_pose_vector(frame: HandLandmarkFrame, th: RuleThresholds) -> np.ndarr
 
 
 def validate_pose_vector(vec: np.ndarray) -> None:
-    """Raise AssertionError unless vec satisfies the pose-vector invariants."""
-    assert vec.shape == (19,), f"pose vector shape {vec.shape}"
-    assert all(int(v) in (-1, 0, 1) for v in vec[:13]), "rows 1-13 out of range"
+    """Raise MalformedInput unless vec, one pose vector (19,) or a 19 x T
+    block of them, holds integer states within the pose-vector ranges."""
+    if vec.shape[:1] != (19,) or vec.ndim > 2:
+        raise MalformedInput(f"pose vectors need 19 rows, got shape {vec.shape}")
+    if vec.dtype.kind not in "iu":
+        raise MalformedInput(f"pose states must be integers, got {vec.dtype}")
+    if (np.abs(vec[:13]) > 1).any():
+        raise MalformedInput("rows 1-13 must be -1, 0 or 1")
     palm = vec[13:]
-    assert all(int(v) in (0, 1) for v in palm), "palm rows out of range"
-    assert int(palm.sum()) <= 1, "palm rows must be one-hot or all zero"
+    if (palm < 0).any() or (palm.sum(axis=0) > 1).any():
+        raise MalformedInput("palm rows must be one-hot or all zero")

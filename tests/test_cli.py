@@ -117,6 +117,13 @@ def test_encode_bad_stream_exits_2(tmp_path, capsys):
     assert main(["encode", str(stream), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_encode_stream_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys):
+    stream = tmp_path / "s.json"
+    stream.write_text("{not json")
+    assert main(["encode", str(stream), "--out-dir", str(tmp_path)]) == 2
+    assert f"error: {stream}: not valid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -461,6 +468,62 @@ def test_ground_library_context_with_non_string_field_exits_2_naming_it(
     assert f"error: {library_file}: context " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"channel1": [[7]] + [[0]] * 18},
+        {"channel1": [[0.7]] + [[0]] * 18},
+        {"hand_width": -1},
+        {"interval": 0},
+        {"channel1": [[]] * 19, "channel2": [[], []], "T": 0},
+    ],
+)
+def test_ground_matrix_breaking_an_invariant_exits_2_naming_the_file(
+    tmp_path, matrix_file, library_file, capsys, change
+):
+    doc = json.loads(matrix_file.read_text())
+    doc.update(change)
+    matrix_file.write_text(json.dumps(doc))
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    out_dir = tmp_path / "out"
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", f"scripted:{fixtures}", "--out-dir", str(out_dir),
+    ])
+    assert code == 2
+    assert f"error: {matrix_file}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        "x",
+        [],
+        {"interface": "Smart Home", "functions": "x"},
+        {"functions": [{"id": "light.power"}]},
+        {"functions": [{"id": "a", "name": "A"}, {"id": "a", "name": "B"}]},
+    ],
+)
+def test_ground_malformed_function_list_exits_2_naming_the_library(
+    tmp_path, matrix_file, library_file, capsys, values
+):
+    doc = json.loads(library_file.read_text())
+    doc["contexts"][0]["values"] = values
+    library_file.write_text(json.dumps(doc))
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    out_dir = tmp_path / "out"
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", f"scripted:{fixtures}", "--out-dir", str(out_dir),
+    ])
+    assert code == 2
+    assert f"error: {library_file}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_ground_negative_exits_3(tmp_path, matrix_file, library_file):
     fixtures = tmp_path / "fx.json"
     write_grounding_fixtures(
@@ -485,6 +548,34 @@ def test_ground_transport_failure_exits_4(tmp_path, matrix_file, library_file):
     ])
     assert code == 4
 
+
+
+# Exact bytes of the partial transcript.jsonl written when the backend fails
+# in the middle of a session (here: no fixture left for the context reply).
+PARTIAL_TRANSCRIPT_JSONL = (
+    '{"input_tokens": 647, "latency": 0.0, "output_tokens": 19, '
+    '"parsed": {"candidate_gestures": "open palm facing the camera", "time_span": [0, 0]}, '
+    '"raw": "{\\"candidate_gestures\\": \\"open palm facing the camera\\", \\"time_span\\": [0, 0]}", "role": "description_pose"}\n'
+    '{"input_tokens": 348, "latency": 0.0, "output_tokens": 13, '
+    '"parsed": {"movement": "The hand stays essentially still."}, '
+    '"raw": "{\\"movement\\": \\"The hand stays essentially still.\\"}", "role": "description_movement"}\n'
+    '{"input_tokens": 910, "latency": 0.0, "output_tokens": 12, '
+    '"parsed": {"question": "gaze?", "thought": "need context"}, '
+    '"raw": "{\\"thought\\": \\"need context\\", \\"question\\": \\"gaze?\\"}", "role": "inference"}\n'
+)
+
+
+def test_ground_transport_failure_writes_partial_transcript(tmp_path, matrix_file, library_file):
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, [pose_reply(), movement_reply(), question_reply("gaze?")])
+    out_dir = tmp_path / "out"
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", f"scripted:{fixtures}", "--out-dir", str(out_dir),
+    ])
+    assert code == 4
+    assert (out_dir / "transcript.jsonl").read_text() == PARTIAL_TRANSCRIPT_JSONL
+    assert not (out_dir / "conclusion.json").exists()
 
 # --- eval ------------------------------------------------------------------------
 
@@ -592,6 +683,23 @@ def test_eval_manifest_that_is_not_an_object_exits_2_naming_it(tmp_path, capsys)
     manifest.write_text("[]")
     assert main(["eval", str(manifest), "--backend", "scripted:unused.json"]) == 2
     assert f"error: bad manifest {manifest}: " in capsys.readouterr().err
+
+
+def test_eval_manifest_with_duplicate_function_ids_exits_2_naming_it(tmp_path, capsys):
+    manifest = write_manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    functions = doc["tasks"][1]["functions"]
+    functions.append(dict(functions[0], name="Second light"))
+    manifest.write_text(json.dumps(doc))
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    code = main([
+        "eval", str(manifest), "--backend", f"scripted:{fixtures}",
+        "--repetitions", "1", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: bad task entry in {manifest}: duplicate function id" in err
 
 
 # --- context ----------------------------------------------------------------------

@@ -301,6 +301,23 @@ def test_bad_matrix_json_rejected():
         matrix_from_json('{"channel1": [[1]], "hand_width": 1}')
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"channel1": GOLDEN_MATRIX.channel1 * 2},
+        {"channel1": GOLDEN_MATRIX.channel1.astype(float)},
+        {"channel2": np.array([[0.5], [2.0]])},
+        {"hand_width": 0.0},
+    ],
+)
+def test_validate_state_matrix_raises_malformed_input(change):
+    fields = dict(
+        channel1=GOLDEN_MATRIX.channel1, channel2=GOLDEN_MATRIX.channel2, hand_width=0.05
+    )
+    with pytest.raises(MalformedInput):
+        validate_state_matrix(GestureStateMatrix(**{**fields, **change}))
+
+
 def test_movement_slice_full_span_equals_whole_channel():
     samples = [make_frame(hand_at(0.4, 0.01 * j), t=0.2 * j) for j in range(5)]
     m = build_state_matrix(samples, TH)
