@@ -294,7 +294,7 @@ def compose_description(pose: PoseDescription, movement: str) -> str:
     return "\n".join(bullets)
 
 
-def _function_list_text(functions: list[FunctionEntry]) -> str:
+def _function_list_text(functions: tuple[FunctionEntry, ...]) -> str:
     lines = []
     for f in functions:
         loc = ", ".join(f"{v:g}" for v in f.location)

@@ -80,14 +80,14 @@ def _load_thresholds(path: str | None) -> RuleThresholds:
 # --- encode -----------------------------------------------------------------
 
 def cmd_encode(args) -> int:
-    stream = _read_file(args.stream, parse_landmark_stream)
     th = _load_thresholds(args.thresholds)
     cfg = SegmentationConfig(
         chest_line=args.chest_line,
         trigger_frames=args.trigger_frames,
         end_hold=args.end_hold,
     )
-    matrices = encode_stream(stream, th, cfg)
+    matrices = _read_file(  # so a matrix that breaks an invariant names the stream too
+        args.stream, lambda raw: encode_stream(parse_landmark_stream(raw), th, cfg))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.stream).stem

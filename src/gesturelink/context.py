@@ -51,8 +51,6 @@ class ContextType:
             raise MalformedInput(f"context name must be a non-empty string, got {self.name!r}")
         if not (isinstance(self.description_md, str) and self.description_md.strip()):
             raise MalformedInput(f"context {self.name} needs a non-empty description string")
-        if self.name == "function_list":
-            parse_function_list(self.values)
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class FunctionEntry:
     id: str
     name: str
     location: tuple[float, ...]
-    metadata: str | None = None
 
 
 # A calculator derives a text answer from the library and the placeholder's
@@ -72,25 +69,21 @@ Calculator = Callable[["ContextLibrary", dict], str]
 
 
 class ContextLibrary:
-    """Ordered map of context types plus a calculator registry.
+    """Ordered map of context types. The function_list context's values
+    are parsed here, once, and every reader uses that parse.
 
     Reads never mutate; add_context_type returns a new library so shared
     instances stay safe across concurrent sessions.
     """
 
-    def __init__(
-        self,
-        contexts: Sequence[ContextType] = (),
-        calculators: dict[str, Calculator] | None = None,
-    ):
+    def __init__(self, contexts: Sequence[ContextType] = ()):
         self._entries: dict[str, ContextType] = {}
         for ctx in contexts:
             if ctx.name in self._entries:
                 raise DuplicateName(f"duplicate context name: {ctx.name!r}")
             self._entries[ctx.name] = ctx
-        self.calculators = dict(calculators) if calculators is not None else dict(
-            BUILTIN_CALCULATORS
-        )
+        listing = self._entries.get("function_list")
+        self._functions = () if listing is None else tuple(parse_function_list(listing.values))
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -110,10 +103,7 @@ class ContextLibrary:
 
     def filtered(self, keep: Sequence[str]) -> "ContextLibrary":
         """Library restricted to the given context names (order kept)."""
-        return ContextLibrary(
-            [c for c in self._entries.values() if c.name in set(keep)],
-            calculators=self.calculators,
-        )
+        return ContextLibrary([c for c in self._entries.values() if c.name in set(keep)])
 
     def to_json(self) -> str:
         doc = {
@@ -130,9 +120,7 @@ class ContextLibrary:
         return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
     @classmethod
-    def from_json(
-        cls, text: str | bytes, calculators: dict[str, Calculator] | None = None
-    ) -> "ContextLibrary":
+    def from_json(cls, text: str | bytes) -> "ContextLibrary":
         try:
             doc = json.loads(text)
             contexts = [
@@ -146,16 +134,14 @@ class ContextLibrary:
             ]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedInput(f"bad context library JSON: {exc}") from exc
-        return cls(contexts, calculators=calculators)
+        return cls(contexts)
 
 
 def add_context_type(lib: ContextLibrary, ctx: ContextType) -> ContextLibrary:
     """New library with ctx appended; name collisions are rejected."""
     if ctx.name in lib:
         raise DuplicateName(f"context {ctx.name!r} already present")
-    return ContextLibrary(
-        [lib.get(n) for n in lib.names] + [ctx], calculators=lib.calculators
-    )
+    return ContextLibrary([lib.get(n) for n in lib.names] + [ctx])
 
 
 def retrieve(lib: ContextLibrary, name: str, query: str | None = None) -> Any:
@@ -197,7 +183,7 @@ def calculate(lib: ContextLibrary, placeholder: str) -> str:
     if not match:
         raise UnknownCalculator(f"not a calculation placeholder: {placeholder!r}")
     calc_id, raw_args = match.group(1), match.group(2)
-    if calc_id not in lib.calculators:
+    if calc_id not in BUILTIN_CALCULATORS:
         raise UnknownCalculator(f"no calculator registered as {calc_id!r}")
     args: dict = {}
     if raw_args:
@@ -208,7 +194,7 @@ def calculate(lib: ContextLibrary, placeholder: str) -> str:
                 f"bad calculator args for {calc_id}", diagnostics=str(exc)
             ) from exc
     try:
-        return lib.calculators[calc_id](lib, args)
+        return BUILTIN_CALCULATORS[calc_id](lib, args)
     except Exception as exc:  # noqa: BLE001 - diagnostics wrapped for the caller
         raise CalculatorFailure(f"calculator {calc_id} raised", diagnostics=repr(exc)) from exc
 
@@ -260,12 +246,7 @@ def make_function_list_context(
         values={
             "interface": interface_name,
             "functions": [
-                {
-                    "id": f.id,
-                    "name": f.name,
-                    "location": list(f.location),
-                    **({"metadata": f.metadata} if f.metadata else {}),
-                }
+                {"id": f.id, "name": f.name, "location": list(f.location)}
                 for f in functions
             ],
         },
@@ -306,8 +287,8 @@ def make_external_context(notes: Sequence[str]) -> ContextType:
 
 def parse_function_list(doc: Any) -> list[FunctionEntry]:
     """The functions of a function_list context's values or of a manifest
-    task: an object whose "functions" list holds {id, name[, location,
-    metadata]} entries with unique ids."""
+    task: an object whose "functions" list holds {id, name[, location]}
+    entries with unique ids."""
     items = doc.get("functions") if isinstance(doc, dict) else None
     if not isinstance(items, list):
         raise MalformedInput("function list must be an object with a 'functions' list")
@@ -322,13 +303,14 @@ def parse_function_list(doc: Any) -> list[FunctionEntry]:
             location = tuple(float(v) for v in item.get("location", ()))
         except (TypeError, ValueError):
             raise MalformedInput(f"function {fid!r} needs a list of numbers as location") from None
-        entries[fid] = FunctionEntry(fid, str(item["name"]), location, item.get("metadata"))
+        entries[fid] = FunctionEntry(fid, str(item["name"]), location)
     return list(entries.values())
 
 
-def function_entries(lib: ContextLibrary) -> list[FunctionEntry]:
-    """FunctionEntry objects parsed out of the function_list context."""
-    return parse_function_list(lib.get("function_list").values)
+def function_entries(lib: ContextLibrary) -> tuple[FunctionEntry, ...]:
+    """The function_list context's entries as the library parsed them;
+    empty when the library has no function_list."""
+    return lib._functions
 
 
 # --- built-in calculators --------------------------------------------------

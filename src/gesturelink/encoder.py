@@ -222,7 +222,8 @@ def validate_state_matrix(m: GestureStateMatrix) -> None:
 def build_state_matrix(
     samples: list[HandLandmarkFrame], th: RuleThresholds
 ) -> GestureStateMatrix:
-    """Assemble the matrix from sampled frames (>= 1 required)."""
+    """Assemble the matrix from sampled frames (>= 1 required);
+    MalformedInput unless it satisfies validate_state_matrix."""
     if not samples:
         raise EmptyStream("cannot build a matrix from zero samples")
     channel1 = np.stack([encode_pose_vector(f, th) for f in samples], axis=1)
@@ -236,7 +237,9 @@ def build_state_matrix(
         rows.append([c.z for c in centers])
     channel2 = np.array(rows, dtype=float)
     width = float(np.mean([c.hand_width for c in centers]))
-    return GestureStateMatrix(channel1=channel1, channel2=channel2, hand_width=width)
+    m = GestureStateMatrix(channel1=channel1, channel2=channel2, hand_width=width)
+    validate_state_matrix(m)
+    return m
 
 
 def serialize_matrix(m: GestureStateMatrix) -> str:
@@ -287,7 +290,8 @@ def matrix_to_json(m: GestureStateMatrix) -> str:
 
 def matrix_from_json(text: str | bytes) -> GestureStateMatrix:
     """Inverse of matrix_to_json; MalformedInput unless the document holds
-    a matrix that validate_state_matrix accepts."""
+    a matrix that validate_state_matrix accepts and an integer "T" equal
+    to its column count."""
     try:
         doc = json.loads(text)
         m = GestureStateMatrix(
@@ -296,9 +300,12 @@ def matrix_from_json(text: str | bytes) -> GestureStateMatrix:
             hand_width=float(doc["hand_width"]),
             sample_interval=float(doc["interval"]),
         )
+        columns = doc["T"]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad matrix JSON: {exc}") from exc
     validate_state_matrix(m)
+    if type(columns) is not int or columns != m.T:
+        raise MalformedInput(f'"T" must be the column count {m.T}, got {columns!r}')
     return m
 
 

@@ -1,7 +1,7 @@
 """Top-k evaluation protocol: context settings, repetitions, metrics,
 and the analytic random-guess baseline.
 
-A task runs the full pipeline (encode -> describe -> ground) with the
+A task runs the full pipeline (encode -> describe -> ground) with its
 context library filtered to the active setting. Per-task failures score
 as Negative with a logged cause so a bad task never aborts a setting.
 """
@@ -22,7 +22,7 @@ import numpy as np
 from .agents import Conclusion, SessionConfig, ground_matrix
 from .context import (
     ContextLibrary,
-    FunctionEntry,
+    function_entries,
     make_external_context,
     make_function_list_context,
     make_gaze_context,
@@ -56,20 +56,16 @@ SETTING_CONTEXTS = {
 
 @dataclass(frozen=True)
 class TaskRecord:
-    """One evaluation task: a landmark stream, its context, and the
-    ground-truth function id."""
+    """One evaluation task: a landmark stream, its full context library,
+    and the ground-truth function id."""
 
     scenario_id: str
     stream: LandmarkStream
-    functions: tuple[FunctionEntry, ...]
+    library: ContextLibrary
     truth_id: str
-    gaze: tuple = ()
-    history: tuple = ()
-    external: tuple = ()
-    interface: str = "interface"
 
     def __post_init__(self):
-        if self.truth_id not in {f.id for f in self.functions}:
+        if self.truth_id not in {f.id for f in function_entries(self.library)}:
             raise MalformedInput(
                 f"task {self.scenario_id}: truth id {self.truth_id!r} not in function list"
             )
@@ -137,16 +133,8 @@ def topk_rank(conclusion: Conclusion | None, truth_id: str) -> int | None:
 
 
 def build_task_library(task: TaskRecord, setting: ContextSetting) -> ContextLibrary:
-    """Context library for one task, filtered to the setting's types."""
-    lib = ContextLibrary(
-        [
-            make_function_list_context(task.interface, list(task.functions)),
-            make_gaze_context(list(task.gaze)),
-            make_history_context(list(task.history)),
-            make_external_context(list(task.external)),
-        ]
-    )
-    return lib.filtered(SETTING_CONTEXTS[setting])
+    """The task's library, filtered to the setting's types."""
+    return task.library.filtered(SETTING_CONTEXTS[setting])
 
 
 def run_task(
@@ -260,7 +248,7 @@ def random_guess_baseline(tasks: Sequence) -> Metrics:
 
     Accepts TaskRecord objects or bare function counts.
     """
-    counts = [t if isinstance(t, int) else len(t.functions) for t in tasks]
+    counts = [t if isinstance(t, int) else len(function_entries(t.library)) for t in tasks]
     if not counts or any(n < 1 for n in counts):
         raise MalformedInput("every task needs at least one function")
 
@@ -373,19 +361,20 @@ def load_manifest(path: str | Path) -> list[TaskRecord]:
     for entry in entries:
         try:
             stream_path = path.parent / entry["stream"]
-            stream = parse_landmark_stream(stream_path.read_bytes())
-            tasks.append(
-                TaskRecord(
-                    scenario_id=str(entry["scenario_id"]),
-                    stream=stream,
-                    functions=tuple(parse_function_list(entry)),
-                    truth_id=str(entry["truth"]),
-                    gaze=tuple(entry.get("gaze", ())),
-                    history=tuple(entry.get("history", ())),
-                    external=tuple(entry.get("external", ())),
-                    interface=str(entry.get("interface", "interface")),
-                )
-            )
+            library = ContextLibrary([
+                make_function_list_context(
+                    str(entry.get("interface", "interface")), parse_function_list(entry)
+                ),
+                make_gaze_context(list(entry.get("gaze", ()))),
+                make_history_context(list(entry.get("history", ()))),
+                make_external_context(list(entry.get("external", ()))),
+            ])
+            tasks.append(TaskRecord(
+                scenario_id=str(entry["scenario_id"]),
+                stream=parse_landmark_stream(stream_path.read_bytes()),
+                library=library,
+                truth_id=str(entry["truth"]),
+            ))
         except (KeyError, TypeError, ValueError, OSError, MalformedInput) as exc:
             raise MalformedInput(f"bad task entry in {path}: {exc}") from exc
     if not tasks:

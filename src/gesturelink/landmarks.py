@@ -88,7 +88,8 @@ class HandLandmarkFrame:
             raise MalformedInput(f"bad landmark coordinates at t={self.timestamp}: {exc}") from exc
         if coords.shape != (21, 3):
             raise BadLandmarkCount(
-                f"frame at t={self.timestamp} has landmark shape {coords.shape}, expected (21, 3)"
+                f"frame at t={self.timestamp} has {len(coords) if coords.ndim else 0} landmarks "
+                f"of shape {coords.shape[1:]}, expected 21 of shape (3,)"
             )
         if not np.isfinite(coords).all():
             raise MalformedInput(f"non-finite landmark coordinate at t={self.timestamp}")
@@ -136,29 +137,26 @@ class LandmarkStream:
 def parse_frame(entry, handedness: Handedness) -> HandLandmarkFrame:
     """One {"t": seconds, "lm": [[x, y, z] or [x, y]] * 21} frame entry.
 
-    Two-component landmarks get z=0 and mark the frame has_depth=False.
+    The rows of one frame are all [x, y, z] or all [x, y]; two-component
+    rows get z=0 and mark the frame has_depth=False. HandLandmarkFrame
+    checks the coordinates.
     """
     if not isinstance(entry, dict) or "t" not in entry or "lm" not in entry:
         raise MalformedInput('each frame needs "t" and "lm"')
-    lm = entry["lm"]
-    if not isinstance(lm, list) or len(lm) != 21:
-        raise BadLandmarkCount(
-            f"frame at t={entry['t']} has {len(lm) if isinstance(lm, list) else '?'} landmarks"
-        )
-    has_depth = True
-    rows = []
-    for coords in lm:
-        if not isinstance(coords, list) or len(coords) not in (2, 3):
-            raise MalformedInput(f"landmark entry must be [x,y] or [x,y,z]: {coords!r}")
-        if len(coords) == 2:
-            has_depth = False
-            coords = [coords[0], coords[1], 0.0]
-        rows.append(coords)
     try:
         t = float(entry["t"])
     except (TypeError, ValueError) as exc:
         raise MalformedInput(f"bad timestamp: {entry['t']!r}") from exc
-    return HandLandmarkFrame(timestamp=t, handedness=handedness, coords=rows, has_depth=has_depth)
+    try:
+        coords = np.array(entry["lm"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(
+            f"bad landmarks at t={t}: rows must be all [x, y] or all [x, y, z] numbers ({exc})"
+        ) from exc
+    has_depth = coords.shape[1:] != (2,)
+    if not has_depth:
+        coords = np.hstack([coords, np.zeros((len(coords), 1))])
+    return HandLandmarkFrame(t, handedness, coords, has_depth)
 
 
 def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:

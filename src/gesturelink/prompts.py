@@ -2,8 +2,9 @@
 
 Prompts are editable configuration, not code: each agent reads a markdown
 template with $-placeholders. The loader validates that the structural
-sections are present so an edited prompt cannot silently drop its output
-format or behavioural rules.
+sections are present and that the agent binds every placeholder, so an
+edited prompt cannot silently drop its output format or behavioural
+rules, nor fail only once a session renders it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,14 @@ REQUIRED_SECTIONS = {
     "context": ("# Introduction", "# Requirements", "# Prohibitions", "# Output format"),
 }
 
+# The placeholders each agent binds when it renders its prompt.
+BOUND_PLACEHOLDERS = {
+    "description_pose": {"matrix_text"},
+    "description_movement": {"movement_text"},
+    "inference": {"function_list"},
+    "context": {"library_overview"},
+}
+
 _IDENTIFIER_RE = re.compile(r"\$(?:\{([A-Za-z_][A-Za-z0-9_]*)\}|([A-Za-z_][A-Za-z0-9_]*))")
 
 
@@ -44,10 +53,18 @@ class AgentPromptSet:
         return getattr(self, f"{which}_prompt")
 
 
+def _placeholders(template: str) -> set[str]:
+    return {m.group(1) or m.group(2) for m in _IDENTIFIER_RE.finditer(template)}
+
+
 def validate_prompt(which: str, text: str) -> None:
     missing = [s for s in REQUIRED_SECTIONS[which] if s not in text]
     if missing:
         raise MalformedInput(f"prompt {which!r} missing sections: {missing}")
+    unbound = _placeholders(text) - BOUND_PLACEHOLDERS[which]
+    if unbound:
+        raise MalformedInput(f"prompt {which!r} has placeholders its agent does not bind: "
+                             f"{sorted(unbound)}")
 
 
 def load_prompt_set(directory: str | Path | None = None) -> AgentPromptSet:
@@ -55,27 +72,23 @@ def load_prompt_set(directory: str | Path | None = None) -> AgentPromptSet:
     texts = {}
     for which, filename in PROMPT_FILES.items():
         if directory is None:
-            source = resources.files("gesturelink").joinpath("assets/prompts", filename)
-            text = source.read_text(encoding="utf-8")
+            path = resources.files("gesturelink").joinpath("assets/prompts", filename)
         else:
             path = Path(directory) / filename
             if not path.is_file():
                 raise MalformedInput(f"missing prompt file: {path}")
-            text = path.read_text(encoding="utf-8")
-        validate_prompt(which, text)
+        text = path.read_text(encoding="utf-8")
+        try:
+            validate_prompt(which, text)
+        except MalformedInput as exc:
+            raise MalformedInput(f"{path}: {exc}") from exc
         texts[which] = text
-    return AgentPromptSet(
-        description_pose_prompt=texts["description_pose"],
-        description_movement_prompt=texts["description_movement"],
-        inference_prompt=texts["inference"],
-        context_prompt=texts["context"],
-    )
+    return AgentPromptSet(**{f"{which}_prompt": text for which, text in texts.items()})
 
 
 def render_prompt(template: str, **bindings: str) -> str:
     """Substitute $placeholders; every placeholder must be bound."""
-    names = {m.group(1) or m.group(2) for m in _IDENTIFIER_RE.finditer(template)}
-    unbound = names - set(bindings)
+    unbound = _placeholders(template) - set(bindings)
     if unbound:
         raise MalformedInput(f"unbound prompt placeholders: {sorted(unbound)}")
     return Template(template).safe_substitute(**bindings)

@@ -538,3 +538,24 @@ def test_unparseable_inference_transcript_bytes():
     backend = RecordingBackend(["garbage", "still garbage"])
     _, transcript = run_inference_session("- palm", session_lib(), PROMPTS, backend)
     assert transcript.to_jsonl() == UNPARSEABLE_INFERENCE_JSONL
+
+
+def test_session_with_gaze_placeholders_parses_no_function_list(monkeypatch):
+    import gesturelink.context
+
+    lib = session_lib()
+    calls = []
+    parse = gesturelink.context.parse_function_list
+    monkeypatch.setattr(
+        gesturelink.context, "parse_function_list", lambda doc: calls.append(doc) or parse(doc)
+    )
+    backend = RecordingBackend([
+        pose_reply("open palm", (0, 2)),
+        movement_reply(),
+        question_reply("where is the user looking?"),
+        context_reply("at {{CALC:gaze_target}}, then {{CALC:gaze_target}}"),
+        conclusion_reply(["light.power"]),
+    ])
+    conclusion, _ = ground_matrix(make_matrix(), lib, PROMPTS, backend)
+    assert conclusion.ranked_functions == ("light.power",)
+    assert calls == []

@@ -745,3 +745,133 @@ def test_context_add_values_that_are_not_json_exit_2_naming_the_file(tmp_path, c
     assert code == 2
     assert f"error: {values}: " in capsys.readouterr().err
     assert not lib_path.exists()
+
+
+# --- each input is checked where it enters ------------------------------------------
+
+def write_flat_width_stream(path):
+    """A single raise of a hand whose pinky MCP sits on its index MCP, so
+    every sample measures hand_width 0."""
+    frames = []
+    for i, y in enumerate([0.8] * 3 + [0.4] * 8 + [0.8] * 8):
+        points = hand_at(y)
+        points[17] = points[5]
+        frames.append((round(0.1 * i, 6), points))
+    path.write_bytes(stream_json(frames))
+
+
+def test_encode_zero_hand_width_exits_2_naming_the_file(tmp_path, capsys):
+    stream = tmp_path / "s.json"
+    write_flat_width_stream(stream)
+    code = main(["encode", str(stream), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {stream}: hand_width must be positive and finite, got 0.0" in err
+    assert not list(tmp_path.glob("out/*.matrix.json"))
+
+
+def test_eval_zero_hand_width_task_scores_negative_with_cause_logged(tmp_path, caplog):
+    manifest = write_manifest(tmp_path)
+    write_flat_width_stream(tmp_path / "t1.stream.json")
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    out_dir = tmp_path / "out"
+    code = main([
+        "eval", str(manifest), "--backend", f"scripted:{fixtures}",
+        "--settings", "baseline", "--repetitions", "1", "--out-dir", str(out_dir),
+    ])
+    assert code == 0
+    run = json.loads((out_dir / "report.json").read_text())["settings"]["baseline"]
+    assert (run["completed"], run["failures"]) == (1, 1)
+    assert run["metrics"]["negative"]["mean"] == 0.5  # t1 failed; t2 ranks its truth second
+    assert "task t1 rep 0 failed (hand_width must be positive" in caplog.text
+
+
+@pytest.mark.parametrize("columns", [11, 1.0])
+def test_ground_matrix_with_wrong_T_exits_2_naming_the_file(
+    tmp_path, matrix_file, library_file, capsys, columns
+):
+    doc = json.loads(matrix_file.read_text())
+    doc["T"] = columns
+    matrix_file.write_text(json.dumps(doc))
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    out_dir = tmp_path / "out"
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", f"scripted:{fixtures}", "--out-dir", str(out_dir),
+    ])
+    assert code == 2
+    assert f'error: {matrix_file}: "T" must be the column count 1' in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.fixture
+def prompt_typo_dir(tmp_path):
+    from gesturelink.prompts import PROMPT_FILES, load_prompt_set
+
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    for which, filename in PROMPT_FILES.items():
+        (prompts / filename).write_text(load_prompt_set().template(which))
+    inference = prompts / "inference.md"
+    inference.write_text(inference.read_text().replace("$function_list", "$functoin_list"))
+    return prompts
+
+
+@pytest.fixture
+def backend_calls(monkeypatch):
+    """Requests sent to every backend the CLI loads."""
+    import gesturelink.cli
+
+    calls = []
+    load = gesturelink.cli.load_backend
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, req):
+            calls.append(req)
+            return self.inner.complete(req)
+
+    monkeypatch.setattr(gesturelink.cli, "load_backend", lambda *a: Counting(load(*a)))
+    return calls
+
+
+def test_ground_prompt_placeholder_typo_exits_2_naming_the_file(
+    tmp_path, matrix_file, library_file, prompt_typo_dir, backend_calls, capsys
+):
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    out_dir = tmp_path / "out"
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--prompts", str(prompt_typo_dir), "--backend", f"scripted:{fixtures}",
+        "--out-dir", str(out_dir),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {prompt_typo_dir / 'inference.md'}: " in err
+    assert "functoin_list" in err
+    assert backend_calls == []
+    assert not out_dir.exists()
+
+
+def test_eval_prompt_placeholder_typo_exits_2_naming_the_file(
+    tmp_path, prompt_typo_dir, backend_calls, capsys
+):
+    manifest = write_manifest(tmp_path)
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    out_dir = tmp_path / "out"
+    code = main([
+        "eval", str(manifest), "--backend", f"scripted:{fixtures}",
+        "--prompts", str(prompt_typo_dir), "--repetitions", "1", "--out-dir", str(out_dir),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {prompt_typo_dir / 'inference.md'}: " in err
+    assert "functoin_list" in err
+    assert backend_calls == []
+    assert not out_dir.exists()

@@ -176,16 +176,10 @@ def test_calculate_is_referentially_transparent():
 
 
 def test_plugin_exception_wrapped_with_diagnostics():
-    def boom(lib, args):
-        raise RuntimeError("broken sensor")
-
-    lib = ContextLibrary(
-        [make_gaze_context([])],
-        calculators={"boom": boom},
-    )
+    lib = smart_home_library(gaze=[{"x": 0.2, "y": 0.4}])  # samples without "t"
     with pytest.raises(CalculatorFailure) as exc:
-        calculate(lib, "{{CALC:boom}}")
-    assert "broken sensor" in exc.value.diagnostics
+        calculate(lib, "{{CALC:gaze_target}}")
+    assert exc.value.diagnostics == "KeyError('t')"
 
 
 def test_resolve_placeholders_substitutes_inline():
@@ -247,5 +241,6 @@ def test_context_type_validation():
 
 
 def test_builtin_calculators_registered_by_default():
-    lib = ContextLibrary([])
-    assert set(BUILTIN_CALCULATORS) <= set(lib.calculators)
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    for calc_id in BUILTIN_CALCULATORS:
+        assert isinstance(calculate(lib, "{{CALC:" + calc_id + "}}"), str)

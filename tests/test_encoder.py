@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -361,3 +362,26 @@ def test_fuzz_streams_respect_matrix_invariants(rng):
         for w, m in zip(detect_gesture_window(stream, CFG), encode_stream(stream, TH, CFG)):
             validate_state_matrix(m)
             assert m.T == math.floor(w.duration / 0.2 + 1e-9) + 1
+
+
+@pytest.mark.parametrize("columns", [11, 1, 2.0, "2", True, None])
+def test_matrix_json_with_wrong_T_rejected(flat_hand, columns):
+    m = build_state_matrix([flat_hand, make_frame(hand_at(0.4), t=0.2)], TH)
+    doc = json.loads(matrix_to_json(m))
+    doc["T"] = columns
+    with pytest.raises(MalformedInput, match='"T" must be the column count 2'):
+        matrix_from_json(json.dumps(doc))
+
+
+def test_matrix_json_without_T_rejected(flat_hand):
+    doc = json.loads(matrix_to_json(build_state_matrix([flat_hand], TH)))
+    del doc["T"]
+    with pytest.raises(MalformedInput):
+        matrix_from_json(json.dumps(doc))
+
+
+def test_build_rejects_zero_hand_width():
+    points = list(FLAT_HAND_POINTS)
+    points[17] = points[5]  # pinky MCP on the index MCP
+    with pytest.raises(MalformedInput, match="hand_width must be positive"):
+        build_state_matrix([make_frame(points)], TH)

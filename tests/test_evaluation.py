@@ -12,6 +12,7 @@ from conftest import (
     seq_fixtures,
     single_gesture_stream,
     smart_home_functions,
+    smart_home_library,
     stream_json,
     trajectory_stream,
 )
@@ -43,11 +44,12 @@ def make_task(scenario_id="t1", truth="light.power", **kwargs):
     return TaskRecord(
         scenario_id=scenario_id,
         stream=single_gesture_stream(),
-        functions=tuple(smart_home_functions()),
+        library=smart_home_library(
+            gaze=[{"t": 1.0, "x": 0.2, "y": 0.4, "z": 1.5}],
+            history=[{"t": 0.0, "description": "turned on the light"}],
+            external=["It is 7:05 PM now."],
+        ),
         truth_id=truth,
-        gaze=({"t": 1.0, "x": 0.2, "y": 0.4, "z": 1.5},),
-        history=({"t": 0.0, "description": "turned on the light"},),
-        external=("It is 7:05 PM now.",),
         **kwargs,
     )
 
@@ -237,7 +239,7 @@ def test_no_window_scores_negative():
     task = TaskRecord(
         scenario_id="flatline",
         stream=trajectory_stream([0.9] * 10),  # hand never raised
-        functions=tuple(smart_home_functions()),
+        library=smart_home_library(),
         truth_id="light.power",
     )
     handles = PipelineHandles(

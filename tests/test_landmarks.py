@@ -167,3 +167,10 @@ def test_parse_serialize_round_trip(raw):
     stream = parse_landmark_stream(raw)
     again = parse_landmark_stream(serialize_landmark_stream(stream))
     assert again == stream
+
+
+def test_frame_mixing_two_and_three_component_rows_rejected():
+    doc = json.loads(stream_json([(0.0, FLAT_HAND_POINTS)]))
+    doc["frames"][0]["lm"][4] = doc["frames"][0]["lm"][4][:2]
+    with pytest.raises(MalformedInput, match="all \\[x, y\\] or all \\[x, y, z\\]"):
+        parse_landmark_stream(json.dumps(doc))

@@ -65,3 +65,9 @@ def test_render_rejects_unbound_placeholder():
 def test_render_leaves_json_braces_alone():
     template = 'Reply {"thought": "..."} about $topic'
     assert render_prompt(template, topic="gestures") == 'Reply {"thought": "..."} about gestures'
+
+
+def test_placeholder_the_agent_does_not_bind_rejected():
+    text = load_prompt_set().inference_prompt.replace("$function_list", "$functoin_list")
+    with pytest.raises(MalformedInput, match="functoin_list"):
+        validate_prompt("inference", text)
