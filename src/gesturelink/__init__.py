@@ -32,6 +32,7 @@ from .evaluation import (
     PipelineHandles,
     TaskRecord,
     random_guess_baseline,
+    run_protocol,
     run_setting,
     topk_rank,
 )

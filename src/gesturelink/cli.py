@@ -31,7 +31,7 @@ from .evaluation import (
     load_manifest,
     random_guess_baseline,
     report,
-    run_setting,
+    run_protocol,
 )
 from .landmarks import Handedness, parse_frame, parse_landmark_stream
 from .prompts import load_prompt_set
@@ -282,13 +282,11 @@ def cmd_eval(args) -> int:
         thresholds=th,
         session=SessionConfig(max_rounds=args.max_rounds),
     )
-    runs = []
-    for setting in settings:
-        run = run_setting(tasks, setting, repetitions=args.repetitions, handles=handles, jobs=args.jobs)
-        runs.append(run)
+    runs = run_protocol(tasks, settings, repetitions=args.repetitions, handles=handles, jobs=args.jobs)
+    for run in runs:
         m = run.metrics
         print(
-            f"{setting.value}: top1={m.top1.mean:.2%} top3={m.top3.mean:.2%} "
+            f"{run.setting.value}: top1={m.top1.mean:.2%} top3={m.top3.mean:.2%} "
             f"top5={m.top5.mean:.2%} negative={m.negative.mean:.2%} "
             f"(completed {run.completed}, failures {run.failures})"
         )
@@ -384,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts")
     p.add_argument("--out-dir", default=".", help="report output directory")
     p.add_argument("--max-rounds", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=1, help="parallel sessions per repetition")
+    p.add_argument("--jobs", type=int, default=1, help="parallel task runs")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_eval)
 

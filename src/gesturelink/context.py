@@ -102,8 +102,13 @@ class ContextLibrary:
             raise UnknownContext(f"no context named {name!r}") from None
 
     def filtered(self, keep: Sequence[str]) -> "ContextLibrary":
-        """Library restricted to the given context names (order kept)."""
-        return ContextLibrary([c for c in self._entries.values() if c.name in set(keep)])
+        """Library restricted to the given context names (order kept). It
+        shares this library's parsed function list."""
+        keep = set(keep)
+        lib = ContextLibrary.__new__(ContextLibrary)
+        lib._entries = {name: c for name, c in self._entries.items() if name in keep}
+        lib._functions = self._functions if "function_list" in keep else ()
+        return lib
 
     def to_json(self) -> str:
         doc = {

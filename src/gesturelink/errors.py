@@ -94,7 +94,12 @@ class CalculatorFailure(GestureLinkError):
 # --- LLM transport / orchestration ---
 
 class TransportError(GestureLinkError):
-    """Completion backend failed (network, HTTP 5xx, exhausted retries)."""
+    """Completion backend failed (network, HTTP 5xx, exhausted retries).
+    retry_after holds the server's Retry-After delay in seconds, if it sent one."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class AuthError(TransportError):

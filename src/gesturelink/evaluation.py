@@ -1,15 +1,17 @@
 """Top-k evaluation protocol: context settings, repetitions, metrics,
 and the analytic random-guess baseline.
 
-A task runs the full pipeline (encode -> describe -> ground) with its
-context library filtered to the active setting. Per-task failures score
-as Negative with a logged cause so a bad task never aborts a setting.
+Each task's stream is encoded once per protocol run; every setting and
+repetition then describes and grounds that result with the task's context
+library filtered to the active setting. Per-task failures score as
+Negative with a logged cause so a bad task never aborts a setting.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -29,7 +31,7 @@ from .context import (
     make_history_context,
     parse_function_list,
 )
-from .encoder import encode_stream
+from .encoder import GestureStateMatrix, encode_stream
 from .errors import GestureLinkError, MalformedInput
 from .landmarks import LandmarkStream, parse_landmark_stream
 from .prompts import AgentPromptSet
@@ -111,7 +113,7 @@ class SettingRun:
 
 @dataclass(frozen=True)
 class PipelineHandles:
-    """Everything run_setting needs to execute a task end to end. The
+    """Everything run_protocol needs to execute a task end to end. The
     backend factory yields a fresh backend per task run so scripted
     replays stay independent."""
 
@@ -138,15 +140,15 @@ def build_task_library(task: TaskRecord, setting: ContextSetting) -> ContextLibr
 
 
 def run_task(
-    task: TaskRecord, setting: ContextSetting, handles: PipelineHandles
+    task: TaskRecord,
+    setting: ContextSetting,
+    matrices: Sequence[GestureStateMatrix],
+    handles: PipelineHandles,
 ) -> tuple[int | None, SessionCost]:
-    """Encode the stream, ground the first gesture window, rank the truth."""
-    matrices = encode_stream(task.stream, handles.thresholds)
+    """Ground the first of the task's encoded windows, rank the truth. No
+    window scores Negative at zero cost."""
     if not matrices:
-        logger.warning("task %s: no gesture window detected", task.scenario_id)
         return None, SessionCost(0, 0, 0, 0.0)
-    if len(matrices) > 1:
-        logger.info("task %s: %d windows, grounding the first", task.scenario_id, len(matrices))
     lib = build_task_library(task, setting)
     backend = handles.backend_factory(task)
     conclusion, transcript = ground_matrix(
@@ -182,6 +184,92 @@ def _aggregate(per_rep: Sequence[tuple[float, float, float]]) -> Metrics:
     )
 
 
+def _encode_task(task: TaskRecord, th: RuleThresholds) -> list[GestureStateMatrix] | None:
+    """The task's windows, or None when the encoder fails (logged here, once)."""
+    try:
+        matrices = encode_stream(task.stream, th)
+    except (GestureLinkError, OSError) as exc:
+        logger.warning(
+            "task %s failed to encode (%s); scoring Negative in every setting and repetition",
+            task.scenario_id, exc,
+        )
+        return None
+    if not matrices:
+        logger.warning("task %s: no gesture window detected", task.scenario_id)
+    elif len(matrices) > 1:
+        logger.info("task %s: %d windows, grounding the first", task.scenario_id, len(matrices))
+    return matrices
+
+
+def run_protocol(
+    tasks: Sequence[TaskRecord],
+    settings: Sequence[ContextSetting],
+    repetitions: int = 3,
+    handles: PipelineHandles | None = None,
+    jobs: int = 1,
+) -> list[SettingRun]:
+    """Run every task `repetitions` times under each context setting.
+
+    Each task is encoded once; every setting and repetition grounds that
+    result. Pipeline failures (GestureLinkError, OSError) score Negative
+    and are counted, never raised; anything else is a bug and propagates.
+    A task the encoder rejects is logged once and fails in every setting
+    and repetition. With jobs > 1 the task runs share one thread pool;
+    each run gets its own backend, so results match sequential evaluation.
+    """
+    if repetitions < 1:
+        raise MalformedInput("repetitions must be >= 1")
+    if handles is None:
+        raise MalformedInput("evaluation needs pipeline handles")
+    if not tasks:
+        raise MalformedInput("evaluation needs at least one task")
+    encoded = [_encode_task(task, handles.thresholds) for task in tasks]
+
+    def attempt(run):
+        setting, rep, task, matrices = run
+        if matrices is None:
+            return None, None
+        try:
+            return run_task(task, setting, matrices, handles)
+        except (GestureLinkError, OSError) as exc:
+            logger.warning(
+                "task %s %s rep %d failed (%s); scoring Negative",
+                task.scenario_id, setting.value, rep, exc,
+            )
+            return None, None
+
+    task_runs = [
+        (setting, rep, task, matrices)
+        for setting in settings
+        for rep in range(repetitions)
+        for task, matrices in zip(tasks, encoded)
+    ]
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            outcomes = iter(list(pool.map(attempt, task_runs)))
+    else:
+        outcomes = map(attempt, task_runs)
+
+    runs = []
+    for setting in settings:
+        per_rep = []
+        costs: list[SessionCost] = []
+        for _ in range(repetitions):
+            done = list(itertools.islice(outcomes, len(tasks)))
+            per_rep.append(_ranks_to_fractions([rank for rank, _ in done]))
+            costs += [cost for _, cost in done if cost is not None]
+        runs.append(SettingRun(
+            setting=setting,
+            metrics=_aggregate(per_rep),
+            costs=costs,
+            completed=len(costs),
+            failures=repetitions * len(tasks) - len(costs),
+        ))
+    return runs
+
+
 def run_setting(
     tasks: Sequence[TaskRecord],
     setting: ContextSetting,
@@ -189,58 +277,8 @@ def run_setting(
     handles: PipelineHandles | None = None,
     jobs: int = 1,
 ) -> SettingRun:
-    """Run every task `repetitions` times under one context setting.
-
-    Pipeline failures (GestureLinkError, OSError) score Negative and are
-    counted, never raised; anything else is a bug and propagates. With jobs > 1
-    the tasks of one repetition run in parallel sessions; each task gets
-    its own backend, so results match sequential evaluation.
-    """
-    if repetitions < 1:
-        raise MalformedInput("repetitions must be >= 1")
-    if handles is None:
-        raise MalformedInput("run_setting needs pipeline handles")
-    if not tasks:
-        raise MalformedInput("run_setting needs at least one task")
-
-    def attempt(task: TaskRecord, rep: int):
-        try:
-            return run_task(task, setting, handles)
-        except (GestureLinkError, OSError) as exc:
-            logger.warning(
-                "task %s rep %d failed (%s); scoring Negative",
-                task.scenario_id, rep, exc,
-            )
-            return None, None
-
-    per_rep = []
-    costs: list[SessionCost] = []
-    completed = 0
-    failures = 0
-    for rep in range(repetitions):
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(lambda t: attempt(t, rep), tasks))
-        else:
-            outcomes = [attempt(task, rep) for task in tasks]
-        ranks: list[int | None] = []
-        for rank, cost in outcomes:
-            if cost is None:
-                failures += 1
-            else:
-                completed += 1
-                costs.append(cost)
-            ranks.append(rank)
-        per_rep.append(_ranks_to_fractions(ranks))
-    return SettingRun(
-        setting=setting,
-        metrics=_aggregate(per_rep),
-        costs=costs,
-        completed=completed,
-        failures=failures,
-    )
+    """run_protocol for one context setting."""
+    return run_protocol(tasks, [setting], repetitions, handles, jobs)[0]
 
 
 def random_guess_baseline(tasks: Sequence) -> Metrics:

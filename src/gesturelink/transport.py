@@ -210,11 +210,14 @@ class LiveBackend:
                 reply = resp.read()
         except urllib.error.HTTPError as exc:
             detail = exc.read().decode(errors="replace")[:500]
+            retry_after = (
+                _delta_seconds(exc.headers.get("Retry-After")) if exc.code in (429, 503) else None
+            )
             if exc.code == 429:
-                raise RateLimited(f"rate limited: {detail}") from exc
+                raise RateLimited(f"rate limited: {detail}", retry_after) from exc
             if exc.code in (401, 403):
                 raise AuthError(f"credentials rejected: {detail}") from exc
-            raise TransportError(f"HTTP {exc.code}: {detail}") from exc
+            raise TransportError(f"HTTP {exc.code}: {detail}", retry_after) from exc
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise TransportError(f"request failed: {exc}") from exc
         latency = time.monotonic() - started
@@ -234,6 +237,12 @@ class LiveBackend:
         return text, record
 
 
+def _delta_seconds(value: str | None) -> float | None:
+    """A delta-seconds Retry-After value; None when absent or in any other form."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     max_attempts: int = 3
@@ -247,7 +256,9 @@ class RetryPolicy:
 
 
 class RetryingBackend:
-    """Retries transient failures with exponential backoff + full jitter.
+    """Retries transient failures with exponential backoff + full jitter,
+    or after the server's Retry-After delay when the failure carries one;
+    either wait is capped at max_delay.
 
     AuthError and FixtureExhausted are permanent, so a scripted replay
     is never retried.
@@ -272,8 +283,11 @@ class RetryingBackend:
                 last_error = exc
                 if attempt == self.policy.max_attempts:
                     break
-                cap = min(self.policy.base_delay * 2 ** (attempt - 1), self.policy.max_delay)
-                self._sleep(self._rng.uniform(0, cap))
+                delay = exc.retry_after
+                if delay is None:
+                    cap = min(self.policy.base_delay * 2 ** (attempt - 1), self.policy.max_delay)
+                    delay = self._rng.uniform(0, cap)
+                self._sleep(min(delay, self.policy.max_delay))
         raise last_error
 
 

@@ -148,6 +148,17 @@ def single_gesture_stream():
     return trajectory_stream([0.8] * 5 + [0.4] * 11 + [0.8] * 10)
 
 
+def flat_width_stream_json():
+    """Stream document bytes for a single raise of a hand whose pinky MCP
+    sits on its index MCP, so every sample measures hand_width 0."""
+    frames = []
+    for i, y in enumerate([0.8] * 3 + [0.4] * 8 + [0.8] * 8):
+        points = hand_at(y)
+        points[17] = points[5]
+        frames.append((round(0.1 * i, 6), points))
+    return stream_json(frames)
+
+
 def index_curl_points(theta_deg: float):
     """Flat hand with the index finger bent theta degrees at the PIP
     (straight DIP), so its measured curl equals theta exactly."""

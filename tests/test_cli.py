@@ -6,6 +6,7 @@ from conftest import (
     FLAT_HAND_POINTS,
     conclusion_reply,
     context_reply,
+    flat_width_stream_json,
     hand_at,
     index_curl_points,
     movement_reply,
@@ -750,14 +751,7 @@ def test_context_add_values_that_are_not_json_exit_2_naming_the_file(tmp_path, c
 # --- each input is checked where it enters ------------------------------------------
 
 def write_flat_width_stream(path):
-    """A single raise of a hand whose pinky MCP sits on its index MCP, so
-    every sample measures hand_width 0."""
-    frames = []
-    for i, y in enumerate([0.8] * 3 + [0.4] * 8 + [0.8] * 8):
-        points = hand_at(y)
-        points[17] = points[5]
-        frames.append((round(0.1 * i, 6), points))
-    path.write_bytes(stream_json(frames))
+    path.write_bytes(flat_width_stream_json())
 
 
 def test_encode_zero_hand_width_exits_2_naming_the_file(tmp_path, capsys):
@@ -784,7 +778,209 @@ def test_eval_zero_hand_width_task_scores_negative_with_cause_logged(tmp_path, c
     run = json.loads((out_dir / "report.json").read_text())["settings"]["baseline"]
     assert (run["completed"], run["failures"]) == (1, 1)
     assert run["metrics"]["negative"]["mean"] == 0.5  # t1 failed; t2 ranks its truth second
-    assert "task t1 rep 0 failed (hand_width must be positive" in caplog.text
+    assert caplog.text.count("task t1 failed to encode (hand_width must be positive") == 1
+
+
+# --- eval encodes each task once --------------------------------------------------
+
+def write_mixed_manifest(tmp_path):
+    """Two tasks that ground, one whose hand never rises (no window), and
+    one whose hand_width is 0 (the encoder fails)."""
+    manifest = write_manifest(
+        tmp_path, truths=("light.power", "oven.power", "light.power", "oven.power")
+    )
+    write_stream(tmp_path / "t3.stream.json", [0.9] * 10)
+    write_flat_width_stream(tmp_path / "t4.stream.json")
+    return manifest
+
+
+def run_mixed_eval(tmp_path):
+    manifest = write_mixed_manifest(tmp_path)
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    out_dir = tmp_path / "out"
+    code = main(["eval", str(manifest), "--backend", f"scripted:{fixtures}",
+                 "--out-dir", str(out_dir)])
+    return code, out_dir
+
+
+MIXED_STDOUT = """\
+baseline: top1=25.00% top3=50.00% top5=50.00% negative=50.00% (completed 9, failures 3)
+only_gaze: top1=25.00% top3=50.00% top5=50.00% negative=50.00% (completed 9, failures 3)
+only_history_external: top1=25.00% top3=50.00% top5=50.00% negative=50.00% (completed 9, failures 3)
+all: top1=25.00% top3=50.00% top5=50.00% negative=50.00% (completed 9, failures 3)
+"""
+
+MIXED_REPORT_JSON = """\
+{
+  "random_guess": {
+    "negative": {
+      "mean": 0.722222,
+      "std": 0.0
+    },
+    "top1": {
+      "mean": 0.055556,
+      "std": 0.0
+    },
+    "top3": {
+      "mean": 0.166667,
+      "std": 0.0
+    },
+    "top5": {
+      "mean": 0.277778,
+      "std": 0.0
+    }
+  },
+  "settings": {
+    "all": {
+      "completed": 9,
+      "cost": {
+        "mean_input_tokens": 2242.6666666666665,
+        "mean_latency": 0.0,
+        "mean_output_tokens": 55.333333333333336,
+        "mean_rounds": 1.3333333333333333
+      },
+      "failures": 3,
+      "metrics": {
+        "negative": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top1": {
+          "mean": 0.25,
+          "std": 0.0
+        },
+        "top3": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top5": {
+          "mean": 0.5,
+          "std": 0.0
+        }
+      }
+    },
+    "baseline": {
+      "completed": 9,
+      "cost": {
+        "mean_input_tokens": 2193.3333333333335,
+        "mean_latency": 0.0,
+        "mean_output_tokens": 55.333333333333336,
+        "mean_rounds": 1.3333333333333333
+      },
+      "failures": 3,
+      "metrics": {
+        "negative": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top1": {
+          "mean": 0.25,
+          "std": 0.0
+        },
+        "top3": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top5": {
+          "mean": 0.5,
+          "std": 0.0
+        }
+      }
+    },
+    "only_gaze": {
+      "completed": 9,
+      "cost": {
+        "mean_input_tokens": 2217.3333333333335,
+        "mean_latency": 0.0,
+        "mean_output_tokens": 55.333333333333336,
+        "mean_rounds": 1.3333333333333333
+      },
+      "failures": 3,
+      "metrics": {
+        "negative": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top1": {
+          "mean": 0.25,
+          "std": 0.0
+        },
+        "top3": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top5": {
+          "mean": 0.5,
+          "std": 0.0
+        }
+      }
+    },
+    "only_history_external": {
+      "completed": 9,
+      "cost": {
+        "mean_input_tokens": 2218.6666666666665,
+        "mean_latency": 0.0,
+        "mean_output_tokens": 55.333333333333336,
+        "mean_rounds": 1.3333333333333333
+      },
+      "failures": 3,
+      "metrics": {
+        "negative": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top1": {
+          "mean": 0.25,
+          "std": 0.0
+        },
+        "top3": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top5": {
+          "mean": 0.5,
+          "std": 0.0
+        }
+      }
+    }
+  }
+}
+"""
+
+MIXED_REPORT_CSV = """\
+setting,top1_mean,top1_std,top3_mean,top3_std,top5_mean,top5_std,negative_mean,negative_std,mean_rounds,mean_input_tokens,mean_output_tokens,mean_latency
+random_guess,0.0556,0.0000,0.1667,0.0000,0.2778,0.0000,0.7222,0.0000,unavailable,unavailable,unavailable,unavailable
+baseline,0.2500,0.0000,0.5000,0.0000,0.5000,0.0000,0.5000,0.0000,1.3333,2193.3333,55.3333,0.0000
+only_gaze,0.2500,0.0000,0.5000,0.0000,0.5000,0.0000,0.5000,0.0000,1.3333,2217.3333,55.3333,0.0000
+only_history_external,0.2500,0.0000,0.5000,0.0000,0.5000,0.0000,0.5000,0.0000,1.3333,2218.6667,55.3333,0.0000
+all,0.2500,0.0000,0.5000,0.0000,0.5000,0.0000,0.5000,0.0000,1.3333,2242.6667,55.3333,0.0000
+"""
+
+
+def test_eval_report_bytes_match_golden(tmp_path, capsys):
+    code, out_dir = run_mixed_eval(tmp_path)
+    assert code == 0
+    assert capsys.readouterr().out == MIXED_STDOUT
+    assert (out_dir / "report.json").read_text() == MIXED_REPORT_JSON
+    assert (out_dir / "report.csv").read_text() == MIXED_REPORT_CSV
+
+
+def test_eval_encodes_each_task_once(tmp_path, monkeypatch):
+    from gesturelink import evaluation
+
+    encoded = []
+    original = evaluation.encode_stream
+
+    def counting(stream, *args, **kwargs):
+        encoded.append(stream)
+        return original(stream, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "encode_stream", counting)
+    code, _ = run_mixed_eval(tmp_path)  # 4 settings x 3 repetitions
+    assert code == 0
+    assert len(encoded) == 4
+    assert len({id(s) for s in encoded}) == 4
 
 
 @pytest.mark.parametrize("columns", [11, 1.0])

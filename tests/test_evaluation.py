@@ -6,6 +6,8 @@ import pytest
 from conftest import (
     conclusion_reply,
     context_reply,
+    flat_width_stream_json,
+    hand_at,
     movement_reply,
     pose_reply,
     question_reply,
@@ -17,6 +19,7 @@ from conftest import (
     trajectory_stream,
 )
 from gesturelink.agents import Conclusion
+from gesturelink.encoder import encode_stream
 from gesturelink.errors import MalformedInput
 from gesturelink.evaluation import (
     ContextSetting,
@@ -30,10 +33,12 @@ from gesturelink.evaluation import (
     load_manifest,
     random_guess_baseline,
     report,
+    run_protocol,
     run_setting,
     run_task,
     topk_rank,
 )
+from gesturelink.landmarks import parse_landmark_stream
 from gesturelink.prompts import load_prompt_set
 from gesturelink.transport import ScriptedBackend
 
@@ -245,9 +250,79 @@ def test_no_window_scores_negative():
     handles = PipelineHandles(
         prompts=PROMPTS, backend_factory=lambda t: ScriptedBackend([])
     )
-    rank, cost = run_task(task, ContextSetting.BASELINE, handles)
+    matrices = encode_stream(task.stream, handles.thresholds)
+    assert matrices == []
+    rank, cost = run_task(task, ContextSetting.BASELINE, matrices, handles)
     assert rank is None
     assert cost.rounds == 0
+
+
+def test_run_setting_encodes_each_task_once(monkeypatch):
+    from gesturelink import evaluation
+
+    encoded = []
+    original = evaluation.encode_stream
+    monkeypatch.setattr(
+        evaluation, "encode_stream", lambda stream, th: encoded.append(stream) or original(stream, th)
+    )
+    tasks = [make_task("t1"), make_task("t2", truth="oven.power")]
+    replies = {t.scenario_id: grounding_replies(["light.power"]) for t in tasks}
+    run = run_setting(tasks, ContextSetting.ALL, repetitions=3, handles=handles_for(replies))
+    assert run.completed == 6
+    assert [id(s) for s in encoded] == [id(t.stream) for t in tasks]
+
+
+def test_encoder_failure_is_negative_in_every_run_and_logged_once(caplog):
+    task = TaskRecord(
+        scenario_id="flat", stream=parse_landmark_stream(flat_width_stream_json()),
+        library=smart_home_library(), truth_id="light.power",
+    )
+
+    def no_session(t):
+        raise AssertionError("an unencodable task must not start a session")
+
+    handles = PipelineHandles(prompts=PROMPTS, backend_factory=no_session)
+    runs = run_protocol([task], list(ContextSetting), repetitions=3, handles=handles)
+    assert [run.setting for run in runs] == list(ContextSetting)
+    for run in runs:
+        assert (run.completed, run.failures, run.costs) == (0, 3, [])
+        assert run.metrics.negative == MetricValue(1.0, 0.0)
+    assert sum(run.failures for run in runs) == len(ContextSetting) * 3
+    assert caplog.text.count("task flat failed to encode (hand_width must be positive") == 1
+
+
+def test_run_protocol_matches_one_run_setting_per_setting():
+    tasks = [make_task("t1"), make_task("t2", truth="oven.power")]
+    replies = {
+        "t1": grounding_replies(["light.power"]),
+        "t2": grounding_replies(["oven.power", "light.power"]),
+    }
+    settings = [ContextSetting.BASELINE, ContextSetting.ALL]
+    single = [run_setting(tasks, s, 2, handles_for(replies)) for s in settings]
+    assert run_protocol(tasks, settings, 2, handles_for(replies)) == single
+    assert run_protocol(tasks, settings, 2, handles_for(replies), jobs=3) == single
+
+
+def test_run_setting_parses_no_function_list(tmp_path, monkeypatch):
+    from gesturelink import context
+
+    stream_path = tmp_path / "t1.stream.json"
+    stream_path.write_bytes(stream_json([
+        (round(0.1 * i, 6), hand_at(y)) for i, y in enumerate([0.8] * 3 + [0.4] * 8 + [0.8] * 8)
+    ]))
+    functions = [{"id": f.id, "name": f.name} for f in smart_home_functions()]
+    (tmp_path / "manifest.json").write_text(json.dumps({"tasks": [{
+        "scenario_id": "t1", "stream": stream_path.name, "functions": functions,
+        "gaze": [{"t": 1.0, "x": 0.2, "y": 0.4}], "truth": "light.power",
+    }]}))
+    tasks = load_manifest(tmp_path / "manifest.json")
+    parsed = []
+    original = context.parse_function_list
+    monkeypatch.setattr(context, "parse_function_list", lambda doc: parsed.append(doc) or original(doc))
+    handles = handles_for({"t1": grounding_replies(["light.power"])})
+    for setting in ContextSetting:
+        assert run_setting(tasks, setting, repetitions=2, handles=handles).completed == 2
+    assert parsed == []
 
 
 def test_aggregation_is_order_independent():

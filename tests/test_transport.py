@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -147,10 +148,11 @@ def ok_body(content="hi", usage=None):
 
 class Loopback:
     """HTTP server on 127.0.0.1, served from one thread. Each POST gets the
-    next scripted (status, body, delay) reply; requests are recorded."""
+    next scripted (status, body, delay[, headers]) reply; requests are
+    recorded."""
 
     def __init__(self):
-        self.replies: list[tuple[int, bytes, float]] = []
+        self.replies: list[tuple] = []
         self.requests: list[tuple[dict, dict]] = []
         loop = self
 
@@ -158,10 +160,12 @@ class Loopback:
             def do_POST(self):
                 body = self.rfile.read(int(self.headers["Content-Length"]))
                 loop.requests.append((dict(self.headers), json.loads(body)))
-                status, reply, delay = loop.replies.pop(0)
+                status, reply, delay, *headers = loop.replies.pop(0)
                 time.sleep(delay)
                 try:
                     self.send_response(status)
+                    for name, value in (headers[0] if headers else {}).items():
+                        self.send_header(name, value)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(reply)))
                     self.end_headers()
@@ -258,6 +262,23 @@ def test_retrying_live_backend_recovers_from_500(loopback):
     assert backend.last_attempts == 2
     assert len(sleeps) == 1
     assert len(loopback.requests) == 2
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, slept",
+    [(429, "2", 2.0), (503, "120", 30.0), (429, "soon", random.Random(1).uniform(0, 0.5))],
+    ids=["429-honoured", "503-capped-at-max-delay", "unparseable-falls-back-to-jitter"],
+)
+def test_retrying_live_backend_sleeps_for_retry_after(loopback, status, retry_after, slept):
+    loopback.replies += [
+        (status, b"busy", 0.0, {"Retry-After": retry_after}), (200, ok_body("second"), 0.0)
+    ]
+    sleeps = []
+    policy = RetryPolicy(seed=1)
+    assert (policy.base_delay, policy.max_delay) == (0.5, 30.0)
+    backend = with_retry(loopback.backend(), policy, sleep=sleeps.append)
+    assert backend.complete(req("x"))[0] == "second"
+    assert sleeps == [slept]
 
 
 def test_backend_config_from_file(tmp_path):
