@@ -63,10 +63,10 @@ from .transport import (
     ChatMessage,
     CompletionRequest,
     LiveBackend,
+    RetryingBackend,
     RetryPolicy,
     ScriptedBackend,
     UsageRecord,
-    with_retry,
 )
 from .tuning import (
     Assessment,

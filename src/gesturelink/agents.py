@@ -24,7 +24,7 @@ from .context import (
     resolve_placeholders,
 )
 from .encoder import GestureStateMatrix, serialize_matrix, serialize_movement
-from .errors import ParseError, UnknownContext
+from .errors import MalformedInput, ParseError, UnknownContext
 from .prompts import AgentPromptSet, render_prompt
 from .transport import ChatMessage, CompletionRequest, UsageRecord
 
@@ -54,7 +54,7 @@ class SessionConfig:
 
     def __post_init__(self):
         if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+            raise MalformedInput("max_rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -131,32 +131,19 @@ class DialogueTranscript:
 def extract_json_object(raw: str) -> dict:
     """First JSON object in raw text; tolerates code fences and prose.
 
-    Tries the whole text, then each fenced block, then every "{" in
-    order. Replies longer than MAX_REPLY_CHARS and objects nested too
+    Decodes at every "{" in order and returns the first object that
+    parses. Replies longer than MAX_REPLY_CHARS and objects nested too
     deeply to decode raise ParseError.
     """
     if len(raw) > MAX_REPLY_CHARS:
         raise ParseError(f"response of {len(raw)} characters exceeds {MAX_REPLY_CHARS}")
-    text = raw.strip()
-    candidates = [text]
-    if "```" in text:
-        for block in text.split("```")[1::2]:
-            block = block.strip()
-            candidates.append(block[4:].strip() if block.startswith("json") else block)
+    start = raw.find("{")
     try:
-        for candidate in candidates:
-            try:
-                obj = json.loads(candidate)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(obj, dict):
-                return obj
-        start = text.find("{")
         while start != -1:
             try:
-                return _DECODER.raw_decode(text, start)[0]
+                return _DECODER.raw_decode(raw, start)[0]
             except json.JSONDecodeError:
-                start = text.find("{", start + 1)
+                start = raw.find("{", start + 1)
     except RecursionError:
         raise ParseError("JSON in response is nested too deeply") from None
     raise ParseError(f"no JSON object found in response: {raw[:120]!r}")

@@ -270,11 +270,15 @@ def cmd_eval(args) -> int:
     tasks = load_manifest(args.manifest)
     th = _load_thresholds(args.thresholds)
     prompts = load_prompt_set(args.prompts)
-    settings = (
-        [ContextSetting(s.strip()) for s in args.settings.split(",")]
-        if args.settings
-        else list(ContextSetting)
-    )
+    try:
+        settings = (
+            [ContextSetting(s.strip()) for s in args.settings.split(",")]
+            if args.settings
+            else list(ContextSetting)
+        )
+    except ValueError as exc:
+        names = ", ".join(s.value for s in ContextSetting)
+        raise MalformedInput(f"--settings: {exc}; choose from {names}") from exc
     policy = RetryPolicy(seed=args.seed)
     handles = PipelineHandles(
         prompts=prompts,
@@ -316,7 +320,6 @@ def cmd_context_add(args) -> int:
         name=args.name,
         description_md=description or "",
         values=values,
-        calculator_id=args.calculator,
     )
     lib = add_context_type(lib, ctx)
     _write_atomic(path, lib.to_json())
@@ -394,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--description", help="markdown description text")
     pa.add_argument("--description-file", help="file with the markdown description")
     pa.add_argument("--values", help="JSON file with the context values")
-    pa.add_argument("--calculator", help="calculator id to attach")
     pa.set_defaults(fn=cmd_context_add)
     ps = ctx_sub.add_parser("show", help="render the library or one context's values")
     ps.add_argument("--library", required=True)

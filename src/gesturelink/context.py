@@ -1,15 +1,13 @@
 """Context library: named context types served to the agent dialogue.
 
 A library stores ordered context types (markdown description + JSON
-values + optional calculator id) and supports three operations: adding
-types, retrieving values (optionally at a sub-path), and calculating
-derived values through placeholder tokens of the form
-``{{CALC:<id>}}`` or ``{{CALC:<id>:<json-args>}}``.
+values) and supports adding types and calculating derived values through
+placeholder tokens of the form ``{{CALC:<id>}}`` or
+``{{CALC:<id>:<json-args>}}``.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .errors import (
-    BadPath,
     CalculatorFailure,
     DuplicateName,
     MalformedInput,
@@ -38,13 +35,11 @@ GAZE_WINDOW_SECONDS = 1.0
 
 @dataclass(frozen=True)
 class ContextType:
-    """One named context: markdown description, structured values, and an
-    optional calculator that derives values on demand."""
+    """One named context: markdown description and structured values."""
 
     name: str
     description_md: str
     values: Any = None
-    calculator_id: str | None = None
 
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name):
@@ -117,7 +112,6 @@ class ContextLibrary:
                     "name": c.name,
                     "description_md": c.description_md,
                     "values": c.values,
-                    "calculator_id": c.calculator_id,
                 }
                 for c in self._entries.values()
             ]
@@ -133,7 +127,6 @@ class ContextLibrary:
                     name=entry["name"],
                     description_md=entry["description_md"],
                     values=entry.get("values"),
-                    calculator_id=entry.get("calculator_id"),
                 )
                 for entry in doc["contexts"]
             ]
@@ -147,39 +140,6 @@ def add_context_type(lib: ContextLibrary, ctx: ContextType) -> ContextLibrary:
     if ctx.name in lib:
         raise DuplicateName(f"context {ctx.name!r} already present")
     return ContextLibrary([lib.get(n) for n in lib.names] + [ctx])
-
-
-def retrieve(lib: ContextLibrary, name: str, query: str | None = None) -> Any:
-    """values of the named context, or the sub-tree at a dotted path.
-
-    Path segments index dicts by key and lists by integer or the
-    keywords first/last.
-    """
-    value = lib.get(name).values
-    if query is None or query == "":
-        return copy.deepcopy(value)
-    node = value
-    for segment in query.split("."):
-        if isinstance(node, dict):
-            if segment not in node:
-                raise BadPath(f"no key {segment!r} under {name}:{query}")
-            node = node[segment]
-        elif isinstance(node, list):
-            if segment == "last":
-                idx = len(node) - 1
-            elif segment == "first":
-                idx = 0
-            else:
-                try:
-                    idx = int(segment)
-                except ValueError:
-                    raise BadPath(f"list index expected at {segment!r}") from None
-            if not (-len(node) <= idx < len(node)) or not node:
-                raise BadPath(f"index {segment!r} out of range in {name}:{query}")
-            node = node[idx]
-        else:
-            raise BadPath(f"cannot descend into scalar at {segment!r}")
-    return copy.deepcopy(node)
 
 
 def calculate(lib: ContextLibrary, placeholder: str) -> str:
@@ -267,7 +227,6 @@ def make_gaze_context(samples: Sequence[dict]) -> ContextType:
             "user is looking at."
         ),
         values=list(samples),
-        calculator_id="gaze_target",
     )
 
 

@@ -75,10 +75,6 @@ class UnknownContext(GestureLinkError):
     """No context type with the requested name."""
 
 
-class BadPath(GestureLinkError):
-    """Retrieval sub-path does not resolve inside the context values."""
-
-
 class UnknownCalculator(GestureLinkError):
     """Placeholder names a calculator that is not registered."""
 

@@ -223,6 +223,10 @@ def run_protocol(
         raise MalformedInput("evaluation needs pipeline handles")
     if not tasks:
         raise MalformedInput("evaluation needs at least one task")
+    if jobs < 1:
+        raise MalformedInput(f"jobs must be >= 1, got {jobs}")
+    if len(set(settings)) != len(settings):
+        raise MalformedInput("each context setting may be run only once")
     encoded = [_encode_task(task, handles.thresholds) for task in tasks]
 
     def attempt(run):
@@ -339,24 +343,26 @@ def _metrics_doc(m: Metrics) -> dict:
     }
 
 
+def _csv_row(setting: str, metrics: Metrics, cost: dict) -> dict:
+    row = {"setting": setting}
+    for name in ("top1", "top3", "top5", "negative"):
+        row[f"{name}_mean"] = f"{getattr(metrics, name).mean:.4f}"
+        row[f"{name}_std"] = f"{getattr(metrics, name).std:.4f}"
+    for col, value in cost.items():
+        row[col] = "unavailable" if value is None else f"{value:.4f}"
+    return row
+
+
 def report(
     runs: Sequence[SettingRun], baseline: Metrics | None = None
 ) -> ReportDocument:
     """Deterministic JSON + CSV mirroring the headline results table, with
     per-setting cost accounting (marked unavailable when absent)."""
     doc: dict = {"settings": {}}
-    if baseline is not None:
-        doc["random_guess"] = _metrics_doc(baseline)
     rows = []
     if baseline is not None:
-        row = {c: "" for c in _CSV_COLUMNS}
-        row["setting"] = "random_guess"
-        for name in ("top1", "top3", "top5", "negative"):
-            row[f"{name}_mean"] = f"{getattr(baseline, name).mean:.4f}"
-            row[f"{name}_std"] = f"{getattr(baseline, name).std:.4f}"
-        for col in ("mean_rounds", "mean_input_tokens", "mean_output_tokens", "mean_latency"):
-            row[col] = "unavailable"
-        rows.append(row)
+        doc["random_guess"] = _metrics_doc(baseline)
+        rows.append(_csv_row("random_guess", baseline, _cost_summary([])))
     for run in runs:
         cost = _cost_summary(run.costs)
         doc["settings"][run.setting.value] = {
@@ -365,13 +371,7 @@ def report(
             "completed": run.completed,
             "failures": run.failures,
         }
-        row = {"setting": run.setting.value}
-        for name in ("top1", "top3", "top5", "negative"):
-            row[f"{name}_mean"] = f"{getattr(run.metrics, name).mean:.4f}"
-            row[f"{name}_std"] = f"{getattr(run.metrics, name).std:.4f}"
-        for col, value in cost.items():
-            row[col] = "unavailable" if value is None else f"{value:.4f}"
-        rows.append(row)
+        rows.append(_csv_row(run.setting.value, run.metrics, cost))
 
     json_text = json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()

@@ -2,9 +2,8 @@
 scripted backend for offline replay, plus a retry wrapper.
 
 Scripted fixtures make every downstream stage reproducible: the backend
-returns canned responses either in call order ("sequence") or keyed by a
-stable hash of the request messages ("hash"), with token usage
-approximated as ceil(chars / 4) so accounting tests run offline.
+returns canned responses in call order, with token usage approximated as
+ceil(chars / 4) so accounting tests run offline.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ def approx_tokens(text: str) -> int:
 
 
 def message_hash(messages: tuple[ChatMessage, ...]) -> str:
-    """Stable key for hash-matched fixtures."""
+    """Stable short digest of the request messages, for error messages."""
     doc = json.dumps(
         [{"role": m.role, "content": m.content} for m in messages], sort_keys=True
     )
@@ -81,26 +80,17 @@ def message_hash(messages: tuple[ChatMessage, ...]) -> str:
 
 
 class ScriptedBackend:
-    """Replays fixture responses; pure given the fixture file and the
-    call sequence. Sequence fixtures are consumed in order; hash fixtures
-    are keyed by message_hash and reusable."""
+    """Replays fixture responses in call order; pure given the fixture
+    file and the call sequence."""
 
     def __init__(self, fixtures: list[dict]):
         self._queue: list[str] = []
-        self._by_hash: dict[str, str] = {}
         for i, fx in enumerate(fixtures):
             if not (isinstance(fx, dict) and isinstance(fx.get("response"), str)):
                 raise MalformedInput(f"fixture #{i} must be an object with a string 'response'")
-            match = fx.get("match", "sequence")
-            if match == "sequence":
-                self._queue.append(fx["response"])
-            elif match == "hash":
-                if "key" not in fx:
-                    raise MalformedInput(f"hash fixture #{i} needs a 'key'")
-                self._by_hash[fx["key"]] = fx["response"]
-            else:
-                raise MalformedInput(f"fixture #{i} has unknown match {match!r}")
-        self._cursor = 0
+            if fx.get("match", "sequence") != "sequence":
+                raise MalformedInput(f"fixture #{i} has unknown match {fx['match']!r}")
+            self._queue.append(fx["response"])
         self.calls = 0
 
     @classmethod
@@ -119,17 +109,12 @@ class ScriptedBackend:
 
     def complete(self, req: CompletionRequest) -> tuple[str, UsageRecord]:
         self.calls += 1
-        key = message_hash(req.messages) if self._by_hash else None
-        if key in self._by_hash:
-            response = self._by_hash[key]
-        elif self._cursor < len(self._queue):
-            response = self._queue[self._cursor]
-            self._cursor += 1
-        else:
+        if self.calls > len(self._queue):
             raise FixtureExhausted(
-                f"no fixture for call {self.calls} (hash {key or message_hash(req.messages)}, "
+                f"no fixture for call {self.calls} (hash {message_hash(req.messages)}, "
                 f"{len(self._queue)} sequence fixtures consumed)"
             )
+        response = self._queue[self.calls - 1]
         usage = UsageRecord(
             input_tokens=sum(approx_tokens(m.content) for m in req.messages),
             output_tokens=approx_tokens(response),
@@ -264,17 +249,15 @@ class RetryingBackend:
     is never retried.
     """
 
-    def __init__(self, inner, policy: RetryPolicy, sleep=time.sleep):
+    def __init__(self, inner, policy: RetryPolicy = RetryPolicy(), sleep=time.sleep):
         self.inner = inner
         self.policy = policy
         self._sleep = sleep
         self._rng = random.Random(policy.seed)
-        self.last_attempts = 0
 
     def complete(self, req: CompletionRequest) -> tuple[str, UsageRecord]:
         last_error: TransportError | None = None
         for attempt in range(1, self.policy.max_attempts + 1):
-            self.last_attempts = attempt
             try:
                 return self.inner.complete(req)
             except (AuthError, FixtureExhausted):
@@ -291,13 +274,9 @@ class RetryingBackend:
         raise last_error
 
 
-def with_retry(backend, policy: RetryPolicy | None = None, sleep=time.sleep) -> RetryingBackend:
-    return RetryingBackend(backend, policy or RetryPolicy(), sleep=sleep)
-
-
-def load_backend(spec: str, policy: RetryPolicy | None = None):
+def load_backend(spec: str, policy: RetryPolicy = RetryPolicy()):
     """CLI backend selector: "scripted:<fixtures.json>" for replay, or the
     path to a live BackendConfig JSON."""
     if spec.startswith("scripted:"):
         return ScriptedBackend.from_file(spec.split(":", 1)[1])
-    return with_retry(LiveBackend(BackendConfig.from_file(spec)), policy)
+    return RetryingBackend(LiveBackend(BackendConfig.from_file(spec)), policy)

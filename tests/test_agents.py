@@ -72,6 +72,11 @@ def test_extract_first_object_from_prose():
     assert extract_json_object(raw) == {"a": {"b": 2}}
 
 
+def test_extract_object_in_prose_wins_over_a_later_fence():
+    raw = 'Earlier I said {"a": 1}.\n```json\n{"b": 2}\n```'
+    assert extract_json_object(raw) == {"a": 1}
+
+
 def test_extract_handles_braces_inside_strings():
     raw = 'prefix {"a": "curly } brace", "b": 1} suffix'
     assert extract_json_object(raw) == {"a": "curly } brace", "b": 1}

@@ -437,7 +437,13 @@ def test_ground_malformed_backend_config_exits_2_naming_it(
 
 
 @pytest.mark.parametrize(
-    "fixtures", ['[{"match": "sequence"}]', '["a reply"]', '[{"response": 5}]']
+    "fixtures",
+    [
+        '[{"match": "sequence"}]',
+        '["a reply"]',
+        '[{"response": 5}]',
+        '[{"match": "hash", "key": "k", "response": "r"}]',
+    ],
 )
 def test_ground_malformed_fixture_exits_2_naming_the_file(
     tmp_path, matrix_file, library_file, capsys, fixtures
@@ -450,6 +456,19 @@ def test_ground_malformed_fixture_exits_2_naming_the_file(
     ])
     assert code == 2
     assert f"error: bad fixture file {path}: fixture #0" in capsys.readouterr().err
+
+
+def test_ground_zero_max_rounds_exits_2(tmp_path, matrix_file, library_file, capsys):
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    out_dir = tmp_path / "out"
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", f"scripted:{fixtures}", "--out-dir", str(out_dir), "--max-rounds", "0",
+    ])
+    assert code == 2
+    assert "max_rounds must be >= 1" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("field", ["description_md", "name"])
@@ -671,6 +690,31 @@ def test_eval_zero_completed_tasks_exits_nonzero(tmp_path, capsys):
     ])
     assert code == 4
     assert "zero tasks" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--settings", "foo"], "choose from baseline, only_gaze, only_history_external, all"),
+        (["--settings", "all,all"], "each context setting may be run only once"),
+        (["--max-rounds", "0"], "max_rounds must be >= 1"),
+        (["--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["--jobs", "-1"], "jobs must be >= 1, got -1"),
+    ],
+    ids=["unknown-setting", "repeated-setting", "zero-rounds", "zero-jobs", "negative-jobs"],
+)
+def test_eval_bad_option_exits_2_naming_it(tmp_path, capsys, option, message):
+    manifest = write_manifest(tmp_path)
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    out_dir = tmp_path / "out"
+    code = main([
+        "eval", str(manifest), "--backend", f"scripted:{fixtures}",
+        "--out-dir", str(out_dir), *option,
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_eval_bad_manifest_exits_2(tmp_path):

@@ -15,10 +15,8 @@ from gesturelink.context import (
     make_gaze_context,
     render_library_prompt,
     resolve_placeholders,
-    retrieve,
 )
 from gesturelink.errors import (
-    BadPath,
     CalculatorFailure,
     DuplicateName,
     MalformedInput,
@@ -31,7 +29,7 @@ def gaze_at(x, y, z, n=3, t0=10.0):
     return [{"t": t0 + 0.1 * i, "x": x, "y": y, "z": z} for i in range(n)]
 
 
-# --- add / retrieve -----------------------------------------------------------
+# --- add / get -----------------------------------------------------------------
 
 def test_add_context_type_grows_library():
     lib = ContextLibrary([])
@@ -50,60 +48,29 @@ def test_external_string_retrievable_verbatim():
     lib = add_context_type(
         ContextLibrary([]), make_external_context(["The doorbell is ringing."])
     )
-    assert retrieve(lib, "external") == ["The doorbell is ringing."]
+    assert lib.get("external").values == ["The doorbell is ringing."]
 
 
 def test_smart_home_fixture_has_18_functions():
     lib = smart_home_library()
-    values = retrieve(lib, "function_list")
+    values = lib.get("function_list").values
     assert len(values["functions"]) == 18
     assert len(function_entries(lib)) == 18
 
 
 def test_retrieve_empty_history():
-    assert retrieve(smart_home_library(), "history") == []
-
-
-def test_retrieve_gaze_last_sample():
-    samples = gaze_at(0.5, 0.5, 1.0)
-    lib = smart_home_library(gaze=samples)
-    assert retrieve(lib, "gaze", "last") == samples[-1]
-    assert retrieve(lib, "gaze", "first") == samples[0]
-    assert retrieve(lib, "gaze", "1") == samples[1]
-
-
-def test_retrieve_nested_path():
-    lib = smart_home_library()
-    assert retrieve(lib, "function_list", "interface") == "Smart Home"
-    first = retrieve(lib, "function_list", "functions.first.id")
-    assert first == smart_home_functions()[0].id
+    assert smart_home_library().get("history").values == []
 
 
 def test_retrieve_unknown_context():
     with pytest.raises(UnknownContext):
-        retrieve(smart_home_library(), "weather")
-
-
-def test_retrieve_bad_path():
-    lib = smart_home_library()
-    with pytest.raises(BadPath):
-        retrieve(lib, "function_list", "functions.99")
-    with pytest.raises(BadPath):
-        retrieve(lib, "function_list", "nonsense")
-    with pytest.raises(BadPath):
-        retrieve(lib, "function_list", "interface.deeper")
+        smart_home_library().get("weather")
 
 
 def test_add_retrieve_round_trip():
     ctx = ContextType(name="device_state", description_md="states", values={"light": "off"})
     lib = add_context_type(smart_home_library(), ctx)
-    assert retrieve(lib, "device_state") == {"light": "off"}
-
-
-def test_retrieve_returns_a_copy():
-    lib = smart_home_library()
-    retrieve(lib, "function_list")["functions"].clear()
-    assert len(retrieve(lib, "function_list")["functions"]) == 18
+    assert lib.get("device_state").values == {"light": "off"}
 
 
 # --- calculate -----------------------------------------------------------------
@@ -231,6 +198,10 @@ def test_library_serialization_round_trips_byte_exactly():
     again = ContextLibrary.from_json(text)
     assert again.to_json() == text
     assert again.names == lib.names
+    # Keys a library entry may carry beyond name/description_md/values are ignored.
+    doc = json.loads(text)
+    doc["contexts"][1]["calculator_id"] = "gaze_target"
+    assert ContextLibrary.from_json(json.dumps(doc)).to_json() == text
 
 
 def test_context_type_validation():

@@ -20,13 +20,12 @@ from gesturelink.transport import (
     ChatMessage,
     CompletionRequest,
     LiveBackend,
+    RetryingBackend,
     RetryPolicy,
     ScriptedBackend,
     UsageRecord,
     approx_tokens,
     load_backend,
-    message_hash,
-    with_retry,
 )
 
 
@@ -86,20 +85,6 @@ def test_sequence_fixtures_hash_only_for_the_exhausted_message(monkeypatch):
     with pytest.raises(FixtureExhausted, match="hash feedface"):
         backend.complete(req("b"))
     assert len(hashed) == 1
-
-
-def test_hash_fixtures_matched_by_message_content():
-    request = req("what is the gaze?")
-    key = message_hash(request.messages)
-    backend = ScriptedBackend(
-        [
-            {"match": "hash", "key": key, "response": "the light"},
-            {"match": "sequence", "response": "fallback"},
-        ]
-    )
-    assert backend.complete(request)[0] == "the light"
-    assert backend.complete(request)[0] == "the light"  # hash entries are reusable
-    assert backend.complete(req("other"))[0] == "fallback"
 
 
 def test_scripted_usage_is_approximate_and_zero_latency():
@@ -257,9 +242,8 @@ def test_live_backend_timeout_is_transport_error(loopback):
 def test_retrying_live_backend_recovers_from_500(loopback):
     loopback.replies += [(500, b"busy", 0.0), (200, ok_body("second"), 0.0)]
     sleeps = []
-    backend = with_retry(loopback.backend(), RetryPolicy(seed=1), sleep=sleeps.append)
+    backend = RetryingBackend(loopback.backend(), RetryPolicy(seed=1), sleep=sleeps.append)
     assert backend.complete(req("x"))[0] == "second"
-    assert backend.last_attempts == 2
     assert len(sleeps) == 1
     assert len(loopback.requests) == 2
 
@@ -276,7 +260,7 @@ def test_retrying_live_backend_sleeps_for_retry_after(loopback, status, retry_af
     sleeps = []
     policy = RetryPolicy(seed=1)
     assert (policy.base_delay, policy.max_delay) == (0.5, 30.0)
-    backend = with_retry(loopback.backend(), policy, sleep=sleeps.append)
+    backend = RetryingBackend(loopback.backend(), policy, sleep=sleeps.append)
     assert backend.complete(req("x"))[0] == "second"
     assert sleeps == [slept]
 
@@ -307,28 +291,26 @@ class FlakyBackend:
 
 def test_retry_succeeds_after_transient_failures():
     sleeps = []
-    backend = with_retry(
-        FlakyBackend(failures=2), RetryPolicy(max_attempts=3, seed=7), sleep=sleeps.append
-    )
+    inner = FlakyBackend(failures=2)
+    backend = RetryingBackend(inner, RetryPolicy(max_attempts=3, seed=7), sleep=sleeps.append)
     text, _ = backend.complete(req("x"))
     assert text == "ok"
-    assert backend.last_attempts == 3
+    assert inner.calls == 3
     assert len(sleeps) == 2
     assert all(s >= 0 for s in sleeps)
 
 
 def test_retry_gives_up_after_budget():
-    backend = with_retry(
-        FlakyBackend(failures=5), RetryPolicy(max_attempts=2), sleep=lambda s: None
-    )
+    inner = FlakyBackend(failures=5)
+    backend = RetryingBackend(inner, RetryPolicy(max_attempts=2), sleep=lambda s: None)
     with pytest.raises(RateLimited):
         backend.complete(req("x"))
-    assert backend.last_attempts == 2
+    assert inner.calls == 2
 
 
 def test_auth_error_never_retried():
     inner = FlakyBackend(failures=5, error=AuthError("bad key"))
-    backend = with_retry(inner, RetryPolicy(max_attempts=4), sleep=lambda s: None)
+    backend = RetryingBackend(inner, RetryPolicy(max_attempts=4), sleep=lambda s: None)
     with pytest.raises(AuthError):
         backend.complete(req("x"))
     assert inner.calls == 1
@@ -336,7 +318,7 @@ def test_auth_error_never_retried():
 
 def test_single_attempt_policy():
     inner = FlakyBackend(failures=1)
-    backend = with_retry(inner, RetryPolicy(max_attempts=1), sleep=lambda s: None)
+    backend = RetryingBackend(inner, RetryPolicy(max_attempts=1), sleep=lambda s: None)
     with pytest.raises(RateLimited):
         backend.complete(req("x"))
     assert inner.calls == 1
@@ -344,7 +326,7 @@ def test_single_attempt_policy():
 
 def test_deterministic_backend_never_retried():
     scripted = ScriptedBackend([])  # any call would exhaust
-    backend = with_retry(scripted, RetryPolicy(max_attempts=5), sleep=lambda s: None)
+    backend = RetryingBackend(scripted, RetryPolicy(max_attempts=5), sleep=lambda s: None)
     with pytest.raises(FixtureExhausted):
         backend.complete(req("x"))
     assert scripted.calls == 1
@@ -360,3 +342,13 @@ def test_load_backend_scripted_spec(tmp_path):
     path.write_text(json.dumps([{"response": "hi"}]))
     backend = load_backend(f"scripted:{path}")
     assert backend.complete(req("x"))[0] == "hi"
+
+
+def test_load_backend_live_spec_retries_with_the_default_policy(tmp_path):
+    path = tmp_path / "backend.json"
+    path.write_text(json.dumps({"model_id": "local-model"}))
+    backend = load_backend(str(path))
+    assert isinstance(backend, RetryingBackend)
+    assert isinstance(backend.inner, LiveBackend)
+    assert backend.inner.config.model_id == "local-model"
+    assert backend.policy == RetryPolicy()
