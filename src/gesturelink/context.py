@@ -71,14 +71,18 @@ class ContextLibrary:
     instances stay safe across concurrent sessions.
     """
 
-    def __init__(self, contexts: Sequence[ContextType] = ()):
+    def __init__(self, contexts: Sequence[ContextType] = (),
+                 functions: Sequence[FunctionEntry] | None = None):
+        """functions, if given, is the caller's parse of the function_list context."""
         self._entries: dict[str, ContextType] = {}
         for ctx in contexts:
             if ctx.name in self._entries:
                 raise DuplicateName(f"duplicate context name: {ctx.name!r}")
             self._entries[ctx.name] = ctx
         listing = self._entries.get("function_list")
-        self._functions = () if listing is None else tuple(parse_function_list(listing.values))
+        if functions is None:
+            functions = () if listing is None else parse_function_list(listing.values)
+        self._functions = tuple(functions)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -303,8 +307,10 @@ def _gaze_target(lib: ContextLibrary, args: dict) -> str:
     if not functions:
         raise MalformedInput("gaze_target needs a function_list context")
 
+    depth_dims = 3 if any("z" in s for s in recent) else 2
+
     def dist(entry: FunctionEntry) -> float:
-        dims = min(len(entry.location), 3 if any("z" in s for s in recent) else 2)
+        dims = min(len(entry.location), depth_dims)
         return math.sqrt(
             sum((centroid[i] - entry.location[i]) ** 2 for i in range(dims))
         )

@@ -2,8 +2,10 @@
 
 A gesture window opens when the hand center stays at or above the chest
 line for a run of frames, and closes once the hand stays below it long
-enough (or the stream ends). Frames inside a window are sampled every
-0.2 s; each sample contributes one pose-vector column and one
+enough (or the stream ends). Segmentation reads the hand centers of the
+whole stream from its coordinate array, and a window holds a slice of
+the stream's arrays. Frames inside a window are sampled every 0.2 s;
+each sample, a frame view, contributes one pose-vector column and one
 hand-center column.
 """
 
@@ -23,7 +25,7 @@ from .rules import (
     POSE_ROW_LABELS,
     RuleThresholds,
     encode_pose_vector,
-    hand_center,
+    hand_centers,
     validate_pose_vector,
 )
 
@@ -59,18 +61,18 @@ class SegmentationConfig:
 
 @dataclass(frozen=True)
 class GestureWindow:
+    """[start_time, end_time] and the slice of the stream inside it."""
+
     start_time: float
     end_time: float
-    frames: tuple[HandLandmarkFrame, ...]
+    stream: LandmarkStream
 
     def __post_init__(self):
         if not self.start_time < self.end_time:
             raise MalformedInput("window start must precede end")
-        for f in self.frames:
-            if not (self.start_time <= f.timestamp <= self.end_time):
-                raise MalformedInput("window frame outside [start, end]")
-        if any(a.timestamp > b.timestamp for a, b in zip(self.frames, self.frames[1:])):
-            raise MalformedInput("window frames out of time order")
+        times = self.stream.timestamps
+        if len(times) and not self.start_time <= times[0] <= times[-1] <= self.end_time:
+            raise MalformedInput("window frame outside [start, end]")
 
     @property
     def duration(self) -> float:
@@ -86,13 +88,13 @@ def detect_gesture_window(
     rejected here.
     """
     cfg = cfg or SegmentationConfig()
-    if not stream.frames:
+    if not stream:
         raise EmptyStream("cannot segment an empty stream")
-    for f in stream.frames:
-        if f.handedness != Handedness.RIGHT:
-            raise LeftHandUnsupported("encoder handles right-hand streams only")
+    if stream.handedness != Handedness.RIGHT:
+        raise LeftHandUnsupported("encoder handles right-hand streams only")
 
-    above = [hand_center(f).y <= cfg.chest_line for f in stream.frames]
+    above = (hand_centers(stream.coords)[0][:, 1] <= cfg.chest_line).tolist()
+    times = stream.timestamps.tolist()
     windows: list[GestureWindow] = []
 
     run_start: int | None = None  # first frame of the current above-run (pre-trigger)
@@ -101,20 +103,14 @@ def detect_gesture_window(
     below_since: float | None = None
 
     def close_window(start_idx: int, end_idx: int) -> None:
-        start_f = stream.frames[start_idx]
-        end_f = stream.frames[end_idx]
-        if end_f.timestamp <= start_f.timestamp:
-            logger.debug("dropping zero-duration window at t=%s", start_f.timestamp)
+        if times[end_idx] <= times[start_idx]:
+            logger.debug("dropping zero-duration window at t=%s", times[start_idx])
             return
         windows.append(
-            GestureWindow(
-                start_time=start_f.timestamp,
-                end_time=end_f.timestamp,
-                frames=tuple(stream.frames[start_idx : end_idx + 1]),
-            )
+            GestureWindow(times[start_idx], times[end_idx], stream[start_idx : end_idx + 1])
         )
 
-    for i, frame in enumerate(stream.frames):
+    for i, t in enumerate(times):
         if open_start is None:
             if above[i]:
                 if run_start is None:
@@ -131,8 +127,8 @@ def detect_gesture_window(
                 below_since = None
             else:
                 if below_since is None:
-                    below_since = frame.timestamp
-                if frame.timestamp - below_since >= cfg.end_hold:
+                    below_since = t
+                if t - below_since >= cfg.end_hold:
                     close_window(open_start, last_above)
                     open_start = None
                     run_start = None
@@ -153,7 +149,7 @@ def sample_window(window: GestureWindow) -> list[HandLandmarkFrame]:
     earlier frame and stops at the first frame past the target that
     cannot win, so a sample costs a bisection plus a few frames.
     """
-    times = [f.timestamp for f in window.frames]
+    times = window.stream.timestamps.tolist()
     k_max = int(math.floor(window.duration / SAMPLE_INTERVAL + _TIME_EPS))
     samples = []
     for k in range(k_max + 1):
@@ -171,7 +167,7 @@ def sample_window(window: GestureWindow) -> list[HandLandmarkFrame]:
                 best_idx = idx
             elif times[idx] > target:
                 break
-        samples.append(window.frames[best_idx])
+        samples.append(window.stream[best_idx])
     return samples
 
 
@@ -227,16 +223,12 @@ def build_state_matrix(
     if not samples:
         raise EmptyStream("cannot build a matrix from zero samples")
     channel1 = np.stack([encode_pose_vector(f, th) for f in samples], axis=1)
-    centers = [hand_center(f) for f in samples]
-    with_depth = all(c.has_depth for c in centers)
-    rows = [
-        [c.x for c in centers],
-        [1.0 - c.y for c in centers],  # up-positive vertical
-    ]
-    if with_depth:
-        rows.append([c.z for c in centers])
-    channel2 = np.array(rows, dtype=float)
-    width = float(np.mean([c.hand_width for c in centers]))
+    centers, widths = hand_centers(np.stack([f.coords for f in samples]))
+    channel2 = centers.T.copy()
+    channel2[1] = 1.0 - channel2[1]  # up-positive vertical
+    if not all(f.has_depth for f in samples):
+        channel2 = channel2[:2]
+    width = float(np.mean(widths))
     m = GestureStateMatrix(channel1=channel1, channel2=channel2, hand_width=width)
     validate_state_matrix(m)
     return m
@@ -253,12 +245,12 @@ def serialize_matrix(m: GestureStateMatrix) -> str:
         f"T={m.T} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
     ]
     label_w = max(len(s) for s in POSE_ROW_LABELS + _CHANNEL2_LABELS)
-    for i, label in enumerate(POSE_ROW_LABELS):
-        cells = " ".join(f"{int(v):>2d}" for v in m.channel1[i])
+    for label, row in zip(POSE_ROW_LABELS, m.channel1.tolist()):
+        cells = " ".join(f"{int(v):>2d}" for v in row)
         lines.append(f"{label:<{label_w}} {cells}")
-    for r in range(m.channel2.shape[0]):
-        cells = " ".join(f"{v:.3f}" for v in m.channel2[r])
-        lines.append(f"{_CHANNEL2_LABELS[r]:<{label_w}} {cells}")
+    for label, row in zip(_CHANNEL2_LABELS, m.channel2.tolist()):
+        cells = " ".join(f"{v:.3f}" for v in row)
+        lines.append(f"{label:<{label_w}} {cells}")
     return "\n".join(lines) + "\n"
 
 
@@ -270,9 +262,9 @@ def serialize_movement(m: GestureStateMatrix, start: int, end: int) -> str:
     lines = [
         f"span={start}..{end} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
     ]
-    for r in range(m.channel2.shape[0]):
-        cells = " ".join(f"{v:.3f}" for v in m.channel2[r, start : end + 1])
-        lines.append(f"{_CHANNEL2_LABELS[r]} {cells}")
+    for label, row in zip(_CHANNEL2_LABELS, m.channel2[:, start : end + 1].tolist()):
+        cells = " ".join(f"{v:.3f}" for v in row)
+        lines.append(f"{label} {cells}")
     return "\n".join(lines) + "\n"
 
 

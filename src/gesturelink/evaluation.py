@@ -399,14 +399,13 @@ def load_manifest(path: str | Path) -> list[TaskRecord]:
     for entry in entries:
         try:
             stream_path = path.parent / entry["stream"]
+            functions = parse_function_list(entry)
             library = ContextLibrary([
-                make_function_list_context(
-                    str(entry.get("interface", "interface")), parse_function_list(entry)
-                ),
+                make_function_list_context(str(entry.get("interface", "interface")), functions),
                 make_gaze_context(list(entry.get("gaze", ()))),
                 make_history_context(list(entry.get("history", ()))),
                 make_external_context(list(entry.get("external", ()))),
-            ])
+            ], functions)
             tasks.append(TaskRecord(
                 scenario_id=str(entry["scenario_id"]),
                 stream=parse_landmark_stream(stream_path.read_bytes()),

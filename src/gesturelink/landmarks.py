@@ -1,5 +1,9 @@
 """Parsing, validation, and indexing of 21-point hand-landmark streams.
 
+A stream stores its recording as arrays: one (N, 21, 3) coordinate
+array, the N timestamps and the N per-frame depth flags. HandLandmarkFrame
+is the per-frame API; a stream hands out frames as views over its arrays.
+
 Coordinate convention (fixed artifact-wide): x grows rightward, y grows
 downward, z is relative depth with more negative values closer to the
 camera. Streams recorded in other conventions must be normalized by the
@@ -10,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -114,24 +119,66 @@ class HandLandmarkFrame:
         )
 
 
-@dataclass(frozen=True)
-class LandmarkStream:
-    """Ordered frames from one capture; immutable after parse."""
+@dataclass(frozen=True, eq=False)
+class LandmarkStream(Sequence):
+    """One capture as arrays, made read-only in place: coords (N, 21, 3)
+    holds each frame's HandLandmarkFrame.coords, timestamps the strictly
+    increasing frame times and depth_flags each frame's has_depth (2D and
+    3D frames may mix). As a sequence, the stream yields HandLandmarkFrame
+    views of these arrays, built on access without a copy or a re-check.
+    """
 
-    frames: tuple[HandLandmarkFrame, ...]
+    coords: np.ndarray
+    timestamps: np.ndarray
+    depth_flags: np.ndarray
+    handedness: Handedness = Handedness.RIGHT
     source_view: SourceView = SourceView.THIRD_PERSON
 
     def __post_init__(self):
-        times = [f.timestamp for f in self.frames]
-        for earlier, later in zip(times, times[1:]):
-            if later <= earlier:
-                raise NonMonotonicTimestamps(
-                    f"timestamps not strictly increasing: {earlier} -> {later}"
-                )
+        coords, times, depth = (np.asarray(a, dtype=d) for a, d in (
+            (self.coords, float), (self.timestamps, float), (self.depth_flags, bool)))
+        n = len(times)
+        if coords.shape != (n, 21, 3) or times.shape != depth.shape or times.ndim != 1:
+            raise BadLandmarkCount(f"stream arrays of shapes {coords.shape}, {times.shape} "
+                                   f"and {depth.shape}, expected (N, 21, 3), (N,) and (N,)")
+        xy = coords[:, :, :2]
+        if n and not (np.isfinite(coords).all() and np.isfinite(times).all()
+                      and xy.min() >= _COORD_MIN and xy.max() <= _COORD_MAX and times.min() >= 0):
+            for i in range(n):  # the first bad frame raises its own error
+                HandLandmarkFrame(float(times[i]), self.handedness, coords[i], bool(depth[i]))
+        later = np.flatnonzero(np.diff(times) <= 0)
+        if later.size:
+            earlier, after = times[later[0] : later[0] + 2].tolist()
+            raise NonMonotonicTimestamps(f"timestamps not strictly increasing: {earlier} -> {after}")
+        for name, array in (("coords", coords), ("timestamps", times), ("depth_flags", depth)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, i):
+        """The frame view at index i, or for a slice the stream of its frames."""
+        if isinstance(i, slice):
+            return replace(self, coords=self.coords[i], timestamps=self.timestamps[i],
+                           depth_flags=self.depth_flags[i])
+        frame = object.__new__(HandLandmarkFrame)
+        vars(frame).update(timestamp=float(self.timestamps[i]), handedness=self.handedness,
+                           coords=self.coords[i], has_depth=bool(self.depth_flags[i]))
+        return frame
 
     @property
-    def has_depth(self) -> bool:
-        return all(f.has_depth for f in self.frames)
+    def frames(self) -> LandmarkStream:
+        """The stream itself, as the sequence of its frames."""
+        return self
+
+    def __eq__(self, other):
+        if not isinstance(other, LandmarkStream):
+            return NotImplemented
+        same_arrays = all(np.array_equal(getattr(self, n), getattr(other, n))
+                          for n in ("timestamps", "depth_flags", "coords"))
+        return same_arrays and (self.handedness, self.source_view) == (
+            other.handedness, other.source_view)
 
 
 def parse_frame(entry, handedness: Handedness) -> HandLandmarkFrame:
@@ -164,6 +211,7 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
 
     Schema: {"source_view": "...", "handedness": "right"|"left",
     "frames": [{"t": seconds, "lm": [[x, y, z] or [x, y]] * 21}, ...]}.
+    Frames are read into preallocated arrays and checked all at once.
     """
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8", errors="strict")
@@ -171,6 +219,7 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
         doc = json.loads(raw)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedInput(f"not valid JSON: {exc}") from exc
+    del raw  # frees decoded text before the arrays are filled, lowering the parse's peak
     if not isinstance(doc, dict):
         raise MalformedInput("stream document must be a JSON object")
 
@@ -184,26 +233,37 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
     if not isinstance(raw_frames, list):
         raise MalformedInput('missing or non-list "frames"')
 
-    frames = tuple(parse_frame(entry, handedness) for entry in raw_frames)
-    return LandmarkStream(frames=frames, source_view=source_view)
+    n = len(raw_frames)
+    coords, times, depth = np.zeros((n, 21, 3)), np.empty(n), np.empty(n, dtype=bool)
+    for i, entry in enumerate(raw_frames):
+        try:  # as parse_frame converts an entry
+            times[i] = float(entry["t"])
+            lm = np.array(entry["lm"], dtype=float)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            lm = None
+        if lm is not None and lm.shape in ((21, 3), (21, 2)):  # a write would broadcast
+            coords[i, :, : lm.shape[1]], depth[i] = lm, lm.shape[1] == 3
+        else:  # frame by frame up to here, so the first bad frame raises its own error
+            for earlier in raw_frames[: i + 1]:
+                frame = parse_frame(earlier, handedness)
+            times[i], coords[i], depth[i] = frame.timestamp, frame.coords, frame.has_depth
+    return LandmarkStream(coords, times, depth, handedness, source_view)
 
 
 def serialize_landmark_stream(stream: LandmarkStream) -> bytes:
     """Inverse of parse_landmark_stream; exact value round-trip.
 
     Floats are emitted at full repr precision so parse(serialize(s)) == s.
-    Streams without depth serialize landmarks as [x, y].
+    Frames without depth serialize landmarks as [x, y].
     """
-    handedness = stream.frames[0].handedness.value if stream.frames else "right"
     doc = {
         "source_view": stream.source_view.value,
-        "handedness": handedness,
+        "handedness": stream.handedness.value,
         "frames": [
-            {
-                "t": f.timestamp,
-                "lm": (f.coords if f.has_depth else f.coords[:, :2]).tolist(),
-            }
-            for f in stream.frames
+            {"t": t, "lm": (coords if has_depth else coords[:, :2]).tolist()}
+            for t, coords, has_depth in zip(
+                stream.timestamps.tolist(), stream.coords, stream.depth_flags.tolist()
+            )
         ],
     }
     return json.dumps(doc, ensure_ascii=False).encode("utf-8")

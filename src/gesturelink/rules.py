@@ -345,13 +345,18 @@ def palm_orientation(frame: HandLandmarkFrame, th: RuleThresholds) -> PalmOrient
     return threshold_verdict(angle, orientation, th.palm_angle_threshold, PalmOrientation.UNKNOWN)
 
 
+def hand_centers(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) component-wise means of all 21 landmarks and (N,) hand widths
+    of an (N, 21, 3) coordinate array."""
+    across = coords[:, _INDEX_MCP, :2] - coords[:, _PINKY_MCP, :2]
+    return coords.mean(axis=1), np.sqrt(_rowdot(across, across))
+
+
 def hand_center(frame: HandLandmarkFrame) -> HandCenter:
     """Component-wise mean of all 21 landmarks plus the hand width."""
-    cx, cy, cz = frame.coords.mean(axis=0)
-    width = float(np.linalg.norm(frame.coords[_INDEX_MCP, :2] - frame.coords[_PINKY_MCP, :2]))
-    return HandCenter(
-        x=float(cx), y=float(cy), z=float(cz), hand_width=width, has_depth=frame.has_depth
-    )
+    centers, widths = hand_centers(frame.coords[None])
+    cx, cy, cz = centers[0].tolist()
+    return HandCenter(x=cx, y=cy, z=cz, hand_width=float(widths[0]), has_depth=frame.has_depth)
 
 
 # Row labels of the 19-entry pose vector, in storage order.

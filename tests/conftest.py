@@ -5,6 +5,7 @@ import random
 import re
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from gesturelink.landmarks import HandLandmarkFrame, Handedness, LandmarkStream
@@ -108,9 +109,9 @@ def stream_json(frames, handedness="right", source_view="third_person"):
 
 
 def make_stream(frames, handedness=Handedness.RIGHT):
-    return LandmarkStream(
-        frames=tuple(make_frame(p, t=t, handedness=handedness) for t, p in frames)
-    )
+    """Stream of [(t, points), ...] with depth on every frame."""
+    coords = np.array([points for _, points in frames], dtype=float).reshape(-1, 21, 3)
+    return LandmarkStream(coords, [t for t, _ in frames], [True] * len(frames), handedness)
 
 
 @pytest.fixture

@@ -21,8 +21,8 @@ from gesturelink.encoder import (
     validate_state_matrix,
 )
 from gesturelink.errors import EmptyStream, LeftHandUnsupported, MalformedInput
-from gesturelink.landmarks import Handedness
-from gesturelink.rules import RuleThresholds, encode_pose_vector, hand_center
+from gesturelink.landmarks import Handedness, LandmarkStream, parse_landmark_stream
+from gesturelink.rules import RuleThresholds, encode_pose_vector, hand_center, hand_centers
 
 TH = RuleThresholds()
 CFG = SegmentationConfig()
@@ -110,7 +110,7 @@ def test_30fps_sampling_is_nearest_neighbor():
     assert w.duration == pytest.approx(2.0)
     samples = sample_window(w)
     assert len(samples) == 11
-    times = [f.timestamp for f in w.frames]
+    times = [f.timestamp for f in w.stream]
     for k, s in enumerate(samples):
         target = w.start_time + 0.2 * k
         best = min(abs(t - target) for t in times)
@@ -130,7 +130,7 @@ def test_sampling_tie_goes_to_earlier_frame():
 def _scan_sample_window(window):
     """Reference: for each target, scan every frame from the first; a later
     frame wins only if its error is smaller by more than 1e-9."""
-    times = [f.timestamp for f in window.frames]
+    times = [f.timestamp for f in window.stream]
     k_max = int(math.floor(window.duration / 0.2 + 1e-9))
     samples = []
     for k in range(k_max + 1):
@@ -140,13 +140,13 @@ def _scan_sample_window(window):
             err = abs(times[idx] - target)
             if err < best_err - 1e-9:
                 best_idx, best_err = idx, err
-        samples.append(window.frames[best_idx])
+        samples.append(window.stream[best_idx])
     return samples
 
 
 def _window_at(times):
-    frames = tuple(make_frame(FLAT_HAND_POINTS, t=t) for t in times)
-    return GestureWindow(start_time=times[0], end_time=times[-1] + 0.05, frames=frames)
+    frames = make_stream([(t, FLAT_HAND_POINTS) for t in times])
+    return GestureWindow(start_time=times[0], end_time=times[-1] + 0.05, stream=frames)
 
 
 def _assert_matches_scan(times):
@@ -154,7 +154,7 @@ def _assert_matches_scan(times):
     got = sample_window(w)
     want = _scan_sample_window(w)
     assert [f.timestamp for f in got] == [f.timestamp for f in want]
-    assert all(a is b for a, b in zip(got, want))
+    assert got == want
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -184,7 +184,7 @@ def test_sampling_matches_full_scan_on_sub_eps_spacing(seed):
         spacing = local.choice([1e-10, 3e-10, 5e-10, 1e-9, 2e-9, 0.0])
         first = max(centre - spacing * local.randint(0, 6), times[-1])
         times.extend(first + spacing * j for j in range(local.randint(1, 12)))
-    _assert_matches_scan(sorted(times))
+    _assert_matches_scan(sorted(set(times)))  # a stream's timestamps strictly increase
 
 
 def test_window_rejects_frames_out_of_time_order():
@@ -237,6 +237,56 @@ def test_2d_samples_give_two_channel2_rows(flat_hand):
     flat_2d = make_frame(FLAT_HAND_POINTS, has_depth=False)
     assert build_state_matrix([flat_2d], TH).channel2.shape[0] == 2
     assert build_state_matrix([flat_hand], TH).channel2.shape[0] == 3
+
+
+def test_mixed_depth_stream_windows_keep_their_channel2_rows():
+    # Two raises. The first holds a 2-D frame between samples, the second
+    # one on a sample instant, so only the second matrix drops its z row.
+    ys = [0.8] * 5 + [0.4] * 11 + [0.8] * 10 + [0.4] * 11 + [0.8] * 10
+    entries = [{"t": round(0.1 * i, 6), "lm": [list(p) for p in hand_at(y)]}
+               for i, y in enumerate(ys)]
+    for i in (6, 28):
+        entries[i]["lm"] = [row[:2] for row in entries[i]["lm"]]
+    stream = parse_landmark_stream(json.dumps({"frames": entries}))
+    rows = []
+    for w in detect_gesture_window(stream, CFG):
+        samples = sample_window(w)
+        m = build_state_matrix(samples, TH)
+        assert m.channel2.shape[0] == (3 if all(f.has_depth for f in samples) else 2)
+        rows.append(m.channel2.shape[0])
+    assert rows == [3, 2]
+
+
+def test_batched_hand_centers_equal_per_frame_readings_bit_for_bit():
+    gen = np.random.default_rng(20240817)
+    n = 12_000
+    coords = np.concatenate(
+        [gen.uniform(-0.5, 1.5, (n, 21, 2)), gen.uniform(-0.3, 0.3, (n, 21, 1))], axis=2)
+    flat = gen.random(n) < 0.25
+    coords[flat, :, 2] = 0.0
+    pinched = gen.random(n) < 0.1  # pinky MCP on index MCP: zero width
+    coords[pinched, 17] = coords[pinched, 5]
+    collapsed = gen.random(n) < 0.02  # every joint on the wrist
+    coords[collapsed] = coords[collapsed, :1]
+    times = np.arange(n) * 0.01
+    half = n // 2
+    streams = [LandmarkStream(coords[:half], times[:half], ~flat[:half], Handedness.RIGHT),
+               LandmarkStream(coords[half:], times[half:], ~flat[half:], Handedness.LEFT)]
+    for stream in streams:
+        centers, widths = hand_centers(stream.coords)
+        readings = [hand_center(f) for f in stream.frames]
+        # The per-frame formulas the encoder used before the batched kernel.
+        formula = np.array([f.coords.mean(axis=0) for f in stream.frames])
+        formula_widths = np.array([np.linalg.norm(f.coords[5, :2] - f.coords[17, :2])
+                                   for f in stream.frames])
+        per_frame = np.array([[c.x, c.y, c.z] for c in readings])
+        for batched, reference in ((centers, per_frame), (centers, formula),
+                                   (widths, np.array([c.hand_width for c in readings])),
+                                   (widths, formula_widths)):
+            assert batched.tobytes() == reference.tobytes()
+        above = centers[:, 1] <= CFG.chest_line
+        assert above.tolist() == [c.y <= CFG.chest_line for c in readings]
+        assert [c.has_depth for c in readings] == stream.depth_flags.tolist()
 
 
 def test_build_requires_samples():

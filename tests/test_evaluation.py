@@ -38,6 +38,7 @@ from gesturelink.evaluation import (
     run_task,
     topk_rank,
 )
+from gesturelink.context import function_entries
 from gesturelink.landmarks import parse_landmark_stream
 from gesturelink.prompts import load_prompt_set
 from gesturelink.transport import ScriptedBackend
@@ -323,6 +324,34 @@ def test_run_setting_parses_no_function_list(tmp_path, monkeypatch):
     for setting in ContextSetting:
         assert run_setting(tasks, setting, repetitions=2, handles=handles).completed == 2
     assert parsed == []
+
+
+def test_load_manifest_parses_each_function_list_once(tmp_path, monkeypatch):
+    from gesturelink import context, evaluation
+
+    stream_path = tmp_path / "t.stream.json"
+    stream_path.write_bytes(stream_json([
+        (round(0.1 * i, 6), hand_at(y)) for i, y in enumerate([0.8] * 3 + [0.4] * 8 + [0.8] * 8)
+    ]))
+    functions = [{"id": f.id, "name": f.name} for f in smart_home_functions()]
+    (tmp_path / "manifest.json").write_text(json.dumps({"tasks": [
+        {"scenario_id": sid, "stream": stream_path.name, "functions": functions,
+         "truth": "light.power"} for sid in ("t1", "t2")
+    ]}))
+    parsed = []
+    original = context.parse_function_list
+
+    def counting(doc):
+        parsed.append(doc)
+        return original(doc)
+
+    monkeypatch.setattr(context, "parse_function_list", counting)
+    monkeypatch.setattr(evaluation, "parse_function_list", counting)
+    tasks = load_manifest(tmp_path / "manifest.json")
+    assert len(parsed) == 2
+    assert [len(function_entries(t.library)) for t in tasks] == [len(functions)] * 2
+    assert tasks[0].library.get("function_list").values["functions"][0] == {
+        "id": functions[0]["id"], "name": functions[0]["name"], "location": []}
 
 
 def test_aggregation_is_order_independent():

@@ -14,6 +14,7 @@ from gesturelink.landmarks import (
     LANDMARK_NAMES,
     HandLandmarkFrame,
     Handedness,
+    LandmarkStream,
     SourceView,
     landmark_index,
     parse_frame,
@@ -174,3 +175,120 @@ def test_frame_mixing_two_and_three_component_rows_rejected():
     doc["frames"][0]["lm"][4] = doc["frames"][0]["lm"][4][:2]
     with pytest.raises(MalformedInput, match="all \\[x, y\\] or all \\[x, y, z\\]"):
         parse_landmark_stream(json.dumps(doc))
+
+
+# --- array parse against the frame-by-frame parse ----------------------------------
+
+def _frame_by_frame(doc):
+    """Reference parse: every entry through parse_frame, then the time order."""
+    frames = [parse_frame(e, Handedness(doc.get("handedness", "right"))) for e in doc["frames"]]
+    for a, b in zip(frames, frames[1:]):
+        if b.timestamp <= a.timestamp:
+            raise NonMonotonicTimestamps(
+                f"timestamps not strictly increasing: {a.timestamp} -> {b.timestamp}"
+            )
+    return frames
+
+
+def _outcome(parse, doc):
+    try:
+        return "ok", parse(doc)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+_ROWS = [list(p) for p in FLAT_HAND_POINTS]
+_FLAT_ROWS = [[x, y] for x, y, _ in FLAT_HAND_POINTS]
+_NAN_ROWS = [[float("nan"), 0.5, 0.0]] + _ROWS[1:]
+_FAR_ROWS = _ROWS[:3] + [[1.6, 0.5, 0.0]] + _ROWS[4:]
+
+
+def _entries(*pairs):
+    return [{"t": t, "lm": lm} for t, lm in pairs]
+
+
+HOSTILE_FRAMES = {
+    "one_row": _entries((0.0, _ROWS), (0.1, [_ROWS[0]])),
+    "flat_xyz": _entries((0.0, [0.5, 0.5, 0.0])),
+    "scalar_lm": _entries((0.0, _ROWS), (0.1, 0.5)),
+    "rows_of_one_number": _entries((0.0, [[0.5]] * 21)),
+    "20_rows": _entries((0.0, _ROWS[:20])),
+    "22_rows": _entries((0.0, _ROWS + [_ROWS[0]])),
+    "string_coordinates": _entries((0.0, [[str(v) for v in row] for row in _ROWS])),
+    "bool_coordinates": _entries((0.0, [[True, False, True]] * 21)),
+    "bool_timestamp": _entries((True, _ROWS)),
+    "string_timestamp": _entries(("0.5", _ROWS), ("x", _ROWS)),
+    "huge_int_timestamp": _entries((0.0, _ROWS), (10 ** 400, _ROWS)),
+    "negative_timestamp": _entries((-1.0, _ROWS)),
+    "nan_coordinate": _entries((0.0, _ROWS), (0.1, _NAN_ROWS)),
+    "out_of_range": _entries((0.0, _FAR_ROWS)),
+    "non_monotonic": _entries((0.0, _ROWS), (0.2, _ROWS), (0.1, _ROWS)),
+    "non_dict_frames": [_entries((0.0, _ROWS))[0], [0.1, _ROWS]],
+    "string_frame": ["frame"],
+    "null_frame": [None],
+    "missing_lm": [{"t": 0.0}],
+    "mixed_rows": _entries((0.0, _ROWS[:4] + [_ROWS[4][:2]] + _ROWS[5:])),
+    "empty": [],
+    "mixed_2d_3d": _entries((0.0, _ROWS), (0.1, _FLAT_ROWS), (0.2, _ROWS)),
+    # An earlier bad frame wins over a later entry the arrays cannot take,
+    # and a later unreadable entry wins over a time-order fault before it.
+    "nan_then_one_row": _entries((0.0, _NAN_ROWS), (0.1, [_ROWS[0]])),
+    "far_then_non_dict": _entries((0.0, _ROWS), (0.1, _FAR_ROWS)) + ["frame"],
+    "non_monotonic_then_20_rows": _entries((0.2, _ROWS), (0.1, _ROWS), (0.3, _ROWS[:20])),
+    "non_monotonic_then_nan": _entries((0.2, _ROWS), (0.1, _ROWS), (0.3, _NAN_ROWS)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES))
+@pytest.mark.parametrize("handedness", ["right", "left"])
+def test_array_parse_matches_frame_by_frame_parse(name, handedness):
+    doc = {"handedness": handedness, "frames": HOSTILE_FRAMES[name]}
+    got = _outcome(lambda d: parse_landmark_stream(json.dumps(d)), doc)
+    want = _outcome(_frame_by_frame, doc)
+    if want[0] != "ok":
+        assert got == want
+    else:
+        assert got[0] == "ok" and list(got[1].frames) == want[1]
+        assert got[1].handedness == Handedness(handedness)
+
+
+def test_broadcastable_landmarks_rejected():
+    for name in ("one_row", "flat_xyz", "scalar_lm", "rows_of_one_number"):
+        with pytest.raises(BadLandmarkCount):
+            parse_landmark_stream(json.dumps({"frames": HOSTILE_FRAMES[name]}))
+
+
+def test_mixed_2d_3d_stream_keeps_per_frame_depth():
+    stream = parse_landmark_stream(json.dumps({"frames": HOSTILE_FRAMES["mixed_2d_3d"]}))
+    assert stream.coords.shape == (3, 21, 3)
+    assert stream.depth_flags.tolist() == [True, False, True]
+    assert [f.has_depth for f in stream.frames] == [True, False, True]
+    assert (stream.coords[1, :, 2] == 0.0).all()
+    again = parse_landmark_stream(serialize_landmark_stream(stream))
+    assert again == stream
+    assert json.loads(serialize_landmark_stream(stream))["frames"][1]["lm"] == _FLAT_ROWS
+
+
+def test_stream_arrays_are_read_only_and_frames_are_views():
+    stream = parse_landmark_stream(stream_json([(0.0, FLAT_HAND_POINTS), (0.1, FLAT_HAND_POINTS)]))
+    for array in (stream.coords, stream.timestamps, stream.depth_flags):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    frame = stream.frames[1]
+    assert frame == HandLandmarkFrame(0.1, Handedness.RIGHT, FLAT_HAND_POINTS)
+    assert np.shares_memory(frame.coords, stream.coords)
+    assert len(stream[1:]) == 1 and stream[1:].timestamps.tolist() == [0.1]
+    with pytest.raises(IndexError):
+        stream.frames[2]
+
+
+@pytest.mark.parametrize(
+    "coords,times,error",
+    [(np.zeros((2, 20, 3)), [0.0, 0.1], BadLandmarkCount),
+     (np.full((2, 21, 3), 0.5), [0.0], BadLandmarkCount),
+     (np.full((2, 21, 3), 2.0), [0.0, 0.1], MalformedInput),
+     (np.full((2, 21, 3), 0.5), [0.1, 0.1], NonMonotonicTimestamps)],
+)
+def test_direct_stream_construction_validates(coords, times, error):
+    with pytest.raises(error):
+        LandmarkStream(coords, times, [True] * len(coords))
