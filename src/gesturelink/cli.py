@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -178,7 +177,8 @@ def _grid_from_file(doc: dict, rule_id: str, path: str | None) -> GridSpec:
     for key in keys:
         r = spec[key]
         numbers = isinstance(r, list) and all(type(v) in (int, float) for v in r)
-        if not (numbers and len(r) == 3 and all(map(math.isfinite, r))):
+        # Exact comparisons: NaN, infinities and ints beyond any float all fail.
+        if not (numbers and len(r) == 3 and all(abs(v) <= sys.float_info.max for v in r)):
             raise MalformedInput(f"{path}: {rule_id} {key} must be [start, stop, step], got {r!r}")
     try:
         return GridSpec.from_ranges(*(tuple(spec[k]) for k in keys))

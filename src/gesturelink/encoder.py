@@ -293,7 +293,7 @@ def matrix_from_json(text: str | bytes) -> GestureStateMatrix:
             sample_interval=float(doc["interval"]),
         )
         columns = doc["T"]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad matrix JSON: {exc}") from exc
     validate_state_matrix(m)
     if type(columns) is not int or columns != m.T:

@@ -192,7 +192,7 @@ def parse_frame(entry, handedness: Handedness) -> HandLandmarkFrame:
         raise MalformedInput('each frame needs "t" and "lm"')
     try:
         t = float(entry["t"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad timestamp: {entry['t']!r}") from exc
     try:
         coords = np.array(entry["lm"], dtype=float)

@@ -50,42 +50,57 @@ class PalmOrientation(Enum):
 
 
 # One-hot order of pose-vector rows 14-19.
-PALM_ONE_HOT_ORDER = (
-    PalmOrientation.LEFT,
-    PalmOrientation.RIGHT,
-    PalmOrientation.DOWN,
-    PalmOrientation.UP,
-    PalmOrientation.INWARD,
-    PalmOrientation.OUTWARD,
-)
+PALM_ONE_HOT_ORDER = (PalmOrientation.LEFT, PalmOrientation.RIGHT, PalmOrientation.DOWN,
+                      PalmOrientation.UP, PalmOrientation.INWARD, PalmOrientation.OUTWARD)
 
 PROXIMITY_PAIRS = ("index_middle", "middle_ring", "ring_pinky")
 CONTACT_FINGERS = ("index", "middle", "ring", "pinky")
 
 # y grows downward in the image, so "up" is -y; "outward" is toward the
-# camera, -z. Scan order decides ties: first reference reached at the
-# minimal angle wins.
-_UP = np.array([0.0, -1.0, 0.0])
-_DOWN = np.array([0.0, 1.0, 0.0])
-_THUMB_REFERENCES = ((ThumbDirection.DOWN, _DOWN), (ThumbDirection.UP, _UP))
-_PALM_REFERENCES = (
-    (PalmOrientation.RIGHT, np.array([1.0, 0.0, 0.0])),
-    (PalmOrientation.LEFT, np.array([-1.0, 0.0, 0.0])),
-    (PalmOrientation.DOWN, np.array([0.0, 1.0, 0.0])),
-    (PalmOrientation.UP, np.array([0.0, -1.0, 0.0])),
-    (PalmOrientation.OUTWARD, np.array([0.0, 0.0, -1.0])),
-    (PalmOrientation.INWARD, np.array([0.0, 0.0, 1.0])),
-)
+# camera, -z. Each direction is a signed unit axis, one row per state in
+# scan order; ties go to the first state reached at the minimal angle.
+_PALM_AXES = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1]])
+_PALM_STATES = (PalmOrientation.RIGHT, PalmOrientation.LEFT, PalmOrientation.DOWN,
+                PalmOrientation.UP, PalmOrientation.OUTWARD, PalmOrientation.INWARD)
+_THUMB_AXES, _THUMB_STATES = _PALM_AXES[2:4], (ThumbDirection.DOWN, ThumbDirection.UP)
 
-_NORMAL_EPS = 1e-9
-_EPS = 1e-12
+_EPS, _NORMAL_EPS = 1e-12, 1e-9  # zero-length vectors; a vanishing palm normal
 
 _THUMB_MCP = landmark_index("THUMB_MCP")
 _THUMB_TIP = landmark_index("THUMB_TIP")
-_WRIST = landmark_index("WRIST")
 _INDEX_MCP = landmark_index("INDEX_FINGER_MCP")
-_MIDDLE_MCP = landmark_index("MIDDLE_FINGER_MCP")
 _PINKY_MCP = landmark_index("PINKY_MCP")
+
+
+def _take_index(rows, cols: int = 3) -> np.ndarray:
+    """Flat indices that make coords.take(index) read coords[rows, :cols]
+    of a (21, 3) coordinate array, for landmark rows of any shape."""
+    return np.asarray(rows)[..., None] * 3 + np.arange(cols)
+
+
+def _curl_ends(chain) -> np.ndarray:
+    """Take index (head/tail, operand, dot, xyz) of the bone pairs a curl
+    dots: each bone with itself, then the two bones of each joint."""
+    bones = list(zip(chain[1:], chain[:-1]))
+    pairs = [(b, b) for b in bones] + list(zip(bones, bones[1:]))
+    return _take_index(np.array(pairs).transpose(2, 1, 0))
+
+
+def _pair_ends(pair: str) -> np.ndarray:
+    """Take index (point/start/end, level, 4, xy) that pits each finger's
+    PIP, DIP and TIP against both distal segments of the other finger."""
+    f1, f2 = (FINGER_JOINTS[f][1:] for f in pair.split("_"))
+    rows = [[(p[i], q[s], q[s + 1]) for p, q in ((f1, f2), (f2, f1)) for s in (0, 1)]
+            for i in range(3)]
+    return _take_index(np.array(rows).transpose(2, 0, 1), cols=2)
+
+
+# Thumb MCP, IP, TIP; other fingers MCP to TIP.
+_CURL_ENDS = {f: _curl_ends(j[1:] if f == "thumb" else j) for f, j in FINGER_JOINTS.items()}
+_PAIR_ENDS = {pair: _pair_ends(pair) for pair in PROXIMITY_PAIRS}
+# Heads and tails of v1 (pinky MCP -> index MCP) and v2 (wrist -> middle MCP).
+_PALM_ENDS = _take_index([[_INDEX_MCP, landmark_index("MIDDLE_FINGER_MCP")],
+                          [_PINKY_MCP, landmark_index("WRIST")]])
 
 
 @dataclass(frozen=True)
@@ -184,37 +199,33 @@ def _reading(measure, frame: HandLandmarkFrame, *args, degenerate=math.nan):
         return degenerate
 
 
-def _angle_deg(v1: np.ndarray, v2: np.ndarray) -> float:
-    """Angle between two vectors in degrees, in [0, 180]; raises
-    DegenerateGeometry when either vector is (numerically) zero."""
-    n1 = np.linalg.norm(v1)
-    n2 = np.linalg.norm(v2)
-    if n1 < _EPS or n2 < _EPS:
-        raise DegenerateGeometry("zero-length vector in angle computation")
-    cos = np.clip(np.dot(v1, v2) / (n1 * n2), -1.0, 1.0)
-    return float(np.degrees(np.arccos(cos)))
-
-
-def _closest_reference(v: np.ndarray, references) -> tuple[float, object]:
-    """(angle, state) of the reference closest in angle to v."""
-    return min(((_angle_deg(v, ref), state) for state, ref in references), key=lambda p: p[0])
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, with the same rounding as np.dot."""
+    """Dot products over the last axis, with the same rounding as np.dot.
+
+    Dots and arccos stay in numpy: OpenBLAS's dot uses FMA, so a Python
+    mul-add rounds differently on a third of random 3-vectors, and math.acos
+    differs from numpy's vectorized arccos on 9% of cosines. One multiply,
+    divide, sqrt or min/max rounds alike in Python, and costs far less there.
+    """
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
-    """Distance from each row of points to the polyline through the rows of
-    polyline. A zero-length segment degrades to the distance to its start."""
-    a = polyline[:-1]
-    ab = polyline[1:] - a
-    denom = _rowdot(ab, ab)
-    num = _rowdot(points[:, None, :] - a, ab)
-    t = np.divide(num, denom, out=np.zeros_like(num), where=denom >= _EPS)
-    gap = points[:, None, :] - (a + np.clip(t, 0.0, 1.0)[..., None] * ab)
-    return np.sqrt(_rowdot(gap, gap)).min(axis=1)
+def _angles_deg(cosines: list[float]) -> list[float]:
+    """Degrees of the arccos of each cosine, clipped to [-1, 1] (NaN kept)."""
+    return np.degrees(np.arccos([min(max(c, -1.0), 1.0) for c in cosines])).tolist()
+
+
+def _closest_axis(v: np.ndarray, axes: np.ndarray, states, eps: float, degenerate: str):
+    """(angle, state) of the signed unit axis closest in angle to v, the
+    first of equal angles; DegenerateGeometry(degenerate) if |v| < eps.
+    Against a signed unit axis all products in np.dot but one are exact
+    zeros, so one matrix product gives each axis's np.dot exactly."""
+    norm = math.sqrt(np.dot(v, v))
+    if norm < eps:
+        raise DegenerateGeometry(degenerate)
+    angles = _angles_deg((np.dot(axes, v) / norm).tolist())
+    k = min(range(len(angles)), key=angles.__getitem__)
+    return angles[k], states[k]
 
 
 def finger_curl_deg(frame: HandLandmarkFrame, finger: str) -> float:
@@ -224,11 +235,15 @@ def finger_curl_deg(frame: HandLandmarkFrame, finger: str) -> float:
     the PIP and DIP joint angles. Raises DegenerateGeometry on a
     zero-length bone.
     """
-    if finger == "thumb":
-        _, mcp, ip, tip = frame.coords[list(FINGER_JOINTS["thumb"])]
-        return _angle_deg(ip - mcp, tip - ip)
-    mcp, pip_, dip, tip = frame.coords[list(FINGER_JOINTS[finger])]
-    return _angle_deg(pip_ - mcp, dip - pip_) + _angle_deg(dip - pip_, tip - dip)
+    ends = frame.coords.take(_CURL_ENDS[finger])
+    bones = ends[0] - ends[1]
+    dots = _rowdot(bones[0], bones[1]).tolist()
+    k = (len(dots) + 1) // 2  # k squared bone lengths, then k - 1 joint dots
+    lengths = [math.sqrt(d) for d in dots[:k]]
+    if min(lengths) < _EPS:
+        raise DegenerateGeometry("zero-length vector in angle computation")
+    angles = _angles_deg([d / (a * b) for d, a, b in zip(dots[k:], lengths, lengths[1:])])
+    return angles[0] + angles[1] if len(angles) == 2 else angles[0]
 
 
 def curl_reading(frame: HandLandmarkFrame, finger: str) -> float:
@@ -244,22 +259,20 @@ def flexion(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeW
     return three_way_verdict(curl_reading(frame, finger), low, high)
 
 
-def _distal_points(frame: HandLandmarkFrame, finger: str) -> np.ndarray:
-    """Image-plane PIP, DIP, TIP rows of a non-thumb finger."""
-    return frame.coords[list(FINGER_JOINTS[finger][1:]), :2]
-
-
 def proximity_distance(frame: HandLandmarkFrame, pair: str) -> float:
     """Mean over joint levels (PIP, DIP, TIP) of the smaller image-plane
     distance from either finger's joint to the other finger's distal
-    polyline."""
-    if pair not in PROXIMITY_PAIRS:
+    polyline. A zero-length segment degrades to the distance to its start."""
+    if pair not in _PAIR_ENDS:
         raise ValueError(f"unknown finger pair: {pair!r}")
-    f1, f2 = pair.split("_")
-    pts1 = _distal_points(frame, f1)
-    pts2 = _distal_points(frame, f2)
-    per_level = np.minimum(_polyline_distances(pts1, pts2), _polyline_distances(pts2, pts1))
-    return float(np.mean(per_level))
+    ends = frame.coords.take(_PAIR_ENDS[pair])
+    spans = ends[::2] - ends[1]  # point - start, end - start
+    num, denom = _rowdot(spans, spans[1])
+    t = num / np.where(denom >= _EPS, denom, np.inf)
+    gap = ends[0] - (ends[1] + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * spans[1])
+    # sqrt is monotonic, so it commutes with the min over the four pairs.
+    nearest = np.sqrt(_rowdot(gap, gap).min(axis=1))
+    return float(nearest.sum() / 3)  # np.mean's own sum and division
 
 
 def proximity(frame: HandLandmarkFrame, pair: str, th: RuleThresholds) -> ThreeWay:
@@ -271,9 +284,8 @@ def contact_distance(frame: HandLandmarkFrame, finger: str) -> float:
     """Image-plane distance between the thumb tip and the given finger's tip."""
     if finger not in CONTACT_FINGERS:
         raise ValueError(f"contact is defined against the thumb; got {finger!r}")
-    thumb_tip = frame.coords[_THUMB_TIP, :2]
-    finger_tip = frame.coords[FINGER_JOINTS[finger][3], :2]
-    return float(np.linalg.norm(thumb_tip - finger_tip))
+    gap = frame.coords[_THUMB_TIP, :2] - frame.coords[FINGER_JOINTS[finger][3], :2]
+    return math.sqrt(np.dot(gap, gap))
 
 
 def contact(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeWay:
@@ -285,7 +297,8 @@ def thumb_direction_measurement(frame: HandLandmarkFrame) -> tuple[float, ThumbD
     """(angle to the closer of down/up, that direction) for the thumb
     MCP->TIP vector. Raises DegenerateGeometry if the vector vanishes."""
     v = frame.coords[_THUMB_TIP] - frame.coords[_THUMB_MCP]
-    return _closest_reference(v, _THUMB_REFERENCES)
+    return _closest_axis(v, _THUMB_AXES, _THUMB_STATES, _EPS,
+                         "zero-length vector in angle computation")
 
 
 def thumb_direction_reading(frame: HandLandmarkFrame) -> tuple[float, ThumbDirection]:
@@ -307,25 +320,18 @@ def thumb_pointing(
 def palm_normal(frame: HandLandmarkFrame) -> np.ndarray:
     """Palm-plane normal: v1 spans pinky MCP -> index MCP, v2 spans
     wrist -> middle MCP; right hands use v2 x v1, left hands v1 x v2."""
-    c = frame.coords
-    v1 = c[_INDEX_MCP] - c[_PINKY_MCP]
-    v2 = c[_MIDDLE_MCP] - c[_WRIST]
-    if frame.handedness == Handedness.LEFT:
-        return np.cross(v1, v2)
-    return np.cross(v2, v1)
+    ends = frame.coords.take(_PALM_ENDS)
+    v1, v2 = (ends[0] - ends[1]).tolist()
+    (ax, ay, az), (bx, by, bz) = (v1, v2) if frame.handedness == Handedness.LEFT else (v2, v1)
+    # np.cross's own products and differences, each rounded once.
+    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
 
 
-def palm_orientation_measurement(
-    frame: HandLandmarkFrame,
-) -> tuple[float, PalmOrientation]:
+def palm_orientation_measurement(frame: HandLandmarkFrame) -> tuple[float, PalmOrientation]:
     """(angle to the closest reference, that reference) for the palm normal.
-
-    Raises DegenerateGeometry when the normal (nearly) vanishes.
-    """
-    n = palm_normal(frame)
-    if float(np.linalg.norm(n)) < _NORMAL_EPS:
-        raise DegenerateGeometry("palm normal vanishes")
-    return _closest_reference(n, _PALM_REFERENCES)
+    Raises DegenerateGeometry when the normal (nearly) vanishes."""
+    return _closest_axis(palm_normal(frame), _PALM_AXES, _PALM_STATES, _NORMAL_EPS,
+                         "palm normal vanishes")
 
 
 def palm_reading(frame: HandLandmarkFrame) -> tuple[float, PalmOrientation]:
@@ -376,19 +382,12 @@ def encode_pose_vector(frame: HandLandmarkFrame, th: RuleThresholds) -> np.ndarr
     (index..pinky), 13 thumb direction, 14-19 palm one-hot (all zero for
     UNKNOWN). Degenerate sub-results land as zeros.
     """
-    vec = np.zeros(19, dtype=int)
-    flex = {f: flexion(frame, f, th) for f in FINGER_JOINTS}
-    for i, finger in enumerate(("thumb", "index", "middle", "ring", "pinky")):
-        vec[i] = int(flex[finger])
-    for i, pair in enumerate(PROXIMITY_PAIRS):
-        vec[5 + i] = int(proximity(frame, pair, th))
-    for i, finger in enumerate(CONTACT_FINGERS):
-        vec[8 + i] = int(contact(frame, finger, th))
-    vec[12] = int(thumb_pointing(frame, flex["thumb"], th))
+    flex = [flexion(frame, finger, th) for finger in FINGER_JOINTS]  # thumb..pinky
+    rows = [*flex, *(proximity(frame, pair, th) for pair in PROXIMITY_PAIRS),
+            *(contact(frame, finger, th) for finger in CONTACT_FINGERS),
+            thumb_pointing(frame, flex[0], th)]
     orientation = palm_orientation(frame, th)
-    if orientation != PalmOrientation.UNKNOWN:
-        vec[13 + PALM_ONE_HOT_ORDER.index(orientation)] = 1
-    return vec
+    return np.array(rows + [int(orientation == o) for o in PALM_ONE_HOT_ORDER], dtype=int)
 
 
 def validate_pose_vector(vec: np.ndarray) -> None:

@@ -286,6 +286,10 @@ def test_tune_bad_inline_frame_exits_2_with_location(tmp_path, capsys):
         '{"flexion_finger": {"low": [0, NaN, 5], "high": [5, 180, 5]}}',
         json.dumps({"thumb_direction": {"threshold": 40}}),
         json.dumps(["flexion_finger"]),
+        pytest.param(
+            json.dumps({"flexion_finger": {"low": [0, 10 ** 400, 5], "high": [5, 180, 5]}}),
+            id="integer_beyond_any_float",
+        ),
     ],
 )
 def test_tune_bad_grid_exits_2_naming_the_file(tmp_path, capsys, grid_text):
@@ -806,6 +810,33 @@ def test_encode_zero_hand_width_exits_2_naming_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"error: {stream}: hand_width must be positive and finite, got 0.0" in err
     assert not list(tmp_path.glob("out/*.matrix.json"))
+
+
+def test_encode_integer_timestamp_beyond_any_float_exits_2_naming_the_file(tmp_path, capsys):
+    stream = tmp_path / "s.json"
+    stream.write_bytes(stream_json([(0.0, FLAT_HAND_POINTS), (10 ** 400, FLAT_HAND_POINTS)]))
+    assert main(["encode", str(stream), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"error: {stream}: bad timestamp: 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["hand_width", "interval", "channel2"])
+def test_ground_matrix_integer_beyond_any_float_exits_2_naming_the_file(
+    tmp_path, matrix_file, library_file, capsys, key
+):
+    doc = json.loads(matrix_file.read_text())
+    if key == "channel2":
+        doc[key][0][0] = 10 ** 400
+    else:
+        doc[key] = 10 ** 400
+    matrix_file.write_text(json.dumps(doc))
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", f"scripted:{fixtures}", "--out-dir", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert f"error: {matrix_file}: bad matrix JSON: int too large" in capsys.readouterr().err
 
 
 def test_eval_zero_hand_width_task_scores_negative_with_cause_logged(tmp_path, caplog):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from gesturelink.errors import (
     BadLandmarkCount,
+    GestureLinkError,
     MalformedInput,
     NonMonotonicTimestamps,
     UnknownLandmarkName,
@@ -247,6 +248,7 @@ def test_array_parse_matches_frame_by_frame_parse(name, handedness):
     want = _outcome(_frame_by_frame, doc)
     if want[0] != "ok":
         assert got == want
+        assert issubclass(got[0], GestureLinkError)
     else:
         assert got[0] == "ok" and list(got[1].frames) == want[1]
         assert got[1].handedness == Handedness(handedness)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import FLAT_HAND_POINTS, make_frame, random_points, scale_about, translate
 from gesturelink.errors import DegenerateGeometry, MalformedInput
-from gesturelink.landmarks import Handedness
+from gesturelink.landmarks import FINGER_JOINTS, Handedness
 from gesturelink.rules import (
+    CONTACT_FINGERS,
     PALM_ONE_HOT_ORDER,
     PROXIMITY_PAIRS,
     PalmOrientation,
@@ -18,14 +20,19 @@ from gesturelink.rules import (
     ThumbDirection,
     contact,
     contact_distance,
+    curl_reading,
     encode_pose_vector,
     finger_curl_deg,
     flexion,
     hand_center,
+    palm_normal,
     palm_orientation,
+    palm_reading,
     proximity,
     proximity_distance,
     three_way_verdict,
+    threshold_verdict,
+    thumb_direction_reading,
     thumb_pointing,
     validate_pose_vector,
 )
@@ -340,6 +347,26 @@ def test_all_unsure_rules_give_zero_vector(monkeypatch, flat_hand):
     assert vec.tolist() == [0] * 19
 
 
+def test_pose_vector_calls_each_rule_once_per_row(monkeypatch, flat_hand):
+    # The benchmark's tracer (perfbench/spans.py WRAPPED) wraps these module
+    # functions and counts one call per pose row and frame; rules batched
+    # across frames wait until ROADMAP item 2 moves it to per-sample spans.
+    import gesturelink.rules as rules_mod
+
+    calls = Counter()
+    for name in ("flexion", "proximity", "contact", "thumb_pointing", "palm_orientation"):
+        def counted(*args, _fn=getattr(rules_mod, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(rules_mod, name, counted)
+    left_hand = make_frame(random_points(random.Random(7)), handedness=Handedness.LEFT)
+    for frame in (flat_hand, left_hand):
+        calls.clear()
+        rules_mod.encode_pose_vector(frame, TH)
+        assert calls == {"flexion": 5, "proximity": 3, "contact": 4, "thumb_pointing": 1,
+                         "palm_orientation": 1}
+
+
 def test_pose_vector_invariants_fuzz(rng):
     for _ in range(300):
         vec = encode_pose_vector(make_frame(random_points(rng)), TH)
@@ -477,3 +504,157 @@ def test_shipped_defaults_match_documented_values():
 def test_bad_thresholds_rejected(kwargs):
     with pytest.raises(MalformedInput):
         RuleThresholds(**kwargs)
+
+
+# --- bit-identity of the reading kernels --------------------------------------------
+# The readings as first written, one small numpy call at a time: np.dot per
+# vector pair, np.linalg.norm, np.clip, np.cross, a closest-reference scan
+# and one polyline pass per direction. The kernels must match them bit for
+# bit: OpenBLAS's dot uses FMA and numpy's arccos is vectorized, so a dot or
+# an arccos taken any other way rounds differently.
+
+def _ref_angle(v1, v2):
+    n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
+    if n1 < 1e-12 or n2 < 1e-12:
+        return math.nan
+    return float(np.degrees(np.arccos(np.clip(np.dot(v1, v2) / (n1 * n2), -1.0, 1.0))))
+
+
+def _ref_curl(c, finger):
+    if finger == "thumb":
+        _, mcp, ip, tip = c[list(FINGER_JOINTS["thumb"])]
+        return _ref_angle(ip - mcp, tip - ip)
+    mcp, pip_, dip, tip = c[list(FINGER_JOINTS[finger])]
+    return _ref_angle(pip_ - mcp, dip - pip_) + _ref_angle(dip - pip_, tip - dip)
+
+
+def _ref_rowdot(a, b):
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _ref_polyline(points, polyline):
+    a = polyline[:-1]
+    ab = polyline[1:] - a
+    denom = _ref_rowdot(ab, ab)
+    num = _ref_rowdot(points[:, None, :] - a, ab)
+    t = np.divide(num, denom, out=np.zeros_like(num), where=denom >= 1e-12)
+    gap = points[:, None, :] - (a + np.clip(t, 0.0, 1.0)[..., None] * ab)
+    return np.sqrt(_ref_rowdot(gap, gap)).min(axis=1)
+
+
+def _ref_proximity(c, pair):
+    pts1, pts2 = (c[list(FINGER_JOINTS[f][1:]), :2] for f in pair.split("_"))
+    return float(np.mean(np.minimum(_ref_polyline(pts1, pts2), _ref_polyline(pts2, pts1))))
+
+
+_REF_THUMB = ((ThumbDirection.DOWN, np.array([0.0, 1.0, 0.0])),
+              (ThumbDirection.UP, np.array([0.0, -1.0, 0.0])))
+_REF_PALM = tuple(zip(
+    (PalmOrientation.RIGHT, PalmOrientation.LEFT, PalmOrientation.DOWN,
+     PalmOrientation.UP, PalmOrientation.OUTWARD, PalmOrientation.INWARD),
+    np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1]]),
+))
+
+
+def _ref_closest(v, references):
+    return min(((_ref_angle(v, ref), state) for state, ref in references), key=lambda p: p[0])
+
+
+def _ref_thumb(c):
+    v = c[4] - c[2]
+    if np.linalg.norm(v) < 1e-12:
+        return math.nan, ThumbDirection.UNSURE
+    return _ref_closest(v, _REF_THUMB)
+
+
+def _ref_normal(c, handedness):
+    v1, v2 = c[5] - c[17], c[9] - c[0]
+    return np.cross(v1, v2) if handedness == Handedness.LEFT else np.cross(v2, v1)
+
+
+def _ref_palm(n, has_depth):
+    if float(np.linalg.norm(n)) < 1e-9:
+        return math.nan, PalmOrientation.UNKNOWN
+    angle, state = _ref_closest(n, _REF_PALM)
+    if not has_depth and state in (PalmOrientation.INWARD, PalmOrientation.OUTWARD):
+        return math.nan, PalmOrientation.UNKNOWN
+    return angle, state
+
+
+def _ref_pose_vector(curls, proximities, contacts, thumb, palm):
+    flex = [three_way_verdict(v, *(TH.flexion_thumb if i == 0 else TH.flexion_finger))
+            for i, v in enumerate(curls)]
+    rows = flex + [three_way_verdict(v, *TH.proximity) for v in proximities]
+    rows += [three_way_verdict(v, *TH.contact) for v in contacts]
+    rows.append(threshold_verdict(*thumb, TH.thumb_dir_angle_threshold, ThumbDirection.UNSURE)
+                if flex[0] == ThreeWay.POSITIVE else ThumbDirection.UNSURE)
+    orientation = threshold_verdict(*palm, TH.palm_angle_threshold, PalmOrientation.UNKNOWN)
+    rows += [int(orientation == o) for o in PALM_ONE_HOT_ORDER]
+    return rows
+
+
+def _hostile_frames(n, seed=20240817):
+    """Random hands of both handednesses; a quarter without depth, a third
+    rounded to 0.1 (axis-aligned vectors, exact ties), and some with a DIP
+    on its PIP, a whole distal chain on one point, the thumb MCP on its
+    TIP, or a collapsed palm (index MCP on pinky MCP, wrist on middle MCP)."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 1.0, (n, 21, 3))
+    coords[:, :, 2] -= 0.5
+    coords[::3] = np.round(coords[::3], 1)
+    for i, c in enumerate(coords):
+        finger = FINGER_JOINTS[("index", "middle", "ring", "pinky")[i % 4]]
+        draw = rng.uniform(size=4)
+        if draw[0] < 0.1:
+            c[finger[2]] = c[finger[1]]
+        if draw[1] < 0.05:
+            c[list(finger[2:])] = c[finger[1]]
+        if draw[2] < 0.1:
+            c[4] = c[2]
+        if draw[3] < 0.1:
+            c[5], c[0] = c[17], c[9]
+        has_depth = i % 4 != 0
+        if not has_depth:
+            c[:, 2] = 0.0
+        hand = (Handedness.RIGHT, Handedness.LEFT)[(i // 2) % 2]
+        yield make_frame(c, handedness=hand, has_depth=has_depth)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_reading_kernels_match_the_per_call_formulas_bit_for_bit():
+    seen, mismatches = Counter(), Counter()
+    for frame in _hostile_frames(12_000):
+        c = frame.coords
+        curls = [_ref_curl(c, f) for f in FINGER_JOINTS]
+        proximities = [_ref_proximity(c, p) for p in PROXIMITY_PAIRS]
+        contacts = [float(np.linalg.norm(c[4, :2] - c[FINGER_JOINTS[f][3], :2]))
+                    for f in CONTACT_FINGERS]
+        normal = _ref_normal(c, frame.handedness)
+        thumb, palm = _ref_thumb(c), _ref_palm(normal, frame.has_depth)
+        readings = {
+            "curl": (curls, [curl_reading(frame, f) for f in FINGER_JOINTS]),
+            "proximity": (proximities, [proximity_distance(frame, p) for p in PROXIMITY_PAIRS]),
+            "contact": (contacts, [contact_distance(frame, f) for f in CONTACT_FINGERS]),
+            "thumb": (thumb, thumb_direction_reading(frame)),
+            "palm": (palm, palm_reading(frame)),
+            "palm_normal": (normal, palm_normal(frame)),
+            "pose_vector": (_ref_pose_vector(curls, proximities, contacts, thumb, palm),
+                            encode_pose_vector(frame, TH).tolist()),
+        }
+        for name, (ref, kernel) in readings.items():
+            if name in ("thumb", "palm"):  # (angle, state)
+                same = _bits(ref[0]) == _bits(kernel[0]) and ref[1] == kernel[1]
+            else:
+                same = _bits(ref) == _bits(kernel)
+            mismatches[name] += not same
+        seen["2d"] += not frame.has_depth
+        seen["degenerate_curl"] += any(math.isnan(v) for v in curls)
+        seen["degenerate_thumb"] += math.isnan(thumb[0])
+        seen["vanishing_normal"] += np.linalg.norm(normal) < 1e-9
+    assert sum(mismatches.values()) == 0, f"frames off by a bit, per reading: {dict(mismatches)}"
+    # The hostile cases occur often enough to count.
+    assert seen["2d"] >= 3_000 and min(seen.values()) >= 500, f"{dict(seen)}"
+
