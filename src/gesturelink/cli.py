@@ -106,7 +106,7 @@ def _load_tuning_dataset(path: Path):
     per_rule: dict[str, list[MeasuredSample]] = {}
     ambiguous = 0
     stream_cache: dict[str, object] = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(_read_file(path, bytes.decode).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -129,7 +129,7 @@ def _load_tuning_dataset(path: Path):
                     raise MalformedInput(f"stream must be a file name, got {entry['stream']!r}")
                 ref = str(path.parent / entry["stream"])
                 if ref not in stream_cache:
-                    stream_cache[ref] = parse_landmark_stream(Path(ref).read_bytes())
+                    stream_cache[ref] = _read_file(ref, parse_landmark_stream)
                 frames = stream_cache[ref].frames
                 index = entry.get("frame_index", 0)
                 if type(index) is not int or not 0 <= index < len(frames):

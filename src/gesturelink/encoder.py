@@ -55,8 +55,10 @@ class SegmentationConfig:
     def __post_init__(self):
         if self.trigger_frames < 1:
             raise MalformedInput("trigger_frames must be >= 1")
-        if self.end_hold < 0:
-            raise MalformedInput("end_hold must be >= 0")
+        if not math.isfinite(self.chest_line):
+            raise MalformedInput(f"chest_line must be finite, got {self.chest_line}")
+        if not (math.isfinite(self.end_hold) and self.end_hold >= 0):
+            raise MalformedInput(f"end_hold must be finite and >= 0, got {self.end_hold}")
 
 
 @dataclass(frozen=True)

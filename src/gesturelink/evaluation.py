@@ -389,8 +389,8 @@ def load_manifest(path: str | Path) -> list[TaskRecord]:
     resolved relative to the manifest file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise MalformedInput(f"bad manifest {path}: {exc}") from exc
     entries = doc.get("tasks", []) if isinstance(doc, dict) else None
     if not isinstance(entries, list):

@@ -206,18 +206,33 @@ def parse_frame(entry, handedness: Handedness) -> HandLandmarkFrame:
     return HandLandmarkFrame(t, handedness, coords, has_depth)
 
 
+def _lm_as_array(obj: dict) -> dict:
+    """json.loads object_hook: an object's "lm" value becomes a float array
+    as the decoder builds the object, so no row list outlives its frame. A
+    value the conversion rejects stays as decoded; parse_frame reports it."""
+    if "lm" in obj:
+        try:
+            obj["lm"] = np.array(obj["lm"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
 def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
     """Parse the documented JSON stream format into a validated stream.
 
     Schema: {"source_view": "...", "handedness": "right"|"left",
     "frames": [{"t": seconds, "lm": [[x, y, z] or [x, y]] * 21}, ...]}.
-    Frames are read into preallocated arrays and checked all at once.
+    Bytes must be UTF-8. The decoder turns each "lm" into an array as it
+    builds its object, so the row lists never pile up; the frames are then
+    copied into preallocated arrays and checked all at once. A value shown
+    in an error message prints any "lm" inside it as an array.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8", errors="strict")
     try:
-        doc = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8", errors="strict")
+        doc = json.loads(raw, object_hook=_lm_as_array)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
         raise MalformedInput(f"not valid JSON: {exc}") from exc
     del raw  # frees decoded text before the arrays are filled, lowering the parse's peak
     if not isinstance(doc, dict):
@@ -238,7 +253,7 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
     for i, entry in enumerate(raw_frames):
         try:  # as parse_frame converts an entry
             times[i] = float(entry["t"])
-            lm = np.array(entry["lm"], dtype=float)
+            lm = np.asarray(entry["lm"], dtype=float)
         except (KeyError, TypeError, ValueError, OverflowError):
             lm = None
         if lm is not None and lm.shape in ((21, 3), (21, 2)):  # a write would broadcast

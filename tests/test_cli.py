@@ -125,6 +125,24 @@ def test_encode_stream_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys
     assert f"error: {stream}: not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--chest-line", "--end-hold"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_encode_non_finite_segmentation_setting_exits_2(tmp_path, capsys, option, value):
+    stream = tmp_path / "s.json"
+    write_stream(stream, [0.8] * 5 + [0.4] * 11 + [0.8] * 10)
+    out_dir = tmp_path / "out"
+    assert main(["encode", str(stream), "--out-dir", str(out_dir), option, value]) == 2
+    assert f"{option[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_encode_stream_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    stream = tmp_path / "s.json"
+    stream.write_bytes(b'{"frames": []}\xff')
+    assert main(["encode", str(stream), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"error: {stream}: not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -361,6 +379,26 @@ def test_tune_missing_stream_file_exits_2_with_location(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{dataset}:2: " in err and "missing.json" in err
+    assert not out.exists()
+
+
+def test_tune_stream_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    (tmp_path / "bad.json").write_bytes(b'{"frames": []}\xff')
+    entry = {"rule": "flexion_finger", "target": "index", "acceptable_states": [1],
+             "stream": "bad.json"}
+    code, dataset, out, _ = run_tune(tmp_path, [tuning_line(10, [1]), json.dumps(entry)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {dataset}:2: {tmp_path / 'bad.json'}: not valid JSON: 'utf-8' codec" in err
+    assert not out.exists()
+
+
+def test_tune_dataset_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    dataset = tmp_path / "labels.jsonl"
+    dataset.write_bytes(tuning_line(10, [1]).encode() + b"\n\xff\n")
+    out = tmp_path / "o.json"
+    assert main(["tune", str(dataset), "--out", str(out), "--report", str(tmp_path / "r.json")]) == 2
+    assert f"error: {dataset}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -732,6 +770,13 @@ def test_eval_manifest_that_is_not_an_object_exits_2_naming_it(tmp_path, capsys)
     manifest.write_text("[]")
     assert main(["eval", str(manifest), "--backend", "scripted:unused.json"]) == 2
     assert f"error: bad manifest {manifest}: " in capsys.readouterr().err
+
+
+def test_eval_manifest_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(b'{"tasks": []}\xff')
+    assert main(["eval", str(manifest), "--backend", "scripted:unused.json"]) == 2
+    assert f"error: bad manifest {manifest}: 'utf-8' codec" in capsys.readouterr().err
 
 
 def test_eval_manifest_with_duplicate_function_ids_exits_2_naming_it(tmp_path, capsys):

@@ -101,6 +101,23 @@ def test_tiny_window_yields_single_sample():
     assert samples[0].timestamp == 0.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"chest_line": math.nan}, "chest_line must be finite, got nan"),
+     ({"chest_line": -math.inf}, "chest_line must be finite, got -inf"),
+     ({"end_hold": math.nan}, "end_hold must be finite and >= 0, got nan"),
+     ({"end_hold": math.inf}, "end_hold must be finite and >= 0, got inf"),
+     ({"end_hold": -0.1}, "end_hold must be finite and >= 0, got -0.1"),
+     ({"trigger_frames": 0}, "trigger_frames must be >= 1")],
+    ids=["nan-chest-line", "infinite-chest-line", "nan-end-hold", "infinite-end-hold",
+         "negative-end-hold", "zero-trigger-frames"],
+)
+def test_segmentation_config_rejects_bad_values(kwargs, message):
+    with pytest.raises(MalformedInput) as err:
+        SegmentationConfig(**kwargs)
+    assert str(err.value) == message
+
+
 def test_30fps_sampling_is_nearest_neighbor():
     frames = [(k / 30, hand_at(0.4 if 1.0 <= k / 30 <= 3.0 else 0.8)) for k in range(120)]
     stream = make_stream(frames)

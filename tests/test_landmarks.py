@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,9 +181,14 @@ def test_frame_mixing_two_and_three_component_rows_rejected():
 
 # --- array parse against the frame-by-frame parse ----------------------------------
 
-def _frame_by_frame(doc):
-    """Reference parse: every entry through parse_frame, then the time order."""
-    frames = [parse_frame(e, Handedness(doc.get("handedness", "right"))) for e in doc["frames"]]
+def _frame_by_frame(text):
+    """Reference parse: json.loads, every entry through parse_frame, then the time order."""
+    doc = json.loads(text)
+    try:
+        handedness = Handedness(doc.get("handedness", "right"))
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
+    frames = [parse_frame(e, handedness) for e in doc["frames"]]
     for a, b in zip(frames, frames[1:]):
         if b.timestamp <= a.timestamp:
             raise NonMonotonicTimestamps(
@@ -237,21 +243,85 @@ HOSTILE_FRAMES = {
     "far_then_non_dict": _entries((0.0, _ROWS), (0.1, _FAR_ROWS)) + ["frame"],
     "non_monotonic_then_20_rows": _entries((0.2, _ROWS), (0.1, _ROWS), (0.3, _ROWS[:20])),
     "non_monotonic_then_nan": _entries((0.2, _ROWS), (0.1, _ROWS), (0.3, _NAN_ROWS)),
+    # "lm" keys that are not a frame's own: the decoder converts them too.
+    "frame_in_lm": [{"t": 0.0, "lm": {"t": 0.0, "lm": _ROWS}}],
+    "frame_in_lm_row": _entries((0.0, [{"t": 0.0, "lm": _ROWS}] * 21)),
+    "frame_in_t": [{"t": {"t": 0.0, "lm": _ROWS}, "lm": _ROWS}],
+    "extra_keys_with_lm": [dict(e, extra={"lm": _ROWS}, bad={"lm": "x"}, deep={"lm": {"lm": 1}})
+                           for e in _entries((0.0, _ROWS), (0.1, _FLAT_ROWS))],
+    "null_lm": _entries((0.0, _ROWS), (0.1, None)),
 }
 
+# Whole documents, as text so that a key can repeat; HAND is the handedness.
+_FRAME = json.dumps({"t": 0.0, "lm": _ROWS})
+HOSTILE_DOCUMENTS = {
+    "top_level_lm": f'{{"lm": {json.dumps(_ROWS)}, "handedness": "HAND", "frames": [{_FRAME}]}}',
+    "handedness_object": f'{{"handedness": {{"lm": {json.dumps(_ROWS)}}}, "frames": [{_FRAME}]}}',
+    "lm_twice_last_wins": f'{{"handedness": "HAND", "frames": [{{"t": 0.0, "lm": [[0.5]], '
+                          f'"lm": {json.dumps(_FLAT_ROWS)}}}]}}',
+    "lm_twice_last_bad": f'{{"handedness": "HAND", "frames": [{{"t": 0.0, "lm": '
+                         f'{json.dumps(_ROWS)}, "lm": [[0.5]]}}]}}',
+}
 
-@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES))
+# The message prints a value holding an "lm", which the parse shows as an array.
+_ARRAY_IN_MESSAGE = {"frame_in_t", "handedness_object"}
+
+
+def _hostile_text(name, handedness):
+    if name in HOSTILE_DOCUMENTS:
+        return HOSTILE_DOCUMENTS[name].replace("HAND", handedness)
+    return json.dumps({"handedness": handedness, "frames": HOSTILE_FRAMES[name]})
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES) + sorted(HOSTILE_DOCUMENTS))
 @pytest.mark.parametrize("handedness", ["right", "left"])
 def test_array_parse_matches_frame_by_frame_parse(name, handedness):
-    doc = {"handedness": handedness, "frames": HOSTILE_FRAMES[name]}
-    got = _outcome(lambda d: parse_landmark_stream(json.dumps(d)), doc)
-    want = _outcome(_frame_by_frame, doc)
+    text = _hostile_text(name, handedness)
+    got = _outcome(parse_landmark_stream, text)
+    want = _outcome(_frame_by_frame, text)
     if want[0] != "ok":
-        assert got == want
+        assert got[0] == want[0]
         assert issubclass(got[0], GestureLinkError)
+        assert (got[1] == want[1]) is (name not in _ARRAY_IN_MESSAGE)
     else:
         assert got[0] == "ok" and list(got[1].frames) == want[1]
         assert got[1].handedness == Handedness(handedness)
+
+
+def test_messages_print_an_lm_inside_a_shown_value_as_an_array():
+    lm = np.array(_ROWS)
+    for name, message in [
+        ("frame_in_t", f"bad timestamp: {{'t': 0.0, 'lm': {lm!r}}}"),
+        ("handedness_object", f"{{'lm': {lm!r}}} is not a valid Handedness"),
+    ]:
+        with pytest.raises(MalformedInput) as err:
+            parse_landmark_stream(_hostile_text(name, "right"))
+        assert str(err.value) == message
+
+
+def test_parse_peak_memory_stays_within_three_times_the_text():
+    # The row lists of json.loads' document took 6.5 times the text: each
+    # frame's "lm" must become an array as it is decoded.
+    coords = np.random.default_rng(0).uniform(0.0, 1.0, (3000, 21, 3)).round(6)
+    stream = LandmarkStream(coords, np.arange(3000) / 30, np.ones(3000, dtype=bool))
+    text = serialize_landmark_stream(stream)
+    tracemalloc.start()
+    try:
+        parsed = parse_landmark_stream(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == stream
+    assert peak <= 3 * len(text)
+
+
+@pytest.mark.parametrize(
+    "raw", [b'{"frames": []}\xff', "\ufeff{}".encode("utf-16"), b"[" * 100_000, b"1" * 5000],
+    ids=["not-utf-8", "utf-16", "nested-too-deep", "integer-too-long"],
+)
+def test_undecodable_documents_raise_malformed_input(raw):
+    with pytest.raises(MalformedInput, match="not valid JSON"):
+        parse_landmark_stream(raw)
 
 
 def test_broadcastable_landmarks_rejected():
