@@ -24,7 +24,7 @@ from .context import (
     resolve_placeholders,
 )
 from .encoder import GestureStateMatrix, serialize_matrix, serialize_movement
-from .errors import MalformedInput, ParseError, UnknownContext
+from .errors import MalformedInput, ParseError
 from .prompts import AgentPromptSet, render_prompt
 from .transport import ChatMessage, CompletionRequest, UsageRecord
 
@@ -330,7 +330,7 @@ def run_inference_session(
     cfg = cfg or SessionConfig()
     transcript = transcript if transcript is not None else DialogueTranscript()
     if "function_list" not in lib:
-        raise UnknownContext("session needs a function_list context")
+        raise MalformedInput("session needs a function_list context")
     functions = function_entries(lib)
     valid_ids = {f.id for f in functions}
 

@@ -64,10 +64,23 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _read_file(path: str | Path, parse):
-    """parse(the bytes of path), naming the file if they are malformed."""
+def _read_text(path: str | Path) -> str:
+    """The text of path, which must be UTF-8, with read_text's newline
+    translation; MalformedInput naming the file if it is not UTF-8."""
     try:
-        return parse(Path(path).read_bytes())
+        return Path(path).read_text(encoding="utf-8")
+    except ValueError as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
+
+
+def _read_file(path: str | Path, parse):
+    """parse(the JSON text of path), naming the file if it is malformed.
+    The bytes are decoded as strict UTF-8, so UTF-16 fails to decode and a
+    leading BOM fails to parse."""
+    try:
+        return parse(Path(path).read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not valid JSON: {exc}") from exc
     except (MalformedInput, ValueError) as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
 
@@ -106,7 +119,7 @@ def _load_tuning_dataset(path: Path):
     per_rule: dict[str, list[MeasuredSample]] = {}
     ambiguous = 0
     stream_cache: dict[str, object] = {}
-    for line_no, line in enumerate(_read_file(path, bytes.decode).splitlines(), start=1):
+    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -155,7 +168,7 @@ def _load_grid_doc(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise MalformedInput(f"{path}: bad grid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -312,9 +325,7 @@ def cmd_context_add(args) -> int:
     lib = _read_file(path, ContextLibrary.from_json) if path.exists() else ContextLibrary([])
     values = _read_file(args.values, json.loads) if args.values else None
     description = (
-        Path(args.description_file).read_text()
-        if args.description_file
-        else args.description
+        _read_text(args.description_file) if args.description_file else args.description
     )
     ctx = ContextType(
         name=args.name,

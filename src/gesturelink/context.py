@@ -15,13 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .errors import (
-    CalculatorFailure,
-    DuplicateName,
-    MalformedInput,
-    UnknownCalculator,
-    UnknownContext,
-)
+from .errors import CalculatorFailure, MalformedInput
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +71,7 @@ class ContextLibrary:
         self._entries: dict[str, ContextType] = {}
         for ctx in contexts:
             if ctx.name in self._entries:
-                raise DuplicateName(f"duplicate context name: {ctx.name!r}")
+                raise MalformedInput(f"duplicate context name: {ctx.name!r}")
             self._entries[ctx.name] = ctx
         listing = self._entries.get("function_list")
         if functions is None:
@@ -98,7 +92,7 @@ class ContextLibrary:
         try:
             return self._entries[name]
         except KeyError:
-            raise UnknownContext(f"no context named {name!r}") from None
+            raise MalformedInput(f"no context named {name!r}") from None
 
     def filtered(self, keep: Sequence[str]) -> "ContextLibrary":
         """Library restricted to the given context names (order kept). It
@@ -142,7 +136,7 @@ class ContextLibrary:
 def add_context_type(lib: ContextLibrary, ctx: ContextType) -> ContextLibrary:
     """New library with ctx appended; name collisions are rejected."""
     if ctx.name in lib:
-        raise DuplicateName(f"context {ctx.name!r} already present")
+        raise MalformedInput(f"context {ctx.name!r} already present")
     return ContextLibrary([lib.get(n) for n in lib.names] + [ctx])
 
 
@@ -150,10 +144,10 @@ def calculate(lib: ContextLibrary, placeholder: str) -> str:
     """Run the calculator a placeholder names and return its text output."""
     match = PLACEHOLDER_RE.fullmatch(placeholder.strip())
     if not match:
-        raise UnknownCalculator(f"not a calculation placeholder: {placeholder!r}")
+        raise CalculatorFailure(f"not a calculation placeholder: {placeholder!r}")
     calc_id, raw_args = match.group(1), match.group(2)
     if calc_id not in BUILTIN_CALCULATORS:
-        raise UnknownCalculator(f"no calculator registered as {calc_id!r}")
+        raise CalculatorFailure(f"no calculator registered as {calc_id!r}")
     args: dict = {}
     if raw_args:
         try:
@@ -177,8 +171,6 @@ def resolve_placeholders(lib: ContextLibrary, text: str) -> str:
     def _sub(match: re.Match) -> str:
         try:
             return calculate(lib, match.group(0))
-        except UnknownCalculator as exc:
-            logger.warning("placeholder %s failed: %s", match.group(0), exc)
         except CalculatorFailure as exc:
             logger.warning(
                 "placeholder %s failed: %s; diagnostics: %s", match.group(0), exc, exc.diagnostics

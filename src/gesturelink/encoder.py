@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyStream, LeftHandUnsupported, MalformedInput
+from .errors import MalformedInput
 from .landmarks import HandLandmarkFrame, Handedness, LandmarkStream
 from .rules import (
     POSE_ROW_LABELS,
@@ -91,9 +91,9 @@ def detect_gesture_window(
     """
     cfg = cfg or SegmentationConfig()
     if not stream:
-        raise EmptyStream("cannot segment an empty stream")
+        raise MalformedInput("cannot segment an empty stream")
     if stream.handedness != Handedness.RIGHT:
-        raise LeftHandUnsupported("encoder handles right-hand streams only")
+        raise MalformedInput("encoder handles right-hand streams only")
 
     above = (hand_centers(stream.coords)[0][:, 1] <= cfg.chest_line).tolist()
     times = stream.timestamps.tolist()
@@ -223,7 +223,7 @@ def build_state_matrix(
     """Assemble the matrix from sampled frames (>= 1 required);
     MalformedInput unless it satisfies validate_state_matrix."""
     if not samples:
-        raise EmptyStream("cannot build a matrix from zero samples")
+        raise MalformedInput("cannot build a matrix from zero samples")
     channel1 = np.stack([encode_pose_vector(f, th) for f in samples], axis=1)
     centers, widths = hand_centers(np.stack([f.coords for f in samples]))
     channel2 = centers.T.copy()

@@ -398,7 +398,6 @@ def load_manifest(path: str | Path) -> list[TaskRecord]:
     tasks = []
     for entry in entries:
         try:
-            stream_path = path.parent / entry["stream"]
             functions = parse_function_list(entry)
             library = ContextLibrary([
                 make_function_list_context(str(entry.get("interface", "interface")), functions),
@@ -406,9 +405,13 @@ def load_manifest(path: str | Path) -> list[TaskRecord]:
                 make_history_context(list(entry.get("history", ()))),
                 make_external_context(list(entry.get("external", ()))),
             ], functions)
+            try:  # the stream file's own errors name it
+                stream = parse_landmark_stream((path.parent / entry["stream"]).read_bytes())
+            except MalformedInput as exc:
+                raise MalformedInput(f"{entry['stream']}: {exc}") from exc
             tasks.append(TaskRecord(
                 scenario_id=str(entry["scenario_id"]),
-                stream=parse_landmark_stream(stream_path.read_bytes()),
+                stream=stream,
                 library=library,
                 truth_id=str(entry["truth"]),
             ))

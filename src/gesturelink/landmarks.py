@@ -20,12 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    BadLandmarkCount,
-    MalformedInput,
-    NonMonotonicTimestamps,
-    UnknownLandmarkName,
-)
+from .errors import MalformedInput
 
 LANDMARK_NAMES = (
     "WRIST",
@@ -58,7 +53,7 @@ def landmark_index(name: str) -> int:
     try:
         return _NAME_TO_INDEX[name]
     except KeyError:
-        raise UnknownLandmarkName(f"unknown landmark name: {name!r}") from None
+        raise MalformedInput(f"unknown landmark name: {name!r}") from None
 
 
 class Handedness(str, Enum):
@@ -92,7 +87,7 @@ class HandLandmarkFrame:
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"bad landmark coordinates at t={self.timestamp}: {exc}") from exc
         if coords.shape != (21, 3):
-            raise BadLandmarkCount(
+            raise MalformedInput(
                 f"frame at t={self.timestamp} has {len(coords) if coords.ndim else 0} landmarks "
                 f"of shape {coords.shape[1:]}, expected 21 of shape (3,)"
             )
@@ -139,8 +134,8 @@ class LandmarkStream(Sequence):
             (self.coords, float), (self.timestamps, float), (self.depth_flags, bool)))
         n = len(times)
         if coords.shape != (n, 21, 3) or times.shape != depth.shape or times.ndim != 1:
-            raise BadLandmarkCount(f"stream arrays of shapes {coords.shape}, {times.shape} "
-                                   f"and {depth.shape}, expected (N, 21, 3), (N,) and (N,)")
+            raise MalformedInput(f"stream arrays of shapes {coords.shape}, {times.shape} "
+                                 f"and {depth.shape}, expected (N, 21, 3), (N,) and (N,)")
         xy = coords[:, :, :2]
         if n and not (np.isfinite(coords).all() and np.isfinite(times).all()
                       and xy.min() >= _COORD_MIN and xy.max() <= _COORD_MAX and times.min() >= 0):
@@ -149,7 +144,7 @@ class LandmarkStream(Sequence):
         later = np.flatnonzero(np.diff(times) <= 0)
         if later.size:
             earlier, after = times[later[0] : later[0] + 2].tolist()
-            raise NonMonotonicTimestamps(f"timestamps not strictly increasing: {earlier} -> {after}")
+            raise MalformedInput(f"timestamps not strictly increasing: {earlier} -> {after}")
         for name, array in (("coords", coords), ("timestamps", times), ("depth_flags", depth)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)

@@ -77,10 +77,10 @@ def load_prompt_set(directory: str | Path | None = None) -> AgentPromptSet:
             path = Path(directory) / filename
             if not path.is_file():
                 raise MalformedInput(f"missing prompt file: {path}")
-        text = path.read_text(encoding="utf-8")
         try:
+            text = path.read_text(encoding="utf-8")
             validate_prompt(which, text)
-        except MalformedInput as exc:
+        except (MalformedInput, ValueError) as exc:  # ValueError: not UTF-8
             raise MalformedInput(f"{path}: {exc}") from exc
         texts[which] = text
     return AgentPromptSet(**{f"{which}_prompt": text for which, text in texts.items()})

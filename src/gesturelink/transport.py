@@ -19,13 +19,7 @@ import urllib.request
 from dataclasses import dataclass
 from typing import Protocol
 
-from .errors import (
-    AuthError,
-    FixtureExhausted,
-    MalformedInput,
-    RateLimited,
-    TransportError,
-)
+from .errors import AuthError, FixtureExhausted, MalformedInput, TransportError
 
 DEFAULT_MODEL_ID = "gpt-4-1106-preview"
 
@@ -95,10 +89,10 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
-        with open(path, "rb") as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 fixtures = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise MalformedInput(f"bad fixture file {path}: {exc}") from exc
         if not isinstance(fixtures, list):
             raise MalformedInput(f"bad fixture file {path}: must hold a JSON array")
@@ -134,10 +128,10 @@ class BackendConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "BackendConfig":
-        with open(path, "rb") as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise MalformedInput(f"bad backend config {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise MalformedInput(f"bad backend config {path}: must hold a JSON object")
@@ -199,7 +193,7 @@ class LiveBackend:
                 _delta_seconds(exc.headers.get("Retry-After")) if exc.code in (429, 503) else None
             )
             if exc.code == 429:
-                raise RateLimited(f"rate limited: {detail}", retry_after) from exc
+                raise TransportError(f"rate limited: {detail}", retry_after) from exc
             if exc.code in (401, 403):
                 raise AuthError(f"credentials rejected: {detail}") from exc
             raise TransportError(f"HTTP {exc.code}: {detail}", retry_after) from exc
@@ -262,7 +256,7 @@ class RetryingBackend:
                 return self.inner.complete(req)
             except (AuthError, FixtureExhausted):
                 raise
-            except (RateLimited, TransportError) as exc:
+            except TransportError as exc:
                 last_error = exc
                 if attempt == self.policy.max_attempts:
                     break

@@ -16,13 +16,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AmbiguousLabelPresent,
-    EmptyDataset,
-    EmptyGrid,
-    MalformedInput,
-    StateSpaceMismatch,
-)
+from .errors import MalformedInput
 from .landmarks import HandLandmarkFrame
 from .rules import (
     CONTACT_FINGERS,
@@ -101,9 +95,9 @@ class GroundTruthLabel:
 def assess(prediction, label: GroundTruthLabel, space: StateSpace) -> Assessment:
     """Unsure if the rule abstained, else correct iff the label accepts."""
     if prediction not in space.states:
-        raise StateSpaceMismatch(f"prediction {prediction!r} outside state space")
+        raise MalformedInput(f"prediction {prediction!r} outside state space")
     if not label.acceptable_states <= space.states:
-        raise StateSpaceMismatch(f"label {label} outside state space")
+        raise MalformedInput(f"label {label} outside state space")
     if prediction == space.unsure:
         return Assessment.UNSURE
     if prediction in label.acceptable_states:
@@ -113,7 +107,7 @@ def assess(prediction, label: GroundTruthLabel, space: StateSpace) -> Assessment
 
 def average_loss(assessments: Sequence[Assessment], w: LossWeights) -> float:
     if not assessments:
-        raise EmptyDataset("average_loss over zero assessments")
+        raise MalformedInput("average_loss over zero assessments")
     per = {
         Assessment.CORRECT: w.correct_loss,
         Assessment.ERROR: w.error_loss,
@@ -125,7 +119,7 @@ def average_loss(assessments: Sequence[Assessment], w: LossWeights) -> float:
 def assessment_rates(assessments: Sequence[Assessment]) -> dict[str, float]:
     """error / unsure / correct fractions, as in the tuning report."""
     if not assessments:
-        raise EmptyDataset("rates over zero assessments")
+        raise MalformedInput("rates over zero assessments")
     n = len(assessments)
     return {
         "error": sum(a == Assessment.ERROR for a in assessments) / n,
@@ -156,11 +150,11 @@ class GridSpec:
 
     def __post_init__(self):
         if not self.low_values:
-            raise EmptyGrid("grid has no candidate values")
+            raise MalformedInput("grid has no candidate values")
         if self.high_values and not any(
             lo < hi for lo in self.low_values for hi in self.high_values
         ):
-            raise EmptyGrid("no (low, high) cell satisfies low < high")
+            raise MalformedInput("no (low, high) cell satisfies low < high")
 
     @property
     def paired(self) -> bool:
@@ -254,12 +248,10 @@ def parse_label(rule_id: str, states: list) -> GroundTruthLabel:
 
 def _tuning_arrays(dataset: Sequence[MeasuredSample], paired: bool):
     if not dataset:
-        raise EmptyDataset("grid search over zero samples")
+        raise MalformedInput("grid search over zero samples")
     for s in dataset:
         if s.label.is_ambiguous:
-            raise AmbiguousLabelPresent(
-                "ambiguous labels must be filtered before tuning"
-            )
+            raise MalformedInput("ambiguous labels must be filtered before tuning")
     m = np.array([s.measurement for s in dataset], dtype=float)
     if paired:
         pos_ok = np.array([1 in s.label.acceptable_states for s in dataset])

@@ -30,7 +30,7 @@ from gesturelink.agents import (
     run_inference_session,
 )
 from gesturelink.encoder import build_state_matrix
-from gesturelink.errors import ParseError, TransportError, UnknownContext
+from gesturelink.errors import MalformedInput, ParseError, TransportError
 from gesturelink.prompts import load_prompt_set
 from gesturelink.rules import RuleThresholds
 from gesturelink.transport import BackendConfig, LiveBackend, ScriptedBackend, UsageRecord
@@ -406,7 +406,7 @@ def test_malformed_context_reply_falls_back_to_raw_text():
 def test_session_requires_function_list():
     lib = session_lib().filtered(["gaze"])
     backend = RecordingBackend([])
-    with pytest.raises(UnknownContext):
+    with pytest.raises(MalformedInput, match="needs a function_list context"):
         run_inference_session("- palm", lib, PROMPTS, backend)
 
 

@@ -17,6 +17,8 @@ from conftest import (
     smart_home_library,
     stream_json,
 )
+import gesturelink.cli
+from gesturelink import errors
 from gesturelink.cli import main
 from gesturelink.encoder import matrix_to_json
 from gesturelink.rules import RuleThresholds
@@ -101,7 +103,15 @@ def test_encode_left_hand_exits_2(tmp_path, capsys):
     write_stream(stream, [0.4] * 10, handedness="left")
     code = main(["encode", str(stream), "--out-dir", str(tmp_path)])
     assert code == 2
-    assert "right-hand" in capsys.readouterr().err
+    assert f"error: {stream}: encoder handles right-hand streams only" in capsys.readouterr().err
+
+
+def test_encode_empty_stream_exits_2_naming_the_file(tmp_path, capsys):
+    stream = tmp_path / "s.json"
+    stream.write_text('{"frames": []}')
+    assert main(["encode", str(stream), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"error: {stream}: cannot segment an empty stream" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_encode_no_raise_exits_0_with_zero_windows(tmp_path, capsys):
@@ -153,13 +163,15 @@ def test_encode_stream_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys
         '{"flexion_thum": [16, 38]}',
         '{"distance_mode": "xyz"}',
         '{"palm_angle_threshold": NaN}',
+        *(pytest.param('{"palm_angle_threshold": 40}'.encode(encoding), id=encoding)
+          for encoding in ("utf-16", "utf-32", "utf-8-sig")),
     ],
 )
 def test_encode_malformed_thresholds_exits_2_naming_the_file(tmp_path, capsys, text):
     stream = tmp_path / "s.json"
     write_stream(stream, [0.8] * 5 + [0.4] * 11 + [0.8] * 10)
     th = tmp_path / "th.json"
-    th.write_text(text)
+    th.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = main(["encode", str(stream), "--thresholds", str(th), "--out-dir", str(tmp_path)])
     assert code == 2
     assert f"error: {th}: " in capsys.readouterr().err
@@ -308,11 +320,12 @@ def test_tune_bad_inline_frame_exits_2_with_location(tmp_path, capsys):
             json.dumps({"flexion_finger": {"low": [0, 10 ** 400, 5], "high": [5, 180, 5]}}),
             id="integer_beyond_any_float",
         ),
+        *(pytest.param("{}".encode(encoding), id=encoding) for encoding in ("utf-16", "utf-8-sig")),
     ],
 )
 def test_tune_bad_grid_exits_2_naming_the_file(tmp_path, capsys, grid_text):
     grid = tmp_path / "grid.json"
-    grid.write_text(grid_text)
+    grid.write_bytes(grid_text if isinstance(grid_text, bytes) else grid_text.encode())
     lines = [tuning_line(10, [1]), tuning_line(90, [-1])]
     lines.append(json.dumps({"rule": "thumb_direction", "acceptable_states": [1],
                              "frame": json.loads(lines[0])["frame"]}))
@@ -779,6 +792,15 @@ def test_eval_manifest_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     assert f"error: bad manifest {manifest}: 'utf-8' codec" in capsys.readouterr().err
 
 
+def test_eval_manifest_stream_that_is_not_json_exits_2_naming_the_stream(tmp_path, capsys):
+    manifest = write_manifest(tmp_path)
+    stream = tmp_path / "t2.stream.json"
+    stream.write_bytes(stream.read_bytes()[:40])
+    assert main(["eval", str(manifest), "--backend", "scripted:unused.json"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: bad task entry in {manifest}: t2.stream.json: not valid JSON: " in err
+
+
 def test_eval_manifest_with_duplicate_function_ids_exits_2_naming_it(tmp_path, capsys):
     manifest = write_manifest(tmp_path)
     doc = json.loads(manifest.read_text())
@@ -839,6 +861,48 @@ def test_context_add_values_that_are_not_json_exit_2_naming_the_file(tmp_path, c
     assert code == 2
     assert f"error: {values}: " in capsys.readouterr().err
     assert not lib_path.exists()
+
+
+def run_context_add_from_file(tmp_path, description: bytes):
+    lib_path, desc = tmp_path / "lib.json", tmp_path / "desc.md"
+    desc.write_bytes(description)
+    code = main(["context", "add", "--library", str(lib_path), "--name", "external",
+                 "--description-file", str(desc)])
+    return code, lib_path, desc
+
+
+def test_context_add_description_file_translates_newlines(tmp_path):
+    code, from_file, _ = run_context_add_from_file(tmp_path, b"Reports.\r\n\r\n- caf\xc3\xa9\r\n")
+    assert code == 0
+    inline = tmp_path / "inline.json"
+    assert main(["context", "add", "--library", str(inline), "--name", "external",
+                 "--description", "Reports.\n\n- caf\u00e9\n"]) == 0
+    assert from_file.read_bytes() == inline.read_bytes()
+
+
+def test_context_add_description_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    code, lib_path, desc = run_context_add_from_file(tmp_path, b"caf\xe9\n")
+    assert code == 2
+    assert f"error: {desc}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+    assert not lib_path.exists()
+
+
+@pytest.mark.parametrize("command", ["ground", "show", "add"])
+def test_library_with_a_repeated_context_name_exits_2_naming_it(
+    tmp_path, matrix_file, capsys, command
+):
+    lib_path = tmp_path / "lib.json"
+    entry = {"name": "a", "description_md": "A.", "values": None}
+    lib_path.write_text(json.dumps({"contexts": [entry, entry]}))
+    argv = {
+        "ground": ["ground", str(matrix_file), "--library", str(lib_path),
+                   "--backend", "scripted:unused.json", "--out-dir", str(tmp_path / "out")],
+        "show": ["context", "show", "--library", str(lib_path)],
+        "add": ["context", "add", "--library", str(lib_path), "--name", "b",
+                "--description", "B."],
+    }[command]
+    assert main(argv) == 2
+    assert f"error: {lib_path}: duplicate context name: 'a'" in capsys.readouterr().err
 
 
 # --- each input is checked where it enters ------------------------------------------
@@ -1191,3 +1255,57 @@ def test_eval_prompt_placeholder_typo_exits_2_naming_the_file(
     assert "functoin_list" in err
     assert backend_calls == []
     assert not out_dir.exists()
+
+
+# --- every input file is read as UTF-8 ----------------------------------------------
+
+@pytest.mark.parametrize("raw", [b'[{"response": "caf\xe9"}]', '[]'.encode("utf-16")],
+                         ids=["latin-1", "utf-16"])
+@pytest.mark.parametrize("kind", ["fixture file", "backend config"])
+def test_ground_backend_file_not_in_utf8_exits_2_naming_it(
+    tmp_path, matrix_file, library_file, capsys, raw, kind
+):
+    path = tmp_path / "backend.json"
+    path.write_bytes(raw)
+    spec = f"scripted:{path}" if kind == "fixture file" else str(path)
+    code = main(["ground", str(matrix_file), "--library", str(library_file),
+                 "--backend", spec, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: bad {kind} {path}: " in capsys.readouterr().err
+
+
+def test_ground_prompt_file_that_is_not_utf8_exits_2_naming_it(
+    tmp_path, matrix_file, library_file, prompt_typo_dir, capsys
+):
+    inference = prompt_typo_dir / "inference.md"
+    inference.write_bytes(b"caf\xe9")
+    code = main(["ground", str(matrix_file), "--library", str(library_file),
+                 "--prompts", str(prompt_typo_dir), "--backend", "scripted:unused.json",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {inference}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+
+# --- exit codes by error class --------------------------------------------------------
+
+EXIT_CODES = {
+    errors.GestureLinkError: 2, errors.MalformedInput: 2, errors.DegenerateGeometry: 2,
+    errors.CalculatorFailure: 2, errors.ParseError: 2,
+    errors.TransportError: 4, errors.AuthError: 4, errors.FixtureExhausted: 4,
+}
+
+
+def test_errors_module_defines_exactly_the_classes_with_exit_codes():
+    defined = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)}
+    assert defined == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("error", list(EXIT_CODES), ids=lambda e: e.__name__)
+def test_each_error_class_exits_with_its_documented_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("stubbed failure")
+
+    monkeypatch.setattr(gesturelink.cli, "cmd_context_show", fail)
+    assert main(["context", "show", "--library", "unused.json"]) == EXIT_CODES[error]
+    prefix = "transport failure" if EXIT_CODES[error] == 4 else "error"
+    assert capsys.readouterr().err == f"{prefix}: stubbed failure\n"

@@ -20,7 +20,7 @@ from gesturelink.encoder import (
     serialize_movement,
     validate_state_matrix,
 )
-from gesturelink.errors import EmptyStream, LeftHandUnsupported, MalformedInput
+from gesturelink.errors import MalformedInput
 from gesturelink.landmarks import Handedness, LandmarkStream, parse_landmark_stream
 from gesturelink.rules import RuleThresholds, encode_pose_vector, hand_center, hand_centers
 
@@ -73,12 +73,12 @@ def test_window_open_at_stream_end_closes():
 
 def test_left_hand_stream_rejected():
     stream = trajectory_stream([0.4] * 10, handedness=Handedness.LEFT)
-    with pytest.raises(LeftHandUnsupported):
+    with pytest.raises(MalformedInput, match="right-hand streams only"):
         detect_gesture_window(stream, CFG)
 
 
 def test_empty_stream_rejected():
-    with pytest.raises(EmptyStream):
+    with pytest.raises(MalformedInput, match="cannot segment an empty stream"):
         detect_gesture_window(make_stream([]), CFG)
 
 
@@ -307,7 +307,7 @@ def test_batched_hand_centers_equal_per_frame_readings_bit_for_bit():
 
 
 def test_build_requires_samples():
-    with pytest.raises(EmptyStream):
+    with pytest.raises(MalformedInput, match="from zero samples"):
         build_state_matrix([], TH)
 
 

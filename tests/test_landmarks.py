@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gesturelink.errors import (
-    BadLandmarkCount,
-    GestureLinkError,
-    MalformedInput,
-    NonMonotonicTimestamps,
-    UnknownLandmarkName,
-)
+from gesturelink.errors import GestureLinkError, MalformedInput
 from gesturelink.landmarks import (
     LANDMARK_NAMES,
     HandLandmarkFrame,
@@ -39,13 +33,13 @@ def test_parse_valid_three_frame_file():
 def test_parse_rejects_wrong_landmark_count():
     doc = json.loads(stream_json([(0.0, FLAT_HAND_POINTS)]))
     doc["frames"][0]["lm"] = doc["frames"][0]["lm"][:20]
-    with pytest.raises(BadLandmarkCount):
+    with pytest.raises(MalformedInput, match="has 20 landmarks of shape"):
         parse_landmark_stream(json.dumps(doc))
 
 
 def test_parse_rejects_non_monotonic_timestamps():
     raw = stream_json([(0.0, FLAT_HAND_POINTS), (0.0, FLAT_HAND_POINTS)])
-    with pytest.raises(NonMonotonicTimestamps):
+    with pytest.raises(MalformedInput, match="timestamps not strictly increasing: 0.0 -> 0.0"):
         parse_landmark_stream(raw)
 
 
@@ -70,7 +64,7 @@ def test_landmark_rejects_non_finite():
     "row,value,error",
     [(3, (float("nan"), 0.5, 0.0), MalformedInput), (3, (0.5, 0.5, float("inf")), MalformedInput),
      (3, (1.6, 0.5, 0.0), MalformedInput), (3, (0.5, -0.6, 0.0), MalformedInput),
-     (None, None, BadLandmarkCount)],
+     (None, None, MalformedInput)],
 )
 def test_direct_frame_construction_validates_like_parsing(row, value, error):
     points = [list(p) for p in FLAT_HAND_POINTS]
@@ -78,10 +72,11 @@ def test_direct_frame_construction_validates_like_parsing(row, value, error):
         points = points[:20]
     else:
         points[row] = list(value)
-    with pytest.raises(error):
+    match = "has 20 landmarks of shape" if row is None else None  # the count's own message
+    with pytest.raises(error, match=match):
         HandLandmarkFrame(0.0, Handedness.RIGHT, np.array(points))
     doc = {"frames": [{"t": 0.0, "lm": points}]}
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         parse_landmark_stream(json.dumps(doc))
 
 
@@ -140,7 +135,7 @@ def test_landmark_index_is_a_bijection():
 
 
 def test_landmark_index_unknown_name():
-    with pytest.raises(UnknownLandmarkName):
+    with pytest.raises(MalformedInput, match="unknown landmark name: 'THUMB_TOP'"):
         landmark_index("THUMB_TOP")
 
 
@@ -191,7 +186,7 @@ def _frame_by_frame(text):
     frames = [parse_frame(e, handedness) for e in doc["frames"]]
     for a, b in zip(frames, frames[1:]):
         if b.timestamp <= a.timestamp:
-            raise NonMonotonicTimestamps(
+            raise MalformedInput(
                 f"timestamps not strictly increasing: {a.timestamp} -> {b.timestamp}"
             )
     return frames
@@ -326,7 +321,7 @@ def test_undecodable_documents_raise_malformed_input(raw):
 
 def test_broadcastable_landmarks_rejected():
     for name in ("one_row", "flat_xyz", "scalar_lm", "rows_of_one_number"):
-        with pytest.raises(BadLandmarkCount):
+        with pytest.raises(MalformedInput, match="expected 21 of shape"):
             parse_landmark_stream(json.dumps({"frames": HOSTILE_FRAMES[name]}))
 
 
@@ -355,12 +350,13 @@ def test_stream_arrays_are_read_only_and_frames_are_views():
 
 
 @pytest.mark.parametrize(
-    "coords,times,error",
-    [(np.zeros((2, 20, 3)), [0.0, 0.1], BadLandmarkCount),
-     (np.full((2, 21, 3), 0.5), [0.0], BadLandmarkCount),
-     (np.full((2, 21, 3), 2.0), [0.0, 0.1], MalformedInput),
-     (np.full((2, 21, 3), 0.5), [0.1, 0.1], NonMonotonicTimestamps)],
+    "coords,times,match",
+    [(np.zeros((2, 20, 3)), [0.0, 0.1], r"shapes \(2, 20, 3\), \(2,\) and \(2,\)"),
+     (np.full((2, 21, 3), 0.5), [0.0], r"shapes \(2, 21, 3\), \(1,\) and \(2,\)"),
+     (np.full((2, 21, 3), 2.0), [0.0, 0.1], "landmark coordinate outside"),
+     (np.full((2, 21, 3), 0.5), [0.1, 0.1], "timestamps not strictly increasing")],
+    ids=["20-landmarks", "fewer-timestamps", "out-of-range", "repeated-timestamp"],
 )
-def test_direct_stream_construction_validates(coords, times, error):
-    with pytest.raises(error):
+def test_direct_stream_construction_validates(coords, times, match):
+    with pytest.raises(MalformedInput, match=match):
         LandmarkStream(coords, times, [True] * len(coords))

@@ -8,13 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from gesturelink import transport
-from gesturelink.errors import (
-    AuthError,
-    FixtureExhausted,
-    MalformedInput,
-    RateLimited,
-    TransportError,
-)
+from gesturelink.errors import AuthError, FixtureExhausted, MalformedInput, TransportError
 from gesturelink.transport import (
     BackendConfig,
     ChatMessage,
@@ -211,14 +205,15 @@ def test_live_backend_success_over_loopback(loopback):
 
 
 @pytest.mark.parametrize(
-    "status, error", [(429, RateLimited), (401, AuthError), (403, AuthError), (500, TransportError)]
+    "status, error", [(429, TransportError), (401, AuthError), (403, AuthError), (500, TransportError)]
 )
 def test_live_backend_maps_http_errors(loopback, status, error):
     loopback.replies.append((status, b'{"error": "nope"}', 0.0))
     with pytest.raises(TransportError) as exc:
         loopback.backend().complete(req("x"))
     assert type(exc.value) is error
-    assert "nope" in str(exc.value)
+    prefix = {429: "rate limited", 500: "HTTP 500"}.get(status, "credentials rejected")
+    assert str(exc.value).startswith(f"{prefix}: ") and "nope" in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -277,7 +272,7 @@ def test_backend_config_from_file(tmp_path):
 # --- retry wrapper -----------------------------------------------------------------
 
 class FlakyBackend:
-    def __init__(self, failures, error=RateLimited("slow down")):
+    def __init__(self, failures, error=TransportError("rate limited: slow down")):
         self.failures = failures
         self.error = error
         self.calls = 0
@@ -303,7 +298,7 @@ def test_retry_succeeds_after_transient_failures():
 def test_retry_gives_up_after_budget():
     inner = FlakyBackend(failures=5)
     backend = RetryingBackend(inner, RetryPolicy(max_attempts=2), sleep=lambda s: None)
-    with pytest.raises(RateLimited):
+    with pytest.raises(TransportError, match="rate limited: slow down"):
         backend.complete(req("x"))
     assert inner.calls == 2
 
@@ -319,7 +314,7 @@ def test_auth_error_never_retried():
 def test_single_attempt_policy():
     inner = FlakyBackend(failures=1)
     backend = RetryingBackend(inner, RetryPolicy(max_attempts=1), sleep=lambda s: None)
-    with pytest.raises(RateLimited):
+    with pytest.raises(TransportError, match="rate limited: slow down"):
         backend.complete(req("x"))
     assert inner.calls == 1
 
