@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .context import (
     ContextLibrary,
-    FunctionEntry,
     function_entries,
+    function_list_text,
     render_library_prompt,
     resolve_placeholders,
 )
@@ -35,6 +35,7 @@ logger = logging.getLogger(__name__)
 # so the cap bounds the cost of a degenerate reply.
 MAX_REPLY_CHARS = 32_000
 _DECODER = json.JSONDecoder()
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 _REPAIR_REMINDER = (
     "Your previous reply could not be parsed. Respond again with exactly one "
@@ -119,13 +120,7 @@ class DialogueTranscript:
         return sum(t.usage.latency for t in self.turns if t.usage)
 
     def to_jsonl(self) -> str:
-        return (
-            "\n".join(
-                json.dumps(t.to_record(), ensure_ascii=False, sort_keys=True)
-                for t in self.turns
-            )
-            + "\n"
-        )
+        return "\n".join([_JSONL_ENCODER.encode(t.to_record()) for t in self.turns]) + "\n"
 
 
 def extract_json_object(raw: str) -> dict:
@@ -142,7 +137,7 @@ def extract_json_object(raw: str) -> dict:
         while start != -1:
             try:
                 return _DECODER.raw_decode(raw, start)[0]
-            except json.JSONDecodeError:
+            except ValueError:  # JSONDecodeError, or an integer of too many digits
                 start = raw.find("{", start + 1)
     except RecursionError:
         raise ParseError("JSON in response is nested too deeply") from None
@@ -232,7 +227,7 @@ def describe_pose(
             raise ParseError("'time_span' must be [start, end]")
         try:
             start, end = int(span[0]), int(span[1])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError("'time_span' entries must be integers") from None
         clamped = (min(max(start, 0), matrix.T - 1), min(max(end, 0), matrix.T - 1))
         if clamped != (start, end):
@@ -281,14 +276,6 @@ def compose_description(pose: PoseDescription, movement: str) -> str:
     return "\n".join(bullets)
 
 
-def _function_list_text(functions: tuple[FunctionEntry, ...]) -> str:
-    lines = []
-    for f in functions:
-        loc = ", ".join(f"{v:g}" for v in f.location)
-        lines.append(f"- {f.id}: {f.name} (location: {loc})")
-    return "\n".join(lines)
-
-
 def _prune_conclusion(ids: list[str], valid: set[str]) -> tuple[str, ...]:
     """Drop unknown ids and duplicates (keep first), cap at five."""
     seen: list[str] = []
@@ -331,12 +318,11 @@ def run_inference_session(
     transcript = transcript if transcript is not None else DialogueTranscript()
     if "function_list" not in lib:
         raise MalformedInput("session needs a function_list context")
-    functions = function_entries(lib)
-    valid_ids = {f.id for f in functions}
+    valid_ids = {f.id for f in function_entries(lib)}
 
     inference_messages = [
         ChatMessage("system", render_prompt(
-            prompts.inference_prompt, function_list=_function_list_text(functions)
+            prompts.inference_prompt, function_list=function_list_text(lib)
         )),
         ChatMessage("user", f"Gesture description:\n{description}"),
     ]

@@ -13,13 +13,15 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import CalculatorFailure, MalformedInput
 
 logger = logging.getLogger(__name__)
 
 PLACEHOLDER_RE = re.compile(r"\{\{CALC:([A-Za-z0-9_\-]+)(?::(.+?))?\}\}")
+# A placeholder up to its arguments' colon, or whole when it has none.
+_OPENER_RE = re.compile(r"\{\{CALC:([A-Za-z0-9_\-]+)(:|\}\})")
 
 # Gaze samples within this many seconds of the newest sample count as
 # "recent" for the built-in gaze calculators. The window length is an
@@ -77,6 +79,7 @@ class ContextLibrary:
         if functions is None:
             functions = () if listing is None else parse_function_list(listing.values)
         self._functions = tuple(functions)
+        self._function_list_text = _render_function_list(self._functions)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -96,11 +99,14 @@ class ContextLibrary:
 
     def filtered(self, keep: Sequence[str]) -> "ContextLibrary":
         """Library restricted to the given context names (order kept). It
-        shares this library's parsed function list."""
+        shares this library's parsed and rendered function list."""
         keep = set(keep)
         lib = ContextLibrary.__new__(ContextLibrary)
         lib._entries = {name: c for name, c in self._entries.items() if name in keep}
-        lib._functions = self._functions if "function_list" in keep else ()
+        if "function_list" in keep:
+            lib._functions, lib._function_list_text = self._functions, self._function_list_text
+        else:
+            lib._functions, lib._function_list_text = (), ""
         return lib
 
     def to_json(self) -> str:
@@ -152,7 +158,7 @@ def calculate(lib: ContextLibrary, placeholder: str) -> str:
     if raw_args:
         try:
             args = json.loads(raw_args)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits, too deep
             raise CalculatorFailure(
                 f"bad calculator args for {calc_id}", diagnostics=str(exc)
             ) from exc
@@ -162,22 +168,53 @@ def calculate(lib: ContextLibrary, placeholder: str) -> str:
         raise CalculatorFailure(f"calculator {calc_id} raised", diagnostics=repr(exc)) from exc
 
 
+def _placeholder_spans(text: str) -> Iterator[tuple[int, int, str]]:
+    """(start, end, calculator id) of each PLACEHOLDER_RE match in text,
+    as PLACEHOLDER_RE.finditer finds them, in time linear in len(text).
+
+    PLACEHOLDER_RE's lazy arguments rescan to the end of the line for
+    every opener that is never closed. Here the next "}}" and the next
+    newline are looked up once and reused while they lie ahead: an
+    argument list runs to the first "}}" past its first character, and
+    the placeholder fails if a newline comes before it.
+    """
+    n = len(text)
+    close = newline = -1
+    pos = 0
+    while opener := _OPENER_RE.search(text, pos):
+        pos = opener.end()
+        if opener.group(2) == ":":
+            if close <= pos:
+                close = text.find("}}", pos + 1) % (n + 1)  # n when absent
+            if newline < pos:
+                newline = text.find("\n", pos) % (n + 1)
+            if not close < min(n, newline):
+                continue
+            pos = close + 2
+        yield opener.start(), pos, opener.group(1)
+
+
 def resolve_placeholders(lib: ContextLibrary, text: str) -> str:
     """Replace every calculation placeholder in text with its output.
 
     Never raises: a failed calculation becomes an explicit unavailability
     note, and the failure is logged with the calculator's diagnostics.
     """
-    def _sub(match: re.Match) -> str:
+    parts = []
+    done = 0
+    for start, end, calc_id in _placeholder_spans(text):
+        placeholder = text[start:end]
+        parts.append(text[done:start])
         try:
-            return calculate(lib, match.group(0))
+            parts.append(calculate(lib, placeholder))
         except CalculatorFailure as exc:
             logger.warning(
-                "placeholder %s failed: %s; diagnostics: %s", match.group(0), exc, exc.diagnostics
+                "placeholder %s failed: %s; diagnostics: %s", placeholder, exc, exc.diagnostics
             )
-        return f"[calculation {match.group(1)} unavailable]"
-
-    return PLACEHOLDER_RE.sub(_sub, text)
+            parts.append(f"[calculation {calc_id} unavailable]")
+        done = end
+    parts.append(text[done:])
+    return "".join(parts)
 
 
 def render_library_prompt(lib: ContextLibrary) -> str:
@@ -267,10 +304,25 @@ def parse_function_list(doc: Any) -> list[FunctionEntry]:
     return list(entries.values())
 
 
+def _render_function_list(functions: Sequence[FunctionEntry]) -> str:
+    """One "- id: name (location: x, y)" line per function, for the
+    inference prompt."""
+    return "\n".join(
+        f"- {f.id}: {f.name} (location: {', '.join(f'{v:g}' for v in f.location)})"
+        for f in functions
+    )
+
+
 def function_entries(lib: ContextLibrary) -> tuple[FunctionEntry, ...]:
     """The function_list context's entries as the library parsed them;
     empty when the library has no function_list."""
     return lib._functions
+
+
+def function_list_text(lib: ContextLibrary) -> str:
+    """The library's function list as the inference prompt shows it,
+    rendered once when the library was built."""
+    return lib._function_list_text
 
 
 # --- built-in calculators --------------------------------------------------
@@ -299,15 +351,17 @@ def _gaze_target(lib: ContextLibrary, args: dict) -> str:
     if not functions:
         raise MalformedInput("gaze_target needs a function_list context")
 
-    depth_dims = 3 if any("z" in s for s in recent) else 2
-
-    def dist(entry: FunctionEntry) -> float:
-        dims = min(len(entry.location), depth_dims)
-        return math.sqrt(
-            sum((centroid[i] - entry.location[i]) ** 2 for i in range(dims))
-        )
-
-    best = min(functions, key=lambda f: (dist(f), f.id))
+    # min's rule on the (distance, id) key: a function replaces the best
+    # only if its key is strictly smaller, so an exact tie goes to the
+    # lower id and a NaN distance neither displaces nor is displaced. The
+    # distance keeps ** and sum, whose rounding (compensated from Python
+    # 3.12 on) a hand-written accumulation would not reproduce.
+    point = centroid[:3] if any("z" in s for s in recent) else centroid[:2]
+    best = best_key = None
+    for entry in functions:
+        key = (math.sqrt(sum([(c - v) ** 2 for c, v in zip(point, entry.location)])), entry.id)
+        if best is None or key < best_key:
+            best, best_key = entry, key
     return best.name
 
 

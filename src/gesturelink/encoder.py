@@ -37,6 +37,9 @@ _TIME_EPS = 1e-9
 
 _CHANNEL2_LABELS = ("center_x", "center_y_up", "center_z")
 _MATRIX_HEADER = "gesture-state-matrix v1"
+# Channel-1 cell text of each valid state; serialize_matrix formats any
+# other value (possible in a matrix built by hand) with f"{int(v):>2d}".
+_STATE_CELLS = {-1: "-1", 0: " 0", 1: " 1"}
 
 
 @dataclass(frozen=True)
@@ -247,11 +250,12 @@ def serialize_matrix(m: GestureStateMatrix) -> str:
         f"T={m.T} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
     ]
     label_w = max(len(s) for s in POSE_ROW_LABELS + _CHANNEL2_LABELS)
+    state_cell = _STATE_CELLS.get
     for label, row in zip(POSE_ROW_LABELS, m.channel1.tolist()):
-        cells = " ".join(f"{int(v):>2d}" for v in row)
+        cells = " ".join([state_cell(v) or f"{int(v):>2d}" for v in row])
         lines.append(f"{label:<{label_w}} {cells}")
     for label, row in zip(_CHANNEL2_LABELS, m.channel2.tolist()):
-        cells = " ".join(f"{v:.3f}" for v in row)
+        cells = " ".join([f"{v:.3f}" for v in row])
         lines.append(f"{label:<{label_w}} {cells}")
     return "\n".join(lines) + "\n"
 
@@ -265,7 +269,7 @@ def serialize_movement(m: GestureStateMatrix, start: int, end: int) -> str:
         f"span={start}..{end} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
     ]
     for label, row in zip(_CHANNEL2_LABELS, m.channel2[:, start : end + 1].tolist()):
-        cells = " ".join(f"{v:.3f}" for v in row)
+        cells = " ".join([f"{v:.3f}" for v in row])
         lines.append(f"{label} {cells}")
     return "\n".join(lines) + "\n"
 

@@ -105,6 +105,13 @@ def test_extract_degenerate_reply_fails_fast(raw):
     assert time.perf_counter() - start < 2.0
 
 
+def test_extract_skips_an_integer_of_too_many_digits():
+    nines = "9" * 4400
+    with pytest.raises(ParseError, match="no JSON object found"):
+        extract_json_object('x {"thought": "t", "conclusion": [' + nines + "]}")
+    assert extract_json_object('{"a": ' + nines + '} {"b": 1}') == {"b": 1}
+
+
 def test_extract_accepts_reply_at_cap():
     raw = '{"a": 1}'.ljust(MAX_REPLY_CHARS)
     assert extract_json_object(raw) == {"a": 1}
@@ -190,6 +197,20 @@ def test_describe_pose_repair_retry_then_success():
     assert desc.time_span == (0, 1)
     assert len(backend.requests) == 2
     assert "could not be parsed" in backend.requests[1].messages[-1].content
+
+
+@pytest.mark.parametrize("end", ["1e400", "Infinity", "-Infinity"])
+def test_infinite_pose_span_is_reasked_then_negative(end):
+    hostile = '{"candidate_gestures": "wave", "time_span": [0, ' + end + "]}"
+    backend = RecordingBackend([hostile, hostile])
+    conclusion, transcript = ground_matrix(make_matrix(), session_lib(), PROMPTS, backend)
+    assert conclusion is None
+    assert len(backend.requests) == 2
+    assert transcript.turns[-1].parsed == {
+        "result": "negative",
+        "reason": "description failed: unparseable after 2 attempts: "
+                  "'time_span' entries must be integers",
+    }
 
 
 def test_describe_pose_fails_after_two_malformed():
@@ -390,6 +411,50 @@ def test_unparseable_inference_turn_after_retry_is_negative():
     assert transcript.turns[-1].parsed["result"] == "negative"
 
 
+def test_inference_reply_with_too_many_digits_is_reasked_then_negative():
+    hostile = 'x {"thought": "t", "conclusion": [' + "9" * 4400 + "]}"
+    backend = RecordingBackend([hostile, hostile])
+    conclusion, transcript = run_inference_session("- palm", session_lib(), PROMPTS, backend)
+    assert conclusion is None
+    assert len(backend.requests) == 2
+    assert transcript.turns[-1].parsed["reason"].startswith(
+        "unparseable inference turn: unparseable after 2 attempts: no JSON object found"
+    )
+
+
+@pytest.mark.parametrize(
+    "raw_args",
+    ["[" + "1" * 5000 + "]", "[" * 20_000],  # replies stay under MAX_REPLY_CHARS
+    ids=["too-many-digits", "too-deep"],
+)
+def test_placeholder_args_that_fail_to_decode_are_delivered_as_a_note(raw_args):
+    backend = RecordingBackend([
+        question_reply("gaze?"),
+        context_reply("at {{CALC:gaze_target:" + raw_args + "}}"),
+        conclusion_reply(["light.power"]),
+    ])
+    conclusion, transcript = run_inference_session("- palm", session_lib(), PROMPTS, backend)
+    assert conclusion.ranked_functions == ("light.power",)
+    context_turn = [t for t in transcript.turns if t.role == "context"][0]
+    assert context_turn.parsed["delivered"] == "at [calculation gaze_target unavailable]"
+
+
+def test_unclosed_placeholders_in_a_raw_fallback_are_delivered_quickly():
+    openers = "{{CALC:x:" * 8000  # 72,000 characters, past MAX_REPLY_CHARS
+    backend = RecordingBackend([
+        question_reply("gaze?"),
+        openers,
+        openers,
+        conclusion_reply(["light.power"]),
+    ])
+    start = time.perf_counter()
+    conclusion, transcript = run_inference_session("- palm", session_lib(), PROMPTS, backend)
+    assert time.perf_counter() - start < 1.0
+    assert conclusion.ranked_functions == ("light.power",)
+    context_turn = [t for t in transcript.turns if t.role == "context"][0]
+    assert context_turn.parsed["delivered"] == openers
+
+
 def test_malformed_context_reply_falls_back_to_raw_text():
     backend = RecordingBackend([
         question_reply("gaze?"),
@@ -564,3 +629,15 @@ def test_session_with_gaze_placeholders_parses_no_function_list(monkeypatch):
     conclusion, _ = ground_matrix(make_matrix(), lib, PROMPTS, backend)
     assert conclusion.ranked_functions == ("light.power",)
     assert calls == []
+
+
+def test_sessions_reuse_the_library_function_list_text(monkeypatch):
+    import gesturelink.context
+
+    lib = session_lib()
+    monkeypatch.setattr(gesturelink.context, "_render_function_list", None)  # a call would raise
+    for keep in (lib.names, ["function_list"]):
+        backend = RecordingBackend([conclusion_reply(["light.power"])])
+        run_inference_session("- palm", lib.filtered(keep), PROMPTS, backend)
+        system = backend.requests[0].messages[0].content
+        assert "- light.power: Light Power (location: 0.2, 0.4, 1.5)\n" in system

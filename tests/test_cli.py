@@ -698,6 +698,47 @@ def test_eval_smoke_runs_all_settings(tmp_path, capsys):
     assert (out_dir / "report.csv").exists()
 
 
+_INFINITE_SPAN = '{"candidate_gestures": "wave", "time_span": [0, 1e400]}'
+_LONG_NUMBER = 'x {"thought": "t", "conclusion": [' + "9" * 4400 + "]}"
+# Scripts whose replies used to escape as a traceback, with the Top-1 mean
+# eval then reports: the first two end Negative after one re-ask, and the
+# placeholders are delivered as an unavailability note.
+HOSTILE_SCRIPTS = {
+    "infinite-span": ([_INFINITE_SPAN, _INFINITE_SPAN], 0.0),
+    "too-many-digits": (GROUND_REPLIES[:2] + [_LONG_NUMBER, _LONG_NUMBER], 0.0),
+    "placeholder-digits": (
+        GROUND_REPLIES[:3]
+        + [context_reply("the {{CALC:gaze_target:[" + "1" * 5000 + "]}}"), GROUND_REPLIES[4]],
+        0.5,
+    ),
+    "placeholder-depth": (
+        GROUND_REPLIES[:3]
+        + [context_reply("the {{CALC:gaze_target:" + "[" * 20_000 + "}}"), GROUND_REPLIES[4]],
+        0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("script", HOSTILE_SCRIPTS)
+def test_hostile_replies_score_instead_of_crashing(tmp_path, matrix_file, library_file, script):
+    replies, top1 = HOSTILE_SCRIPTS[script]
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, replies)
+    out_dir = tmp_path / "out"
+    code = main([
+        "eval", str(write_manifest(tmp_path)), "--backend", f"scripted:{fixtures}",
+        "--repetitions", "1", "--out-dir", str(out_dir),
+    ])
+    assert code == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["settings"]["all"]["metrics"]["top1"]["mean"] == pytest.approx(top1)
+    code = main([
+        "ground", str(matrix_file), "--library", str(library_file),
+        "--backend", f"scripted:{fixtures}", "--out-dir", str(tmp_path / "ground"),
+    ])
+    assert code == (3 if top1 == 0.0 else 0)
+
+
 def test_eval_single_setting_and_determinism(tmp_path):
     manifest = write_manifest(tmp_path)
     fixtures = tmp_path / "fx.json"

@@ -1,17 +1,25 @@
 import json
 import math
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import smart_home_functions, smart_home_library
 from gesturelink.context import (
     BUILTIN_CALCULATORS,
+    PLACEHOLDER_RE,
     ContextLibrary,
     ContextType,
+    FunctionEntry,
+    _gaze_target,
+    _placeholder_spans,
     add_context_type,
     calculate,
     function_entries,
+    function_list_text,
     make_external_context,
+    make_function_list_context,
     make_gaze_context,
     render_library_prompt,
     resolve_placeholders,
@@ -89,8 +97,6 @@ def test_gaze_target_resolves_nearest_function():
 
 
 def test_gaze_target_tie_breaks_on_lower_id():
-    from gesturelink.context import FunctionEntry, make_function_list_context
-
     functions = [
         FunctionEntry(id="b_fan", name="Fan", location=(0.75, 0.5)),
         FunctionEntry(id="a_lamp", name="Lamp", location=(0.25, 0.5)),
@@ -102,6 +108,72 @@ def test_gaze_target_tie_breaks_on_lower_id():
         ]
     )
     assert calculate(lib, "{{CALC:gaze_target}}") == "Lamp"
+
+
+def min_formula_gaze_target(lib):
+    """The calculator's answer by the min(..., key=(dist, id)) formula it
+    used before scanning functions in one loop: the reference the scan
+    must match bit for bit, ties and NaN distances included."""
+    samples = lib.get("gaze").values
+    newest = max(float(s["t"]) for s in samples)
+    recent = [s for s in samples if float(s["t"]) >= newest - 1.0]
+    centroid = [
+        float(sum(float(s[k]) for s in recent) / len(recent)) for k in ("x", "y")
+    ] + [float(sum(float(s.get("z", 0.0)) for s in recent) / len(recent))]
+    depth_dims = 3 if any("z" in s for s in recent) else 2
+
+    def dist(entry):
+        dims = min(len(entry.location), depth_dims)
+        return math.sqrt(sum((centroid[i] - entry.location[i]) ** 2 for i in range(dims)))
+
+    return min(function_entries(lib), key=lambda f: (dist(f), f.id)).name
+
+
+# Few distinct coordinates, so that distances often tie exactly.
+_coord = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.5]),
+                   st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    locations=st.lists(
+        st.one_of(st.tuples(_coord, _coord), st.tuples(_coord, _coord, _coord)),
+        min_size=1, max_size=8,
+    ),
+    ids=st.permutations(["a", "b", "c", "d", "e", "f", "g", "h"]),
+    samples=st.lists(
+        st.fixed_dictionaries(
+            {"t": st.sampled_from([0.0, 0.5, 2.0]), "x": _coord, "y": _coord},
+            optional={"z": _coord},
+        ),
+        min_size=1, max_size=4,
+    ),
+    nan_centroid=st.booleans(),
+)
+def test_gaze_target_matches_min_formula(locations, ids, samples, nan_centroid):
+    if nan_centroid:
+        samples[-1]["x"] = math.nan
+    functions = [FunctionEntry(fid, f"name-{fid}", loc) for fid, loc in zip(ids, locations)]
+    lib = ContextLibrary(
+        [make_function_list_context("room", functions), make_gaze_context(samples)]
+    )
+    assert _gaze_target(lib, {}) == min_formula_gaze_target(lib)
+
+
+def test_gaze_target_ties_and_nan_follow_min():
+    functions = [
+        FunctionEntry(id="c", name="C", location=(0.5, 0.0)),
+        FunctionEntry(id="a", name="A", location=(0.5, 1.0)),
+        FunctionEntry(id="b", name="B", location=(0.0, 0.5, 9.0)),
+    ]
+    for samples, expected in [
+        ([{"t": 0.0, "x": 0.5, "y": 0.5}], "A"),  # three exact ties: lowest id
+        ([{"t": 0.0, "x": math.nan, "y": 0.5}], "C"),  # NaN distances: the first function
+    ]:
+        lib = ContextLibrary(
+            [make_function_list_context("room", functions), make_gaze_context(samples)]
+        )
+        assert _gaze_target(lib, {}) == min_formula_gaze_target(lib) == expected
 
 
 def test_gaze_target_uses_recent_window_only():
@@ -132,6 +204,23 @@ def test_calculator_args_parsed_as_json():
         calculate(lib, "{{CALC:gaze_trace:not-json}}")
 
 
+@pytest.mark.parametrize(
+    "raw_args",
+    ['{"window": ' + "1" * 5000 + "}", "[" * 100_000],
+    ids=["too-many-digits", "too-deep"],
+)
+def test_calculator_args_that_fail_to_decode_raise_calculator_failure(raw_args):
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    placeholder = "{{CALC:gaze_target:" + raw_args + "}}"
+    with pytest.raises(CalculatorFailure, match="bad calculator args for gaze_target") as exc:
+        calculate(lib, placeholder)
+    assert exc.value.diagnostics
+    # The first "}}" closes the placeholder, so an object's own "}" is left over.
+    assert resolve_placeholders(lib, f"at {placeholder}.") == (
+        "at [calculation gaze_target unavailable]" + "}" * raw_args.startswith("{") + "."
+    )
+
+
 def test_calculate_is_referentially_transparent():
     lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
     assert calculate(lib, "{{CALC:gaze_target}}") == calculate(lib, "{{CALC:gaze_target}}")
@@ -152,7 +241,51 @@ def test_resolve_placeholders_substitutes_inline():
     assert "Light" in resolved
 
 
+def regex_resolve(lib, text):
+    """resolve_placeholders as PLACEHOLDER_RE.sub computes it: the
+    reference for the linear scan."""
+    def sub(match):
+        try:
+            return calculate(lib, match.group(0))
+        except CalculatorFailure:
+            return f"[calculation {match.group(1)} unavailable]"
+
+    return PLACEHOLDER_RE.sub(sub, text)
+
+
+_PLACEHOLDER_TOKENS = ["{{CALC:", "gaze_target", "gaze_trace", "x-1", ":", "}", "}}", "{",
+                       "\n", " ", '"window"', "2"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_PLACEHOLDER_TOKENS), max_size=40).map("".join))
+def test_placeholder_scan_matches_the_regex(text):
+    expected = [(m.start(), m.end(), m.group(1)) for m in PLACEHOLDER_RE.finditer(text)]
+    assert list(_placeholder_spans(text)) == expected
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    assert resolve_placeholders(lib, text) == regex_resolve(lib, text)
+
+
+def test_unclosed_placeholders_resolve_in_linear_time():
+    text = "{{CALC:x:" * 8000  # 72,000 characters, no "}}"
+    lib = smart_home_library()
+    start = time.perf_counter()
+    assert resolve_placeholders(lib, text) == text
+    assert time.perf_counter() - start < 0.5
+
+
 # --- rendering and serialization ------------------------------------------------
+
+def test_function_list_text_is_rendered_once_and_shared_by_filters():
+    lib = smart_home_library()
+    text = function_list_text(lib)
+    assert text.splitlines()[0] == "- light.power: Light Power (location: 0.2, 0.4, 1.5)"
+    assert len(text.splitlines()) == len(function_entries(lib))
+    for keep in (["function_list"], ["function_list", "gaze"], lib.names):
+        assert function_list_text(lib.filtered(keep)) is text
+    assert function_list_text(lib.filtered(["gaze"])) == ""
+    assert function_list_text(ContextLibrary([])) == ""
+
 
 def test_render_empty_library_is_fixed_header():
     assert render_library_prompt(ContextLibrary([])) == "# Context Library\n"

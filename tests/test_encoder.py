@@ -5,7 +5,15 @@ import random
 import numpy as np
 import pytest
 
-from conftest import FLAT_HAND_POINTS, hand_at, make_frame, make_stream, trajectory_stream, translate
+from conftest import (
+    FLAT_HAND_POINTS,
+    hand_at,
+    make_frame,
+    make_stream,
+    random_points,
+    trajectory_stream,
+    translate,
+)
 from gesturelink.encoder import (
     GestureStateMatrix,
     GestureWindow,
@@ -22,7 +30,13 @@ from gesturelink.encoder import (
 )
 from gesturelink.errors import MalformedInput
 from gesturelink.landmarks import Handedness, LandmarkStream, parse_landmark_stream
-from gesturelink.rules import RuleThresholds, encode_pose_vector, hand_center, hand_centers
+from gesturelink.rules import (
+    POSE_ROW_LABELS,
+    RuleThresholds,
+    encode_pose_vector,
+    hand_center,
+    hand_centers,
+)
 
 TH = RuleThresholds()
 CFG = SegmentationConfig()
@@ -351,6 +365,36 @@ center_y_up            0.250
 
 def test_serialize_matches_golden_text():
     assert serialize_matrix(GOLDEN_MATRIX) == GOLDEN_TEXT
+
+
+def per_cell_matrix_text(m):
+    """serialize_matrix as it formatted every cell with an f-string: the
+    reference for its table of state cells."""
+    labels = POSE_ROW_LABELS + ("center_x", "center_y_up", "center_z")
+    label_w = max(len(s) for s in labels)
+    lines = [
+        "gesture-state-matrix v1",
+        f"T={m.T} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
+    ]
+    for label, row in zip(POSE_ROW_LABELS, m.channel1.tolist()):
+        lines.append(f"{label:<{label_w}} " + " ".join(f"{int(v):>2d}" for v in row))
+    for label, row in zip(labels[len(POSE_ROW_LABELS):], m.channel2.tolist()):
+        lines.append(f"{label:<{label_w}} " + " ".join(f"{v:.3f}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_matches_per_cell_formatting(rng):
+    matrices = [GOLDEN_MATRIX]
+    for t_count in (1, 3, 12, 40):
+        frames = [make_frame(random_points(rng), t=0.2 * j) for j in range(t_count)]
+        matrices.append(build_state_matrix(frames, TH))
+    assert {v for m in matrices for v in m.channel1.flat} == {-1, 0, 1}
+    # Built by hand, so never validated: states outside {-1, 0, 1}, and floats.
+    states = np.array([2, -3, 10, -10, 0, 1, -1] * 19).reshape(19, 7)
+    for channel1 in (states, states / 2.0, -0.0 * states):
+        matrices.append(GestureStateMatrix(channel1, np.zeros((3, 7)), hand_width=0.1))
+    for m in matrices:
+        assert serialize_matrix(m) == per_cell_matrix_text(m)
 
 
 def test_serialize_is_deterministic(flat_hand):
