@@ -10,9 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .agents import DialogueTranscript, SessionConfig, ground_matrix
 from .context import ContextLibrary, ContextType, add_context_type, render_library_prompt
@@ -32,7 +35,15 @@ from .evaluation import (
     report,
     run_protocol,
 )
-from .landmarks import Handedness, parse_frame, parse_landmark_stream
+from .landmarks import (
+    Handedness,
+    LandmarkStream,
+    _lm_as_array,
+    first_bad_frame,
+    frame_arrays,
+    parse_frame,
+    parse_landmark_stream,
+)
 from .prompts import load_prompt_set
 from .rules import RuleThresholds
 from .transport import RetryPolicy, load_backend
@@ -47,7 +58,7 @@ from .tuning import (
     grid_search,
     parse_label,
     predictions_for_cell,
-    rule_measurement,
+    targeted_rule,
 )
 
 logger = logging.getLogger(__name__)
@@ -113,51 +124,100 @@ def cmd_encode(args) -> int:
 # --- tune -------------------------------------------------------------------
 
 def _load_tuning_dataset(path: Path):
-    """JSON-lines dataset -> {rule_id: [MeasuredSample]}; ambiguous labels
-    are filtered out with a logged count. Entries reference an inline
-    frame or a stream file plus frame index."""
-    per_rule: dict[str, list[MeasuredSample]] = {}
+    """JSON-lines dataset -> {rule_id: [MeasuredSample]} in line order;
+    ambiguous labels are filtered out with a logged count. Entries reference
+    an inline frame or a stream file plus frame index.
+
+    Each line's own checks run as it is read. Its frame is stacked with
+    the others, and the frames are checked at once and read in one call
+    per (rule, target). The first bad line still wins: before a line's
+    error is raised, the frames of the lines before it are checked.
+    """
+    lines = _read_text(path).splitlines()
+    decode = json.JSONDecoder(object_hook=_lm_as_array).decode
+    n = len(lines)
+    coords, times = np.zeros((n, 21, 3)), np.empty(n)
+    depth, left = np.empty(n, dtype=bool), np.zeros(n, dtype=bool)
+    kept: list[tuple] = []  # (line, rule id, target, label) of each unambiguous label
     ambiguous = 0
-    stream_cache: dict[str, object] = {}
-    for line_no, line in enumerate(_read_text(path).splitlines(), start=1):
+    stream_cache: dict[str, LandmarkStream] = {}
+
+    def check_frames() -> None:
+        """Raise the error of the first bad frame kept so far, naming its line."""
+        k = len(kept)
+        if bad := first_bad_frame(coords[:k], times[:k], depth[:k], Handedness.RIGHT):
+            raise MalformedInput(f"{path}:{kept[bad[0]][0]}: {bad[1]}") from bad[1]
+
+    def line_error(line_no: int, message: str) -> MalformedInput:
+        """The error of line line_no, once the frames kept before it pass."""
+        check_frames()
+        return MalformedInput(f"{path}:{line_no}: {message}")
+
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            entry = json.loads(line)
+            entry = decode(line)
             rule_id = entry["rule"]
             label = parse_label(rule_id, entry["acceptable_states"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"{path}:{line_no}: bad dataset line: {exc}") from exc
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # also nesting too deep
+            raise line_error(line_no, f"bad dataset line: {exc}") from exc
         except GestureLinkError as exc:
-            raise MalformedInput(f"{path}:{line_no}: {exc}") from exc
+            raise line_error(line_no, str(exc)) from exc
         if label.is_ambiguous:
             ambiguous += 1
             continue
+        k, target = len(kept), entry.get("target")
         try:
             if "frame" in entry:
-                frame = parse_frame(entry["frame"], Handedness.RIGHT)
+                if (converted := frame_arrays(entry["frame"])) is None:
+                    parse_frame(entry["frame"], Handedness.RIGHT)  # raises its own error
+                times[k], lm = converted
+                coords[k, :, : lm.shape[1]], depth[k] = lm, lm.shape[1] == 3
             elif "stream" in entry:
                 if not isinstance(entry["stream"], str):
                     raise MalformedInput(f"stream must be a file name, got {entry['stream']!r}")
                 ref = str(path.parent / entry["stream"])
                 if ref not in stream_cache:
                     stream_cache[ref] = _read_file(ref, parse_landmark_stream)
-                frames = stream_cache[ref].frames
+                stream = stream_cache[ref]
                 index = entry.get("frame_index", 0)
-                if type(index) is not int or not 0 <= index < len(frames):
+                if type(index) is not int or not 0 <= index < len(stream):
                     raise MalformedInput(
-                        f"frame_index must be an integer in [0, {len(frames)}), got {index!r}"
+                        f"frame_index must be an integer in [0, {len(stream)}), got {index!r}"
                     )
-                frame = frames[index]
+                coords[k], times[k] = stream.coords[index], stream.timestamps[index]
+                depth[k], left[k] = stream.depth_flags[index], stream.handedness == Handedness.LEFT
             else:
                 raise MalformedInput("needs 'frame' or 'stream'")
-            measurement, candidate = rule_measurement(frame, rule_id, entry.get("target"))
+            kept.append((line_no, rule_id, target, label))  # its frame is checked with the rest
+            targeted_rule(rule_id, target)
         except (GestureLinkError, OSError) as exc:
-            raise MalformedInput(f"{path}:{line_no}: {exc}") from exc
-        per_rule.setdefault(rule_id, []).append(
-            MeasuredSample(measurement=measurement, label=label, candidate_state=candidate)
-        )
+            raise line_error(line_no, str(exc)) from exc
+    check_frames()
+
+    readings, states = np.empty(len(kept)), [None] * len(kept)
+    groups: dict[tuple[str, str | None], list[int]] = {}
+    for k, (_, rule_id, target, _) in enumerate(kept):
+        groups.setdefault((rule_id, target), []).append(k)
+    for (rule_id, target), rows in groups.items():
+        measured, candidates = TUNABLE_RULES[rule_id].read(
+            coords[rows], depth[rows], left[rows], target)
+        readings[rows] = measured
+        for k, state in zip(rows, candidates or ()):
+            states[k] = state
+    per_rule: dict[str, list[MeasuredSample]] = {}
+    unread: dict[str, list[int]] = {}  # lines of the NaN readings, per rule
+    for (line_no, rule_id, _, label), measurement, state in zip(kept, readings.tolist(), states):
+        per_rule.setdefault(rule_id, []).append(MeasuredSample(measurement, label, state))
+        if math.isnan(measurement):
+            unread.setdefault(rule_id, []).append(line_no)
+    for rule_id, nan_lines in unread.items():
+        logger.warning(
+            "%s: %d labels have no reading (degenerate geometry, or an inward/outward palm "
+            "without depth), the first at %s:%d; they score unsure",
+            rule_id, len(nan_lines), path, nan_lines[0])
     if ambiguous:
         logger.info("filtered %d ambiguous labels from %s", ambiguous, path)
         print(f"filtered {ambiguous} ambiguous labels", file=sys.stderr)

@@ -19,9 +19,9 @@ from .errors import CalculatorFailure, MalformedInput
 
 logger = logging.getLogger(__name__)
 
-PLACEHOLDER_RE = re.compile(r"\{\{CALC:([A-Za-z0-9_\-]+)(?::(.+?))?\}\}")
 # A placeholder up to its arguments' colon, or whole when it has none.
 _OPENER_RE = re.compile(r"\{\{CALC:([A-Za-z0-9_\-]+)(:|\}\})")
+_BRACES_RE = re.compile(r"\}*")
 
 # Gaze samples within this many seconds of the newest sample count as
 # "recent" for the built-in gaze calculators. The window length is an
@@ -147,11 +147,14 @@ def add_context_type(lib: ContextLibrary, ctx: ContextType) -> ContextLibrary:
 
 
 def calculate(lib: ContextLibrary, placeholder: str) -> str:
-    """Run the calculator a placeholder names and return its text output."""
-    match = PLACEHOLDER_RE.fullmatch(placeholder.strip())
-    if not match:
+    """Run the calculator a placeholder names and return its text output.
+    The placeholder, stripped, must be one whole placeholder as
+    _placeholder_spans finds it."""
+    text = placeholder.strip()
+    span = next(_placeholder_spans(text), None)
+    if span is None or span[:2] != (0, len(text)):
         raise CalculatorFailure(f"not a calculation placeholder: {placeholder!r}")
-    calc_id, raw_args = match.group(1), match.group(2)
+    _, _, calc_id, raw_args = span
     if calc_id not in BUILTIN_CALCULATORS:
         raise CalculatorFailure(f"no calculator registered as {calc_id!r}")
     args: dict = {}
@@ -168,21 +171,23 @@ def calculate(lib: ContextLibrary, placeholder: str) -> str:
         raise CalculatorFailure(f"calculator {calc_id} raised", diagnostics=repr(exc)) from exc
 
 
-def _placeholder_spans(text: str) -> Iterator[tuple[int, int, str]]:
-    """(start, end, calculator id) of each PLACEHOLDER_RE match in text,
-    as PLACEHOLDER_RE.finditer finds them, in time linear in len(text).
+def _placeholder_spans(text: str) -> Iterator[tuple[int, int, str, str | None]]:
+    """(start, end, calculator id, raw arguments or None) of each
+    placeholder in text, left to right, in time linear in len(text).
 
-    PLACEHOLDER_RE's lazy arguments rescan to the end of the line for
-    every opener that is never closed. Here the next "}}" and the next
-    newline are looked up once and reused while they lie ahead: an
-    argument list runs to the first "}}" past its first character, and
-    the placeholder fails if a newline comes before it.
+    Arguments follow the id's colon and are never empty. They end at the
+    last "}}" of the first run of "}" that holds a "}}" past their first
+    character, so the closing braces of a JSON object stay in them:
+    {{CALC:id:{"a": {"b": 1}}}} has the arguments {"a": {"b": 1}}. A
+    placeholder fails if a newline comes before that run. The next "}}"
+    and the next newline are looked up once and reused while they lie
+    ahead, so unclosed openers never rescan the text.
     """
     n = len(text)
     close = newline = -1
     pos = 0
     while opener := _OPENER_RE.search(text, pos):
-        pos = opener.end()
+        pos, args = opener.end(), None
         if opener.group(2) == ":":
             if close <= pos:
                 close = text.find("}}", pos + 1) % (n + 1)  # n when absent
@@ -190,8 +195,9 @@ def _placeholder_spans(text: str) -> Iterator[tuple[int, int, str]]:
                 newline = text.find("\n", pos) % (n + 1)
             if not close < min(n, newline):
                 continue
-            pos = close + 2
-        yield opener.start(), pos, opener.group(1)
+            end = _BRACES_RE.match(text, close).end()
+            pos, args = end, text[pos : end - 2]
+        yield opener.start(), pos, opener.group(1), args
 
 
 def resolve_placeholders(lib: ContextLibrary, text: str) -> str:
@@ -202,7 +208,7 @@ def resolve_placeholders(lib: ContextLibrary, text: str) -> str:
     """
     parts = []
     done = 0
-    for start, end, calc_id in _placeholder_spans(text):
+    for start, end, calc_id, _ in _placeholder_spans(text):
         placeholder = text[start:end]
         parts.append(text[done:start])
         try:

@@ -114,6 +114,24 @@ class HandLandmarkFrame:
         )
 
 
+def first_bad_frame(coords: np.ndarray, times: np.ndarray, depth: np.ndarray,
+                    handedness: Handedness) -> tuple[int, MalformedInput] | None:
+    """(index, error) of the first of N stacked frames that HandLandmarkFrame
+    rejects, with that frame's own error, or None. Shapes must already be
+    (N, 21, 3) and (N,); one vectorized test clears the common case."""
+    xy = coords[:, :, :2]
+    if not len(times) or (np.isfinite(coords).all() and np.isfinite(times).all()
+                          and xy.min() >= _COORD_MIN and xy.max() <= _COORD_MAX
+                          and times.min() >= 0):
+        return None
+    for i in range(len(times)):
+        try:
+            HandLandmarkFrame(float(times[i]), handedness, coords[i], bool(depth[i]))
+        except MalformedInput as exc:
+            return i, exc
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class LandmarkStream(Sequence):
     """One capture as arrays, made read-only in place: coords (N, 21, 3)
@@ -136,11 +154,8 @@ class LandmarkStream(Sequence):
         if coords.shape != (n, 21, 3) or times.shape != depth.shape or times.ndim != 1:
             raise MalformedInput(f"stream arrays of shapes {coords.shape}, {times.shape} "
                                  f"and {depth.shape}, expected (N, 21, 3), (N,) and (N,)")
-        xy = coords[:, :, :2]
-        if n and not (np.isfinite(coords).all() and np.isfinite(times).all()
-                      and xy.min() >= _COORD_MIN and xy.max() <= _COORD_MAX and times.min() >= 0):
-            for i in range(n):  # the first bad frame raises its own error
-                HandLandmarkFrame(float(times[i]), self.handedness, coords[i], bool(depth[i]))
+        if bad := first_bad_frame(coords, times, depth, self.handedness):
+            raise bad[1]
         later = np.flatnonzero(np.diff(times) <= 0)
         if later.size:
             earlier, after = times[later[0] : later[0] + 2].tolist()
@@ -201,6 +216,17 @@ def parse_frame(entry, handedness: Handedness) -> HandLandmarkFrame:
     return HandLandmarkFrame(t, handedness, coords, has_depth)
 
 
+def frame_arrays(entry) -> tuple[float, np.ndarray] | None:
+    """(t, lm) of a frame entry, converted as parse_frame converts it, lm
+    holding 21 rows of 2 or 3 values not yet checked. None where parse_frame
+    rejects the entry's structure, so that parse_frame raises its own error."""
+    try:
+        t, lm = float(entry["t"]), np.asarray(entry["lm"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return (t, lm) if lm.shape in ((21, 3), (21, 2)) else None
+
+
 def _lm_as_array(obj: dict) -> dict:
     """json.loads object_hook: an object's "lm" value becomes a float array
     as the decoder builds the object, so no row list outlives its frame. A
@@ -246,17 +272,12 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
     n = len(raw_frames)
     coords, times, depth = np.zeros((n, 21, 3)), np.empty(n), np.empty(n, dtype=bool)
     for i, entry in enumerate(raw_frames):
-        try:  # as parse_frame converts an entry
-            times[i] = float(entry["t"])
-            lm = np.asarray(entry["lm"], dtype=float)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            lm = None
-        if lm is not None and lm.shape in ((21, 3), (21, 2)):  # a write would broadcast
-            coords[i, :, : lm.shape[1]], depth[i] = lm, lm.shape[1] == 3
-        else:  # frame by frame up to here, so the first bad frame raises its own error
+        if (converted := frame_arrays(entry)) is None:
+            # frame by frame up to here, so the first bad frame raises its own error
             for earlier in raw_frames[: i + 1]:
-                frame = parse_frame(earlier, handedness)
-            times[i], coords[i], depth[i] = frame.timestamp, frame.coords, frame.has_depth
+                parse_frame(earlier, handedness)
+        times[i], lm = converted
+        coords[i, :, : lm.shape[1]], depth[i] = lm, lm.shape[1] == 3
     return LandmarkStream(coords, times, depth, handedness, source_view)
 
 

@@ -351,6 +351,85 @@ def palm_orientation(frame: HandLandmarkFrame, th: RuleThresholds) -> PalmOrient
     return threshold_verdict(angle, orientation, th.palm_angle_threshold, PalmOrientation.UNKNOWN)
 
 
+# Batched readings: each maps an (N, 21, 3) coordinate array to the N
+# readings the per-frame functions above give, bit for bit, with the same
+# numpy calls over a leading frame axis. Degenerate rows are computed, then
+# masked, so their divides run under np.errstate.
+
+def _take(coords: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """coords[n].take(index) for every frame n of an (N, 21, 3) array."""
+    return coords.reshape(len(coords), 63)[:, index]
+
+
+def _degrees(cosines: np.ndarray) -> np.ndarray:
+    """_angles_deg over an array: degrees of the arccos of each clipped cosine."""
+    return np.degrees(np.arccos(np.minimum(np.maximum(cosines, -1.0), 1.0)))
+
+
+def curl_readings(coords: np.ndarray, finger: str) -> np.ndarray:
+    """curl_reading of each frame: NaN where a bone has zero length."""
+    ends = _take(coords, _CURL_ENDS[finger])
+    bones = ends[:, 0] - ends[:, 1]
+    dots = _rowdot(bones[:, 0], bones[:, 1])
+    k = (dots.shape[1] + 1) // 2
+    lengths = np.sqrt(dots[:, :k])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angles = _degrees(dots[:, k:] / (lengths[:, :-1] * lengths[:, 1:]))
+    curl = angles[:, 0] + angles[:, 1] if angles.shape[1] == 2 else angles[:, 0]
+    return np.where(lengths.min(axis=1) < _EPS, np.nan, curl)
+
+
+def proximity_distances(coords: np.ndarray, pair: str) -> np.ndarray:
+    """proximity_distance of each frame."""
+    ends = _take(coords, _PAIR_ENDS[pair])
+    spans = ends[:, ::2] - ends[:, 1:2]
+    dots = _rowdot(spans, spans[:, 1:2])
+    t = dots[:, 0] / np.where(dots[:, 1] >= _EPS, dots[:, 1], np.inf)
+    gap = ends[:, 0] - (ends[:, 1] + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * spans[:, 1])
+    return np.sqrt(_rowdot(gap, gap).min(axis=2)).sum(axis=1) / 3
+
+
+def contact_distances(coords: np.ndarray, finger: str) -> np.ndarray:
+    """contact_distance of each frame."""
+    gap = coords[:, _THUMB_TIP, :2] - coords[:, FINGER_JOINTS[finger][3], :2]
+    return np.sqrt(_rowdot(gap, gap))
+
+
+def _closest_axes(v: np.ndarray, axes: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """_closest_axis of each row of v: (angles, axis indices), with NaN and
+    index len(axes) where |v| < eps. argmin keeps the first of equal angles,
+    as min() does; a row's angles are all NaN or none (an infinite
+    component makes every axis product 0 * inf), and an all-NaN row gets
+    the first axis from both."""
+    norm = np.sqrt(_rowdot(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angles = _degrees((v @ axes.T) / norm[:, None])
+    k = angles.argmin(axis=1)
+    degenerate = norm < eps
+    return (np.where(degenerate, np.nan, angles[np.arange(len(v)), k]),
+            np.where(degenerate, len(axes), k))
+
+
+def thumb_direction_readings(coords: np.ndarray) -> tuple[np.ndarray, list]:
+    """thumb_direction_reading of each frame, as (angles, directions)."""
+    angles, k = _closest_axes(coords[:, _THUMB_TIP] - coords[:, _THUMB_MCP], _THUMB_AXES, _EPS)
+    return angles, [(*_THUMB_STATES, ThumbDirection.UNSURE)[i] for i in k.tolist()]
+
+
+def palm_readings(coords: np.ndarray, depth: np.ndarray,
+                  left: np.ndarray) -> tuple[np.ndarray, list]:
+    """palm_reading of each frame, as (angles, orientations); depth and left
+    are each frame's has_depth and whether its hand is the left one."""
+    ends = _take(coords, _PALM_ENDS)
+    v1, v2 = (ends[:, 0] - ends[:, 1]).transpose(1, 2, 0)
+    (ax, ay, az), (bx, by, bz) = np.where(left, (v1, v2), (v2, v1))
+    normal = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=1)
+    angles, k = _closest_axes(normal, _PALM_AXES, _NORMAL_EPS)
+    flat = ~depth & (k >= 4) & (k < 6)  # inward/outward without depth
+    states = (*_PALM_STATES, PalmOrientation.UNKNOWN)
+    return np.where(flat, np.nan, angles), [states[i] for i in np.where(flat, 6, k).tolist()]
+
+
 def hand_centers(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(N, 3) component-wise means of all 21 landmarks and (N,) hand widths
     of an (N, 21, 3) coordinate array."""

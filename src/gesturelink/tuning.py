@@ -1,11 +1,12 @@
 """Three-way correctness assessment, asymmetric loss, and grid search.
 
 Tuning works on the rules' readings (the values the encoder thresholds),
-taken once per labeled sample, so sweeping a grid never re-runs the
-geometry. Rules with a (low, high) threshold pair are swept over all
-low < high cells; single-threshold rules (thumb direction, palm
-orientation) carry a per-sample candidate state and sweep only the angle
-threshold. TUNABLE_RULES holds what tune knows of each rule.
+taken once per labeled sample, in one batched call per rule and target,
+so sweeping a grid never re-runs the geometry. Rules with a (low, high)
+threshold pair are swept over all low < high cells; single-threshold
+rules (thumb direction, palm orientation) carry a per-sample candidate
+state and sweep only the angle threshold. TUNABLE_RULES holds what tune
+knows of each rule.
 """
 
 from __future__ import annotations
@@ -17,18 +18,18 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from .errors import MalformedInput
-from .landmarks import HandLandmarkFrame
+from .landmarks import HandLandmarkFrame, Handedness
 from .rules import (
     CONTACT_FINGERS,
     PROXIMITY_PAIRS,
     PalmOrientation,
-    contact_distance,
-    curl_reading,
-    palm_reading,
-    proximity_distance,
+    contact_distances,
+    curl_readings,
+    palm_readings,
+    proximity_distances,
     three_way_verdict,
     threshold_verdict,
-    thumb_direction_reading,
+    thumb_direction_readings,
 )
 
 
@@ -193,8 +194,10 @@ def _expand_range(start: float, stop: float, step: float) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class TunableRule:
-    """One rule as tune sees it. read(frame, target) gives the reading
-    (measurement, candidate state or None)."""
+    """One rule as tune sees it. read(coords, depth, left, target) gives
+    the readings of N frames, from their (N, 21, 3) coordinates and (N,)
+    has_depth and left-hand flags: (N measurements, N candidate states or
+    None)."""
 
     field: str  # RuleThresholds field the optimum lands in
     space: StateSpace
@@ -212,17 +215,17 @@ _ANGLE = ((1, 90, 1),)
 
 TUNABLE_RULES = {
     "flexion_thumb": TunableRule("flexion_thumb", THREE_WAY_SPACE, int, _DEGREES, (),
-                                 lambda fr, target: (curl_reading(fr, "thumb"), None)),
+                                 lambda c, depth, left, target: (curl_readings(c, "thumb"), None)),
     "flexion_finger": TunableRule("flexion_finger", THREE_WAY_SPACE, int, _DEGREES, CONTACT_FINGERS,
-                                  lambda fr, target: (curl_reading(fr, target), None)),
+                                  lambda c, depth, left, finger: (curl_readings(c, finger), None)),
     "proximity": TunableRule("proximity", THREE_WAY_SPACE, int, _DISTANCES, PROXIMITY_PAIRS,
-                             lambda fr, pair: (proximity_distance(fr, pair), None)),
+                             lambda c, depth, left, pair: (proximity_distances(c, pair), None)),
     "contact": TunableRule("contact", THREE_WAY_SPACE, int, _DISTANCES, CONTACT_FINGERS,
-                           lambda fr, finger: (contact_distance(fr, finger), None)),
+                           lambda c, depth, left, finger: (contact_distances(c, finger), None)),
     "thumb_direction": TunableRule("thumb_dir_angle_threshold", THREE_WAY_SPACE, int, _ANGLE, (),
-                                   lambda fr, target: thumb_direction_reading(fr)),
+                                   lambda c, depth, left, target: thumb_direction_readings(c)),
     "palm_orientation": TunableRule("palm_angle_threshold", PALM_SPACE, PalmOrientation, _ANGLE, (),
-                                    lambda fr, target: palm_reading(fr)),
+                                    lambda c, depth, left, target: palm_readings(c, depth, left)),
 }
 RULE_STATE_SPACES = {rule_id: rule.space for rule_id, rule in TUNABLE_RULES.items()}
 
@@ -337,13 +340,9 @@ def predictions_for_cell(
     return [classify_single(s.measurement, s.candidate_state, cell[0], unsure) for s in dataset]
 
 
-def rule_measurement(
-    frame: HandLandmarkFrame, rule_id: str, target: str | None
-) -> tuple[float, Hashable]:
-    """The named rule's reading of a frame (measurement, candidate state or
-    None): the value the encoder thresholds, NaN where it never decides.
-    target selects the finger or pair for flexion_finger/proximity/contact,
-    and must be None for the other rules."""
+def targeted_rule(rule_id: str, target) -> TunableRule:
+    """The named rule, once target is checked: it selects the finger or pair
+    for flexion_finger/proximity/contact, and must be None for the others."""
     rule = tunable_rule(rule_id)
     if rule.targets and target not in rule.targets:
         raise MalformedInput(
@@ -351,4 +350,15 @@ def rule_measurement(
         )
     if not rule.targets and target is not None:
         raise MalformedInput(f"{rule_id} takes no target, got {target!r}")
-    return rule.read(frame, target)
+    return rule
+
+
+def rule_measurement(
+    frame: HandLandmarkFrame, rule_id: str, target: str | None
+) -> tuple[float, Hashable]:
+    """The named rule's reading of a frame (measurement, candidate state or
+    None): the value the encoder thresholds, NaN where it never decides."""
+    left = frame.handedness == Handedness.LEFT
+    measurements, states = targeted_rule(rule_id, target).read(
+        frame.coords[None], np.array([frame.has_depth]), np.array([left]), target)
+    return float(measurements[0]), None if states is None else states[0]

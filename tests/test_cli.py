@@ -1,5 +1,9 @@
 import json
+import logging
+import math
+import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -12,6 +16,7 @@ from conftest import (
     movement_reply,
     pose_reply,
     question_reply,
+    random_points,
     seq_fixtures,
     smart_home_functions,
     smart_home_library,
@@ -21,7 +26,16 @@ import gesturelink.cli
 from gesturelink import errors
 from gesturelink.cli import main
 from gesturelink.encoder import matrix_to_json
-from gesturelink.rules import RuleThresholds
+from gesturelink.landmarks import Handedness, parse_frame, parse_landmark_stream
+from gesturelink.rules import (
+    RuleThresholds,
+    contact_distance,
+    curl_reading,
+    palm_reading,
+    proximity_distance,
+    thumb_direction_reading,
+)
+from gesturelink.tuning import TUNABLE_RULES, MeasuredSample, parse_label, rule_measurement
 
 
 def write_stream(path, profile, handedness="right", dt=0.1):
@@ -440,6 +454,163 @@ def test_tune_label_state_outside_the_rule_exits_2_with_location(
     assert code == 2
     assert f"{dataset}:2: {rule_id} label states outside" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_tune_line_nested_too_deep_exits_2_with_location(tmp_path, capsys):
+    code, dataset, out, _ = run_tune(tmp_path, [tuning_line(10, [1]), "[" * 100_000 + "]" * 100_000])
+    assert code == 2
+    assert f"{dataset}:2: bad dataset line: maximum recursion depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each rule's reading of one frame, as tune took it before it read in batches.
+_PER_FRAME_READ = {
+    "flexion_thumb": lambda frame, target: (curl_reading(frame, "thumb"), None),
+    "flexion_finger": lambda frame, target: (curl_reading(frame, target), None),
+    "proximity": lambda frame, target: (proximity_distance(frame, target), None),
+    "contact": lambda frame, target: (contact_distance(frame, target), None),
+    "thumb_direction": lambda frame, target: thumb_direction_reading(frame),
+    "palm_orientation": lambda frame, target: palm_reading(frame),
+}
+
+
+def per_label_dataset(path):
+    """The dataset read one label, one frame and one reading at a time: the
+    reference for the batched loader. rule_measurement agrees with it."""
+    per_rule = {}
+    for line in path.read_text().splitlines():
+        entry = json.loads(line)
+        rule_id, target = entry["rule"], entry.get("target")
+        label = parse_label(rule_id, entry["acceptable_states"])
+        if label.is_ambiguous:
+            continue
+        if "frame" in entry:
+            frame = parse_frame(entry["frame"], Handedness.RIGHT)
+        else:
+            stream = parse_landmark_stream((path.parent / entry["stream"]).read_bytes())
+            frame = stream[entry["frame_index"]]
+        measurement, state = _PER_FRAME_READ[rule_id](frame, target)
+        batched, batched_state = rule_measurement(frame, rule_id, target)
+        assert (np.float64(batched).tobytes(), batched_state) == (
+            np.float64(measurement).tobytes(), state)
+        per_rule.setdefault(rule_id, []).append(MeasuredSample(measurement, label, state))
+    return per_rule
+
+
+def mixed_tuning_lines(tmp_path):
+    """Labels of every rule and target, each on inline 3-D and 2-D frames,
+    degenerate frames and frames of a left-hand stream, shuffled."""
+    rng = random.Random(11)
+    hands = [FLAT_HAND_POINTS, index_curl_points(40), index_curl_points(100)]
+    hands += [random_points(rng, z_range=(-0.1, 0.1)) for _ in range(4)]
+    hands = [[list(p) for p in points] for points in hands]
+    degenerate = []
+    for joint, onto in ((6, 5), (10, 9), (14, 13), (18, 17), (3, 2), (4, 2), (5, 17), (0, 9)):
+        points = [list(p) for p in hands[0]]
+        points[joint] = list(points[onto])  # a zero-length bone, thumb or palm axis
+        degenerate.append(points)
+    stream = [(0.1 * i, [tuple(p) for p in points]) for i, points in enumerate(hands + degenerate)]
+    (tmp_path / "left.json").write_bytes(stream_json(stream, handedness="left"))
+    frames = [{"frame": {"t": 0.0, "lm": points}} for points in hands + degenerate]
+    frames += [{"frame": {"t": 0.0, "lm": [p[:2] for p in points]}} for points in hands]
+    frames += [{"stream": "left.json", "frame_index": i} for i in range(len(stream))]
+    lines = []
+    for rule_id, rule in sorted(TUNABLE_RULES.items()):
+        states = sorted(s.value if rule_id == "palm_orientation" else s for s in rule.space.states)
+        for target in rule.targets or (None,):
+            for source in frames:
+                entry = {"rule": rule_id, "target": target, **source,
+                         "acceptable_states": rng.sample(states, rng.choice((1, 1, 1, 2)))}
+                lines.append(json.dumps(entry))
+    rng.shuffle(lines)
+    return lines
+
+
+def test_tune_batched_reading_writes_what_a_per_label_reading_writes(
+    tmp_path, capsys, monkeypatch
+):
+    lines = mixed_tuning_lines(tmp_path)
+    code, dataset, out, rep = run_tune(tmp_path, lines)
+    assert code == 0
+    written = out.read_bytes(), rep.read_bytes(), capsys.readouterr().out
+    reference = per_label_dataset(dataset)
+    assert sorted(reference) == sorted(TUNABLE_RULES)
+    for rule_id in ("flexion_thumb", "flexion_finger", "thumb_direction", "palm_orientation"):
+        assert any(math.isnan(s.measurement) for s in reference[rule_id]), rule_id
+    monkeypatch.setattr(gesturelink.cli, "_load_tuning_dataset", per_label_dataset)
+    out2, rep2 = tmp_path / "o2.json", tmp_path / "r2.json"
+    assert main(["tune", str(dataset), "--out", str(out2), "--report", str(rep2)]) == 0
+    assert (out2.read_bytes(), rep2.read_bytes(), capsys.readouterr().out) == written
+
+
+def test_tune_warns_once_per_rule_naming_the_first_unread_line(tmp_path, caplog):
+    degenerate = json.loads(tuning_line(10, [1]))
+    degenerate["frame"]["lm"][5] = degenerate["frame"]["lm"][6]  # index MCP on its PIP
+    lines = [tuning_line(10, [1]), json.dumps(degenerate), tuning_line(90, [-1]),
+             json.dumps(degenerate)]
+    with caplog.at_level(logging.WARNING, logger="gesturelink"):
+        code, dataset, _, _ = run_tune(tmp_path, lines)
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "flexion_finger: 2 labels have no reading (degenerate geometry, or an inward/outward "
+        f"palm without depth), the first at {dataset}:2; they score unsure"
+    ]
+
+
+def _bad_frame_line(fault: str) -> str:
+    entry = json.loads(tuning_line(10, [1]))
+    if fault == "non-finite":
+        entry["frame"]["lm"][3][0] = float("nan")
+    elif fault == "out-of-range":
+        entry["frame"]["lm"][3][1] = 2.0
+    else:
+        entry["frame"]["t"] = -1.0
+    return json.dumps(entry)
+
+
+_FRAME_ERRORS = {
+    "non-finite": "non-finite landmark coordinate at t=0.0",
+    "out-of-range": "landmark coordinate outside [-0.5, 1.5] at t=0.0",
+    "negative-time": "bad frame timestamp: -1.0",
+}
+_LATER_LINE_FAULTS = {
+    "bad-target": json.dumps({"rule": "proximity", "target": "bogus", "acceptable_states": [1],
+                              "frame": {"t": 0.0, "lm": [list(p) for p in FLAT_HAND_POINTS]}}),
+    "bad-json": "{not json",
+    "bad-state": tuning_line(10, [7]),
+    "missing-stream": json.dumps({"rule": "flexion_finger", "target": "index",
+                                  "acceptable_states": [1], "stream": "missing.json"}),
+    "bad-frame-shape": json.dumps({"rule": "flexion_thumb", "acceptable_states": [1],
+                                   "frame": {"t": 0.0, "lm": [[0.5, 0.5]] * 20}}),
+}
+
+
+@pytest.mark.parametrize("later", sorted(_LATER_LINE_FAULTS))
+@pytest.mark.parametrize("fault", sorted(_FRAME_ERRORS))
+def test_tune_bad_frame_wins_over_a_later_bad_line(tmp_path, capsys, fault, later):
+    lines = [tuning_line(20, [1]), _bad_frame_line(fault), _LATER_LINE_FAULTS[later]]
+    code, dataset, out, _ = run_tune(tmp_path, lines[1:])
+    assert code == 2
+    assert f"error: {dataset}:1: {_FRAME_ERRORS[fault]}\n" in capsys.readouterr().err
+    code, dataset, out, _ = run_tune(tmp_path, lines)
+    assert code == 2
+    assert f"error: {dataset}:2: {_FRAME_ERRORS[fault]}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_bad_frame_wins_over_a_bad_target_on_its_own_line(tmp_path, capsys):
+    entry = json.loads(_bad_frame_line("non-finite"))
+    entry["target"] = "thumb"
+    code, dataset, _, _ = run_tune(tmp_path, [tuning_line(20, [1]), json.dumps(entry)])
+    assert code == 2
+    assert f"error: {dataset}:2: {_FRAME_ERRORS['non-finite']}\n" in capsys.readouterr().err
+
+
+def test_tune_bad_line_wins_over_a_later_bad_frame(tmp_path, capsys):
+    lines = [_LATER_LINE_FAULTS["bad-target"], _bad_frame_line("non-finite")]
+    code, dataset, _, _ = run_tune(tmp_path, lines)
+    assert code == 2
+    assert f"error: {dataset}:1: proximity needs a target" in capsys.readouterr().err
 
 
 # --- ground ---------------------------------------------------------------------

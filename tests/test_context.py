@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import smart_home_functions, smart_home_library
 from gesturelink.context import (
     BUILTIN_CALCULATORS,
-    PLACEHOLDER_RE,
     ContextLibrary,
     ContextType,
     FunctionEntry,
@@ -215,9 +215,9 @@ def test_calculator_args_that_fail_to_decode_raise_calculator_failure(raw_args):
     with pytest.raises(CalculatorFailure, match="bad calculator args for gaze_target") as exc:
         calculate(lib, placeholder)
     assert exc.value.diagnostics
-    # The first "}}" closes the placeholder, so an object's own "}" is left over.
+    # The whole run of "}" closes the placeholder, an object's own "}" included.
     assert resolve_placeholders(lib, f"at {placeholder}.") == (
-        "at [calculation gaze_target unavailable]" + "}" * raw_args.startswith("{") + "."
+        "at [calculation gaze_target unavailable]."
     )
 
 
@@ -241,9 +241,37 @@ def test_resolve_placeholders_substitutes_inline():
     assert "Light" in resolved
 
 
+@pytest.mark.parametrize("args", [
+    '{"window": 100.0}',
+    '{"window": 100.0, "note": {"nested": {"deeper": [1, 2]}}}',
+    '{"context": "gaze", "window": {"not": "a number"}}',
+])
+def test_object_arguments_resolve_inside_text(args):
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5) + [{"t": 0.0, "x": 2.4, "y": 0.9}])
+    placeholder = "{{CALC:gaze_trace:" + args + "}}"
+    try:
+        expected = calculate(lib, placeholder)
+    except CalculatorFailure:
+        expected = "[calculation gaze_trace unavailable]"
+    assert resolve_placeholders(lib, f"x {placeholder} y") == f"x {expected} y"
+    if "100.0" in args:  # the window reaches back to the oldest sample
+        assert len(json.loads(expected)) == 4
+
+
+def test_placeholder_resolves_as_documented():
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    text = 'x {{CALC:gaze_trace:{"window": 100.0}}} y'
+    assert resolve_placeholders(lib, text) == f"x {calculate(lib, text[2:-2])} y"
+
+
+# The grammar before arguments could end in a JSON object's own braces; its
+# lazy arguments end at the first "}}".
+PLACEHOLDER_RE = re.compile(r"\{\{CALC:([A-Za-z0-9_\-]+)(?::(.+?))?\}\}")
+
+
 def regex_resolve(lib, text):
     """resolve_placeholders as PLACEHOLDER_RE.sub computes it: the
-    reference for the linear scan."""
+    reference for the linear scan wherever the two grammars agree."""
     def sub(match):
         try:
             return calculate(lib, match.group(0))
@@ -253,17 +281,29 @@ def regex_resolve(lib, text):
     return PLACEHOLDER_RE.sub(sub, text)
 
 
-_PLACEHOLDER_TOKENS = ["{{CALC:", "gaze_target", "gaze_trace", "x-1", ":", "}", "}}", "{",
-                       "\n", " ", '"window"', "2"]
+_PLACEHOLDER_TOKENS = ["{{CALC:", "{{CALC:gaze_trace:", "{{CALC:gaze_target}}", "gaze_target",
+                       "x-1", ":", "}", "}}", "}}}", "{", "\n", " ", '"window"', "2",
+                       '{"window": 2', '{"a": {"b": 1}']
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(_PLACEHOLDER_TOKENS), max_size=40).map("".join))
 def test_placeholder_scan_matches_the_regex(text):
-    expected = [(m.start(), m.end(), m.group(1)) for m in PLACEHOLDER_RE.finditer(text)]
-    assert list(_placeholder_spans(text)) == expected
-    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
-    assert resolve_placeholders(lib, text) == regex_resolve(lib, text)
+    """The scan finds PLACEHOLDER_RE's placeholders up to the first whose
+    arguments' closing "}}" is followed by a "}"; that one starts where the
+    regex's does and runs on to the end of its run of "}"."""
+    old = [(m.start(), m.end(), m.group(1), m.group(2)) for m in PLACEHOLDER_RE.finditer(text)]
+    new = list(_placeholder_spans(text))
+    cut = next((i for i, m in enumerate(old) if m[3] and text.startswith("}", m[1])), len(old))
+    assert new[:cut] == old[:cut]
+    if cut < len(old):
+        start, end, calc_id, args = old[cut]
+        run = len(text[end:]) - len(text[end:].lstrip("}"))
+        assert new[cut] == (start, end + run, calc_id, args + "}" * run)
+    else:
+        assert new == old
+        lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+        assert resolve_placeholders(lib, text) == regex_resolve(lib, text)
 
 
 def test_unclosed_placeholders_resolve_in_linear_time():

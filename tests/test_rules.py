@@ -20,7 +20,9 @@ from gesturelink.rules import (
     ThumbDirection,
     contact,
     contact_distance,
+    contact_distances,
     curl_reading,
+    curl_readings,
     encode_pose_vector,
     finger_curl_deg,
     flexion,
@@ -28,11 +30,14 @@ from gesturelink.rules import (
     palm_normal,
     palm_orientation,
     palm_reading,
+    palm_readings,
     proximity,
     proximity_distance,
+    proximity_distances,
     three_way_verdict,
     threshold_verdict,
     thumb_direction_reading,
+    thumb_direction_readings,
     thumb_pointing,
     validate_pose_vector,
 )
@@ -624,9 +629,30 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def _batched_readings(frames):
+    """Per frame, each reading of the batched functions, all frames in one call."""
+    coords = np.stack([frame.coords for frame in frames])
+    depth = np.array([frame.has_depth for frame in frames])
+    left = np.array([frame.handedness == Handedness.LEFT for frame in frames])
+    columns = {
+        "curl": np.stack([curl_readings(coords, f) for f in FINGER_JOINTS], axis=1).tolist(),
+        "proximity": np.stack([proximity_distances(coords, p) for p in PROXIMITY_PAIRS],
+                              axis=1).tolist(),
+        "contact": np.stack([contact_distances(coords, f) for f in CONTACT_FINGERS],
+                            axis=1).tolist(),
+    }
+    for name, (angles, states) in (("thumb", thumb_direction_readings(coords)),
+                                   ("palm", palm_readings(coords, depth, left))):
+        columns[name] = list(zip(angles.tolist(), states))
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 def test_reading_kernels_match_the_per_call_formulas_bit_for_bit():
+    """The per-frame readings, and the batched ones over all frames at
+    once, equal a copy of the per-call formulas they replaced."""
     seen, mismatches = Counter(), Counter()
-    for frame in _hostile_frames(12_000):
+    frames = list(_hostile_frames(12_000))
+    for frame, batched in zip(frames, _batched_readings(frames)):
         c = frame.coords
         curls = [_ref_curl(c, f) for f in FINGER_JOINTS]
         proximities = [_ref_proximity(c, p) for p in PROXIMITY_PAIRS]
@@ -643,9 +669,14 @@ def test_reading_kernels_match_the_per_call_formulas_bit_for_bit():
             "palm_normal": (normal, palm_normal(frame)),
             "pose_vector": (_ref_pose_vector(curls, proximities, contacts, thumb, palm),
                             encode_pose_vector(frame, TH).tolist()),
+            "batched_curl": (curls, batched["curl"]),
+            "batched_proximity": (proximities, batched["proximity"]),
+            "batched_contact": (contacts, batched["contact"]),
+            "batched_thumb": (thumb, batched["thumb"]),
+            "batched_palm": (palm, batched["palm"]),
         }
         for name, (ref, kernel) in readings.items():
-            if name in ("thumb", "palm"):  # (angle, state)
+            if name.endswith(("thumb", "palm")):  # (angle, state)
                 same = _bits(ref[0]) == _bits(kernel[0]) and ref[1] == kernel[1]
             else:
                 same = _bits(ref) == _bits(kernel)
@@ -658,3 +689,30 @@ def test_reading_kernels_match_the_per_call_formulas_bit_for_bit():
     # The hostile cases occur often enough to count.
     assert seen["2d"] >= 3_000 and min(seen.values()) >= 500, f"{dict(seen)}"
 
+
+
+def test_batched_readings_match_the_per_frame_ones_where_depth_overflows():
+    """Depth is unbounded, so bones, dots and palm normals can overflow to
+    inf and NaN; the batched readings still equal the per-frame ones."""
+    rng = np.random.default_rng(7)
+    frames = []
+    for i in range(400):
+        c = rng.uniform(0.0, 1.0, (21, 3))
+        c[:, 2] = rng.choice([0.3, -1e150, 1e200, -1e300, 0.85e308, -1.7e308], 21)
+        frames.append(make_frame(c, handedness=(Handedness.RIGHT, Handedness.LEFT)[i % 2],
+                                 has_depth=i % 3 != 0))
+    with np.errstate(all="ignore"):  # the per-frame dots overflow too
+        for frame, batched in zip(frames, _batched_readings(frames)):
+            per_frame = {
+                "curl": [curl_reading(frame, f) for f in FINGER_JOINTS],
+                "proximity": [proximity_distance(frame, p) for p in PROXIMITY_PAIRS],
+                "contact": [contact_distance(frame, f) for f in CONTACT_FINGERS],
+                "thumb": thumb_direction_reading(frame),
+                "palm": palm_reading(frame),
+            }
+            for name, value in per_frame.items():
+                if name in ("thumb", "palm"):
+                    assert _bits(value[0]) == _bits(batched[name][0]), name
+                    assert value[1] is batched[name][1], name
+                else:
+                    assert _bits(value) == _bits(batched[name]), name
