@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 
 from .context import (
@@ -30,11 +31,14 @@ from .transport import ChatMessage, CompletionRequest, UsageRecord
 
 logger = logging.getLogger(__name__)
 
-# Longest model reply extract_json_object will parse. Trying a decode at
-# every "{" costs time that grows with the square of the reply length,
-# so the cap bounds the cost of a degenerate reply.
+# Longest model reply extract_json_object will parse. Each decode it
+# tries may read to the end of the reply, so the cap bounds the cost of a
+# degenerate reply.
 MAX_REPLY_CHARS = 32_000
 _DECODER = json.JSONDecoder()
+# A "{" where a JSON object can start: JSON whitespace, then a key's
+# opening quote or the closing brace. Decoding fails at any other "{".
+_OBJECT_START_RE = re.compile(r'\{[ \t\n\r]*["}]')
 _JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 _REPAIR_REMINDER = (
@@ -126,19 +130,20 @@ class DialogueTranscript:
 def extract_json_object(raw: str) -> dict:
     """First JSON object in raw text; tolerates code fences and prose.
 
-    Decodes at every "{" in order and returns the first object that
-    parses. Replies longer than MAX_REPLY_CHARS and objects nested too
-    deeply to decode raise ParseError.
+    Decodes, in order, at each "{" where an object can start (see
+    _OBJECT_START_RE) and returns the first object that parses: the
+    object a decode at every "{" would find. Replies longer than
+    MAX_REPLY_CHARS and objects nested too deeply to decode raise
+    ParseError.
     """
     if len(raw) > MAX_REPLY_CHARS:
         raise ParseError(f"response of {len(raw)} characters exceeds {MAX_REPLY_CHARS}")
-    start = raw.find("{")
     try:
-        while start != -1:
+        for start in _OBJECT_START_RE.finditer(raw):
             try:
-                return _DECODER.raw_decode(raw, start)[0]
+                return _DECODER.raw_decode(raw, start.start())[0]
             except ValueError:  # JSONDecodeError, or an integer of too many digits
-                start = raw.find("{", start + 1)
+                pass
     except RecursionError:
         raise ParseError("JSON in response is nested too deeply") from None
     raise ParseError(f"no JSON object found in response: {raw[:120]!r}")

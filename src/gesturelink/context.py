@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import CalculatorFailure, MalformedInput
 
 logger = logging.getLogger(__name__)
@@ -27,6 +29,16 @@ _BRACES_RE = re.compile(r"\}*")
 # "recent" for the built-in gaze calculators. The window length is an
 # artifact choice, not a tuned value.
 GAZE_WINDOW_SECONDS = 1.0
+
+# gaze_target's numpy screen keeps the functions whose squared distance
+# lies within this relative margin, plus _SCREEN_SLACK, of the smallest.
+# numpy's x * x and sum round differently from ** and sum by a few ulps,
+# so the exact loop's winner is always among them. At _SCREEN_LIMIT or
+# above, a term could overflow in ** (which raises) and not in numpy, so
+# the screen gives way to the whole loop.
+_SCREEN_REL = 1e-9
+_SCREEN_SLACK = 1e-300
+_SCREEN_LIMIT = 1e300
 
 
 @dataclass(frozen=True)
@@ -80,6 +92,7 @@ class ContextLibrary:
             functions = () if listing is None else parse_function_list(listing.values)
         self._functions = tuple(functions)
         self._function_list_text = _render_function_list(self._functions)
+        self._locations = _function_locations(self._functions)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -99,14 +112,16 @@ class ContextLibrary:
 
     def filtered(self, keep: Sequence[str]) -> "ContextLibrary":
         """Library restricted to the given context names (order kept). It
-        shares this library's parsed and rendered function list."""
+        shares this library's parsed and rendered function list and its
+        function locations."""
         keep = set(keep)
         lib = ContextLibrary.__new__(ContextLibrary)
         lib._entries = {name: c for name, c in self._entries.items() if name in keep}
         if "function_list" in keep:
             lib._functions, lib._function_list_text = self._functions, self._function_list_text
+            lib._locations = self._locations
         else:
-            lib._functions, lib._function_list_text = (), ""
+            lib._functions, lib._function_list_text, lib._locations = (), "", None
         return lib
 
     def to_json(self) -> str:
@@ -319,6 +334,20 @@ def _render_function_list(functions: Sequence[FunctionEntry]) -> str:
     )
 
 
+def _function_locations(
+    functions: Sequence[FunctionEntry],
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first three coordinates of each function's location as one
+    (F, 3) float array, 0 where absent, and the (F, 3) mask of the present
+    ones. None when a coordinate is not a float (a caller-built entry), so
+    that gaze_target computes with exactly what the entries hold."""
+    if not all(isinstance(v, float) for f in functions for v in f.location):
+        return None
+    coords = np.array([(*f.location, 0.0, 0.0, 0.0)[:3] for f in functions], dtype=float)
+    present = np.arange(3) < np.array([len(f.location) for f in functions])[:, None]
+    return coords.reshape(len(functions), 3), present
+
+
 def function_entries(lib: ContextLibrary) -> tuple[FunctionEntry, ...]:
     """The function_list context's entries as the library parsed them;
     empty when the library has no function_list."""
@@ -361,14 +390,34 @@ def _gaze_target(lib: ContextLibrary, args: dict) -> str:
     # only if its key is strictly smaller, so an exact tie goes to the
     # lower id and a NaN distance neither displaces nor is displaced. The
     # distance keeps ** and sum, whose rounding (compensated from Python
-    # 3.12 on) a hand-written accumulation would not reproduce.
+    # 3.12 on) neither numpy nor a hand-written accumulation reproduces,
+    # so numpy only screens out the functions that cannot win.
     point = centroid[:3] if any("z" in s for s in recent) else centroid[:2]
     best = best_key = None
-    for entry in functions:
+    for entry in _gaze_candidates(functions, lib._locations, point):
         key = (math.sqrt(sum([(c - v) ** 2 for c, v in zip(point, entry.location)])), entry.id)
         if best is None or key < best_key:
             best, best_key = entry, key
     return best.name
+
+
+def _gaze_candidates(functions, locations, point) -> Sequence[FunctionEntry]:
+    """The functions, in order, whose squared distance to point, taken
+    over the coordinates both have, is within _SCREEN_REL (plus
+    _SCREEN_SLACK) of the smallest. All of them when a distance is not
+    finite or nears the float limit, so that the exact loop meets the NaN
+    or overflow it always met."""
+    if locations is None:
+        return functions
+    coords, present = locations
+    dims = len(point)
+    with np.errstate(all="ignore"):
+        diff = np.subtract(point, coords[:, :dims])
+        squared = np.where(present[:, :dims], diff * diff, 0.0).sum(axis=1)
+    if not squared.max() < _SCREEN_LIMIT:  # also NaN
+        return functions
+    keep = np.flatnonzero(squared <= squared.min() * (1.0 + _SCREEN_REL) + _SCREEN_SLACK)
+    return [functions[i] for i in keep.tolist()]
 
 
 def _gaze_trace(lib: ContextLibrary, args: dict) -> str:

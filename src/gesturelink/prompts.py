@@ -9,8 +9,8 @@ rules, nor fail only once a session renders it.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from string import Template
@@ -39,8 +39,6 @@ BOUND_PLACEHOLDERS = {
     "context": {"library_overview"},
 }
 
-_IDENTIFIER_RE = re.compile(r"\$(?:\{([A-Za-z_][A-Za-z0-9_]*)\}|([A-Za-z_][A-Za-z0-9_]*))")
-
 
 @dataclass(frozen=True)
 class AgentPromptSet:
@@ -53,8 +51,12 @@ class AgentPromptSet:
         return getattr(self, f"{which}_prompt")
 
 
-def _placeholders(template: str) -> set[str]:
-    return {m.group(1) or m.group(2) for m in _IDENTIFIER_RE.finditer(template)}
+@lru_cache(maxsize=64)
+def _placeholders(template: str) -> frozenset[str]:
+    """The names template substitutes, read with Template's own pattern:
+    $name and ${name}, but not the literal "$$"."""
+    return frozenset(filter(None, (m["named"] or m["braced"]
+                                   for m in Template.pattern.finditer(template))))
 
 
 def validate_prompt(which: str, text: str) -> None:

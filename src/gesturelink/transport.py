@@ -61,8 +61,8 @@ class Backend(Protocol):
 
 
 def approx_tokens(text: str) -> int:
-    """Offline token approximation: ceil(chars / 4)."""
-    return math.ceil(len(text) / 4)
+    """Offline token approximation: ceil(chars / 4), in integers."""
+    return -(-len(text) // 4)
 
 
 def message_hash(messages: tuple[ChatMessage, ...]) -> str:
@@ -206,12 +206,14 @@ class LiveBackend:
             if not isinstance(text, str):
                 raise TypeError(f"content is {type(text).__name__}, not a string")
             usage = payload.get("usage", {})
+            # An infinite count raises OverflowError, a negative one MalformedInput.
             record = UsageRecord(
                 input_tokens=int(usage.get("prompt_tokens", 0)),
                 output_tokens=int(usage.get("completion_tokens", 0)),
                 latency=latency,
             )
-        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError, OverflowError,
+                MalformedInput) as exc:
             raise TransportError(f"unexpected response shape: {exc}") from exc
         return text, record
 

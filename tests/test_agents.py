@@ -3,6 +3,7 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     FLAT_HAND_POINTS,
@@ -115,6 +116,46 @@ def test_extract_skips_an_integer_of_too_many_digits():
 def test_extract_accepts_reply_at_cap():
     raw = '{"a": 1}'.ljust(MAX_REPLY_CHARS)
     assert extract_json_object(raw) == {"a": 1}
+
+
+def every_brace_extract(raw: str) -> dict:
+    """extract_json_object as it decoded at every "{": the reference a
+    search that skips the "{"s where no object can start must match."""
+    decoder = json.JSONDecoder()
+    start = raw.find("{")
+    try:
+        while start != -1:
+            try:
+                return decoder.raw_decode(raw, start)[0]
+            except ValueError:
+                start = raw.find("{", start + 1)
+    except RecursionError:
+        raise ParseError("JSON in response is nested too deeply") from None
+    raise ParseError(f"no JSON object found in response: {raw[:120]!r}")
+
+
+def _extracted(extract, raw):
+    try:
+        return repr(extract(raw))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+# Braces, quotes, JSON whitespace and whitespace JSON rejects (\x0b, \x0c,
+# no-break and ideographic spaces), and pieces of valid objects.
+_REPLY_TOKENS = ["{", "}", "{", "}", '"', '"', " ", "\t", "\n", "\r", "\x0b", "\x0c", "\xa0",
+                 "\u3000", ":", ",", "[", "]", "\\", "1", "-", "a", "null", '"a"', '{"a": 1}',
+                 "{}", '{ "b" : [2, {"c": {}}] }', "```json\n"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=st.lists(st.sampled_from(_REPLY_TOKENS), max_size=40).map("".join))
+@example(raw='{\x0b"a": 1} {"b": 2}')
+@example(raw="{\x0c}{ \t\n\r}")
+@example(raw='{"a": ' * 3000)
+@example(raw="{" * 500 + "}")
+def test_extract_matches_a_decode_at_every_brace(raw):
+    assert _extracted(extract_json_object, raw) == _extracted(every_brace_extract, raw)
 
 
 # --- inference turn parsing ------------------------------------------------------

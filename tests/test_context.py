@@ -1,7 +1,9 @@
 import json
 import math
+import random
 import re
 import time
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +178,103 @@ def test_gaze_target_ties_and_nan_follow_min():
         assert _gaze_target(lib, {}) == min_formula_gaze_target(lib) == expected
 
 
+def _outcome(fn, lib):
+    try:
+        return fn(lib)
+    except OverflowError as exc:
+        return type(exc)
+
+
+def _ulps(x, k):
+    """x moved k ulps (k may be negative)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+_SPECIALS = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def screened_gaze_cases(draw):
+    """50-200 functions around one gaze centroid: near-ties a few ulps
+    apart, exact ties, 0-4 coordinates, huge coordinates whose squares
+    come near or past the float limit, and NaN or infinite values."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    depth = draw(st.booleans())
+    samples = [{"t": 0.0, "x": draw(_coord), "y": draw(_coord)}]
+    if depth:
+        samples[0]["z"] = draw(_coord)
+    if draw(st.booleans()):
+        samples.append({"t": 0.5, **{k: draw(_coord) for k in samples[0] if k != "t"}})
+    centroid = [sum(float(s.get(k, 0.0)) for s in samples) / len(samples) for k in "xyz"]
+    huge, special, special_centroid = (rng.random() < 0.1 for _ in range(3))
+    if special_centroid:
+        samples[0][rng.choice("xy")] = rng.choice(_SPECIALS)
+    # Near functions sit one offset from the centroid along one axis, some
+    # an ulp further or nearer, some nudged on a second axis by about an
+    # ulp of the squared distance, which the square root may round away.
+    offset, sign = rng.uniform(0.0, 1.0), rng.choice([1, -1])
+    if rng.random() < 0.1:  # squares that underflow to subnormals or to zero
+        offset = 10.0 ** -rng.uniform(150.0, 165.0)
+    axis, other = rng.sample(range(3 if depth else 2), 2)
+    dim_choices = [0, 2, 4] if rng.random() < 0.1 else [2, 4]  # 0 coordinates: distance 0
+    locations = []
+    for _ in range(draw(st.integers(50, 200))):
+        if rng.random() < 0.6:
+            loc = list(centroid)
+            loc[axis] += sign * _ulps(offset, rng.choice([-1, 0, 0, 0, 1]))
+            if rng.random() < 0.5:
+                loc[other] += offset * rng.choice([0.75, 1.0, 1.25]) * 2.0**-26
+        else:
+            loc = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        if huge and rng.random() < 0.1:
+            loc[rng.randrange(3)] = rng.choice([1, -1]) * 10.0 ** rng.uniform(145, 200)
+        if special and rng.random() < 0.05:
+            loc[rng.randrange(3)] = rng.choice(_SPECIALS)
+        dims = rng.choice(dim_choices) if rng.random() < 0.2 else 3
+        locations.append(tuple((loc + [rng.uniform(-1.0, 1.0)])[:dims]))
+    ids = [f"f{i:03d}" for i in range(len(locations))]
+    rng.shuffle(ids)
+    functions = [FunctionEntry(fid, f"name-{fid}", loc) for fid, loc in zip(ids, locations)]
+    return functions, samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=screened_gaze_cases())
+def test_gaze_target_screen_matches_min_formula(case):
+    functions, samples = case
+    lib = ContextLibrary(
+        [make_function_list_context("room", functions), make_gaze_context(samples)]
+    )
+    assert _outcome(lambda lib: _gaze_target(lib, {}), lib) == _outcome(min_formula_gaze_target, lib)
+
+
+def test_gaze_target_overflow_anywhere_is_unavailable():
+    functions = [
+        FunctionEntry("a", "Near", (0.5, 0.5)),
+        FunctionEntry("b", "Far", (0.5, 1e200)),
+    ]
+    lib = ContextLibrary(
+        [make_function_list_context("room", functions),
+         make_gaze_context([{"t": 0.0, "x": 0.5, "y": 0.5}])]
+    )
+    assert _outcome(min_formula_gaze_target, lib) is OverflowError
+    assert resolve_placeholders(lib, "{{CALC:gaze_target}}") == "[calculation gaze_target unavailable]"
+
+
+def test_gaze_target_reads_caller_built_entries_as_they_are():
+    # Entries passed as functions= are not parsed, so they may hold ints or
+    # Decimals; a Decimal coordinate raises however far its function lies.
+    gaze = [make_gaze_context([{"t": 0.0, "x": 2, "y": 1}])]
+    ints = [FunctionEntry("b", "B", (1, 2)), FunctionEntry("a", "A", (3, 0)),
+            FunctionEntry("c", "C", (2, 1))]
+    assert _gaze_target(ContextLibrary(gaze, functions=ints), {}) == "C"
+    decimals = [FunctionEntry("a", "A", (2.0, 1.0)), FunctionEntry("b", "B", (Decimal(9), 9.0))]
+    with pytest.raises(TypeError):
+        _gaze_target(ContextLibrary(gaze, functions=decimals), {})
+
+
 def test_gaze_target_uses_recent_window_only():
     # Old samples point at the oven; the last second points at the light.
     old = [{"t": 0.0, "x": 2.4, "y": 0.9, "z": 2.2}] * 5
@@ -323,6 +422,7 @@ def test_function_list_text_is_rendered_once_and_shared_by_filters():
     assert len(text.splitlines()) == len(function_entries(lib))
     for keep in (["function_list"], ["function_list", "gaze"], lib.names):
         assert function_list_text(lib.filtered(keep)) is text
+        assert lib.filtered(keep)._locations is lib._locations
     assert function_list_text(lib.filtered(["gaze"])) == ""
     assert function_list_text(ContextLibrary([])) == ""
 

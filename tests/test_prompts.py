@@ -5,6 +5,7 @@ import pytest
 from gesturelink.errors import MalformedInput
 from gesturelink.prompts import (
     PROMPT_FILES,
+    _placeholders,
     load_prompt_set,
     render_prompt,
     validate_prompt,
@@ -71,3 +72,20 @@ def test_placeholder_the_agent_does_not_bind_rejected():
     text = load_prompt_set().inference_prompt.replace("$function_list", "$functoin_list")
     with pytest.raises(MalformedInput, match="functoin_list"):
         validate_prompt("inference", text)
+
+
+def test_escaped_dollar_is_a_literal_not_a_placeholder():
+    text = load_prompt_set().inference_prompt + "\nPrices are in $$dollars, ${function_list} too.\n"
+    validate_prompt("inference", text)
+    assert render_prompt("pay $$name for $$5 at ${who}", who="x") == "pay $name for $5 at x"
+    with pytest.raises(MalformedInput, match=r"\['who'\]"):
+        render_prompt("$$name and $who", name="unused")
+
+
+def test_placeholders_are_read_once_per_template():
+    template = "cached $alpha and ${beta}, not $$gamma " + "x" * 10
+    _placeholders.cache_clear()
+    for _ in range(3):
+        render_prompt(template, alpha="a", beta="b")
+    assert _placeholders(template) == {"alpha", "beta"}
+    assert _placeholders.cache_info().misses == 1

@@ -219,8 +219,11 @@ def test_live_backend_maps_http_errors(loopback, status, error):
 @pytest.mark.parametrize(
     "body",
     [b"<html>bad gateway</html>", ok_body(None), b'{"choices": []}', b"[1, 2]",
-     ok_body(usage=[1])],
-    ids=["not-json", "null-content", "no-choices", "not-object", "list-usage"],
+     ok_body(usage=[1]),
+     b'{"choices": [{"message": {"content": "hi"}}], "usage": {"prompt_tokens": 1e999}}',
+     ok_body(usage={"completion_tokens": -3})],
+    ids=["not-json", "null-content", "no-choices", "not-object", "list-usage",
+         "infinite-usage", "negative-usage"],
 )
 def test_live_backend_bad_200_body_is_transport_error(loopback, body):
     loopback.replies.append((200, body, 0.0))
