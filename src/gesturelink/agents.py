@@ -35,7 +35,7 @@ logger = logging.getLogger(__name__)
 # tries may read to the end of the reply, so the cap bounds the cost of a
 # degenerate reply.
 MAX_REPLY_CHARS = 32_000
-_DECODER = json.JSONDecoder()
+_DECODER = json.JSONDecoder()  # for model replies, not input files: failures are ParseError
 # A "{" where a JSON object can start: JSON whitespace, then a key's
 # opening quote or the closing brace. Decoding fails at any other "{".
 _OBJECT_START_RE = re.compile(r'\{[ \t\n\r]*["}]')

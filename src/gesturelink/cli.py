@@ -26,7 +26,7 @@ from .encoder import (
     matrix_to_json,
     serialize_matrix,
 )
-from .errors import GestureLinkError, MalformedInput, TransportError
+from .errors import GestureLinkError, MalformedInput, TransportError, read_input
 from .evaluation import (
     ContextSetting,
     PipelineHandles,
@@ -84,20 +84,8 @@ def _read_text(path: str | Path) -> str:
         raise MalformedInput(f"{path}: {exc}") from exc
 
 
-def _read_file(path: str | Path, parse):
-    """parse(the JSON text of path), naming the file if it is malformed.
-    The bytes are decoded as strict UTF-8, so UTF-16 fails to decode and a
-    leading BOM fails to parse."""
-    try:
-        return parse(Path(path).read_bytes().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise MalformedInput(f"{path}: not valid JSON: {exc}") from exc
-    except (MalformedInput, ValueError) as exc:
-        raise MalformedInput(f"{path}: {exc}") from exc
-
-
 def _load_thresholds(path: str | None) -> RuleThresholds:
-    return RuleThresholds() if path is None else _read_file(path, RuleThresholds.from_json)
+    return RuleThresholds() if path is None else read_input(path, RuleThresholds.from_json)
 
 
 # --- encode -----------------------------------------------------------------
@@ -109,7 +97,7 @@ def cmd_encode(args) -> int:
         trigger_frames=args.trigger_frames,
         end_hold=args.end_hold,
     )
-    matrices = _read_file(  # so a matrix that breaks an invariant names the stream too
+    matrices = read_input(  # so a matrix that breaks an invariant names the stream too
         args.stream, lambda raw: encode_stream(parse_landmark_stream(raw), th, cfg))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -134,6 +122,8 @@ def _load_tuning_dataset(path: Path):
     error is raised, the frames of the lines before it are checked.
     """
     lines = _read_text(path).splitlines()
+    # One decoder for every line, not errors.parse_json: json.loads with an
+    # object_hook builds a new decoder per call, a cost paid once per line.
     decode = json.JSONDecoder(object_hook=_lm_as_array).decode
     n = len(lines)
     coords, times = np.zeros((n, 21, 3)), np.empty(n)
@@ -180,7 +170,7 @@ def _load_tuning_dataset(path: Path):
                     raise MalformedInput(f"stream must be a file name, got {entry['stream']!r}")
                 ref = str(path.parent / entry["stream"])
                 if ref not in stream_cache:
-                    stream_cache[ref] = _read_file(ref, parse_landmark_stream)
+                    stream_cache[ref] = read_input(ref, parse_landmark_stream)
                 stream = stream_cache[ref]
                 index = entry.get("frame_index", 0)
                 if type(index) is not int or not 0 <= index < len(stream):
@@ -227,10 +217,7 @@ def _load_tuning_dataset(path: Path):
 def _load_grid_doc(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise MalformedInput(f"{path}: bad grid JSON: {exc}") from exc
+    doc = read_input(path)
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: grid file must hold a JSON object")
     return doc
@@ -299,8 +286,8 @@ def cmd_tune(args) -> int:
 # --- ground -----------------------------------------------------------------
 
 def cmd_ground(args) -> int:
-    matrix = _read_file(args.matrix, matrix_from_json)
-    lib = _read_file(args.library, ContextLibrary.from_json)
+    matrix = read_input(args.matrix, matrix_from_json)
+    lib = read_input(args.library, ContextLibrary.from_json)
     if "function_list" not in lib:
         print("context library has no function_list context", file=sys.stderr)
         return EXIT_INPUT
@@ -382,8 +369,8 @@ def cmd_eval(args) -> int:
 
 def cmd_context_add(args) -> int:
     path = Path(args.library)
-    lib = _read_file(path, ContextLibrary.from_json) if path.exists() else ContextLibrary([])
-    values = _read_file(args.values, json.loads) if args.values else None
+    lib = read_input(path, ContextLibrary.from_json) if path.exists() else ContextLibrary([])
+    values = read_input(args.values) if args.values else None
     description = (
         _read_text(args.description_file) if args.description_file else args.description
     )
@@ -399,7 +386,7 @@ def cmd_context_add(args) -> int:
 
 
 def cmd_context_show(args) -> int:
-    lib = _read_file(args.library, ContextLibrary.from_json)
+    lib = read_input(args.library, ContextLibrary.from_json)
     if args.name:
         print(json.dumps(lib.get(args.name).values, ensure_ascii=False, indent=2))
     else:
@@ -425,9 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream", help="landmark stream JSON file")
     p.add_argument("--thresholds", help="rule thresholds JSON (default: shipped values)")
     p.add_argument("--out-dir", default=".", help="where matrix files go")
-    p.add_argument("--chest-line", type=float, default=0.55, help="trigger line (y-down)")
-    p.add_argument("--trigger-frames", type=int, default=2)
-    p.add_argument("--end-hold", type=float, default=0.6, help="seconds below line to close")
+    p.add_argument("--chest-line", type=float, default=SegmentationConfig.chest_line,
+                   help="trigger line (y-down)")
+    p.add_argument("--trigger-frames", type=int, default=SegmentationConfig.trigger_frames)
+    p.add_argument("--end-hold", type=float, default=SegmentationConfig.end_hold,
+                   help="seconds below line to close")
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("tune", help="grid-search rule thresholds on a labeled dataset")
@@ -443,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts", help="prompt directory (default: shipped prompts)")
     p.add_argument("--backend", required=True, help="scripted:<fixtures.json> or backend config path")
     p.add_argument("--out-dir", default=".", help="transcript/conclusion output directory")
-    p.add_argument("--max-rounds", type=int, default=10)
+    p.add_argument("--max-rounds", type=int, default=SessionConfig.max_rounds)
     p.add_argument("--seed", type=int, default=None, help="seed for retry jitter")
     p.set_defaults(fn=cmd_ground)
 
@@ -455,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds")
     p.add_argument("--prompts")
     p.add_argument("--out-dir", default=".", help="report output directory")
-    p.add_argument("--max-rounds", type=int, default=10)
+    p.add_argument("--max-rounds", type=int, default=SessionConfig.max_rounds)
     p.add_argument("--jobs", type=int, default=1, help="parallel task runs")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_eval)

@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CalculatorFailure, MalformedInput
+from .errors import CalculatorFailure, MalformedInput, parse_json
 
 logger = logging.getLogger(__name__)
 
@@ -139,8 +139,8 @@ class ContextLibrary:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ContextLibrary":
+        doc = parse_json(text)
         try:
-            doc = json.loads(text)
             contexts = [
                 ContextType(
                     name=entry["name"],
@@ -149,7 +149,7 @@ class ContextLibrary:
                 )
                 for entry in doc["contexts"]
             ]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise MalformedInput(f"bad context library JSON: {exc}") from exc
         return cls(contexts)
 
@@ -175,7 +175,7 @@ def calculate(lib: ContextLibrary, placeholder: str) -> str:
     args: dict = {}
     if raw_args:
         try:
-            args = json.loads(raw_args)
+            args = json.loads(raw_args)  # model output, not an input file
         except (ValueError, RecursionError) as exc:  # also too many digits, too deep
             raise CalculatorFailure(
                 f"bad calculator args for {calc_id}", diagnostics=str(exc)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInput
+from .errors import MalformedInput, parse_json
 from .landmarks import HandLandmarkFrame, Handedness, LandmarkStream
 from .rules import (
     POSE_ROW_LABELS,
@@ -290,8 +290,8 @@ def matrix_from_json(text: str | bytes) -> GestureStateMatrix:
     """Inverse of matrix_to_json; MalformedInput unless the document holds
     a matrix that validate_state_matrix accepts and an integer "T" equal
     to its column count."""
+    doc = parse_json(text)
     try:
-        doc = json.loads(text)
         m = GestureStateMatrix(
             channel1=np.array(doc["channel1"]),
             channel2=np.array(doc["channel2"], dtype=float),

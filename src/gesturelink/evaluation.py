@@ -32,7 +32,7 @@ from .context import (
     parse_function_list,
 )
 from .encoder import GestureStateMatrix, encode_stream
-from .errors import GestureLinkError, MalformedInput
+from .errors import GestureLinkError, MalformedInput, parse_json
 from .landmarks import LandmarkStream, parse_landmark_stream
 from .prompts import AgentPromptSet
 from .rules import RuleThresholds
@@ -389,8 +389,8 @@ def load_manifest(path: str | Path) -> list[TaskRecord]:
     resolved relative to the manifest file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        doc = parse_json(path.read_bytes())
+    except (OSError, MalformedInput) as exc:
         raise MalformedInput(f"bad manifest {path}: {exc}") from exc
     entries = doc.get("tasks", []) if isinstance(doc, dict) else None
     if not isinstance(entries, list):

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MalformedInput
+from .errors import MalformedInput, parse_json
 
 LANDMARK_NAMES = (
     "WRIST",
@@ -249,13 +249,7 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
     copied into preallocated arrays and checked all at once. A value shown
     in an error message prints any "lm" inside it as an array.
     """
-    try:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="strict")
-        doc = json.loads(raw, object_hook=_lm_as_array)
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
-        raise MalformedInput(f"not valid JSON: {exc}") from exc
-    del raw  # frees decoded text before the arrays are filled, lowering the parse's peak
+    doc = parse_json(raw, object_hook=_lm_as_array)  # its decoded text is freed on return
     if not isinstance(doc, dict):
         raise MalformedInput("stream document must be a JSON object")
 

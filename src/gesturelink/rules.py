@@ -17,7 +17,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .errors import DegenerateGeometry, MalformedInput
+from .errors import DegenerateGeometry, MalformedInput, parse_json
 from .landmarks import FINGER_JOINTS, HandLandmarkFrame, Handedness, landmark_index
 
 logger = logging.getLogger(__name__)
@@ -135,10 +135,7 @@ class RuleThresholds:
     def from_json(cls, text: str | bytes) -> "RuleThresholds":
         """Any subset of the fields (the rest keep their defaults), plus
         an optional "distance_mode": "xy"; any other key is rejected."""
-        try:
-            doc = json.loads(text, parse_int=float)  # too large an integer reads as inf
-        except json.JSONDecodeError as exc:
-            raise MalformedInput(f"bad thresholds JSON: {exc}") from exc
+        doc = parse_json(text, parse_int=float)  # too large an integer reads as inf
         if not isinstance(doc, dict):
             raise MalformedInput("thresholds file must hold a JSON object")
         unknown = sorted(doc.keys() - {f.name for f in fields(cls)} - {"distance_mode"})

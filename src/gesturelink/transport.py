@@ -17,9 +17,9 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from typing import Protocol
+from pathlib import Path
 
-from .errors import AuthError, FixtureExhausted, MalformedInput, TransportError
+from .errors import AuthError, FixtureExhausted, MalformedInput, TransportError, parse_json
 
 DEFAULT_MODEL_ID = "gpt-4-1106-preview"
 
@@ -56,10 +56,6 @@ class UsageRecord:
             raise MalformedInput("token counts must be >= 0")
 
 
-class Backend(Protocol):
-    def complete(self, req: CompletionRequest) -> tuple[str, UsageRecord]: ...
-
-
 def approx_tokens(text: str) -> int:
     """Offline token approximation: ceil(chars / 4), in integers."""
     return -(-len(text) // 4)
@@ -89,14 +85,10 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                fixtures = json.load(fh)
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise MalformedInput(f"bad fixture file {path}: {exc}") from exc
-        if not isinstance(fixtures, list):
-            raise MalformedInput(f"bad fixture file {path}: must hold a JSON array")
         try:
+            fixtures = parse_json(Path(path).read_bytes())
+            if not isinstance(fixtures, list):
+                raise MalformedInput("must hold a JSON array")
             return cls(fixtures)
         except MalformedInput as exc:
             raise MalformedInput(f"bad fixture file {path}: {exc}") from exc
@@ -128,22 +120,21 @@ class BackendConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "BackendConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise MalformedInput(f"bad backend config {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise MalformedInput(f"bad backend config {path}: must hold a JSON object")
-        for name in ("provider_url", "model_id", "api_key_env"):
-            if not isinstance(doc.get(name, ""), str):
-                raise MalformedInput(f"bad backend config {path}: {name} must be a string")
         try:
-            timeout = float(doc.get("timeout", cls.timeout))
-        except (TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad backend config {path}: timeout: {exc}") from exc
-        if not 0 < timeout < math.inf:
-            raise MalformedInput(f"bad backend config {path}: timeout must be > 0 seconds")
+            doc = parse_json(Path(path).read_bytes())
+            if not isinstance(doc, dict):
+                raise MalformedInput("must hold a JSON object")
+            for name in ("provider_url", "model_id", "api_key_env"):
+                if not isinstance(doc.get(name, ""), str):
+                    raise MalformedInput(f"{name} must be a string")
+            try:
+                timeout = float(doc.get("timeout", cls.timeout))
+            except (TypeError, ValueError) as exc:
+                raise MalformedInput(f"timeout: {exc}") from exc
+            if not 0 < timeout < math.inf:
+                raise MalformedInput("timeout must be > 0 seconds")
+        except MalformedInput as exc:
+            raise MalformedInput(f"bad backend config {path}: {exc}") from exc
         return cls(
             provider_url=doc.get("provider_url", cls.provider_url),
             model_id=doc.get("model_id", cls.model_id),
@@ -201,7 +192,7 @@ class LiveBackend:
             raise TransportError(f"request failed: {exc}") from exc
         latency = time.monotonic() - started
         try:
-            payload = json.loads(reply)
+            payload = json.loads(reply)  # a provider reply, not an input file
             text = payload["choices"][0]["message"]["content"]
             if not isinstance(text, str):
                 raise TypeError(f"content is {type(text).__name__}, not a string")

@@ -1001,7 +1001,7 @@ def test_eval_manifest_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_bytes(b'{"tasks": []}\xff')
     assert main(["eval", str(manifest), "--backend", "scripted:unused.json"]) == 2
-    assert f"error: bad manifest {manifest}: 'utf-8' codec" in capsys.readouterr().err
+    assert f"error: bad manifest {manifest}: not valid JSON: 'utf-8' codec" in capsys.readouterr().err
 
 
 def test_eval_manifest_stream_that_is_not_json_exits_2_naming_the_stream(tmp_path, capsys):
@@ -1496,6 +1496,67 @@ def test_ground_prompt_file_that_is_not_utf8_exits_2_naming_it(
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert f"error: {inference}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+
+# --- every JSON input is decoded by one reader ---------------------------------------
+
+def deep_json_argv(case, tmp_path, matrix_file, library_file):
+    """(argv, the name stderr must show) for a run whose input `case` is
+    tmp_path / "deep.json"; every other input is valid."""
+    deep, out = tmp_path / "deep.json", str(tmp_path / "out")
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    ground = ["ground", str(matrix_file), "--library", str(library_file),
+              "--backend", f"scripted:{fixtures}", "--out-dir", out]
+    if case == "encode --thresholds":
+        stream = tmp_path / "s.json"
+        write_stream(stream, [0.8] * 5 + [0.4] * 11 + [0.8] * 10)
+        return ["encode", str(stream), "--thresholds", str(deep), "--out-dir", out], str(deep)
+    if case == "tune --grid":
+        dataset = tmp_path / "labels.jsonl"
+        dataset.write_text(tuning_line(10, [1]) + "\n" + tuning_line(90, [-1]) + "\n")
+        return ["tune", str(dataset), "--grid", str(deep), "--out", str(tmp_path / "o.json"),
+                "--report", str(tmp_path / "r.json")], str(deep)
+    if case == "ground matrix":
+        ground[1] = str(deep)
+    elif case == "ground --library":
+        ground[3] = str(deep)
+    elif case == "ground --backend scripted":
+        ground[5] = f"scripted:{deep}"
+    elif case == "ground --backend config":
+        ground[5] = str(deep)
+    elif case == "eval manifest":
+        return ["eval", str(deep), "--backend", f"scripted:{fixtures}", "--out-dir", out], str(deep)
+    elif case == "eval stream":
+        manifest = write_manifest(tmp_path)
+        deep = tmp_path / "t2.stream.json"  # the manifest names it by its relative path
+        deep.write_text("[" * 100_000)
+        return ["eval", str(manifest), "--backend", f"scripted:{fixtures}", "--out-dir", out], deep.name
+    elif case == "context show --library":
+        return ["context", "show", "--library", str(deep)], str(deep)
+    else:
+        assert case == "context add --values"
+        return ["context", "add", "--library", str(tmp_path / "lib.json"), "--name", "extra",
+                "--values", str(deep)], str(deep)
+    return ground, str(deep)
+
+
+@pytest.mark.parametrize("case", [
+    "encode --thresholds", "tune --grid", "ground matrix", "ground --library",
+    "ground --backend scripted", "ground --backend config", "eval manifest", "eval stream",
+    "context show --library", "context add --values",
+])
+def test_json_input_nested_too_deep_exits_2_naming_it(
+    tmp_path, matrix_file, library_file, capsys, case
+):
+    argv, named = deep_json_argv(case, tmp_path, matrix_file, library_file)
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{named}: not valid JSON: maximum recursion depth exceeded" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- exit codes by error class --------------------------------------------------------
