@@ -24,8 +24,9 @@ from .landmarks import HandLandmarkFrame, Handedness, LandmarkStream
 from .rules import (
     POSE_ROW_LABELS,
     RuleThresholds,
-    encode_pose_vector,
     hand_centers,
+    pose_readings,
+    pose_vectors,
     validate_pose_vector,
 )
 
@@ -223,15 +224,25 @@ def validate_state_matrix(m: GestureStateMatrix) -> None:
 def build_state_matrix(
     samples: list[HandLandmarkFrame], th: RuleThresholds
 ) -> GestureStateMatrix:
-    """Assemble the matrix from sampled frames (>= 1 required);
-    MalformedInput unless it satisfies validate_state_matrix."""
+    """Assemble the matrix from sampled frames (>= 1 required), reading
+    every rule of all samples at once; MalformedInput unless it satisfies
+    validate_state_matrix. One warning names each reading that hit
+    degenerate geometry, with its count of samples and the first one's time."""
     if not samples:
         raise MalformedInput("cannot build a matrix from zero samples")
-    channel1 = np.stack([encode_pose_vector(f, th) for f in samples], axis=1)
-    centers, widths = hand_centers(np.stack([f.coords for f in samples]))
+    coords, depth = np.stack([f.coords for f in samples]), np.array([f.has_depth for f in samples])
+    readings = pose_readings(coords, depth,
+                             np.array([f.handedness == Handedness.LEFT for f in samples]))
+    n = len(samples)
+    found = [f"{name} in {bad.sum()} of {n} samples from t={samples[bad.argmax()].timestamp}"
+             for name, bad in readings.degenerate.items() if bad.any()]
+    if found:
+        logger.warning("rules unsure on degenerate geometry: %s", "; ".join(found))
+    channel1 = pose_vectors(readings, th)
+    centers, widths = hand_centers(coords)
     channel2 = centers.T.copy()
     channel2[1] = 1.0 - channel2[1]  # up-positive vertical
-    if not all(f.has_depth for f in samples):
+    if not depth.all():
         channel2 = channel2[:2]
     width = float(np.mean(widths))
     m = GestureStateMatrix(channel1=channel1, channel2=channel2, hand_width=width)

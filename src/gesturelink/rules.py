@@ -1,26 +1,28 @@
-"""Six tunable geometric rules over one hand frame, with three-way outputs.
+"""Six tunable geometric rules over hand frames, with three-way outputs.
 
-Every calculator is a pure function of (frame, thresholds): a three-way or
-single-threshold verdict over the rule's reading, which the tuner scores
-too. A reading is NaN wherever the rule can never decide (coincident
-joints, vanishing palm normal, inward/outward without depth), so such
-frames yield unsure or unknown and never poison a stream.
+Readings come from frames: pose_readings maps N frames' coordinates,
+depth flags and handedness to every rule's reading with one batched numpy
+call per kind of reading, and the tuner reads its labels through the same
+reading functions. Verdicts come from readings: each rule's verdict is a
+three-way or single-threshold comparison of one frame's reading, called
+once per frame and pose row. A reading is NaN wherever the rule can never
+decide (coincident joints, vanishing palm normal, inward/outward without
+depth, an overflowing depth), so such frames yield unsure or unknown and
+never poison a stream.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateGeometry, MalformedInput, parse_json
 from .landmarks import FINGER_JOINTS, HandLandmarkFrame, Handedness, landmark_index
-
-logger = logging.getLogger(__name__)
 
 
 class ThreeWay(IntEnum):
@@ -95,9 +97,16 @@ def _pair_ends(pair: str) -> np.ndarray:
     return _take_index(np.array(rows).transpose(2, 0, 1), cols=2)
 
 
-# Thumb MCP, IP, TIP; other fingers MCP to TIP.
+# Take indices per target, and under the tuple of all targets (CONTACT_FINGERS,
+# PROXIMITY_PAIRS) their stack along a target axis. Curls: thumb MCP, IP,
+# TIP; other fingers MCP to TIP. Contacts: the thumb's tip, the finger's tip.
 _CURL_ENDS = {f: _curl_ends(j[1:] if f == "thumb" else j) for f, j in FINGER_JOINTS.items()}
+_CURL_ENDS[CONTACT_FINGERS] = np.stack([_CURL_ENDS[f] for f in CONTACT_FINGERS], axis=2)
 _PAIR_ENDS = {pair: _pair_ends(pair) for pair in PROXIMITY_PAIRS}
+_PAIR_ENDS[PROXIMITY_PAIRS] = np.stack(list(_PAIR_ENDS.values()), axis=1)
+_CONTACT_ENDS = {f: _take_index([_THUMB_TIP, FINGER_JOINTS[f][3]], cols=2)
+                 for f in CONTACT_FINGERS}
+_CONTACT_ENDS[CONTACT_FINGERS] = np.stack(list(_CONTACT_ENDS.values()), axis=1)
 # Heads and tails of v1 (pinky MCP -> index MCP) and v2 (wrist -> middle MCP).
 _PALM_ENDS = _take_index([[_INDEX_MCP, landmark_index("MIDDLE_FINGER_MCP")],
                           [_PINKY_MCP, landmark_index("WRIST")]])
@@ -187,171 +196,53 @@ def threshold_verdict(measurement: float, candidate, threshold: float, unsure):
     return candidate if measurement <= threshold else unsure
 
 
-def _reading(measure, frame: HandLandmarkFrame, *args, degenerate=math.nan):
-    """measure(frame, *args), or a NaN reading where the geometry is degenerate."""
-    try:
-        return measure(frame, *args)
-    except DegenerateGeometry as exc:
-        logger.warning("%s at t=%s: %s; rule unsure", measure.__name__, frame.timestamp, exc)
-        return degenerate
+# Verdicts: each maps one frame's reading of one rule to that rule's state.
 
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, with the same rounding as np.dot.
-
-    Dots and arccos stay in numpy: OpenBLAS's dot uses FMA, so a Python
-    mul-add rounds differently on a third of random 3-vectors, and math.acos
-    differs from numpy's vectorized arccos on 9% of cosines. One multiply,
-    divide, sqrt or min/max rounds alike in Python, and costs far less there.
-    """
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
-def _angles_deg(cosines: list[float]) -> list[float]:
-    """Degrees of the arccos of each cosine, clipped to [-1, 1] (NaN kept)."""
-    return np.degrees(np.arccos([min(max(c, -1.0), 1.0) for c in cosines])).tolist()
-
-
-def _closest_axis(v: np.ndarray, axes: np.ndarray, states, eps: float, degenerate: str):
-    """(angle, state) of the signed unit axis closest in angle to v, the
-    first of equal angles; DegenerateGeometry(degenerate) if |v| < eps.
-    Against a signed unit axis all products in np.dot but one are exact
-    zeros, so one matrix product gives each axis's np.dot exactly."""
-    norm = math.sqrt(np.dot(v, v))
-    if norm < eps:
-        raise DegenerateGeometry(degenerate)
-    angles = _angles_deg((np.dot(axes, v) / norm).tolist())
-    k = min(range(len(angles)), key=angles.__getitem__)
-    return angles[k], states[k]
-
-
-def finger_curl_deg(frame: HandLandmarkFrame, finger: str) -> float:
-    """Total bending angle of the finger in degrees (3D).
-
-    Thumb: the IP joint angle (MCP->IP vs IP->TIP). Other fingers: sum of
-    the PIP and DIP joint angles. Raises DegenerateGeometry on a
-    zero-length bone.
-    """
-    ends = frame.coords.take(_CURL_ENDS[finger])
-    bones = ends[0] - ends[1]
-    dots = _rowdot(bones[0], bones[1]).tolist()
-    k = (len(dots) + 1) // 2  # k squared bone lengths, then k - 1 joint dots
-    lengths = [math.sqrt(d) for d in dots[:k]]
-    if min(lengths) < _EPS:
-        raise DegenerateGeometry("zero-length vector in angle computation")
-    angles = _angles_deg([d / (a * b) for d, a, b in zip(dots[k:], lengths, lengths[1:])])
-    return angles[0] + angles[1] if len(angles) == 2 else angles[0]
-
-
-def curl_reading(frame: HandLandmarkFrame, finger: str) -> float:
-    """finger_curl_deg, or NaN on a zero-length bone."""
-    return _reading(finger_curl_deg, frame, finger)
-
-
-def flexion(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeWay:
+def flexion(curl_deg: float, finger: str, th: RuleThresholds) -> ThreeWay:
     """Straight (+1) / bent (-1) / unsure (0) state of one finger."""
     if finger not in FINGER_JOINTS:
         raise ValueError(f"unknown finger: {finger!r}")
     low, high = th.flexion_thumb if finger == "thumb" else th.flexion_finger
-    return three_way_verdict(curl_reading(frame, finger), low, high)
+    return three_way_verdict(curl_deg, low, high)
 
 
-def proximity_distance(frame: HandLandmarkFrame, pair: str) -> float:
-    """Mean over joint levels (PIP, DIP, TIP) of the smaller image-plane
-    distance from either finger's joint to the other finger's distal
-    polyline. A zero-length segment degrades to the distance to its start."""
-    if pair not in _PAIR_ENDS:
-        raise ValueError(f"unknown finger pair: {pair!r}")
-    ends = frame.coords.take(_PAIR_ENDS[pair])
-    spans = ends[::2] - ends[1]  # point - start, end - start
-    num, denom = _rowdot(spans, spans[1])
-    t = num / np.where(denom >= _EPS, denom, np.inf)
-    gap = ends[0] - (ends[1] + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * spans[1])
-    # sqrt is monotonic, so it commutes with the min over the four pairs.
-    nearest = np.sqrt(_rowdot(gap, gap).min(axis=1))
-    return float(nearest.sum() / 3)  # np.mean's own sum and division
-
-
-def proximity(frame: HandLandmarkFrame, pair: str, th: RuleThresholds) -> ThreeWay:
+def proximity(distance: float, th: RuleThresholds) -> ThreeWay:
     """Pressed together (+1) / apart (-1) / unsure (0) for adjacent fingers."""
-    return three_way_verdict(proximity_distance(frame, pair), *th.proximity)
+    return three_way_verdict(distance, *th.proximity)
 
 
-def contact_distance(frame: HandLandmarkFrame, finger: str) -> float:
-    """Image-plane distance between the thumb tip and the given finger's tip."""
-    if finger not in CONTACT_FINGERS:
-        raise ValueError(f"contact is defined against the thumb; got {finger!r}")
-    gap = frame.coords[_THUMB_TIP, :2] - frame.coords[FINGER_JOINTS[finger][3], :2]
-    return math.sqrt(np.dot(gap, gap))
-
-
-def contact(frame: HandLandmarkFrame, finger: str, th: RuleThresholds) -> ThreeWay:
+def contact(distance: float, th: RuleThresholds) -> ThreeWay:
     """Fingertip contact (+1) / no contact (-1) / unsure (0) with the thumb."""
-    return three_way_verdict(contact_distance(frame, finger), *th.contact)
+    return three_way_verdict(distance, *th.contact)
 
 
-def thumb_direction_measurement(frame: HandLandmarkFrame) -> tuple[float, ThumbDirection]:
-    """(angle to the closer of down/up, that direction) for the thumb
-    MCP->TIP vector. Raises DegenerateGeometry if the vector vanishes."""
-    v = frame.coords[_THUMB_TIP] - frame.coords[_THUMB_MCP]
-    return _closest_axis(v, _THUMB_AXES, _THUMB_STATES, _EPS,
-                         "zero-length vector in angle computation")
-
-
-def thumb_direction_reading(frame: HandLandmarkFrame) -> tuple[float, ThumbDirection]:
-    """thumb_direction_measurement, or (NaN, UNSURE) if the vector vanishes."""
-    unsure = (math.nan, ThumbDirection.UNSURE)
-    return _reading(thumb_direction_measurement, frame, degenerate=unsure)
-
-
-def thumb_pointing(
-    frame: HandLandmarkFrame, thumb_flexion: ThreeWay, th: RuleThresholds
-) -> ThumbDirection:
-    """Up (+1) / down (-1) / unsure (0). Only a straight thumb points."""
+def thumb_pointing(reading: tuple, thumb_flexion: ThreeWay, th: RuleThresholds) -> ThumbDirection:
+    """Up (+1) / down (-1) / unsure (0) from the (angle, direction) thumb
+    reading. Only a straight thumb points."""
     if thumb_flexion != ThreeWay.POSITIVE:
         return ThumbDirection.UNSURE
-    angle, direction = thumb_direction_reading(frame)
-    return threshold_verdict(angle, direction, th.thumb_dir_angle_threshold, ThumbDirection.UNSURE)
+    return threshold_verdict(*reading, th.thumb_dir_angle_threshold, ThumbDirection.UNSURE)
 
 
-def palm_normal(frame: HandLandmarkFrame) -> np.ndarray:
-    """Palm-plane normal: v1 spans pinky MCP -> index MCP, v2 spans
-    wrist -> middle MCP; right hands use v2 x v1, left hands v1 x v2."""
-    ends = frame.coords.take(_PALM_ENDS)
-    v1, v2 = (ends[0] - ends[1]).tolist()
-    (ax, ay, az), (bx, by, bz) = (v1, v2) if frame.handedness == Handedness.LEFT else (v2, v1)
-    # np.cross's own products and differences, each rounded once.
-    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+def palm_orientation(reading: tuple, th: RuleThresholds) -> PalmOrientation:
+    """Facing direction of the palm from its (angle, orientation) reading,
+    or UNKNOWN outside the angle threshold."""
+    return threshold_verdict(*reading, th.palm_angle_threshold, PalmOrientation.UNKNOWN)
 
 
-def palm_orientation_measurement(frame: HandLandmarkFrame) -> tuple[float, PalmOrientation]:
-    """(angle to the closest reference, that reference) for the palm normal.
-    Raises DegenerateGeometry when the normal (nearly) vanishes."""
-    return _closest_axis(palm_normal(frame), _PALM_AXES, _PALM_STATES, _NORMAL_EPS,
-                         "palm normal vanishes")
+# Readings: each maps an (N, 21, 3) coordinate array to one rule's readings
+# of the N frames, with numpy calls over a leading frame axis. Degenerate
+# rows are computed, then masked, so their divides run under np.errstate.
+#
+# Dots and arccos stay in numpy, and their rounding is part of the readings:
+# OpenBLAS's dot uses FMA, so a Python mul-add rounds differently on a third
+# of random 3-vectors, and math.acos differs from numpy's vectorized arccos
+# on 9% of cosines.
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, with the same rounding as np.dot."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-def palm_reading(frame: HandLandmarkFrame) -> tuple[float, PalmOrientation]:
-    """palm_orientation_measurement, or (NaN, UNKNOWN) where no threshold
-    can decide: a vanishing normal, or inward/outward on a frame without
-    depth, whose normal degenerates to the +-z axis."""
-    unknown = (math.nan, PalmOrientation.UNKNOWN)
-    angle, orientation = _reading(palm_orientation_measurement, frame, degenerate=unknown)
-    if not frame.has_depth and orientation in (PalmOrientation.INWARD, PalmOrientation.OUTWARD):
-        return unknown
-    return angle, orientation
-
-
-def palm_orientation(frame: HandLandmarkFrame, th: RuleThresholds) -> PalmOrientation:
-    """Facing direction of the palm, or UNKNOWN outside the angle threshold."""
-    angle, orientation = palm_reading(frame)
-    return threshold_verdict(angle, orientation, th.palm_angle_threshold, PalmOrientation.UNKNOWN)
-
-
-# Batched readings: each maps an (N, 21, 3) coordinate array to the N
-# readings the per-frame functions above give, bit for bit, with the same
-# numpy calls over a leading frame axis. Degenerate rows are computed, then
-# masked, so their divides run under np.errstate.
 
 def _take(coords: np.ndarray, index: np.ndarray) -> np.ndarray:
     """coords[n].take(index) for every frame n of an (N, 21, 3) array."""
@@ -359,45 +250,62 @@ def _take(coords: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def _degrees(cosines: np.ndarray) -> np.ndarray:
-    """_angles_deg over an array: degrees of the arccos of each clipped cosine."""
+    """Degrees of the arccos of each cosine, clipped to [-1, 1] (NaN kept)."""
     return np.degrees(np.arccos(np.minimum(np.maximum(cosines, -1.0), 1.0)))
 
 
-def curl_readings(coords: np.ndarray, finger: str) -> np.ndarray:
-    """curl_reading of each frame: NaN where a bone has zero length."""
+# The three readings below take one target, giving (N,) arrays, or the
+# tuple of all targets, giving (N, targets) arrays.
+
+def curl_readings(coords: np.ndarray, finger) -> tuple[np.ndarray, np.ndarray]:
+    """(curls, degenerate): the finger's total bending angle in degrees (3D)
+    in each frame, NaN where a bone has zero length, and that mask. Thumb:
+    the IP joint angle (MCP->IP vs IP->TIP); other fingers: the sum of the
+    PIP and DIP joint angles."""
     ends = _take(coords, _CURL_ENDS[finger])
     bones = ends[:, 0] - ends[:, 1]
     dots = _rowdot(bones[:, 0], bones[:, 1])
-    k = (dots.shape[1] + 1) // 2
-    lengths = np.sqrt(dots[:, :k])
+    k = (dots.shape[-1] + 1) // 2  # k squared bone lengths, then k - 1 joint dots
+    lengths = np.sqrt(dots[..., :k])
     with np.errstate(divide="ignore", invalid="ignore"):
-        angles = _degrees(dots[:, k:] / (lengths[:, :-1] * lengths[:, 1:]))
-    curl = angles[:, 0] + angles[:, 1] if angles.shape[1] == 2 else angles[:, 0]
-    return np.where(lengths.min(axis=1) < _EPS, np.nan, curl)
+        angles = _degrees(dots[..., k:] / (lengths[..., :-1] * lengths[..., 1:]))
+    curl = angles[..., 0] + angles[..., 1] if angles.shape[-1] == 2 else angles[..., 0]
+    degenerate = lengths.min(axis=-1) < _EPS
+    return np.where(degenerate, np.nan, curl), degenerate
 
 
-def proximity_distances(coords: np.ndarray, pair: str) -> np.ndarray:
-    """proximity_distance of each frame."""
+def proximity_distances(coords: np.ndarray, pair) -> np.ndarray:
+    """Mean over joint levels (PIP, DIP, TIP) of the smaller image-plane
+    distance from either finger's joint to the other finger's distal
+    polyline, per frame. A zero-length segment degrades to the distance to
+    its start."""
+    if pair not in _PAIR_ENDS:
+        raise ValueError(f"unknown finger pair: {pair!r}")
     ends = _take(coords, _PAIR_ENDS[pair])
-    spans = ends[:, ::2] - ends[:, 1:2]
+    spans = ends[:, ::2] - ends[:, 1:2]  # point - start, end - start
     dots = _rowdot(spans, spans[:, 1:2])
     t = dots[:, 0] / np.where(dots[:, 1] >= _EPS, dots[:, 1], np.inf)
     gap = ends[:, 0] - (ends[:, 1] + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * spans[:, 1])
-    return np.sqrt(_rowdot(gap, gap).min(axis=2)).sum(axis=1) / 3
+    # sqrt is monotonic, so it commutes with the min over the four pairs.
+    return np.sqrt(_rowdot(gap, gap).min(axis=-1)).sum(axis=-1) / 3  # np.mean's sum and division
 
 
-def contact_distances(coords: np.ndarray, finger: str) -> np.ndarray:
-    """contact_distance of each frame."""
-    gap = coords[:, _THUMB_TIP, :2] - coords[:, FINGER_JOINTS[finger][3], :2]
+def contact_distances(coords: np.ndarray, finger) -> np.ndarray:
+    """Image-plane distance between the thumb tip and the finger's tip, per frame."""
+    if finger not in _CONTACT_ENDS:
+        raise ValueError(f"contact is defined against the thumb; got {finger!r}")
+    ends = _take(coords, _CONTACT_ENDS[finger])
+    gap = ends[:, 0] - ends[:, 1]
     return np.sqrt(_rowdot(gap, gap))
 
 
 def _closest_axes(v: np.ndarray, axes: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """_closest_axis of each row of v: (angles, axis indices), with NaN and
-    index len(axes) where |v| < eps. argmin keeps the first of equal angles,
-    as min() does; a row's angles are all NaN or none (an infinite
-    component makes every axis product 0 * inf), and an all-NaN row gets
-    the first axis from both."""
+    """(angles, axis indices) of the signed unit axis closest in angle to
+    each row of v, with NaN and index len(axes) where |v| < eps. Against a
+    signed unit axis all products but one are exact zeros, so v @ axes.T
+    gives each np.dot exactly. argmin keeps the first of equal angles; a
+    row's angles are all NaN or none (an infinite component makes every
+    axis product 0 * inf), and an all-NaN row gets the first axis."""
     norm = np.sqrt(_rowdot(v, v))
     with np.errstate(divide="ignore", invalid="ignore"):
         angles = _degrees((v @ axes.T) / norm[:, None])
@@ -407,16 +315,27 @@ def _closest_axes(v: np.ndarray, axes: np.ndarray, eps: float) -> tuple[np.ndarr
             np.where(degenerate, len(axes), k))
 
 
-def thumb_direction_readings(coords: np.ndarray) -> tuple[np.ndarray, list]:
-    """thumb_direction_reading of each frame, as (angles, directions)."""
+def thumb_direction_readings(coords: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """(angles, directions, degenerate): per frame, the angle of the thumb
+    MCP->TIP vector to the closer of down/up and that direction, (NaN,
+    UNSURE) where the vector vanishes, and that mask."""
     angles, k = _closest_axes(coords[:, _THUMB_TIP] - coords[:, _THUMB_MCP], _THUMB_AXES, _EPS)
-    return angles, [(*_THUMB_STATES, ThumbDirection.UNSURE)[i] for i in k.tolist()]
+    states = (*_THUMB_STATES, ThumbDirection.UNSURE)
+    return angles, [states[i] for i in k.tolist()], k == 2
 
 
 def palm_readings(coords: np.ndarray, depth: np.ndarray,
-                  left: np.ndarray) -> tuple[np.ndarray, list]:
-    """palm_reading of each frame, as (angles, orientations); depth and left
-    are each frame's has_depth and whether its hand is the left one."""
+                  left: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """(angles, orientations, degenerate): per frame, the angle of the palm
+    normal to the closest reference and that reference, and where the normal
+    (nearly) vanishes. depth and left are each frame's has_depth and whether
+    its hand is the left one. (NaN, UNKNOWN) where no threshold can decide:
+    a vanishing normal, or inward/outward without depth, where the normal
+    degenerates to the +-z axis.
+
+    The normal crosses v1 (pinky MCP -> index MCP) and v2 (wrist -> middle
+    MCP): v2 x v1 for right hands, v1 x v2 for left ones, each component
+    one product difference as in np.cross."""
     ends = _take(coords, _PALM_ENDS)
     v1, v2 = (ends[:, 0] - ends[:, 1]).transpose(1, 2, 0)
     (ax, ay, az), (bx, by, bz) = np.where(left, (v1, v2), (v2, v1))
@@ -424,7 +343,90 @@ def palm_readings(coords: np.ndarray, depth: np.ndarray,
     angles, k = _closest_axes(normal, _PALM_AXES, _NORMAL_EPS)
     flat = ~depth & (k >= 4) & (k < 6)  # inward/outward without depth
     states = (*_PALM_STATES, PalmOrientation.UNKNOWN)
-    return np.where(flat, np.nan, angles), [states[i] for i in np.where(flat, 6, k).tolist()]
+    return (np.where(flat, np.nan, angles), [states[i] for i in np.where(flat, 6, k).tolist()],
+            k == 6)
+
+
+class PoseReadings(NamedTuple):
+    """Every pose reading of N frames, NaN wherever a rule can never decide.
+    degenerate names each reading that can hit degenerate geometry and maps
+    it to its (N,) mask."""
+
+    curl: np.ndarray  # (5, N) degrees, thumb..pinky
+    proximity: np.ndarray  # (3, N), in PROXIMITY_PAIRS order
+    contact: np.ndarray  # (4, N), in CONTACT_FINGERS order
+    thumb: tuple[np.ndarray, list]  # (angles, directions)
+    palm: tuple[np.ndarray, list]  # (angles, orientations)
+    degenerate: dict[str, np.ndarray]
+
+
+def pose_readings(coords: np.ndarray, depth: np.ndarray, left: np.ndarray) -> PoseReadings:
+    """All readings of N frames from their (N, 21, 3) coordinates and (N,)
+    has_depth and left-hand flags, one batched call per kind of reading."""
+    thumb_curl, thumb_bad = curl_readings(coords, "thumb")
+    curls, bad = curl_readings(coords, CONTACT_FINGERS)
+    degenerate = {f"{f}_curl": b for f, b in zip(FINGER_JOINTS, (thumb_bad, *bad.T))}
+    *thumb, degenerate["thumb_direction"] = thumb_direction_readings(coords)
+    *palm, degenerate["palm_normal"] = palm_readings(coords, depth, left)
+    return PoseReadings(curl=np.vstack((thumb_curl, curls.T)),
+                        proximity=proximity_distances(coords, PROXIMITY_PAIRS).T,
+                        contact=contact_distances(coords, CONTACT_FINGERS).T,
+                        thumb=tuple(thumb), palm=tuple(palm), degenerate=degenerate)
+
+
+def pose_vectors(r: PoseReadings, th: RuleThresholds) -> np.ndarray:
+    """19 x N integer pose vectors from N frames' readings, one verdict call
+    per frame and row. Rows 1-5 flexion (thumb..pinky), 6-8 proximity, 9-12
+    thumb contact (index..pinky), 13 thumb direction, 14-19 palm one-hot
+    (all zero for UNKNOWN). Degenerate sub-results land as zeros."""
+    flex = [[flexion(c, finger, th) for c in curls]
+            for finger, curls in zip(FINGER_JOINTS, r.curl.tolist())]
+    thumb = zip(r.thumb[0].tolist(), r.thumb[1])
+    rows = [*flex, *([proximity(d, th) for d in ds] for ds in r.proximity.tolist()),
+            *([contact(d, th) for d in ds] for ds in r.contact.tolist()),
+            [thumb_pointing(t, f, th) for t, f in zip(thumb, flex[0])]]
+    palms = [palm_orientation(p, th) for p in zip(r.palm[0].tolist(), r.palm[1])]
+    rows += [[palm is state for palm in palms] for state in PALM_ONE_HOT_ORDER]
+    return np.array(rows, dtype=int)
+
+
+def encode_pose_vector(frame: HandLandmarkFrame, th: RuleThresholds) -> np.ndarray:
+    """19-entry integer pose vector for one frame (see pose_vectors)."""
+    left = np.array([frame.handedness == Handedness.LEFT])
+    return pose_vectors(pose_readings(frame.coords[None], np.array([frame.has_depth]), left),
+                        th)[:, 0]
+
+
+# One frame's reading, raising DegenerateGeometry where the geometry is
+# degenerate; a reading that is NaN for any other reason is returned.
+
+def finger_curl_deg(frame: HandLandmarkFrame, finger: str) -> float:
+    """The finger's curl in degrees (see curl_readings); DegenerateGeometry
+    on a zero-length bone."""
+    curl, degenerate = curl_readings(frame.coords[None], finger)
+    if degenerate[0]:
+        raise DegenerateGeometry("zero-length vector in angle computation")
+    return float(curl[0])
+
+
+def thumb_direction_measurement(frame: HandLandmarkFrame) -> tuple[float, ThumbDirection]:
+    """(angle to the closer of down/up, that direction) for the thumb
+    MCP->TIP vector; DegenerateGeometry if the vector vanishes."""
+    angles, directions, degenerate = thumb_direction_readings(frame.coords[None])
+    if degenerate[0]:
+        raise DegenerateGeometry("zero-length vector in angle computation")
+    return float(angles[0]), directions[0]
+
+
+def palm_orientation_measurement(frame: HandLandmarkFrame) -> tuple[float, PalmOrientation]:
+    """(angle to the closest reference, that reference) for the palm normal,
+    inward/outward included without depth; DegenerateGeometry when the
+    normal (nearly) vanishes."""
+    left = np.array([frame.handedness == Handedness.LEFT])
+    angles, orientations, degenerate = palm_readings(frame.coords[None], np.array([True]), left)
+    if degenerate[0]:
+        raise DegenerateGeometry("palm normal vanishes")
+    return float(angles[0]), orientations[0]
 
 
 def hand_centers(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -449,21 +451,6 @@ POSE_ROW_LABELS = (
     "thumb_direction",
     "palm_left", "palm_right", "palm_down", "palm_up", "palm_inward", "palm_outward",
 )
-
-
-def encode_pose_vector(frame: HandLandmarkFrame, th: RuleThresholds) -> np.ndarray:
-    """19-entry integer pose vector for one frame.
-
-    Rows 1-5 flexion (thumb..pinky), 6-8 proximity, 9-12 thumb contact
-    (index..pinky), 13 thumb direction, 14-19 palm one-hot (all zero for
-    UNKNOWN). Degenerate sub-results land as zeros.
-    """
-    flex = [flexion(frame, finger, th) for finger in FINGER_JOINTS]  # thumb..pinky
-    rows = [*flex, *(proximity(frame, pair, th) for pair in PROXIMITY_PAIRS),
-            *(contact(frame, finger, th) for finger in CONTACT_FINGERS),
-            thumb_pointing(frame, flex[0], th)]
-    orientation = palm_orientation(frame, th)
-    return np.array(rows + [int(orientation == o) for o in PALM_ONE_HOT_ORDER], dtype=int)
 
 
 def validate_pose_vector(vec: np.ndarray) -> None:

@@ -215,17 +215,17 @@ _ANGLE = ((1, 90, 1),)
 
 TUNABLE_RULES = {
     "flexion_thumb": TunableRule("flexion_thumb", THREE_WAY_SPACE, int, _DEGREES, (),
-                                 lambda c, depth, left, target: (curl_readings(c, "thumb"), None)),
+                                 lambda c, depth, left, target: (curl_readings(c, "thumb")[0], None)),
     "flexion_finger": TunableRule("flexion_finger", THREE_WAY_SPACE, int, _DEGREES, CONTACT_FINGERS,
-                                  lambda c, depth, left, finger: (curl_readings(c, finger), None)),
+                                  lambda c, depth, left, finger: (curl_readings(c, finger)[0], None)),
     "proximity": TunableRule("proximity", THREE_WAY_SPACE, int, _DISTANCES, PROXIMITY_PAIRS,
                              lambda c, depth, left, pair: (proximity_distances(c, pair), None)),
     "contact": TunableRule("contact", THREE_WAY_SPACE, int, _DISTANCES, CONTACT_FINGERS,
                            lambda c, depth, left, finger: (contact_distances(c, finger), None)),
     "thumb_direction": TunableRule("thumb_dir_angle_threshold", THREE_WAY_SPACE, int, _ANGLE, (),
-                                   lambda c, depth, left, target: thumb_direction_readings(c)),
+                                   lambda c, depth, left, target: thumb_direction_readings(c)[:2]),
     "palm_orientation": TunableRule("palm_angle_threshold", PALM_SPACE, PalmOrientation, _ANGLE, (),
-                                    lambda c, depth, left, target: palm_readings(c, depth, left)),
+                                    lambda c, depth, left, target: palm_readings(c, depth, left)[:2]),
 }
 RULE_STATE_SPACES = {rule_id: rule.space for rule_id, rule in TUNABLE_RULES.items()}
 

@@ -4,11 +4,13 @@ import json
 import random
 import re
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gesturelink.landmarks import HandLandmarkFrame, Handedness, LandmarkStream
+from gesturelink.landmarks import FINGER_JOINTS, HandLandmarkFrame, Handedness, LandmarkStream
+from gesturelink.rules import CONTACT_FINGERS, PROXIMITY_PAIRS, pose_readings
 
 # --- acceptance summary ---------------------------------------------------------
 # One PASS/FAIL line per acceptance criterion at the end of the run.
@@ -74,6 +76,21 @@ def make_frame(points, t=0.0, handedness=Handedness.RIGHT, has_depth=True):
         handedness=handedness,
         coords=points,
         has_depth=has_depth,
+    )
+
+
+def frame_readings(frame):
+    """One frame's pose readings (rules.pose_readings of a one-frame batch)
+    as Python scalars: curl, proximity and contact keyed by finger or pair,
+    thumb and palm as (angle, state)."""
+    r = pose_readings(frame.coords[None], np.array([frame.has_depth]),
+                      np.array([frame.handedness == Handedness.LEFT]))
+    return SimpleNamespace(
+        curl=dict(zip(FINGER_JOINTS, r.curl[:, 0].tolist())),
+        proximity=dict(zip(PROXIMITY_PAIRS, r.proximity[:, 0].tolist())),
+        contact=dict(zip(CONTACT_FINGERS, r.contact[:, 0].tolist())),
+        thumb=(float(r.thumb[0][0]), r.thumb[1][0]),
+        palm=(float(r.palm[0][0]), r.palm[1][0]),
     )
 
 

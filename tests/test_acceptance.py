@@ -17,6 +17,7 @@ import oracles
 from conftest import (
     conclusion_reply,
     context_reply,
+    frame_readings,
     hand_at,
     index_curl_points,
     make_frame,
@@ -78,23 +79,24 @@ def test_criterion_1_rule_oracle_equivalence():
     mismatches = 0
     for frame in frames:
         points = frame.coords.tolist()
+        r = frame_readings(frame)
         for finger in ("thumb", "index", "middle", "ring", "pinky"):
             low, high = TH.flexion_thumb if finger == "thumb" else TH.flexion_finger
-            if int(flexion(frame, finger, TH)) != oracles.oracle_flexion(points, finger, low, high):
+            if int(flexion(r.curl[finger], finger, TH)) != oracles.oracle_flexion(points, finger, low, high):
                 mismatches += 1
         for pair in PROXIMITY_PAIRS:
             f1, f2 = pair.split("_")
-            if int(proximity(frame, pair, TH)) != oracles.oracle_proximity(points, f1, f2, *TH.proximity):
+            if int(proximity(r.proximity[pair], TH)) != oracles.oracle_proximity(points, f1, f2, *TH.proximity):
                 mismatches += 1
         for finger in CONTACT_FINGERS:
-            if int(contact(frame, finger, TH)) != oracles.oracle_contact(points, finger, *TH.contact):
+            if int(contact(r.contact[finger], TH)) != oracles.oracle_contact(points, finger, *TH.contact):
                 mismatches += 1
-        thumb_state = flexion(frame, "thumb", TH)
-        if int(thumb_pointing(frame, thumb_state, TH)) != oracles.oracle_thumb_direction(
+        thumb_state = flexion(r.curl["thumb"], "thumb", TH)
+        if int(thumb_pointing(r.thumb, thumb_state, TH)) != oracles.oracle_thumb_direction(
             points, thumb_state == ThreeWay.POSITIVE, TH.thumb_dir_angle_threshold
         ):
             mismatches += 1
-        if palm_orientation(frame, TH).value != oracles.oracle_palm_orientation(
+        if palm_orientation(r.palm, TH).value != oracles.oracle_palm_orientation(
             points, is_left=False, threshold=TH.palm_angle_threshold
         ):
             mismatches += 1

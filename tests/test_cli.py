@@ -11,6 +11,7 @@ from conftest import (
     conclusion_reply,
     context_reply,
     flat_width_stream_json,
+    frame_readings,
     hand_at,
     index_curl_points,
     movement_reply,
@@ -27,14 +28,7 @@ from gesturelink import errors
 from gesturelink.cli import main
 from gesturelink.encoder import matrix_to_json
 from gesturelink.landmarks import Handedness, parse_frame, parse_landmark_stream
-from gesturelink.rules import (
-    RuleThresholds,
-    contact_distance,
-    curl_reading,
-    palm_reading,
-    proximity_distance,
-    thumb_direction_reading,
-)
+from gesturelink.rules import RuleThresholds
 from gesturelink.tuning import TUNABLE_RULES, MeasuredSample, parse_label, rule_measurement
 
 
@@ -463,14 +457,15 @@ def test_tune_line_nested_too_deep_exits_2_with_location(tmp_path, capsys):
     assert not out.exists()
 
 
-# Each rule's reading of one frame, as tune took it before it read in batches.
+# Each rule's reading of one frame, read as encode reads it, from the
+# encoder's readings of that frame alone (conftest.frame_readings).
 _PER_FRAME_READ = {
-    "flexion_thumb": lambda frame, target: (curl_reading(frame, "thumb"), None),
-    "flexion_finger": lambda frame, target: (curl_reading(frame, target), None),
-    "proximity": lambda frame, target: (proximity_distance(frame, target), None),
-    "contact": lambda frame, target: (contact_distance(frame, target), None),
-    "thumb_direction": lambda frame, target: thumb_direction_reading(frame),
-    "palm_orientation": lambda frame, target: palm_reading(frame),
+    "flexion_thumb": lambda r, target: (r.curl["thumb"], None),
+    "flexion_finger": lambda r, target: (r.curl[target], None),
+    "proximity": lambda r, target: (r.proximity[target], None),
+    "contact": lambda r, target: (r.contact[target], None),
+    "thumb_direction": lambda r, target: r.thumb,
+    "palm_orientation": lambda r, target: r.palm,
 }
 
 
@@ -489,7 +484,7 @@ def per_label_dataset(path):
         else:
             stream = parse_landmark_stream((path.parent / entry["stream"]).read_bytes())
             frame = stream[entry["frame_index"]]
-        measurement, state = _PER_FRAME_READ[rule_id](frame, target)
+        measurement, state = _PER_FRAME_READ[rule_id](frame_readings(frame), target)
         batched, batched_state = rule_measurement(frame, rule_id, target)
         assert (np.float64(batched).tobytes(), batched_state) == (
             np.float64(measurement).tobytes(), state)

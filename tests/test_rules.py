@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import FLAT_HAND_POINTS, make_frame, random_points, scale_about, translate
+from conftest import (
+    FLAT_HAND_POINTS,
+    frame_readings,
+    make_frame,
+    random_points,
+    scale_about,
+    translate,
+)
+from gesturelink.encoder import build_state_matrix
 from gesturelink.errors import DegenerateGeometry, MalformedInput
 from gesturelink.landmarks import FINGER_JOINTS, Handedness
 from gesturelink.rules import (
@@ -19,25 +27,19 @@ from gesturelink.rules import (
     ThreeWay,
     ThumbDirection,
     contact,
-    contact_distance,
     contact_distances,
-    curl_reading,
-    curl_readings,
     encode_pose_vector,
     finger_curl_deg,
     flexion,
     hand_center,
-    palm_normal,
     palm_orientation,
-    palm_reading,
-    palm_readings,
+    palm_orientation_measurement,
+    pose_readings,
     proximity,
-    proximity_distance,
     proximity_distances,
     three_way_verdict,
     threshold_verdict,
-    thumb_direction_reading,
-    thumb_direction_readings,
+    thumb_direction_measurement,
     thumb_pointing,
     validate_pose_vector,
 )
@@ -52,10 +54,23 @@ def with_points(overrides: dict[int, tuple], base=FLAT_HAND_POINTS, **kwargs):
     return make_frame(points, **kwargs)
 
 
+def flex(frame, finger):
+    """The flexion verdict on the frame's curl reading of the finger."""
+    return flexion(frame_readings(frame).curl[finger], finger, TH)
+
+
+def proximity_distance(frame, pair):
+    return float(proximity_distances(frame.coords[None], pair)[0])
+
+
+def contact_distance(frame, finger):
+    return float(contact_distances(frame.coords[None], finger)[0])
+
+
 # --- flexion -----------------------------------------------------------------
 
 def test_flexion_collinear_index_is_straight(flat_hand):
-    assert flexion(flat_hand, "index", TH) == ThreeWay.POSITIVE
+    assert flex(flat_hand, "index") == ThreeWay.POSITIVE
 
 
 def test_flexion_two_right_angles_is_bent():
@@ -65,7 +80,7 @@ def test_flexion_two_right_angles_is_bent():
         7: (0.40, 0.60, 0.0),   # DIP, 90 degree turn
         8: (0.40, 0.70, 0.0),   # TIP, another 90
     })
-    assert flexion(frame, "index", TH) == ThreeWay.NEGATIVE
+    assert flex(frame, "index") == ThreeWay.NEGATIVE
 
 
 def test_flexion_thumb_in_unsure_band():
@@ -78,12 +93,13 @@ def test_flexion_thumb_in_unsure_band():
     })
     curl = oracles.oracle_curl(frame.coords.tolist(), "thumb")
     assert curl == pytest.approx(25.0, abs=1e-9)
-    assert flexion(frame, "thumb", TH) == ThreeWay.UNSURE
+    assert flex(frame, "thumb") == ThreeWay.UNSURE
 
 
 def test_flexion_degenerate_bone_is_unsure():
     frame = with_points({5: (0.4, 0.6, 0.0), 6: (0.4, 0.6, 0.0)})
-    assert flexion(frame, "index", TH) == ThreeWay.UNSURE
+    assert math.isnan(frame_readings(frame).curl["index"])
+    assert flex(frame, "index") == ThreeWay.UNSURE
 
 
 # --- proximity ---------------------------------------------------------------
@@ -99,11 +115,13 @@ def _parallel_fingers(offset: float):
 
 
 def test_proximity_pressed_together():
-    assert proximity(_parallel_fingers(0.02), "index_middle", TH) == ThreeWay.POSITIVE
+    assert proximity(proximity_distance(_parallel_fingers(0.02), "index_middle"),
+                     TH) == ThreeWay.POSITIVE
 
 
 def test_proximity_apart():
-    assert proximity(_parallel_fingers(0.10), "index_middle", TH) == ThreeWay.NEGATIVE
+    assert proximity(proximity_distance(_parallel_fingers(0.10), "index_middle"),
+                     TH) == ThreeWay.NEGATIVE
 
 
 def test_proximity_unsure_band_verified_by_oracle():
@@ -112,7 +130,7 @@ def test_proximity_unsure_band_verified_by_oracle():
     d = oracles.oracle_proximity_distance(points, "index", "middle", "xy")
     assert d == pytest.approx(0.026, abs=1e-12)
     assert TH.proximity[0] < d < TH.proximity[1]
-    assert proximity(frame, "index_middle", TH) == ThreeWay.UNSURE
+    assert proximity(frame_readings(frame).proximity["index_middle"], TH) == ThreeWay.UNSURE
 
 
 def test_proximity_symmetric_under_finger_swap(rng):
@@ -136,18 +154,18 @@ def test_proximity_rejects_non_adjacent_pair():
 
 def test_contact_identical_fingertips():
     frame = with_points({4: (0.42, 0.50, 0.0)})  # thumb tip == index tip
-    assert contact(frame, "index", TH) == ThreeWay.POSITIVE
+    assert contact(contact_distance(frame, "index"), TH) == ThreeWay.POSITIVE
 
 
 def test_contact_unsure_band():
     frame = with_points({4: (0.50, 0.50, 0.0), 8: (0.55, 0.50, 0.0)})
     assert contact_distance(frame, "index") == pytest.approx(0.05)
-    assert contact(frame, "index", TH) == ThreeWay.UNSURE
+    assert contact(contact_distance(frame, "index"), TH) == ThreeWay.UNSURE
 
 
 def test_contact_far_apart():
     frame = with_points({4: (0.50, 0.50, 0.0), 8: (0.70, 0.50, 0.0)})
-    assert contact(frame, "index", TH) == ThreeWay.NEGATIVE
+    assert contact(contact_distance(frame, "index"), TH) == ThreeWay.NEGATIVE
 
 
 # --- thumb direction ---------------------------------------------------------
@@ -164,25 +182,27 @@ def _straight_thumb(tip_delta):
 
 
 def test_thumb_pointing_up():
-    frame = _straight_thumb((0.0, -0.2, 0.0))
-    assert thumb_pointing(frame, ThreeWay.POSITIVE, TH) == ThumbDirection.UP
+    thumb = frame_readings(_straight_thumb((0.0, -0.2, 0.0))).thumb
+    assert thumb_pointing(thumb, ThreeWay.POSITIVE, TH) == ThumbDirection.UP
 
 
 def test_thumb_pointing_down():
-    frame = _straight_thumb((0.0, 0.2, 0.0))
-    assert thumb_pointing(frame, ThreeWay.POSITIVE, TH) == ThumbDirection.DOWN
+    thumb = frame_readings(_straight_thumb((0.0, 0.2, 0.0))).thumb
+    assert thumb_pointing(thumb, ThreeWay.POSITIVE, TH) == ThumbDirection.DOWN
 
 
 def test_bent_thumb_never_points():
-    frame = _straight_thumb((0.0, -0.2, 0.0))
-    assert thumb_pointing(frame, ThreeWay.NEGATIVE, TH) == ThumbDirection.UNSURE
-    assert thumb_pointing(frame, ThreeWay.UNSURE, TH) == ThumbDirection.UNSURE
+    thumb = frame_readings(_straight_thumb((0.0, -0.2, 0.0))).thumb
+    assert thumb[1] == ThumbDirection.UP
+    assert thumb_pointing(thumb, ThreeWay.NEGATIVE, TH) == ThumbDirection.UNSURE
+    assert thumb_pointing(thumb, ThreeWay.UNSURE, TH) == ThumbDirection.UNSURE
 
 
 def test_thumb_diagonal_is_unsure():
     # 45 degrees from both references, above the 40 degree threshold.
-    frame = _straight_thumb((0.1, -0.1, 0.0))
-    assert thumb_pointing(frame, ThreeWay.POSITIVE, TH) == ThumbDirection.UNSURE
+    thumb = frame_readings(_straight_thumb((0.1, -0.1, 0.0))).thumb
+    assert thumb[0] == pytest.approx(45.0)
+    assert thumb_pointing(thumb, ThreeWay.POSITIVE, TH) == ThumbDirection.UNSURE
 
 
 # --- palm orientation ----------------------------------------------------------
@@ -200,7 +220,7 @@ def test_palm_outward_right_hand():
     points = frame.coords.tolist()
     n = oracles.oracle_palm_normal(points, is_left=False)
     assert n == pytest.approx((0.0, 0.0, -0.06))
-    assert palm_orientation(frame, TH) == PalmOrientation.OUTWARD
+    assert palm_orientation(frame_readings(frame).palm, TH) == PalmOrientation.OUTWARD
 
 
 def test_palm_outward_mirrored_left_hand():
@@ -208,7 +228,7 @@ def test_palm_outward_mirrored_left_hand():
     frame = with_points(mirrored, handedness=Handedness.LEFT)
     points = frame.coords.tolist()
     assert oracles.oracle_palm_orientation(points, is_left=True, threshold=41) == "outward"
-    assert palm_orientation(frame, TH) == PalmOrientation.OUTWARD
+    assert palm_orientation(frame_readings(frame).palm, TH) == PalmOrientation.OUTWARD
 
 
 def test_palm_diagonal_normal_is_unknown():
@@ -223,7 +243,7 @@ def test_palm_diagonal_normal_is_unknown():
     n = oracles.oracle_palm_normal(points, is_left=False)
     angles = [oracles.angle_deg(n, ref) for _, ref in oracles.PALM_REFS]
     assert min(angles) > TH.palm_angle_threshold
-    assert palm_orientation(frame, TH) == PalmOrientation.UNKNOWN
+    assert palm_orientation(frame_readings(frame).palm, TH) == PalmOrientation.UNKNOWN
 
 
 def test_palm_degenerate_normal_is_unknown():
@@ -231,13 +251,17 @@ def test_palm_degenerate_normal_is_unknown():
     frame = with_points({
         0: (0.5, 0.9, 0.0), 9: (0.5, 0.7, 0.0), 17: (0.5, 0.6, 0.0), 5: (0.5, 0.8, 0.0),
     })
-    assert palm_orientation(frame, TH) == PalmOrientation.UNKNOWN
+    assert palm_orientation(frame_readings(frame).palm, TH) == PalmOrientation.UNKNOWN
+    with pytest.raises(DegenerateGeometry):
+        palm_orientation_measurement(frame)
 
 
 def test_palm_without_depth_hides_inward_outward(flat_hand):
-    assert palm_orientation(flat_hand, TH) == PalmOrientation.OUTWARD
+    assert palm_orientation(frame_readings(flat_hand).palm, TH) == PalmOrientation.OUTWARD
     flat_2d = make_frame(FLAT_HAND_POINTS, has_depth=False)
-    assert palm_orientation(flat_2d, TH) == PalmOrientation.UNKNOWN
+    assert palm_orientation(frame_readings(flat_2d).palm, TH) == PalmOrientation.UNKNOWN
+    # The measurement itself ignores depth: only the reading hides the state.
+    assert palm_orientation_measurement(flat_2d)[1] == PalmOrientation.OUTWARD
 
 
 # --- measurements against the scalar oracles ---------------------------------------
@@ -354,8 +378,8 @@ def test_all_unsure_rules_give_zero_vector(monkeypatch, flat_hand):
 
 def test_pose_vector_calls_each_rule_once_per_row(monkeypatch, flat_hand):
     # The benchmark's tracer (perfbench/spans.py WRAPPED) wraps these module
-    # functions and counts one call per pose row and frame; rules batched
-    # across frames wait until ROADMAP item 2 moves it to per-sample spans.
+    # functions and counts their verdicts, one call per pose row and sample.
+    # The readings are batched over a window; the verdicts stay per sample.
     import gesturelink.rules as rules_mod
 
     calls = Counter()
@@ -370,6 +394,37 @@ def test_pose_vector_calls_each_rule_once_per_row(monkeypatch, flat_hand):
         rules_mod.encode_pose_vector(frame, TH)
         assert calls == {"flexion": 5, "proximity": 3, "contact": 4, "thumb_pointing": 1,
                          "palm_orientation": 1}
+    window = list(_hostile_frames(31))
+    for samples in (window[:1], window[1:]):
+        calls.clear()
+        build_state_matrix(samples, TH)
+        t = len(samples)
+        assert calls == {"flexion": 5 * t, "proximity": 3 * t, "contact": 4 * t,
+                         "thumb_pointing": t, "palm_orientation": t}
+
+
+def test_build_warns_once_per_matrix_on_degenerate_geometry(caplog, flat_hand):
+    def at(t, overrides=(), **kwargs):
+        return with_points(dict(overrides), t=t, **kwargs)
+
+    bone = {10: FLAT_HAND_POINTS[9]}  # middle PIP on its MCP
+    palm = {5: FLAT_HAND_POINTS[17], 0: FLAT_HAND_POINTS[9]}  # collapsed palm
+    thumb = {4: FLAT_HAND_POINTS[2]}  # thumb TIP on its MCP
+    samples = [at(0.0), at(0.2, bone), at(0.4, {**bone, **palm}), at(0.6, thumb), at(0.8, bone)]
+    with caplog.at_level("WARNING", logger="gesturelink"):
+        build_state_matrix(samples, TH)
+    assert [r.getMessage() for r in caplog.records] == [
+        "rules unsure on degenerate geometry: middle_curl in 3 of 5 samples from t=0.2; "
+        "thumb_direction in 1 of 5 samples from t=0.6; palm_normal in 1 of 5 samples from t=0.4"
+    ]
+    caplog.clear()
+    # Clean windows, and an outward palm that a 2-D frame cannot show, log nothing.
+    flat_2d = make_frame(FLAT_HAND_POINTS, t=0.2, has_depth=False)
+    with caplog.at_level("WARNING", logger="gesturelink"):
+        build_state_matrix([flat_hand], TH)
+        m = build_state_matrix([flat_hand, flat_2d], TH)
+    assert m.channel1[13:, 1].tolist() == [0] * 6
+    assert caplog.records == []
 
 
 def test_pose_vector_invariants_fuzz(rng):
@@ -383,26 +438,26 @@ def test_pose_vector_invariants_fuzz(rng):
 def test_rules_agree_with_oracles_on_random_frames(rng):
     for _ in range(200):
         points = random_points(rng)
-        frame = make_frame(points)
+        r = frame_readings(make_frame(points))
         for finger in ("thumb", "index", "middle", "ring", "pinky"):
             low, high = TH.flexion_thumb if finger == "thumb" else TH.flexion_finger
-            assert int(flexion(frame, finger, TH)) == oracles.oracle_flexion(
+            assert int(flexion(r.curl[finger], finger, TH)) == oracles.oracle_flexion(
                 points, finger, low, high
             )
         for pair in PROXIMITY_PAIRS:
             f1, f2 = pair.split("_")
-            assert int(proximity(frame, pair, TH)) == oracles.oracle_proximity(
+            assert int(proximity(r.proximity[pair], TH)) == oracles.oracle_proximity(
                 points, f1, f2, *TH.proximity
             )
         for finger in ("index", "middle", "ring", "pinky"):
-            assert int(contact(frame, finger, TH)) == oracles.oracle_contact(
+            assert int(contact(r.contact[finger], TH)) == oracles.oracle_contact(
                 points, finger, *TH.contact
             )
-        thumb_state = flexion(frame, "thumb", TH)
-        assert int(thumb_pointing(frame, thumb_state, TH)) == oracles.oracle_thumb_direction(
+        thumb_state = flexion(r.curl["thumb"], "thumb", TH)
+        assert int(thumb_pointing(r.thumb, thumb_state, TH)) == oracles.oracle_thumb_direction(
             points, thumb_state == ThreeWay.POSITIVE, TH.thumb_dir_angle_threshold
         )
-        assert palm_orientation(frame, TH).value == oracles.oracle_palm_orientation(
+        assert palm_orientation(r.palm, TH).value == oracles.oracle_palm_orientation(
             points, is_left=False, threshold=TH.palm_angle_threshold
         )
 
@@ -452,11 +507,12 @@ def test_scale_translation_invariance(seed, factor, dx, dy):
     ]
     moved = translate(scale_about(base, factor), dx, dy)
     f0, f1 = make_frame(base), make_frame(moved)
+    r0, r1 = frame_readings(f0), frame_readings(f1)
     for finger in ("thumb", "index", "middle", "ring", "pinky"):
-        assert flexion(f0, finger, TH) == flexion(f1, finger, TH)
-    thumb_state = flexion(f0, "thumb", TH)
-    assert thumb_pointing(f0, thumb_state, TH) == thumb_pointing(f1, thumb_state, TH)
-    assert palm_orientation(f0, TH) == palm_orientation(f1, TH)
+        assert flexion(r0.curl[finger], finger, TH) == flexion(r1.curl[finger], finger, TH)
+    thumb_state = flexion(r0.curl["thumb"], "thumb", TH)
+    assert thumb_pointing(r0.thumb, thumb_state, TH) == thumb_pointing(r1.thumb, thumb_state, TH)
+    assert palm_orientation(r0.palm, TH) == palm_orientation(r1.palm, TH)
     # Distances are translation-invariant but scale with the factor.
     translated_only = make_frame(translate(base, dx, dy))
     for pair in PROXIMITY_PAIRS:
@@ -629,30 +685,46 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+def _arrays(frames):
+    """The (coords, depth, left) arrays of a list of frames."""
+    return (np.stack([frame.coords for frame in frames]),
+            np.array([frame.has_depth for frame in frames]),
+            np.array([frame.handedness == Handedness.LEFT for frame in frames]))
+
+
 def _batched_readings(frames):
-    """Per frame, each reading of the batched functions, all frames in one call."""
-    coords = np.stack([frame.coords for frame in frames])
-    depth = np.array([frame.has_depth for frame in frames])
-    left = np.array([frame.handedness == Handedness.LEFT for frame in frames])
-    columns = {
-        "curl": np.stack([curl_readings(coords, f) for f in FINGER_JOINTS], axis=1).tolist(),
-        "proximity": np.stack([proximity_distances(coords, p) for p in PROXIMITY_PAIRS],
-                              axis=1).tolist(),
-        "contact": np.stack([contact_distances(coords, f) for f in CONTACT_FINGERS],
-                            axis=1).tolist(),
-    }
-    for name, (angles, states) in (("thumb", thumb_direction_readings(coords)),
-                                   ("palm", palm_readings(coords, depth, left))):
-        columns[name] = list(zip(angles.tolist(), states))
+    """Per frame, each reading of pose_readings, all frames in one call."""
+    r = pose_readings(*_arrays(frames))
+    columns = {"curl": r.curl.T.tolist(), "proximity": r.proximity.T.tolist(),
+               "contact": r.contact.T.tolist(),
+               "thumb": list(zip(r.thumb[0].tolist(), r.thumb[1])),
+               "palm": list(zip(r.palm[0].tolist(), r.palm[1]))}
     return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
+def _single_readings(frame):
+    """Each reading of pose_readings over the frame alone."""
+    r = frame_readings(frame)
+    return {"curl": list(r.curl.values()), "proximity": list(r.proximity.values()),
+            "contact": list(r.contact.values()), "thumb": r.thumb, "palm": r.palm}
+
+
+def _view(measure, *args):
+    """measure(*args), or None where it raises DegenerateGeometry."""
+    try:
+        return measure(*args)
+    except DegenerateGeometry:
+        return None
+
+
 def test_reading_kernels_match_the_per_call_formulas_bit_for_bit():
-    """The per-frame readings, and the batched ones over all frames at
-    once, equal a copy of the per-call formulas they replaced."""
+    """The readings of each frame alone, and of all frames at once, equal a
+    copy of the per-call formulas they replaced; so do the pose vectors, and
+    the one-frame views, checked on every fifth frame, raise exactly where
+    the geometry is degenerate."""
     seen, mismatches = Counter(), Counter()
     frames = list(_hostile_frames(12_000))
-    for frame, batched in zip(frames, _batched_readings(frames)):
+    for i, (frame, batched) in enumerate(zip(frames, _batched_readings(frames))):
         c = frame.coords
         curls = [_ref_curl(c, f) for f in FINGER_JOINTS]
         proximities = [_ref_proximity(c, p) for p in PROXIMITY_PAIRS]
@@ -660,23 +732,25 @@ def test_reading_kernels_match_the_per_call_formulas_bit_for_bit():
                     for f in CONTACT_FINGERS]
         normal = _ref_normal(c, frame.handedness)
         thumb, palm = _ref_thumb(c), _ref_palm(normal, frame.has_depth)
-        readings = {
-            "curl": (curls, [curl_reading(frame, f) for f in FINGER_JOINTS]),
-            "proximity": (proximities, [proximity_distance(frame, p) for p in PROXIMITY_PAIRS]),
-            "contact": (contacts, [contact_distance(frame, f) for f in CONTACT_FINGERS]),
-            "thumb": (thumb, thumb_direction_reading(frame)),
-            "palm": (palm, palm_reading(frame)),
-            "palm_normal": (normal, palm_normal(frame)),
-            "pose_vector": (_ref_pose_vector(curls, proximities, contacts, thumb, palm),
-                            encode_pose_vector(frame, TH).tolist()),
-            "batched_curl": (curls, batched["curl"]),
-            "batched_proximity": (proximities, batched["proximity"]),
-            "batched_contact": (contacts, batched["contact"]),
-            "batched_thumb": (thumb, batched["thumb"]),
-            "batched_palm": (palm, batched["palm"]),
-        }
+        single = _single_readings(frame)
+        vanishes = np.linalg.norm(normal) < 1e-9
+        readings = {"pose_vector": (_ref_pose_vector(curls, proximities, contacts, thumb, palm),
+                                    encode_pose_vector(frame, TH).tolist())}
+        if i % 5 == 0:
+            readings.update(
+                curl_view=([None if math.isnan(v) else v for v in curls],
+                           [_view(finger_curl_deg, frame, f) for f in FINGER_JOINTS]),
+                thumb_view=(None if math.isnan(thumb[0]) else thumb,
+                            _view(thumb_direction_measurement, frame)),
+                palm_view=(None if vanishes else _ref_palm(normal, True),
+                           _view(palm_orientation_measurement, frame)))
+        for name, ref in (("curl", curls), ("proximity", proximities), ("contact", contacts),
+                          ("thumb", thumb), ("palm", palm)):
+            readings[name], readings[f"batched_{name}"] = (ref, single[name]), (ref, batched[name])
         for name, (ref, kernel) in readings.items():
-            if name.endswith(("thumb", "palm")):  # (angle, state)
+            if name.endswith("view"):
+                same = repr(ref) == repr(kernel)
+            elif name.endswith(("thumb", "palm")):  # (angle, state)
                 same = _bits(ref[0]) == _bits(kernel[0]) and ref[1] == kernel[1]
             else:
                 same = _bits(ref) == _bits(kernel)
@@ -684,11 +758,94 @@ def test_reading_kernels_match_the_per_call_formulas_bit_for_bit():
         seen["2d"] += not frame.has_depth
         seen["degenerate_curl"] += any(math.isnan(v) for v in curls)
         seen["degenerate_thumb"] += math.isnan(thumb[0])
-        seen["vanishing_normal"] += np.linalg.norm(normal) < 1e-9
+        seen["vanishing_normal"] += vanishes
     assert sum(mismatches.values()) == 0, f"frames off by a bit, per reading: {dict(mismatches)}"
     # The hostile cases occur often enough to count.
     assert seen["2d"] >= 3_000 and min(seen.values()) >= 500, f"{dict(seen)}"
 
+
+def test_window_pose_vectors_match_the_per_frame_formulas_bit_for_bit():
+    """build_state_matrix over windows of 1 to 64 hostile samples, with both
+    hands, mixed depth and coincident joints: channel 1 is the stacked
+    reference pose vectors."""
+    rng = random.Random(19)
+    frames = list(_hostile_frames(4_000, seed=4242))
+    refs = []
+    for frame in frames:
+        c = frame.coords
+        refs.append(_ref_pose_vector(
+            [_ref_curl(c, f) for f in FINGER_JOINTS],
+            [_ref_proximity(c, p) for p in PROXIMITY_PAIRS],
+            [float(np.linalg.norm(c[4, :2] - c[FINGER_JOINTS[f][3], :2])) for f in CONTACT_FINGERS],
+            _ref_thumb(c), _ref_palm(_ref_normal(c, frame.handedness), frame.has_depth)))
+    start, lengths = 0, Counter()
+    while start < len(frames):
+        t = rng.randint(1, 64)
+        window = frames[start : start + t]
+        expected = np.array(refs[start : start + t]).T
+        if all(np.linalg.norm(f.coords[5, :2] - f.coords[17, :2]) == 0 for f in window):
+            with pytest.raises(MalformedInput, match="hand_width"):  # no width to gauge
+                build_state_matrix(window, TH)
+        else:
+            assert build_state_matrix(window, TH).channel1.tolist() == expected.tolist()
+            lengths[min(len(window), 2)] += 1
+        start += t
+    assert lengths[1] >= 1 and lengths[2] >= 50, dict(lengths)
+
+
+# The per-frame readings as the rules computed them before they were
+# batched, one frame and one small numpy call at a time: the reference
+# wherever depth overflows.
+
+def _old_angles_deg(cosines):
+    return np.degrees(np.arccos([min(max(c, -1.0), 1.0) for c in cosines])).tolist()
+
+
+def _old_closest_axis(v, references, eps, degenerate):
+    states, axes = zip(*references)
+    norm = math.sqrt(np.dot(v, v))
+    if norm < eps:
+        return degenerate
+    angles = _old_angles_deg((np.dot(np.array(axes), v) / norm).tolist())
+    k = min(range(len(angles)), key=angles.__getitem__)
+    return angles[k], states[k]
+
+
+def _old_curl(c, finger):
+    chain = list(FINGER_JOINTS[finger][1:] if finger == "thumb" else FINGER_JOINTS[finger])
+    bones = c[chain[1:]] - c[chain[:-1]]
+    k = len(bones)
+    dots = _ref_rowdot(np.concatenate([bones, bones[:-1]]),
+                       np.concatenate([bones, bones[1:]])).tolist()
+    lengths = [math.sqrt(d) for d in dots[:k]]
+    if min(lengths) < 1e-12:
+        return math.nan
+    angles = _old_angles_deg([d / (a * b) for d, a, b in zip(dots[k:], lengths, lengths[1:])])
+    return angles[0] + angles[1] if len(angles) == 2 else angles[0]
+
+
+def _old_proximity(c, pair):
+    f1, f2 = (FINGER_JOINTS[f][1:] for f in pair.split("_"))
+    rows = [[(p[i], q[s], q[s + 1]) for p, q in ((f1, f2), (f2, f1)) for s in (0, 1)]
+            for i in range(3)]
+    ends = c[np.array(rows).transpose(2, 0, 1), :2]  # (point/start/end, level, 4, xy)
+    spans = ends[::2] - ends[1]
+    num, denom = _ref_rowdot(spans, spans[1])
+    t = num / np.where(denom >= 1e-12, denom, np.inf)
+    gap = ends[0] - (ends[1] + np.minimum(np.maximum(t, 0.0), 1.0)[..., None] * spans[1])
+    return float(np.sqrt(_ref_rowdot(gap, gap).min(axis=1)).sum() / 3)
+
+
+def _old_palm(frame):
+    c = frame.coords
+    v1, v2 = (c[5] - c[17]).tolist(), (c[9] - c[0]).tolist()
+    (ax, ay, az), (bx, by, bz) = (v1, v2) if frame.handedness == Handedness.LEFT else (v2, v1)
+    normal = np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+    unknown = (math.nan, PalmOrientation.UNKNOWN)
+    angle, orientation = _old_closest_axis(normal, _REF_PALM, 1e-9, unknown)
+    if not frame.has_depth and orientation in (PalmOrientation.INWARD, PalmOrientation.OUTWARD):
+        return unknown
+    return angle, orientation
 
 
 def test_batched_readings_match_the_per_frame_ones_where_depth_overflows():
@@ -703,12 +860,15 @@ def test_batched_readings_match_the_per_frame_ones_where_depth_overflows():
                                  has_depth=i % 3 != 0))
     with np.errstate(all="ignore"):  # the per-frame dots overflow too
         for frame, batched in zip(frames, _batched_readings(frames)):
+            c = frame.coords
             per_frame = {
-                "curl": [curl_reading(frame, f) for f in FINGER_JOINTS],
-                "proximity": [proximity_distance(frame, p) for p in PROXIMITY_PAIRS],
-                "contact": [contact_distance(frame, f) for f in CONTACT_FINGERS],
-                "thumb": thumb_direction_reading(frame),
-                "palm": palm_reading(frame),
+                "curl": [_old_curl(c, f) for f in FINGER_JOINTS],
+                "proximity": [_old_proximity(c, p) for p in PROXIMITY_PAIRS],
+                "contact": [math.sqrt(np.dot(gap, gap)) for gap in
+                            (c[4, :2] - c[FINGER_JOINTS[f][3], :2] for f in CONTACT_FINGERS)],
+                "thumb": _old_closest_axis(c[4] - c[2], _REF_THUMB, 1e-12,
+                                           (math.nan, ThumbDirection.UNSURE)),
+                "palm": _old_palm(frame),
             }
             for name, value in per_frame.items():
                 if name in ("thumb", "palm"):
@@ -716,3 +876,10 @@ def test_batched_readings_match_the_per_frame_ones_where_depth_overflows():
                     assert value[1] is batched[name][1], name
                 else:
                     assert _bits(value) == _bits(batched[name]), name
+            # A NaN reading is no degenerate geometry: the one-frame views return it.
+            curls = [finger_curl_deg(frame, f) for f in FINGER_JOINTS]
+            assert _bits(curls) == _bits(per_frame["curl"])
+            angle, direction = thumb_direction_measurement(frame)
+            assert _bits(angle) == _bits(per_frame["thumb"][0])
+            assert direction is per_frame["thumb"][1]
+            palm_orientation_measurement(frame)

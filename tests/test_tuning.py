@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import FLAT_HAND_POINTS, make_frame, random_points
+from conftest import FLAT_HAND_POINTS, frame_readings, make_frame, random_points
 from gesturelink.errors import MalformedInput
 from gesturelink.rules import (
     PalmOrientation,
@@ -467,13 +467,14 @@ def test_default_grids_start_above_zero(rule_id):
 # (proximity segments), thumb/index tips (contact at distance 0).
 _COINCIDENT = ((2, 4), (5, 6), (11, 12), (0, 5, 9, 17), (6, 7, 8), (4, 8))
 
+# The encoder's verdict on a frame's readings (conftest.frame_readings).
 _ENCODER_VERDICTS = {
-    "flexion_thumb": lambda frame, target, th: flexion(frame, "thumb", th),
-    "flexion_finger": lambda frame, target, th: flexion(frame, target, th),
-    "proximity": lambda frame, target, th: proximity(frame, target, th),
-    "contact": lambda frame, target, th: contact(frame, target, th),
-    "thumb_direction": lambda frame, target, th: thumb_pointing(frame, ThreeWay.POSITIVE, th),
-    "palm_orientation": lambda frame, target, th: palm_orientation(frame, th),
+    "flexion_thumb": lambda r, target, th: flexion(r.curl["thumb"], "thumb", th),
+    "flexion_finger": lambda r, target, th: flexion(r.curl[target], target, th),
+    "proximity": lambda r, target, th: proximity(r.proximity[target], th),
+    "contact": lambda r, target, th: contact(r.contact[target], th),
+    "thumb_direction": lambda r, target, th: thumb_pointing(r.thumb, ThreeWay.POSITIVE, th),
+    "palm_orientation": lambda r, target, th: palm_orientation(r.palm, th),
 }
 # Where random cells are drawn, per kind of reading.
 _CELL_SPAN = {"flexion": 300.0, "distance": 0.6, "angle": 90.0}
@@ -519,18 +520,19 @@ def test_tuner_verdict_equals_encoder_verdict_and_grid_loss(rng):
     and 2-D frames; a one-cell grid_search scores those verdicts as
     average_loss over assess does."""
     frames = list(_property_frames(rng))
+    readings = [frame_readings(frame) for frame in frames]
     checked = 0
     for rule_id, rule, target in _rule_targets():
         paired = len(rule.ranges) == 2
         states = sorted(rule.space.states, key=str)
         samples = []
-        for frame in frames:
+        for frame, r in zip(frames, readings):
             measurement, candidate = rule_measurement(frame, rule_id, target)
             sample = MeasuredSample(measurement, label(rng.choice(states)), candidate)
             cell = _random_cell(rng, rule_id, paired, measurement)
             th = RuleThresholds(**{rule.field: cell if paired else cell[0]})
             tuned = predictions_for_cell([sample], paired, cell, unsure=rule.space.unsure)
-            assert tuned == [_ENCODER_VERDICTS[rule_id](frame, target, th)], (
+            assert tuned == [_ENCODER_VERDICTS[rule_id](r, target, th)], (
                 rule_id, target, frame.coords.tolist(), frame.has_depth, cell)
             samples.append(sample)
             checked += 1
