@@ -39,9 +39,8 @@ from .landmarks import (
     Handedness,
     LandmarkStream,
     _lm_as_array,
+    decode_frame,
     first_bad_frame,
-    frame_arrays,
-    parse_frame,
     parse_landmark_stream,
 )
 from .prompts import load_prompt_set
@@ -135,8 +134,8 @@ def _load_tuning_dataset(path: Path):
     def check_frames() -> None:
         """Raise the error of the first bad frame kept so far, naming its line."""
         k = len(kept)
-        if bad := first_bad_frame(coords[:k], times[:k], depth[:k], Handedness.RIGHT):
-            raise MalformedInput(f"{path}:{kept[bad[0]][0]}: {bad[1]}") from bad[1]
+        if bad := first_bad_frame(coords[:k], times[:k]):
+            raise MalformedInput(f"{path}:{kept[bad[0]][0]}: {bad[1]}")
 
     def line_error(line_no: int, message: str) -> MalformedInput:
         """The error of line line_no, once the frames kept before it pass."""
@@ -161,10 +160,7 @@ def _load_tuning_dataset(path: Path):
         k, target = len(kept), entry.get("target")
         try:
             if "frame" in entry:
-                if (converted := frame_arrays(entry["frame"])) is None:
-                    parse_frame(entry["frame"], Handedness.RIGHT)  # raises its own error
-                times[k], lm = converted
-                coords[k, :, : lm.shape[1]], depth[k] = lm, lm.shape[1] == 3
+                decode_frame(entry["frame"], k, coords, times, depth)
             elif "stream" in entry:
                 if not isinstance(entry["stream"], str):
                     raise MalformedInput(f"stream must be a file name, got {entry['stream']!r}")

@@ -11,7 +11,9 @@ some `except` or retry decision tells apart from its parent:
 - GestureLinkError: caught by the CLI, `eval` and the tune loaders.
 - MalformedInput: caught where a loader names the file it came from
   (read_input, the transport and prompt loaders, load_manifest).
-- DegenerateGeometry: caught by the rules, which read it as undecided.
+- DegenerateGeometry: raised only by the one-frame views finger_curl_deg,
+  thumb_direction_measurement and palm_orientation_measurement; the
+  batched readings return NaN instead, and nothing in the package catches it.
 - CalculatorFailure: caught by resolve_placeholders, which writes an
   unavailability note instead.
 - TransportError: exits 4; RetryingBackend retries it.
@@ -35,7 +37,9 @@ class MalformedInput(GestureLinkError):
 class DegenerateGeometry(GestureLinkError):
     """A geometric construction collapsed (zero-length bone, zero normal).
 
-    Rule calculators catch this and report an unsure/unknown verdict.
+    Raised by the one-frame views finger_curl_deg, thumb_direction_measurement
+    and palm_orientation_measurement. The batched readings the encoder and
+    the tuner use read such a frame as NaN, so its verdict is unsure/unknown.
     """
 
 

@@ -13,7 +13,6 @@ producer before they reach this module.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -87,19 +86,9 @@ class HandLandmarkFrame:
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInput(f"bad landmark coordinates at t={self.timestamp}: {exc}") from exc
         if coords.shape != (21, 3):
-            raise MalformedInput(
-                f"frame at t={self.timestamp} has {len(coords) if coords.ndim else 0} landmarks "
-                f"of shape {coords.shape[1:]}, expected 21 of shape (3,)"
-            )
-        if not np.isfinite(coords).all():
-            raise MalformedInput(f"non-finite landmark coordinate at t={self.timestamp}")
-        xy = coords[:, :2]
-        if xy.min() < _COORD_MIN or xy.max() > _COORD_MAX:
-            raise MalformedInput(
-                f"landmark coordinate outside [{_COORD_MIN}, {_COORD_MAX}] at t={self.timestamp}"
-            )
-        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
-            raise MalformedInput(f"bad frame timestamp: {self.timestamp!r}")
+            raise _shape_error(self.timestamp, coords.shape)
+        if bad := first_bad_frame(coords[None], np.array([self.timestamp], dtype=float)):
+            raise MalformedInput(bad[1])
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
 
@@ -114,22 +103,29 @@ class HandLandmarkFrame:
         )
 
 
-def first_bad_frame(coords: np.ndarray, times: np.ndarray, depth: np.ndarray,
-                    handedness: Handedness) -> tuple[int, MalformedInput] | None:
-    """(index, error) of the first of N stacked frames that HandLandmarkFrame
-    rejects, with that frame's own error, or None. Shapes must already be
-    (N, 21, 3) and (N,); one vectorized test clears the common case."""
+def _shape_error(t, shape: tuple) -> MalformedInput:
+    return MalformedInput(f"frame at t={t} has {shape[0] if shape else 0} landmarks "
+                          f"of shape {shape[1:]}, expected 21 of shape (3,)")
+
+
+def first_bad_frame(coords: np.ndarray, times: np.ndarray) -> tuple[int, str] | None:
+    """(index, message) of the first of N stacked frames with a bad value,
+    or None. Shapes must already be (N, 21, 3) and (N,). A frame's checks
+    run in this order: a non-finite coordinate, an x or y outside
+    [_COORD_MIN, _COORD_MAX], then a negative or non-finite timestamp."""
     xy = coords[:, :, :2]
-    if not len(times) or (np.isfinite(coords).all() and np.isfinite(times).all()
-                          and xy.min() >= _COORD_MIN and xy.max() <= _COORD_MAX
-                          and times.min() >= 0):
+    nonfinite = ~np.isfinite(coords).all(axis=(1, 2))
+    far = ((xy < _COORD_MIN) | (xy > _COORD_MAX)).any(axis=(1, 2))
+    bad = nonfinite | far | ~(np.isfinite(times) & (times >= 0))
+    if not bad.any():
         return None
-    for i in range(len(times)):
-        try:
-            HandLandmarkFrame(float(times[i]), handedness, coords[i], bool(depth[i]))
-        except MalformedInput as exc:
-            return i, exc
-    return None
+    i = int(bad.argmax())
+    t = float(times[i])
+    if nonfinite[i]:
+        return i, f"non-finite landmark coordinate at t={t}"
+    if far[i]:
+        return i, f"landmark coordinate outside [{_COORD_MIN}, {_COORD_MAX}] at t={t}"
+    return i, f"bad frame timestamp: {t!r}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +150,8 @@ class LandmarkStream(Sequence):
         if coords.shape != (n, 21, 3) or times.shape != depth.shape or times.ndim != 1:
             raise MalformedInput(f"stream arrays of shapes {coords.shape}, {times.shape} "
                                  f"and {depth.shape}, expected (N, 21, 3), (N,) and (N,)")
-        if bad := first_bad_frame(coords, times, depth, self.handedness):
-            raise bad[1]
+        if bad := first_bad_frame(coords, times):
+            raise MalformedInput(bad[1])
         later = np.flatnonzero(np.diff(times) <= 0)
         if later.size:
             earlier, after = times[later[0] : later[0] + 2].tolist()
@@ -191,13 +187,13 @@ class LandmarkStream(Sequence):
             other.handedness, other.source_view)
 
 
-def parse_frame(entry, handedness: Handedness) -> HandLandmarkFrame:
-    """One {"t": seconds, "lm": [[x, y, z] or [x, y]] * 21} frame entry.
-
-    The rows of one frame are all [x, y, z] or all [x, y]; two-component
-    rows get z=0 and mark the frame has_depth=False. HandLandmarkFrame
-    checks the coordinates.
-    """
+def decode_frame(entry, i: int, coords: np.ndarray, times: np.ndarray,
+                 depth: np.ndarray) -> None:
+    """Decode one {"t": seconds, "lm": [[x, y, z] or [x, y]] * 21} frame
+    entry into row i of zeroed (N, 21, 3) coords and of (N,) times and
+    depth, or raise MalformedInput on its structure. The rows of one frame
+    are all [x, y, z] or all [x, y]; two-component rows keep z=0 and mark
+    the frame has_depth=False. first_bad_frame checks the values."""
     if not isinstance(entry, dict) or "t" not in entry or "lm" not in entry:
         raise MalformedInput('each frame needs "t" and "lm"')
     try:
@@ -205,32 +201,22 @@ def parse_frame(entry, handedness: Handedness) -> HandLandmarkFrame:
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad timestamp: {entry['t']!r}") from exc
     try:
-        coords = np.array(entry["lm"], dtype=float)
+        lm = np.asarray(entry["lm"], dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(
             f"bad landmarks at t={t}: rows must be all [x, y] or all [x, y, z] numbers ({exc})"
         ) from exc
-    has_depth = coords.shape[1:] != (2,)
-    if not has_depth:
-        coords = np.hstack([coords, np.zeros((len(coords), 1))])
-    return HandLandmarkFrame(t, handedness, coords, has_depth)
-
-
-def frame_arrays(entry) -> tuple[float, np.ndarray] | None:
-    """(t, lm) of a frame entry, converted as parse_frame converts it, lm
-    holding 21 rows of 2 or 3 values not yet checked. None where parse_frame
-    rejects the entry's structure, so that parse_frame raises its own error."""
-    try:
-        t, lm = float(entry["t"]), np.asarray(entry["lm"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-    return (t, lm) if lm.shape in ((21, 3), (21, 2)) else None
+    # Two-component rows count as padded to three in the message.
+    shape = (len(lm), 3) if lm.shape[1:] == (2,) else lm.shape
+    if shape != (21, 3):
+        raise _shape_error(t, shape)
+    times[i], coords[i, :, : lm.shape[1]], depth[i] = t, lm, lm.shape[1] == 3
 
 
 def _lm_as_array(obj: dict) -> dict:
     """json.loads object_hook: an object's "lm" value becomes a float array
     as the decoder builds the object, so no row list outlives its frame. A
-    value the conversion rejects stays as decoded; parse_frame reports it."""
+    value the conversion rejects stays as decoded; decode_frame reports it."""
     if "lm" in obj:
         try:
             obj["lm"] = np.array(obj["lm"], dtype=float)
@@ -266,12 +252,12 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
     n = len(raw_frames)
     coords, times, depth = np.zeros((n, 21, 3)), np.empty(n), np.empty(n, dtype=bool)
     for i, entry in enumerate(raw_frames):
-        if (converted := frame_arrays(entry)) is None:
-            # frame by frame up to here, so the first bad frame raises its own error
-            for earlier in raw_frames[: i + 1]:
-                parse_frame(earlier, handedness)
-        times[i], lm = converted
-        coords[i, :, : lm.shape[1]], depth[i] = lm, lm.shape[1] == 3
+        try:
+            decode_frame(entry, i, coords, times, depth)
+        except MalformedInput:
+            if bad := first_bad_frame(coords[:i], times[:i]):  # the first bad frame wins
+                raise MalformedInput(bad[1]) from None
+            raise
     return LandmarkStream(coords, times, depth, handedness, source_view)
 
 

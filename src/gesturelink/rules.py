@@ -232,7 +232,8 @@ def palm_orientation(reading: tuple, th: RuleThresholds) -> PalmOrientation:
 
 # Readings: each maps an (N, 21, 3) coordinate array to one rule's readings
 # of the N frames, with numpy calls over a leading frame axis. Degenerate
-# rows are computed, then masked, so their divides run under np.errstate.
+# rows are computed, then masked, and a coordinate near the float limit
+# overflows to inf and NaN, so each reading function runs under np.errstate.
 #
 # Dots and arccos stay in numpy, and their rounding is part of the readings:
 # OpenBLAS's dot uses FMA, so a Python mul-add rounds differently on a third
@@ -257,6 +258,7 @@ def _degrees(cosines: np.ndarray) -> np.ndarray:
 # The three readings below take one target, giving (N,) arrays, or the
 # tuple of all targets, giving (N, targets) arrays.
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def curl_readings(coords: np.ndarray, finger) -> tuple[np.ndarray, np.ndarray]:
     """(curls, degenerate): the finger's total bending angle in degrees (3D)
     in each frame, NaN where a bone has zero length, and that mask. Thumb:
@@ -267,13 +269,13 @@ def curl_readings(coords: np.ndarray, finger) -> tuple[np.ndarray, np.ndarray]:
     dots = _rowdot(bones[:, 0], bones[:, 1])
     k = (dots.shape[-1] + 1) // 2  # k squared bone lengths, then k - 1 joint dots
     lengths = np.sqrt(dots[..., :k])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        angles = _degrees(dots[..., k:] / (lengths[..., :-1] * lengths[..., 1:]))
+    angles = _degrees(dots[..., k:] / (lengths[..., :-1] * lengths[..., 1:]))
     curl = angles[..., 0] + angles[..., 1] if angles.shape[-1] == 2 else angles[..., 0]
     degenerate = lengths.min(axis=-1) < _EPS
     return np.where(degenerate, np.nan, curl), degenerate
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def proximity_distances(coords: np.ndarray, pair) -> np.ndarray:
     """Mean over joint levels (PIP, DIP, TIP) of the smaller image-plane
     distance from either finger's joint to the other finger's distal
@@ -290,6 +292,7 @@ def proximity_distances(coords: np.ndarray, pair) -> np.ndarray:
     return np.sqrt(_rowdot(gap, gap).min(axis=-1)).sum(axis=-1) / 3  # np.mean's sum and division
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def contact_distances(coords: np.ndarray, finger) -> np.ndarray:
     """Image-plane distance between the thumb tip and the finger's tip, per frame."""
     if finger not in _CONTACT_ENDS:
@@ -307,14 +310,14 @@ def _closest_axes(v: np.ndarray, axes: np.ndarray, eps: float) -> tuple[np.ndarr
     row's angles are all NaN or none (an infinite component makes every
     axis product 0 * inf), and an all-NaN row gets the first axis."""
     norm = np.sqrt(_rowdot(v, v))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        angles = _degrees((v @ axes.T) / norm[:, None])
+    angles = _degrees((v @ axes.T) / norm[:, None])
     k = angles.argmin(axis=1)
     degenerate = norm < eps
     return (np.where(degenerate, np.nan, angles[np.arange(len(v)), k]),
             np.where(degenerate, len(axes), k))
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def thumb_direction_readings(coords: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     """(angles, directions, degenerate): per frame, the angle of the thumb
     MCP->TIP vector to the closer of down/up and that direction, (NaN,
@@ -324,6 +327,7 @@ def thumb_direction_readings(coords: np.ndarray) -> tuple[np.ndarray, list, np.n
     return angles, [states[i] for i in k.tolist()], k == 2
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def palm_readings(coords: np.ndarray, depth: np.ndarray,
                   left: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     """(angles, orientations, degenerate): per frame, the angle of the palm
@@ -429,6 +433,7 @@ def palm_orientation_measurement(frame: HandLandmarkFrame) -> tuple[float, PalmO
     return float(angles[0]), orientations[0]
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def hand_centers(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(N, 3) component-wise means of all 21 landmarks and (N,) hand widths
     of an (N, 21, 3) coordinate array."""

@@ -16,7 +16,8 @@ import random
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import AuthError, FixtureExhausted, MalformedInput, TransportError, parse_json
@@ -28,12 +29,16 @@ DEFAULT_MODEL_ID = "gpt-4-1106-preview"
 class ChatMessage:
     role: str  # system | user | assistant
     content: str
+    # approx_tokens(content), counted once: a session resends every earlier
+    # message on each call, and recounting them made its cost quadratic.
+    tokens: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.role not in ("system", "user", "assistant"):
             raise MalformedInput(f"bad message role: {self.role!r}")
         if self.role in ("system", "user") and not self.content:
             raise MalformedInput(f"{self.role} message content must be non-empty")
+        object.__setattr__(self, "tokens", approx_tokens(self.content))
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class ScriptedBackend:
             )
         response = self._queue[self.calls - 1]
         usage = UsageRecord(
-            input_tokens=sum(approx_tokens(m.content) for m in req.messages),
+            input_tokens=sum(map(attrgetter("tokens"), req.messages)),
             output_tokens=approx_tokens(response),
             latency=0.0,
         )

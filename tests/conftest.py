@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 from collections import defaultdict
@@ -9,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gesturelink.errors import MalformedInput
 from gesturelink.landmarks import FINGER_JOINTS, HandLandmarkFrame, Handedness, LandmarkStream
 from gesturelink.rules import CONTACT_FINGERS, PROXIMITY_PAIRS, pose_readings
 
@@ -77,6 +79,46 @@ def make_frame(points, t=0.0, handedness=Handedness.RIGHT, has_depth=True):
         coords=points,
         has_depth=has_depth,
     )
+
+
+def parse_frame(entry, handedness: Handedness) -> HandLandmarkFrame:
+    """Reference parse of one {"t": seconds, "lm": [[x, y, z] or [x, y]] * 21}
+    frame entry, checked on its own: the package's former per-frame parse,
+    with the checks HandLandmarkFrame then ran written out in their order.
+    The array parse shares none of this code, so the tests compare it with
+    an independent reading of each frame.
+
+    The rows of one frame are all [x, y, z] or all [x, y]; two-component
+    rows get z=0 and mark the frame has_depth=False.
+    """
+    if not isinstance(entry, dict) or "t" not in entry or "lm" not in entry:
+        raise MalformedInput('each frame needs "t" and "lm"')
+    try:
+        t = float(entry["t"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(f"bad timestamp: {entry['t']!r}") from exc
+    try:
+        coords = np.array(entry["lm"], dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInput(
+            f"bad landmarks at t={t}: rows must be all [x, y] or all [x, y, z] numbers ({exc})"
+        ) from exc
+    has_depth = coords.shape[1:] != (2,)
+    if not has_depth:
+        coords = np.hstack([coords, np.zeros((len(coords), 1))])
+    if coords.shape != (21, 3):
+        raise MalformedInput(
+            f"frame at t={t} has {len(coords) if coords.ndim else 0} landmarks "
+            f"of shape {coords.shape[1:]}, expected 21 of shape (3,)"
+        )
+    if not np.isfinite(coords).all():
+        raise MalformedInput(f"non-finite landmark coordinate at t={t}")
+    xy = coords[:, :2]
+    if xy.min() < -0.5 or xy.max() > 1.5:
+        raise MalformedInput(f"landmark coordinate outside [-0.5, 1.5] at t={t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise MalformedInput(f"bad frame timestamp: {t!r}")
+    return HandLandmarkFrame(t, handedness, coords, has_depth)
 
 
 def frame_readings(frame):

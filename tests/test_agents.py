@@ -1,5 +1,7 @@
+import cProfile
 import io
 import json
+import pstats
 import time
 
 import pytest
@@ -409,6 +411,33 @@ def test_conclusion_of_only_unknown_ids_is_negative():
     conclusion, transcript = run_inference_session("- fist", session_lib(), PROMPTS, backend)
     assert conclusion is None
     assert transcript.turns[-1].parsed["result"] == "negative"
+
+
+def _session_calls(rounds):
+    """(Python calls, input tokens) of a session of rounds questions, each
+    answered, then a conclusion."""
+    replies = []
+    for i in range(rounds):
+        replies += [question_reply(f"question {i}?"), context_reply(f"answer {i}")]
+    backend = ScriptedBackend(seq_fixtures(*replies, conclusion_reply(["light.power"])))
+    profile = cProfile.Profile()
+    profile.enable()
+    _, transcript = run_inference_session("- wave", session_lib(), PROMPTS, backend,
+                                          SessionConfig(max_rounds=rounds + 1))
+    profile.disable()
+    assert transcript.rounds == rounds + 1
+    return (pstats.Stats(profile).total_calls,
+            sum(t.usage.input_tokens for t in transcript.turns if t.usage))
+
+
+def test_session_python_work_grows_linearly_in_rounds():
+    """Doubling the rounds at most about doubles the Python calls, counted by
+    cProfile, so the bound does not depend on the host's speed. This bounds
+    Python work, not the bytes sent: each request resends the whole history,
+    so the input tokens still grow quadratically in rounds."""
+    (calls, tokens), (calls2, tokens2) = _session_calls(100), _session_calls(200)
+    assert calls2 / calls <= 2.2
+    assert tokens2 / tokens > 3
 
 
 def test_never_concluding_hits_forced_turn_then_negative():

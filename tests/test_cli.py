@@ -15,6 +15,7 @@ from conftest import (
     hand_at,
     index_curl_points,
     movement_reply,
+    parse_frame,
     pose_reply,
     question_reply,
     random_points,
@@ -27,7 +28,7 @@ import gesturelink.cli
 from gesturelink import errors
 from gesturelink.cli import main
 from gesturelink.encoder import matrix_to_json
-from gesturelink.landmarks import Handedness, parse_frame, parse_landmark_stream
+from gesturelink.landmarks import Handedness, parse_landmark_stream
 from gesturelink.rules import RuleThresholds
 from gesturelink.tuning import TUNABLE_RULES, MeasuredSample, parse_label, rule_measurement
 
@@ -577,6 +578,13 @@ _LATER_LINE_FAULTS = {
                                   "acceptable_states": [1], "stream": "missing.json"}),
     "bad-frame-shape": json.dumps({"rule": "flexion_thumb", "acceptable_states": [1],
                                    "frame": {"t": 0.0, "lm": [[0.5, 0.5]] * 20}}),
+    **{f"bad-frame-{name}": json.dumps({"rule": "flexion_thumb", "acceptable_states": [1],
+                                        "frame": frame})
+       for name, frame in (("not-an-object", [0.0, FLAT_HAND_POINTS]),
+                           ("missing-lm", {"t": 0.0}),
+                           ("bad-timestamp", {"t": "x", "lm": FLAT_HAND_POINTS}),
+                           ("bad-landmarks", {"t": 0.0, "lm": [["x", 0.5, 0.0]] * 21}),
+                           ("rows-of-four", {"t": 0.0, "lm": [[0.5] * 4] * 21}))},
 }
 
 
@@ -1133,6 +1141,37 @@ def test_encode_integer_timestamp_beyond_any_float_exits_2_naming_the_file(tmp_p
     stream.write_bytes(stream_json([(0.0, FLAT_HAND_POINTS), (10 ** 400, FLAT_HAND_POINTS)]))
     assert main(["encode", str(stream), "--out-dir", str(tmp_path / "out")]) == 2
     assert f"error: {stream}: bad timestamp: 1000" in capsys.readouterr().err
+
+
+def _overflowing_depth_frames():
+    """A raise whose z values of 1e200 and -1e300 overflow the squared bone
+    lengths, so the curl readings are NaN."""
+    frames = []
+    for i, y in enumerate([0.8] * 10 + [0.4] * 20 + [0.8] * 10):
+        points = [list(p) for p in hand_at(y)]
+        for j, p in enumerate(points):
+            p[2] = 1e200 if j % 2 else -1e300
+        frames.append({"t": i / 30, "lm": points})
+    return frames
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning:gesturelink")
+def test_overflowing_depth_reads_nan_in_encode_and_tune_without_a_warning(tmp_path, capsys):
+    frames = _overflowing_depth_frames()
+    stream = tmp_path / "s.json"
+    stream.write_text(json.dumps({"frames": frames}))
+    assert main(["encode", str(stream), "--out-dir", str(tmp_path / "out")]) == 0
+    channel1 = json.loads((tmp_path / "out" / "s_w00.matrix.json").read_text())["channel1"]
+    assert not any(map(any, channel1[:5]))  # flexion unsure
+    assert not any(map(any, channel1[13:]))  # palm unknown
+    lines = [json.dumps({"rule": rule_id, "target": target, "acceptable_states": [1],
+                         "frame": frame})
+             for rule_id, target in (("flexion_finger", "index"), ("flexion_thumb", None))
+             for frame in frames[:3]]
+    code, _, _, rep = run_tune(tmp_path, lines)
+    assert code == 0
+    rates = {rule_id: entry["rates"] for rule_id, entry in json.loads(rep.read_text()).items()}
+    assert rates["flexion_finger"]["unsure"] == rates["flexion_thumb"]["unsure"] == 1.0
 
 
 @pytest.mark.parametrize("key", ["hand_width", "interval", "channel2"])

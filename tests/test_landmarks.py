@@ -12,13 +12,14 @@ from gesturelink.landmarks import (
     Handedness,
     LandmarkStream,
     SourceView,
+    decode_frame,
+    first_bad_frame,
     landmark_index,
-    parse_frame,
     parse_landmark_stream,
     serialize_landmark_stream,
 )
 
-from conftest import FLAT_HAND_POINTS, stream_json
+from conftest import FLAT_HAND_POINTS, parse_frame, stream_json
 
 
 def test_parse_valid_three_frame_file():
@@ -80,6 +81,24 @@ def test_direct_frame_construction_validates_like_parsing(row, value, error):
         parse_landmark_stream(json.dumps(doc))
 
 
+def test_first_bad_frame_names_the_first_bad_frame_and_its_first_fault():
+    coords, times = np.tile(np.array(FLAT_HAND_POINTS), (4, 1, 1)), np.array([0.0, -1.0, 0.2, 0.3])
+    coords[2, 3, 0] = np.nan
+    assert first_bad_frame(coords[:1], times[:1]) is None
+    assert first_bad_frame(coords[:0], times[:0]) is None
+    assert first_bad_frame(coords, times) == (1, "bad frame timestamp: -1.0")
+    coords[1, 3, 1] = 2.0
+    assert first_bad_frame(coords, times) == (
+        1, "landmark coordinate outside [-0.5, 1.5] at t=-1.0")
+    coords[1, 4, 2] = np.inf
+    assert first_bad_frame(coords, times) == (1, "non-finite landmark coordinate at t=-1.0")
+
+
+def test_direct_frame_construction_words_its_timestamp_as_a_float():
+    with pytest.raises(MalformedInput, match=r"^bad frame timestamp: -1\.0$"):
+        HandLandmarkFrame(-1, Handedness.RIGHT, FLAT_HAND_POINTS)
+
+
 def test_frame_coords_are_read_only():
     source = np.array(FLAT_HAND_POINTS)
     frame = HandLandmarkFrame(0.0, Handedness.RIGHT, source)
@@ -100,12 +119,13 @@ def test_frame_equality_compares_coordinates():
     assert a != HandLandmarkFrame(0.0, Handedness.RIGHT, FLAT_HAND_POINTS, has_depth=False)
 
 
-def test_parse_frame_fills_missing_depth():
+def test_decode_frame_fills_missing_depth():
     entry = {"t": 0.5, "lm": [[x, y] for x, y, _ in FLAT_HAND_POINTS]}
-    frame = parse_frame(entry, Handedness.LEFT)
-    assert frame.timestamp == 0.5 and frame.handedness == Handedness.LEFT
-    assert frame.has_depth is False
-    assert frame.coords[:, :2].tolist() == [[x, y] for x, y, _ in FLAT_HAND_POINTS]
+    coords, times, depth = np.zeros((2, 21, 3)), np.zeros(2), np.ones(2, dtype=bool)
+    decode_frame(entry, 1, coords, times, depth)
+    assert times.tolist() == [0.0, 0.5] and depth.tolist() == [True, False]
+    assert coords[1].tolist() == [[x, y, 0.0] for x, y, _ in FLAT_HAND_POINTS]
+    assert not coords[0].any()
 
 
 def test_two_component_landmarks_mark_stream_flat():
@@ -245,7 +265,30 @@ HOSTILE_FRAMES = {
     "extra_keys_with_lm": [dict(e, extra={"lm": _ROWS}, bad={"lm": "x"}, deep={"lm": {"lm": 1}})
                            for e in _entries((0.0, _ROWS), (0.1, _FLAT_ROWS))],
     "null_lm": _entries((0.0, _ROWS), (0.1, None)),
+    # Shapes the message words as the per-frame parse did, [x, y] rows padded first.
+    "20_flat_rows": _entries((0.0, _FLAT_ROWS[:20])),
+    "rows_of_four": _entries((0.0, [row + [0.0] for row in _ROWS])),
+    "empty_lm": _entries((0.0, [])),
+    "lm_of_two_numbers": _entries((0.0, [0.5, 0.5])),
+    # Within a frame: non-finite, then out of range, then the timestamp.
+    "nan_and_far": _entries((0.0, _NAN_ROWS[:3] + _FAR_ROWS[3:])),
+    "nan_and_negative_t": _entries((-1.0, _NAN_ROWS)),
+    "far_and_negative_t": _entries((-1.0, _FAR_ROWS)),
+    "negative_t_then_nan": _entries((-1.0, _ROWS), (0.1, _NAN_ROWS)),
+    "infinite_t": _entries((0.0, _ROWS), (float("inf"), _ROWS)),
 }
+# An earlier frame's bad value wins over each later structural fault.
+_STRUCTURAL_FAULTS = {
+    "list_entry": [0.2, _ROWS],
+    "missing_t": {"lm": _ROWS},
+    "bad_t": {"t": "x", "lm": _ROWS},
+    "bad_lm": {"t": 0.2, "lm": [["x", 0.5, 0.0]] * 21},
+    "20_rows": {"t": 0.2, "lm": _ROWS[:20]},
+}
+for _value, _bad in {"nan": (0.1, _NAN_ROWS), "far": (0.1, _FAR_ROWS),
+                     "negative_t": (-0.1, _ROWS)}.items():
+    for _fault, _entry in _STRUCTURAL_FAULTS.items():
+        HOSTILE_FRAMES[f"{_value}_then_{_fault}"] = _entries((0.0, _ROWS), _bad) + [_entry]
 
 # Whole documents, as text so that a key can repeat; HAND is the handedness.
 _FRAME = json.dumps({"t": 0.0, "lm": _ROWS})
