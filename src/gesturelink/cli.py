@@ -410,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="where matrix files go")
     p.add_argument("--chest-line", type=float, default=SegmentationConfig.chest_line,
                    help="trigger line (y-down)")
-    p.add_argument("--trigger-frames", type=int, default=SegmentationConfig.trigger_frames)
+    p.add_argument("--trigger-frames", type=int, default=SegmentationConfig.trigger_frames,
+                   help="consecutive raised frames that open a window")
     p.add_argument("--end-hold", type=float, default=SegmentationConfig.end_hold,
-                   help="seconds below line to close")
+                   help="seconds a lowered run must span, first frame to last, to close")
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("tune", help="grid-search rule thresholds on a labeled dataset")

@@ -1,12 +1,12 @@
 """Gesture windowing and the two-channel gesture state matrix.
 
-A gesture window opens when the hand center stays at or above the chest
-line for a run of frames, and closes once the hand stays below it long
-enough (or the stream ends). Segmentation reads the hand centers of the
-whole stream from its coordinate array, and a window holds a slice of
-the stream's arrays. Frames inside a window are sampled every 0.2 s;
-each sample, a frame view, contributes one pose-vector column and one
-hand-center column.
+Segmentation splits the stream into runs of raised frames (hand center
+at or above the chest line) and lowered ones. A gesture window opens at
+the first frame of a raised run at least trigger_frames long, and closes
+at the last raised frame before a lowered run spanning end_hold seconds,
+or at the stream's end. A window holds a slice of the stream's arrays.
+Frames inside a window are sampled every 0.2 s; each sample, a frame
+view, contributes one pose-vector column and one hand-center column.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ class GestureWindow:
         if not self.start_time < self.end_time:
             raise MalformedInput("window start must precede end")
         times = self.stream.timestamps
-        if len(times) and not self.start_time <= times[0] <= times[-1] <= self.end_time:
+        if not len(times):
+            raise MalformedInput("window holds no frames")
+        if not self.start_time <= times[0] <= times[-1] <= self.end_time:
             raise MalformedInput("window frame outside [start, end]")
 
     @property
@@ -88,10 +90,13 @@ class GestureWindow:
 def detect_gesture_window(
     stream: LandmarkStream, cfg: SegmentationConfig | None = None
 ) -> list[GestureWindow]:
-    """Non-overlapping gesture windows, in time order.
-
-    Only right-hand streams are segmented; left hands parse fine but are
-    rejected here.
+    """Non-overlapping gesture windows, in time order, from the stream's
+    runs of raised and lowered frames. A raised run of at least
+    trigger_frames frames opens a window at its first frame unless one is
+    open. A lowered run spanning at least end_hold seconds, first frame to
+    last, closes it at the last raised frame before that run, as does the
+    stream's end. Zero-duration windows are dropped. Only right-hand
+    streams are segmented; left hands parse fine but are rejected here.
     """
     cfg = cfg or SegmentationConfig()
     if not stream:
@@ -99,49 +104,23 @@ def detect_gesture_window(
     if stream.handedness != Handedness.RIGHT:
         raise MalformedInput("encoder handles right-hand streams only")
 
-    above = (hand_centers(stream.coords)[0][:, 1] <= cfg.chest_line).tolist()
+    # A lowered frame past the last one makes the stream's end a lowered
+    # run, which closes an open window whatever its span.
+    raised = np.append(hand_centers(stream.coords)[0][:, 1] <= cfg.chest_line, False)
+    edges = [0, *(np.flatnonzero(raised[1:] != raised[:-1]) + 1).tolist(), len(raised)]
     times = stream.timestamps.tolist()
-    windows: list[GestureWindow] = []
-
-    run_start: int | None = None  # first frame of the current above-run (pre-trigger)
-    open_start: int | None = None  # first frame of the open window
-    last_above: int | None = None
-    below_since: float | None = None
-
-    def close_window(start_idx: int, end_idx: int) -> None:
-        if times[end_idx] <= times[start_idx]:
-            logger.debug("dropping zero-duration window at t=%s", times[start_idx])
-            return
-        windows.append(
-            GestureWindow(times[start_idx], times[end_idx], stream[start_idx : end_idx + 1])
-        )
-
-    for i, t in enumerate(times):
-        if open_start is None:
-            if above[i]:
-                if run_start is None:
-                    run_start = i
-                if i - run_start + 1 >= cfg.trigger_frames:
-                    open_start = run_start
-                    last_above = i
-                    below_since = None
+    windows, start = [], None
+    for first, stop in zip(edges, edges[1:]):
+        if raised[first]:
+            if start is None and stop - first >= cfg.trigger_frames:
+                start = first
+        elif start is not None and (
+                stop > len(times) or times[stop - 1] - times[first] >= cfg.end_hold):
+            if times[first - 1] > times[start]:  # first - 1 is the last raised frame
+                windows.append(GestureWindow(times[start], times[first - 1], stream[start:first]))
             else:
-                run_start = None
-        else:
-            if above[i]:
-                last_above = i
-                below_since = None
-            else:
-                if below_since is None:
-                    below_since = t
-                if t - below_since >= cfg.end_hold:
-                    close_window(open_start, last_above)
-                    open_start = None
-                    run_start = None
-                    below_since = None
-
-    if open_start is not None:
-        close_window(open_start, last_above)
+                logger.debug("dropping zero-duration window at t=%s", times[start])
+            start = None
     return windows
 
 

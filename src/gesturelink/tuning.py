@@ -140,6 +140,13 @@ class MeasuredSample:
     candidate_state: Hashable = None
 
 
+# Bounds on the values of one range and on the (low, high) pairs of a
+# paired grid, whose score matrix holds one float per pair. The default
+# grids have at most 200 values and 40,000 pairs.
+MAX_RANGE_VALUES = 10_000
+MAX_GRID_PAIRS = 1_000_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Candidate threshold values. high_values empty means the rule has a
@@ -152,6 +159,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.low_values:
             raise MalformedInput("grid has no candidate values")
+        if len(self.low_values) * len(self.high_values) > MAX_GRID_PAIRS:
+            raise MalformedInput(f"grid has {len(self.low_values)} x {len(self.high_values)} "
+                                 f"(low, high) pairs, more than {MAX_GRID_PAIRS}")
         if self.high_values and not any(
             lo < hi for lo in self.low_values for hi in self.high_values
         ):
@@ -188,8 +198,11 @@ class GridSpec:
 def _expand_range(start: float, stop: float, step: float) -> tuple[float, ...]:
     if step <= 0 or stop < start:
         raise MalformedInput(f"bad range ({start}, {stop}, {step})")
-    n = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(round(start + k * step, 12) for k in range(n))
+    n = np.floor((float(stop) - start) / step + 1e-9) + 1
+    if not n <= MAX_RANGE_VALUES:  # also an infinite count
+        raise MalformedInput(f"range ({start}, {stop}, {step}) has {n:.3g} values, "
+                             f"more than {MAX_RANGE_VALUES}")
+    return tuple(round(start + k * step, 12) for k in range(int(n)))
 
 
 @dataclass(frozen=True)

@@ -329,6 +329,22 @@ def test_tune_bad_inline_frame_exits_2_with_location(tmp_path, capsys):
             json.dumps({"flexion_finger": {"low": [0, 10 ** 400, 5], "high": [5, 180, 5]}}),
             id="integer_beyond_any_float",
         ),
+        pytest.param(
+            json.dumps({"flexion_finger": {"low": [0, 1e308, 1e-308], "high": [5, 180, 5]}}),
+            id="infinite_value_count",
+        ),
+        pytest.param(
+            json.dumps({"flexion_finger": {"low": [0.001, 0.2, 1e-12], "high": [5, 180, 5]}}),
+            id="huge_value_count",
+        ),
+        pytest.param(
+            json.dumps({"flexion_finger": {"low": [-10 ** 308, 10 ** 308, 1], "high": [5, 180, 5]}}),
+            id="integer_span_beyond_any_float",
+        ),
+        pytest.param(
+            json.dumps({"flexion_finger": {"low": [0, 180, 0.02], "high": [0, 180, 0.02]}}),
+            id="too_many_pairs",
+        ),
         *(pytest.param("{}".encode(encoding), id=encoding) for encoding in ("utf-16", "utf-8-sig")),
     ],
 )

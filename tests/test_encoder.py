@@ -1,5 +1,7 @@
+import cProfile
 import json
 import math
+import pstats
 import random
 
 import numpy as np
@@ -11,6 +13,7 @@ from conftest import (
     make_frame,
     make_stream,
     random_points,
+    stream_json,
     trajectory_stream,
     translate,
 )
@@ -94,6 +97,105 @@ def test_left_hand_stream_rejected():
 def test_empty_stream_rejected():
     with pytest.raises(MalformedInput, match="cannot segment an empty stream"):
         detect_gesture_window(make_stream([]), CFG)
+
+
+def _frame_loop_windows(stream, cfg):
+    """Reference: the per-frame state machine the run rules replaced,
+    verbatim but for its debug log."""
+    above = (hand_centers(stream.coords)[0][:, 1] <= cfg.chest_line).tolist()
+    times = stream.timestamps.tolist()
+    windows: list[GestureWindow] = []
+
+    run_start: int | None = None  # first frame of the current above-run (pre-trigger)
+    open_start: int | None = None  # first frame of the open window
+    last_above: int | None = None
+    below_since: float | None = None
+
+    def close_window(start_idx: int, end_idx: int) -> None:
+        if times[end_idx] <= times[start_idx]:
+            return
+        windows.append(
+            GestureWindow(times[start_idx], times[end_idx], stream[start_idx : end_idx + 1])
+        )
+
+    for i, t in enumerate(times):
+        if open_start is None:
+            if above[i]:
+                if run_start is None:
+                    run_start = i
+                if i - run_start + 1 >= cfg.trigger_frames:
+                    open_start = run_start
+                    last_above = i
+                    below_since = None
+            else:
+                run_start = None
+        else:
+            if above[i]:
+                last_above = i
+                below_since = None
+            else:
+                if below_since is None:
+                    below_since = t
+                if t - below_since >= cfg.end_hold:
+                    close_window(open_start, last_above)
+                    open_start = None
+                    run_start = None
+                    below_since = None
+
+    if open_start is not None:
+        close_window(open_start, last_above)
+    return windows
+
+
+def _random_segmentation_case(local):
+    """A stream of runs at three heights, with regular, irregular or
+    sub-frame spacing, and a config whose chest line may be exactly one
+    height's center and whose end_hold may be exactly one frame spacing or
+    exactly the span of a lowered run."""
+    ys = []
+    while len(ys) < 40:
+        ys += [local.choice([0.4, 0.55, 0.7])] * local.randint(1, 6)
+    ys = ys[: local.randint(1, 40)]
+    spacing = local.choice([1 / 30, 0.1, "irregular", "sub-frame"])
+    times = [local.uniform(0.0, 2.0)]
+    for _ in ys[1:]:
+        step = {"irregular": local.uniform(0.001, 0.5),
+                "sub-frame": local.choice([1e-6, 1e-3, 0.004])}.get(spacing, spacing)
+        times.append(times[-1] + step)
+    base = np.array(FLAT_HAND_POINTS)
+    coords = np.stack([base + [0.0, y - 0.5, 0.0] for y in ys])
+    stream = LandmarkStream(coords, times, [True] * len(ys))
+    centers_y = hand_centers(stream.coords)[0][:, 1]
+    chest_line = local.choice([0.55, float(local.choice(centers_y))])
+    lowered = (centers_y > chest_line).tolist()
+    runs, first = [], 0
+    for i in range(1, len(ys) + 1):
+        if i == len(ys) or lowered[i] != lowered[first]:
+            if lowered[first]:
+                runs.append(times[i - 1] - times[first])
+            first = i
+    holds = [0.0, 0.6, local.uniform(0.0, 1.0)]
+    holds += [times[1] - times[0]] if len(ys) > 1 else []
+    holds += [local.choice(runs)] * 2 if runs else []
+    cfg = SegmentationConfig(chest_line=chest_line, trigger_frames=local.randint(1, 5),
+                             end_hold=local.choice(holds))
+    return stream, cfg
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_run_rules_match_the_frame_loop(seed):
+    """500 random streams per seed, 2,000 in all: the windows from runs of
+    raised and lowered frames equal the per-frame state machine's."""
+    local = random.Random(seed)
+    windows = 0
+    for _ in range(500):
+        stream, cfg = _random_segmentation_case(local)
+        got, want = detect_gesture_window(stream, cfg), _frame_loop_windows(stream, cfg)
+        assert [(w.start_time, w.end_time) for w in got] == [
+            (w.start_time, w.end_time) for w in want]
+        assert all(g.stream == w.stream for g, w in zip(got, want))
+        windows += len(got)
+    assert windows > 250
 
 
 # --- sampling -------------------------------------------------------------------
@@ -221,6 +323,12 @@ def test_sampling_matches_full_scan_on_sub_eps_spacing(seed):
 def test_window_rejects_frames_out_of_time_order():
     with pytest.raises(MalformedInput):
         _window_at([0.0, 0.4, 0.2])
+
+
+def test_window_rejects_an_empty_stream():
+    empty = LandmarkStream(np.empty((0, 21, 3)), [], [])
+    with pytest.raises(MalformedInput, match="window holds no frames"):
+        GestureWindow(start_time=0.0, end_time=1.0, stream=empty)
 
 
 # --- matrix assembly --------------------------------------------------------------
@@ -473,6 +581,31 @@ def test_fuzz_streams_respect_matrix_invariants(rng):
         for w, m in zip(detect_gesture_window(stream, CFG), encode_stream(stream, TH, CFG)):
             validate_state_matrix(m)
             assert m.T == math.floor(w.duration / 0.2 + 1e-9) + 1
+
+
+def _encode_calls(ys):
+    """(Python calls, matrices) of encoding a 30 fps stream whose hand
+    center y follows ys, from its document bytes."""
+    raw = stream_json([(k / 30, hand_at(y)) for k, y in enumerate(ys)])
+    profile = cProfile.Profile()
+    profile.enable()
+    matrices = encode_stream(parse_landmark_stream(raw))
+    profile.disable()
+    return pstats.Stats(profile).total_calls, matrices
+
+
+@pytest.mark.parametrize("ys, windows", [([0.8] * 30 + [0.4] * 30, 25), ([0.4] * 60, 1)],
+                         ids=["many-short-windows", "one-window"])
+def test_encode_python_work_grows_linearly_in_frames(ys, windows):
+    """Doubling the frames at most about doubles the Python calls of parse
+    and encode, counted by cProfile, so the bound does not depend on the
+    host's speed. With one window spanning the stream this bounds the
+    sampling and the build in the window's length. Numpy's internal loops
+    are not counted, but they are linear anyway."""
+    (calls, matrices), (calls2, matrices2) = _encode_calls(ys * 25), _encode_calls(ys * 50)
+    assert calls2 / calls <= 2.2
+    assert len(matrices) == windows
+    assert sum(m.T for m in matrices2) / sum(m.T for m in matrices) > 1.9
 
 
 @pytest.mark.parametrize("columns", [11, 1, 2.0, "2", True, None])
