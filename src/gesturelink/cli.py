@@ -223,6 +223,8 @@ def _grid_from_file(doc: dict, rule_id: str, path: str | None) -> GridSpec:
     """{"low": range, "high": range} for a paired rule, {"threshold": range}
     for a single-threshold one; each range is [start, stop, step]. A rule
     the file leaves out gets its default grid."""
+    if rule_id not in TUNABLE_RULES:
+        raise MalformedInput(f"{path}: unknown rule id {rule_id!r}")
     default = default_grid(rule_id)
     if rule_id not in doc:
         return default
@@ -247,13 +249,14 @@ def cmd_tune(args) -> int:
     if not any(per_rule.values()):
         print("no usable samples after filtering ambiguous labels", file=sys.stderr)
         return EXIT_INPUT
-    grid_doc = _load_grid_doc(args.grid)
+    grid_doc = _load_grid_doc(args.grid)  # every entry is checked, labelled or not
+    grids = {r: _grid_from_file(grid_doc, r, args.grid) for r in sorted({*grid_doc, *per_rule})}
     weights = LossWeights()
     report_doc: dict = {}
     tuned: dict = {}
     for rule_id, samples in sorted(per_rule.items()):
         rule = TUNABLE_RULES[rule_id]
-        grid = _grid_from_file(grid_doc, rule_id, args.grid)
+        grid = grids[rule_id]
         cell, loss = grid_search(samples, grid, weights)
         preds = predictions_for_cell(samples, grid.paired, cell, unsure=rule.space.unsure)
         rates = assessment_rates(

@@ -6,12 +6,14 @@ the first frame of a raised run at least trigger_frames long, and closes
 at the last raised frame before a lowered run spanning end_hold seconds,
 or at the stream's end. A window holds a slice of the stream's arrays.
 Frames inside a window are sampled every 0.2 s; each sample, a frame
-view, contributes one pose-vector column and one hand-center column.
+view, contributes one pose-vector column and one hand-center column. The
+windows of many streams are built from one batched reading of them all.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import logging
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInput, parse_json
+from .errors import GestureLinkError, MalformedInput, parse_json
 from .landmarks import HandLandmarkFrame, Handedness, LandmarkStream
 from .rules import (
     POSE_ROW_LABELS,
@@ -200,33 +202,64 @@ def validate_state_matrix(m: GestureStateMatrix) -> None:
         raise MalformedInput(f"interval must be positive and finite, got {m.sample_interval}")
 
 
-def build_state_matrix(
-    samples: list[HandLandmarkFrame], th: RuleThresholds
-) -> GestureStateMatrix:
-    """Assemble the matrix from sampled frames (>= 1 required), reading
-    every rule of all samples at once; MalformedInput unless it satisfies
-    validate_state_matrix. One warning names each reading that hit
-    degenerate geometry, with its count of samples and the first one's time."""
-    if not samples:
-        raise MalformedInput("cannot build a matrix from zero samples")
-    coords, depth = np.stack([f.coords for f in samples]), np.array([f.has_depth for f in samples])
-    readings = pose_readings(coords, depth,
-                             np.array([f.handedness == Handedness.LEFT for f in samples]))
-    n = len(samples)
-    found = [f"{name} in {bad.sum()} of {n} samples from t={samples[bad.argmax()].timestamp}"
-             for name, bad in readings.degenerate.items() if bad.any()]
-    if found:
-        logger.warning("rules unsure on degenerate geometry: %s", "; ".join(found))
+def _build_groups(groups: list[list[list[HandLandmarkFrame]]], th: RuleThresholds) -> list:
+    """Per group of sample lists, one batched reading of all their samples,
+    then a matrix per list, or the group's first MalformedInput (a list
+    without samples, or a matrix failing validate_state_matrix): lists
+    after it are not built. Each list built logs one warning naming each
+    reading that hit degenerate geometry, with its count of samples and
+    the first one's time."""
+    lists = [frames for group in groups for frames in group]
+    samples = [f for frames in lists for f in frames]
+    bounds = list(itertools.accumulate(map(len, lists), initial=0))
+    coords = np.array([f.coords for f in samples]).reshape(-1, 21, 3)
+    depth = np.array([f.has_depth for f in samples], dtype=bool)
+    readings = pose_readings(
+        coords, depth, np.array([f.handedness == Handedness.LEFT for f in samples], dtype=bool))
+    degenerate = np.array(list(readings.degenerate.values()))
     channel1 = pose_vectors(readings, th)
     centers, widths = hand_centers(coords)
     channel2 = centers.T.copy()
     channel2[1] = 1.0 - channel2[1]  # up-positive vertical
-    if not depth.all():
-        channel2 = channel2[:2]
-    width = float(np.mean(widths))
-    m = GestureStateMatrix(channel1=channel1, channel2=channel2, hand_width=width)
-    validate_state_matrix(m)
-    return m
+
+    def build(a: int, b: int) -> GestureStateMatrix:
+        if a == b:
+            raise MalformedInput("cannot build a matrix from zero samples")
+        if (bad := degenerate[:, a:b]).any():
+            found = [f"{name} in {hit.sum()} of {b - a} samples from "
+                     f"t={samples[a + hit.argmax()].timestamp}"
+                     for name, hit in zip(readings.degenerate, bad) if hit.any()]
+            logger.warning("rules unsure on degenerate geometry: %s", "; ".join(found))
+        m = GestureStateMatrix(channel1=channel1[:, a:b],
+                               channel2=channel2[: 3 if depth[a:b].all() else 2, a:b],
+                               hand_width=float(np.mean(widths[a:b])))
+        validate_state_matrix(m)
+        return m
+
+    results, spans = [], iter(zip(bounds, bounds[1:]))
+    for group in groups:
+        group_spans = [next(spans) for _ in group]
+        try:
+            results.append([build(a, b) for a, b in group_spans])
+        except MalformedInput as exc:
+            results.append(exc)
+    return results
+
+
+def build_state_matrices(sample_lists: list[list[HandLandmarkFrame]],
+                         th: RuleThresholds) -> list[GestureStateMatrix | MalformedInput]:
+    """Each list's matrix, or the MalformedInput that rejects it, from one
+    batched reading of all the lists' samples; warnings in list order."""
+    built = _build_groups([[frames] for frames in sample_lists], th)
+    return [m if isinstance(m, MalformedInput) else m[0] for m in built]
+
+
+def build_state_matrix(samples: list[HandLandmarkFrame], th: RuleThresholds) -> GestureStateMatrix:
+    """The matrix of one list of sampled frames (see build_state_matrices)."""
+    (m,) = _build_groups([[samples]], th)
+    if isinstance(m, MalformedInput):
+        raise m
+    return m[0]
 
 
 def serialize_matrix(m: GestureStateMatrix) -> str:
@@ -297,14 +330,28 @@ def matrix_from_json(text: str | bytes) -> GestureStateMatrix:
     return m
 
 
-def encode_stream(
-    stream: LandmarkStream,
-    th: RuleThresholds | None = None,
-    cfg: SegmentationConfig | None = None,
-) -> list[GestureStateMatrix]:
-    """detect -> sample -> build for every window in the stream."""
+def encode_streams(streams: list[LandmarkStream], th: RuleThresholds | None = None,
+                   cfg: SegmentationConfig | None = None
+                   ) -> list[list[GestureStateMatrix] | GestureLinkError]:
+    """detect -> sample for each stream, then one batched build of all their
+    windows. Each stream gets its matrices, or its first error in window
+    order; as in a window-by-window encode, its windows after a failing
+    one are not built and log nothing."""
     th = th or RuleThresholds()
-    return [
-        build_state_matrix(sample_window(w), th)
-        for w in detect_gesture_window(stream, cfg)
-    ]
+    sampled: list = []
+    for stream in streams:
+        try:
+            sampled.append([sample_window(w) for w in detect_gesture_window(stream, cfg)])
+        except GestureLinkError as exc:
+            sampled.append(exc)
+    built = iter(_build_groups([ws for ws in sampled if isinstance(ws, list)], th))
+    return [next(built) if isinstance(ws, list) else ws for ws in sampled]
+
+
+def encode_stream(stream: LandmarkStream, th: RuleThresholds | None = None,
+                  cfg: SegmentationConfig | None = None) -> list[GestureStateMatrix]:
+    """encode_streams for one stream, raising its error."""
+    result = encode_streams([stream], th, cfg)[0]
+    if isinstance(result, GestureLinkError):
+        raise result
+    return result

@@ -1,8 +1,8 @@
 """Top-k evaluation protocol: context settings, repetitions, metrics,
 and the analytic random-guess baseline.
 
-Each task's stream is encoded once per protocol run; every setting and
-repetition then describes and grounds that result with the task's context
+All tasks' streams are encoded in one batch per protocol run; every
+setting and repetition then grounds each task's result with its context
 library filtered to the active setting. Per-task failures score as
 Negative with a logged cause so a bad task never aborts a setting.
 """
@@ -31,7 +31,7 @@ from .context import (
     make_history_context,
     parse_function_list,
 )
-from .encoder import GestureStateMatrix, encode_stream
+from .encoder import GestureStateMatrix, encode_streams
 from .errors import GestureLinkError, MalformedInput, parse_json
 from .landmarks import LandmarkStream, parse_landmark_stream
 from .prompts import AgentPromptSet
@@ -184,14 +184,12 @@ def _aggregate(per_rep: Sequence[tuple[float, float, float]]) -> Metrics:
     )
 
 
-def _encode_task(task: TaskRecord, th: RuleThresholds) -> list[GestureStateMatrix] | None:
-    """The task's windows, or None when the encoder fails (logged here, once)."""
-    try:
-        matrices = encode_stream(task.stream, th)
-    except (GestureLinkError, OSError) as exc:
+def _encode_task(task: TaskRecord, matrices) -> list[GestureStateMatrix] | None:
+    """The task's windows, or None when the encoder failed (logged here, once)."""
+    if isinstance(matrices, GestureLinkError):
         logger.warning(
             "task %s failed to encode (%s); scoring Negative in every setting and repetition",
-            task.scenario_id, exc,
+            task.scenario_id, matrices,
         )
         return None
     if not matrices:
@@ -210,12 +208,13 @@ def run_protocol(
 ) -> list[SettingRun]:
     """Run every task `repetitions` times under each context setting.
 
-    Each task is encoded once; every setting and repetition grounds that
-    result. Pipeline failures (GestureLinkError, OSError) score Negative
-    and are counted, never raised; anything else is a bug and propagates.
-    A task the encoder rejects is logged once and fails in every setting
-    and repetition. With jobs > 1 the task runs share one thread pool;
-    each run gets its own backend, so results match sequential evaluation.
+    All tasks are encoded in one batch; every setting and repetition grounds
+    those results. Pipeline failures (GestureLinkError, OSError) score
+    Negative and are counted, never raised; anything else is a bug and
+    propagates. A task the encoder rejects fails alone, logged once, in
+    every setting and repetition. With jobs > 1 the task runs share one
+    thread pool; each run gets its own backend, so results match sequential
+    evaluation.
     """
     if repetitions < 1:
         raise MalformedInput("repetitions must be >= 1")
@@ -227,7 +226,8 @@ def run_protocol(
         raise MalformedInput(f"jobs must be >= 1, got {jobs}")
     if len(set(settings)) != len(settings):
         raise MalformedInput("each context setting may be run only once")
-    encoded = [_encode_task(task, handles.thresholds) for task in tasks]
+    encoded = [_encode_task(task, result) for task, result in
+               zip(tasks, encode_streams([task.stream for task in tasks], handles.thresholds))]
 
     def attempt(run):
         setting, rep, task, matrices = run

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -166,8 +166,12 @@ class LandmarkStream(Sequence):
     def __getitem__(self, i):
         """The frame view at index i, or for a slice the stream of its frames."""
         if isinstance(i, slice):
-            return replace(self, coords=self.coords[i], timestamps=self.timestamps[i],
-                           depth_flags=self.depth_flags[i])
+            view = object.__new__(LandmarkStream)
+            vars(view).update(vars(self), coords=self.coords[i], timestamps=self.timestamps[i],
+                              depth_flags=self.depth_flags[i])
+            if (i.step or 1) < 0:  # only a reversed slice can break an invariant
+                view.__post_init__()
+            return view
         frame = object.__new__(HandLandmarkFrame)
         vars(frame).update(timestamp=float(self.timestamps[i]), handedness=self.handedness,
                            coords=self.coords[i], has_depth=bool(self.depth_flags[i]))

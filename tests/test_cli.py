@@ -345,6 +345,8 @@ def test_tune_bad_inline_frame_exits_2_with_location(tmp_path, capsys):
             json.dumps({"flexion_finger": {"low": [0, 180, 0.02], "high": [0, 180, 0.02]}}),
             id="too_many_pairs",
         ),
+        pytest.param(json.dumps({"no_such_rule": 5}), id="unknown_rule"),
+        pytest.param(json.dumps({"flexion_thumb": {"low": "nonsense"}}), id="unlabelled_rule"),
         *(pytest.param("{}".encode(encoding), id=encoding) for encoding in ("utf-16", "utf-8-sig")),
     ],
 )
@@ -356,7 +358,10 @@ def test_tune_bad_grid_exits_2_naming_the_file(tmp_path, capsys, grid_text):
                              "frame": json.loads(lines[0])["frame"]}))
     code, _, out, rep = run_tune(tmp_path, lines, "--grid", str(grid))
     assert code == 2
-    assert f"error: {grid}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {grid}: " in err
+    named = [key for key in ("no_such_rule", "flexion_thumb") if key in str(grid_text)]
+    assert all(key in err for key in named)
     assert not out.exists() and not rep.exists()
 
 
@@ -1416,17 +1421,18 @@ def test_eval_encodes_each_task_once(tmp_path, monkeypatch):
     from gesturelink import evaluation
 
     encoded = []
-    original = evaluation.encode_stream
+    original = evaluation.encode_streams
 
-    def counting(stream, *args, **kwargs):
-        encoded.append(stream)
-        return original(stream, *args, **kwargs)
+    def counting(streams, *args, **kwargs):
+        encoded.append(list(streams))
+        return original(streams, *args, **kwargs)
 
-    monkeypatch.setattr(evaluation, "encode_stream", counting)
+    monkeypatch.setattr(evaluation, "encode_streams", counting)
     code, _ = run_mixed_eval(tmp_path)  # 4 settings x 3 repetitions
     assert code == 0
-    assert len(encoded) == 4
-    assert len({id(s) for s in encoded}) == 4
+    assert len(encoded) == 1 and len({id(s) for s in encoded[0]}) == 4
+    assert encoded[0] == [parse_landmark_stream((tmp_path / f"t{k}.stream.json").read_bytes())
+                          for k in range(1, 5)]
 
 
 @pytest.mark.parametrize("columns", [11, 1.0])

@@ -1,8 +1,10 @@
 import cProfile
 import json
+import logging
 import math
 import pstats
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,9 +23,11 @@ from gesturelink.encoder import (
     GestureStateMatrix,
     GestureWindow,
     SegmentationConfig,
+    build_state_matrices,
     build_state_matrix,
     detect_gesture_window,
     encode_stream,
+    encode_streams,
     matrix_from_json,
     matrix_to_json,
     sample_window,
@@ -39,6 +43,8 @@ from gesturelink.rules import (
     encode_pose_vector,
     hand_center,
     hand_centers,
+    pose_readings,
+    pose_vectors,
 )
 
 TH = RuleThresholds()
@@ -629,3 +635,167 @@ def test_build_rejects_zero_hand_width():
     points[17] = points[5]  # pinky MCP on the index MCP
     with pytest.raises(MalformedInput, match="hand_width must be positive"):
         build_state_matrix([make_frame(points)], TH)
+
+
+# --- batched build -------------------------------------------------------------------
+
+def _reference_build_state_matrix(samples, th):
+    """The per-window build_state_matrix that build_state_matrices replaced,
+    verbatim, logging through the encoder's logger."""
+    logger = logging.getLogger("gesturelink.encoder")
+    if not samples:
+        raise MalformedInput("cannot build a matrix from zero samples")
+    coords, depth = np.stack([f.coords for f in samples]), np.array([f.has_depth for f in samples])
+    readings = pose_readings(coords, depth,
+                             np.array([f.handedness == Handedness.LEFT for f in samples]))
+    n = len(samples)
+    found = [f"{name} in {bad.sum()} of {n} samples from t={samples[bad.argmax()].timestamp}"
+             for name, bad in readings.degenerate.items() if bad.any()]
+    if found:
+        logger.warning("rules unsure on degenerate geometry: %s", "; ".join(found))
+    channel1 = pose_vectors(readings, th)
+    centers, widths = hand_centers(coords)
+    channel2 = centers.T.copy()
+    channel2[1] = 1.0 - channel2[1]  # up-positive vertical
+    if not depth.all():
+        channel2 = channel2[:2]
+    width = float(np.mean(widths))
+    m = GestureStateMatrix(channel1=channel1, channel2=channel2, hand_width=width)
+    validate_state_matrix(m)
+    return m
+
+
+def _reference_outcomes(sample_lists, caplog, stop_early=False):
+    """(matrix or error message, per list) and the log records of building
+    each list on its own, in order; with stop_early, the lists after the
+    first one that fails are left unbuilt."""
+    caplog.clear()
+    outcomes = []
+    for samples in sample_lists:
+        try:
+            outcomes.append(_reference_build_state_matrix(samples, TH))
+        except MalformedInput as exc:
+            outcomes.append(str(exc))
+            if stop_early:
+                break
+    return outcomes, _records(caplog)
+
+
+def _records(caplog):
+    return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+def _random_window(gen, t0):
+    """Sampled frames of one window: 0-8 frames (most often 1), mixing 2-D
+    and 3-D frames and both hands, with zero-length bones, collapsed hands,
+    pinched hands (hand width 0) and overflowing depths."""
+    n = int(gen.choice([0, 1, 1, 2, 3, 5, 8], p=[0.03, 0.3, 0.07, 0.15, 0.15, 0.15, 0.15]))
+    pinch = gen.choice([0.0, 0.5, 1.0], p=[0.6, 0.2, 0.2])
+    frames = []
+    for k in range(n):
+        if gen.random() < 0.5:
+            coords = np.array(FLAT_HAND_POINTS) + gen.normal(0, 0.03, (21, 3))
+        else:
+            coords = np.concatenate([gen.uniform(-0.5, 1.5, (21, 2)),
+                                     gen.uniform(-0.3, 0.3, (21, 1))], axis=1)
+        coords[:, :2] = coords[:, :2].clip(-0.5, 1.5)
+        if gen.random() < pinch:
+            coords[17] = coords[5]
+        if gen.random() < 0.1:
+            joint = gen.integers(1, 21)
+            coords[joint] = coords[joint - 1]
+        if gen.random() < 0.03:
+            coords[:] = coords[0]
+        if gen.random() < 0.05:
+            coords[:, 2] *= gen.choice([1e300, 1e308, -1e308])
+        has_depth = bool(gen.random() < 0.7)
+        if not has_depth:
+            coords[:, 2] = 0.0
+        hand = Handedness.LEFT if gen.random() < 0.3 else Handedness.RIGHT
+        frames.append(make_frame(coords, t=round(t0 + 0.2 * k, 6), handedness=hand,
+                                 has_depth=has_depth))
+    return frames
+
+
+def test_batched_build_matches_the_per_window_build(caplog):
+    """build_state_matrices over random window lists gives each list's
+    matrix, error message and warnings exactly as building it alone."""
+    gen = np.random.default_rng(20240817)
+    caplog.set_level(logging.WARNING, logger="gesturelink.encoder")
+    lists = errors = warned = 0
+    for _ in range(2000):
+        sample_lists = [_random_window(gen, 2.0 * j) for j in range(int(gen.integers(1, 4)))]
+        expected, expected_records = _reference_outcomes(sample_lists, caplog)
+        caplog.clear()
+        built = build_state_matrices(sample_lists, TH)
+        assert _records(caplog) == expected_records
+        assert len(built) == len(expected)
+        for got, want in zip(built, expected):
+            if isinstance(want, str):
+                assert isinstance(got, MalformedInput) and str(got) == want
+            else:
+                assert got == want and got.channel1.dtype == want.channel1.dtype
+                assert matrix_to_json(got) == matrix_to_json(want)
+        lists += len(sample_lists)
+        errors += sum(isinstance(want, str) for want in expected)
+        warned += bool(expected_records)
+    # Every kind of outcome shows up often enough to count.
+    assert lists > 3500 and 500 < errors < lists - 2000 and warned > 500
+
+
+def test_build_state_matrix_raises_what_the_batched_build_returns():
+    pinched = list(FLAT_HAND_POINTS)
+    pinched[17] = pinched[5]
+    built = build_state_matrices([[make_frame(FLAT_HAND_POINTS)], [make_frame(pinched)], []], TH)
+    assert build_state_matrix([make_frame(FLAT_HAND_POINTS)], TH) == built[0]
+    for samples, error in (([make_frame(pinched)], built[1]), ([], built[2])):
+        with pytest.raises(MalformedInput, match=re.escape(str(error))):
+            build_state_matrix(samples, TH)
+
+
+def _warn_stream(raises, degenerate=(), pinched=()):
+    """A right-hand stream with one 1 s window per raise in raises; raise k
+    has a zero-length index bone if k is in degenerate (a warning), and
+    hand width 0 if k is in pinched (a failing window)."""
+    frames, t = [], 0.0
+    for k in range(raises):
+        for y in [0.8] * 5 + [0.4] * 11 + [0.8] * 10:
+            points = hand_at(y)
+            if y < 0.5 and k in degenerate:
+                points[6] = points[5]
+            if y < 0.5 and k in pinched:
+                points[17] = points[5]
+            frames.append((round(t, 6), points))
+            t += 0.1
+    return make_stream(frames)
+
+
+def test_encode_streams_logs_as_the_window_by_window_encode(caplog):
+    """Each stream logs its windows' warnings up to and including its first
+    failing window, none after it; an unsegmentable stream fails alone."""
+    streams = [
+        _warn_stream(3, degenerate=(0, 1, 2), pinched=(1,)),
+        trajectory_stream([0.8] * 5 + [0.4] * 11, handedness=Handedness.LEFT),
+        _warn_stream(2, degenerate=(1,)),
+        trajectory_stream([0.8] * 10),
+    ]
+    caplog.set_level(logging.WARNING, logger="gesturelink.encoder")
+    expected, records = [], []
+    for stream in streams:
+        try:
+            windows = detect_gesture_window(stream, CFG)
+        except MalformedInput as exc:
+            expected.append(str(exc))
+            continue
+        outcomes, window_records = _reference_outcomes(
+            [sample_window(w) for w in windows], caplog, stop_early=True)
+        expected.append(outcomes[-1] if outcomes and isinstance(outcomes[-1], str) else outcomes)
+        records += window_records
+    caplog.clear()
+    results = encode_streams(streams, TH, CFG)
+    assert _records(caplog) == records
+    assert len(records) == 3  # windows 0 and 1 of the first stream, 1 of the third
+    assert [str(r) if isinstance(r, MalformedInput) else r for r in results] == expected
+    assert isinstance(results[1], MalformedInput) and results[3] == []
+    with pytest.raises(MalformedInput, match="hand_width must be positive"):
+        encode_stream(streams[0], TH, CFG)

@@ -1,4 +1,6 @@
+import cProfile
 import json
+import pstats
 import random
 
 import pytest
@@ -39,7 +41,7 @@ from gesturelink.evaluation import (
     topk_rank,
 )
 from gesturelink.context import function_entries
-from gesturelink.landmarks import parse_landmark_stream
+from gesturelink.landmarks import Handedness, parse_landmark_stream
 from gesturelink.prompts import load_prompt_set
 from gesturelink.transport import ScriptedBackend
 
@@ -262,15 +264,15 @@ def test_run_setting_encodes_each_task_once(monkeypatch):
     from gesturelink import evaluation
 
     encoded = []
-    original = evaluation.encode_stream
+    original = evaluation.encode_streams
     monkeypatch.setattr(
-        evaluation, "encode_stream", lambda stream, th: encoded.append(stream) or original(stream, th)
+        evaluation, "encode_streams", lambda streams, th: encoded.append(streams) or original(streams, th)
     )
     tasks = [make_task("t1"), make_task("t2", truth="oven.power")]
     replies = {t.scenario_id: grounding_replies(["light.power"]) for t in tasks}
     run = run_setting(tasks, ContextSetting.ALL, repetitions=3, handles=handles_for(replies))
     assert run.completed == 6
-    assert [id(s) for s in encoded] == [id(t.stream) for t in tasks]
+    assert [[id(s) for s in streams] for streams in encoded] == [[id(t.stream) for t in tasks]]
 
 
 def test_encoder_failure_is_negative_in_every_run_and_logged_once(caplog):
@@ -290,6 +292,72 @@ def test_encoder_failure_is_negative_in_every_run_and_logged_once(caplog):
         assert run.metrics.negative == MetricValue(1.0, 0.0)
     assert sum(run.failures for run in runs) == len(ContextSetting) * 3
     assert caplog.text.count("task flat failed to encode (hand_width must be positive") == 1
+
+
+def _recorded_runs(monkeypatch, tasks, replies, settings, repetitions=2):
+    """run_protocol over tasks, and what each task run got and gave:
+    (setting, scenario id, matrices, rank, cost), in run order."""
+    from gesturelink import evaluation
+
+    seen = []
+
+    def recording(task, setting, matrices, handles):
+        rank, cost = run_task(task, setting, matrices, handles)
+        seen.append((setting, task.scenario_id, list(matrices), rank, cost))
+        return rank, cost
+
+    monkeypatch.setattr(evaluation, "run_task", recording)
+    return run_protocol(tasks, settings, repetitions, handles_for(replies)), seen
+
+
+def test_mixed_tasks_encoded_together_match_each_encoded_alone(monkeypatch, caplog):
+    """A flat-width task and a left-hand task each fail alone, logged once,
+    and score Negative in every run; the other tasks get the matrices,
+    ranks and costs they get when run, and so encoded, by themselves."""
+    raise_once = [0.8] * 5 + [0.4] * 11 + [0.8] * 10
+    flat = TaskRecord("flat", parse_landmark_stream(flat_width_stream_json()),
+                      smart_home_library(), "light.power")
+    left = TaskRecord("left", trajectory_stream(raise_once, handedness=Handedness.LEFT),
+                      smart_home_library(), "light.power")
+    good = [make_task("t1"), make_task("t2", truth="oven.power"),
+            TaskRecord("two_windows", trajectory_stream(raise_once * 2), smart_home_library(),
+                       "oven.power")]
+    tasks = [good[0], flat, left, *good[1:]]
+    replies = {t.scenario_id: grounding_replies(["oven.power", "light.power"]) for t in tasks}
+    settings = [ContextSetting.BASELINE, ContextSetting.ALL]
+    runs, seen = _recorded_runs(monkeypatch, tasks, replies, settings)
+    for run in runs:
+        assert (run.completed, run.failures) == (6, 4)
+        assert run.metrics.negative == MetricValue(pytest.approx(0.4), 0.0)
+    for task_id, cause in (("flat", "hand_width must be positive"),
+                           ("left", "encoder handles right-hand streams only")):
+        assert caplog.text.count(f"task {task_id} failed to encode ({cause}") == 1
+    alone = {t.scenario_id: _recorded_runs(monkeypatch, [t], replies, settings)[1] for t in good}
+    assert seen == [alone[t.scenario_id][i] for i in range(4) for t in good]
+    assert [len(alone[t.scenario_id][0][2]) for t in good] == [1, 1, 2]
+    for task in good:
+        assert alone[task.scenario_id][0][2] == encode_stream(task.stream)
+
+
+def _protocol_calls(n):
+    """Python calls of run_protocol over n one-window tasks, one setting
+    and one repetition, with scripted backends."""
+    tasks = [make_task(f"t{k}") for k in range(n)]
+    handles = handles_for({t.scenario_id: grounding_replies(["light.power"]) for t in tasks})
+    profile = cProfile.Profile()
+    profile.enable()
+    run = run_protocol(tasks, [ContextSetting.ALL], 1, handles)[0]
+    profile.disable()
+    assert (run.completed, run.metrics.top1.mean) == (n, 1.0)
+    return pstats.Stats(profile).total_calls
+
+
+def test_protocol_python_work_grows_linearly_in_tasks():
+    """Doubling the manifest's tasks at most about doubles the Python calls
+    of run_protocol, counted by cProfile, so the bound does not depend on
+    the host's speed: no stage, the batched encode included, rescans the
+    tasks per task."""
+    assert _protocol_calls(256) / _protocol_calls(128) <= 2.2
 
 
 def test_run_protocol_matches_one_run_setting_per_setting():

@@ -392,6 +392,36 @@ def test_stream_arrays_are_read_only_and_frames_are_views():
         stream.frames[2]
 
 
+@pytest.mark.parametrize("index", [slice(20, 80), slice(None), slice(3, 90, 7), slice(95, 200),
+                                   slice(50, 10), slice(-30, None, 2)])
+def test_stream_slice_is_an_unchecked_view_equal_to_a_fresh_stream(monkeypatch, index):
+    from gesturelink import landmarks
+
+    gen = np.random.default_rng(7)
+    coords = gen.uniform(0.0, 1.0, (100, 21, 3))
+    times, depth = np.arange(100) / 30, gen.random(100) < 0.7
+    stream = LandmarkStream(coords, times, depth, Handedness.LEFT, SourceView.FIRST_PERSON)
+    fresh = LandmarkStream(coords[index], times[index], depth[index], Handedness.LEFT,
+                           SourceView.FIRST_PERSON)
+    checks = []
+    monkeypatch.setattr(landmarks, "first_bad_frame", lambda *a: checks.append(a))
+    part = stream[index]
+    assert checks == []
+    assert type(part) is LandmarkStream and part == fresh and len(part) == len(fresh)
+    for name in ("coords", "timestamps", "depth_flags"):
+        array = getattr(part, name)
+        assert not array.flags.writeable
+        assert len(array) == 0 or np.shares_memory(array, getattr(stream, name))
+    assert [f == g for f, g in zip(part, fresh)] == [True] * len(fresh)
+
+
+def test_reversed_stream_slice_still_raises():
+    stream = parse_landmark_stream(stream_json([(0.0, FLAT_HAND_POINTS), (0.1, FLAT_HAND_POINTS)]))
+    with pytest.raises(MalformedInput, match=r"timestamps not strictly increasing: 0.1 -> 0.0"):
+        stream[::-1]
+    assert stream[1::-2].timestamps.tolist() == [0.1]
+
+
 @pytest.mark.parametrize(
     "coords,times,match",
     [(np.zeros((2, 20, 3)), [0.0, 0.1], r"shapes \(2, 20, 3\), \(2,\) and \(2,\)"),
