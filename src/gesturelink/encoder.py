@@ -1,10 +1,11 @@
 """Gesture windowing and the two-channel gesture state matrix.
 
-Segmentation splits the stream into runs of raised frames (hand center
-at or above the chest line) and lowered ones. A gesture window opens at
-the first frame of a raised run at least trigger_frames long, and closes
-at the last raised frame before a lowered run spanning end_hold seconds,
-or at the stream's end. A window holds a slice of the stream's arrays.
+Segmentation splits the stream into runs of raised frames (mean landmark
+height, hand_centers' y, at or above the chest line) and lowered ones. A
+gesture window opens at the first frame of a raised run at least
+trigger_frames long, and closes at the last raised frame before a lowered
+run spanning end_hold seconds, or at the stream's end. A window holds a
+slice of the stream's arrays.
 Frames inside a window are sampled every 0.2 s; each sample, a frame
 view, contributes one pose-vector column and one hand-center column. The
 windows of many streams are built from one batched reading of them all.
@@ -26,6 +27,7 @@ from .landmarks import HandLandmarkFrame, Handedness, LandmarkStream
 from .rules import (
     POSE_ROW_LABELS,
     RuleThresholds,
+    center_heights,
     hand_centers,
     pose_readings,
     pose_vectors,
@@ -40,9 +42,11 @@ _TIME_EPS = 1e-9
 
 _CHANNEL2_LABELS = ("center_x", "center_y_up", "center_z")
 _MATRIX_HEADER = "gesture-state-matrix v1"
-# Channel-1 cell text of each valid state; serialize_matrix formats any
-# other value (possible in a matrix built by hand) with f"{int(v):>2d}".
-_STATE_CELLS = {-1: "-1", 0: " 0", 1: " 1"}
+_LABEL_WIDTH = max(map(len, POSE_ROW_LABELS + _CHANNEL2_LABELS))
+_POSE_PADDED = [f"{label:<{_LABEL_WIDTH}} " for label in POSE_ROW_LABELS]
+_CHANNEL2_PADDED = [f"{label:<{_LABEL_WIDTH}} " for label in _CHANNEL2_LABELS]
+# Cell text of the states -1, 0 and 1, each followed by a space.
+_STATE_TEXT = np.array([b"-1 ", b" 0 ", b" 1 "])
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,14 @@ def detect_gesture_window(
     stream: LandmarkStream, cfg: SegmentationConfig | None = None
 ) -> list[GestureWindow]:
     """Non-overlapping gesture windows, in time order, from the stream's
-    runs of raised and lowered frames. A raised run of at least
-    trigger_frames frames opens a window at its first frame unless one is
-    open. A lowered run spanning at least end_hold seconds, first frame to
-    last, closes it at the last raised frame before that run, as does the
-    stream's end. Zero-duration windows are dropped. Only right-hand
-    streams are segmented; left hands parse fine but are rejected here.
-    """
+    runs of raised frames, whose mean landmark height (center_heights,
+    hand_centers' y) is at or above (<=) the chest line, and lowered ones.
+    A raised run of at least trigger_frames frames opens a window at its
+    first frame unless one is open. A lowered run spanning at least
+    end_hold seconds, first frame to last, closes it at the last raised
+    frame before that run, as does the stream's end. Zero-duration windows
+    are dropped. Only right-hand streams are segmented; left hands parse
+    fine but are rejected here."""
     cfg = cfg or SegmentationConfig()
     if not stream:
         raise MalformedInput("cannot segment an empty stream")
@@ -108,7 +113,7 @@ def detect_gesture_window(
 
     # A lowered frame past the last one makes the stream's end a lowered
     # run, which closes an open window whatever its span.
-    raised = np.append(hand_centers(stream.coords)[0][:, 1] <= cfg.chest_line, False)
+    raised = np.append(center_heights(stream.coords) <= cfg.chest_line, False)
     edges = [0, *(np.flatnonzero(raised[1:] != raised[:-1]) + 1).tolist(), len(raised)]
     times = stream.timestamps.tolist()
     windows, start = [], None
@@ -188,14 +193,20 @@ class GestureStateMatrix:
         )
 
 
+def _check_channels(c1: np.ndarray, c2: np.ndarray) -> None:
+    """Raise MalformedInput unless every column of channel 1 is a pose
+    vector and channel 2 is finite, with x and y within [-0.5, 1.5]."""
+    validate_pose_vector(c1)
+    if not (np.isfinite(c2).all() and (c2[:2] >= -0.5).all() and (c2[:2] <= 1.5).all()):
+        raise MalformedInput("channel2 must be finite, with x and y within [-0.5, 1.5]")
+
+
 def validate_state_matrix(m: GestureStateMatrix) -> None:
     """Raise MalformedInput unless the matrix satisfies its invariants."""
     c1, c2 = m.channel1, m.channel2
     if not (c1.ndim == c2.ndim == 2 and c2.shape[0] in (2, 3) and c1.shape[1] == c2.shape[1] >= 1):
         raise MalformedInput(f"channels must be 19 x T and 2-3 x T, T >= 1: {c1.shape}, {c2.shape}")
-    validate_pose_vector(c1)
-    if not (np.isfinite(c2).all() and (c2[:2] >= -0.5).all() and (c2[:2] <= 1.5).all()):
-        raise MalformedInput("channel2 must be finite, with x and y within [-0.5, 1.5]")
+    _check_channels(c1, c2)
     if not 0 < m.hand_width < math.inf:
         raise MalformedInput(f"hand_width must be positive and finite, got {m.hand_width}")
     if not 0 < m.sample_interval < math.inf:
@@ -208,7 +219,8 @@ def _build_groups(groups: list[list[list[HandLandmarkFrame]]], th: RuleThreshold
     without samples, or a matrix failing validate_state_matrix): lists
     after it are not built. Each list built logs one warning naming each
     reading that hit degenerate geometry, with its count of samples and
-    the first one's time."""
+    the first one's time. The batch is checked once, and each matrix alone
+    only if that check or its hand width fails."""
     lists = [frames for group in groups for frames in group]
     samples = [f for frames in lists for f in frames]
     bounds = list(itertools.accumulate(map(len, lists), initial=0))
@@ -221,11 +233,17 @@ def _build_groups(groups: list[list[list[HandLandmarkFrame]]], th: RuleThreshold
     centers, widths = hand_centers(coords)
     channel2 = centers.T.copy()
     channel2[1] = 1.0 - channel2[1]  # up-positive vertical
+    try:  # every column at once; each matrix alone only if this fails
+        _check_channels(channel1, channel2)
+        checked = True
+    except MalformedInput:
+        checked = False
+    unsure = degenerate.any()
 
     def build(a: int, b: int) -> GestureStateMatrix:
         if a == b:
             raise MalformedInput("cannot build a matrix from zero samples")
-        if (bad := degenerate[:, a:b]).any():
+        if unsure and (bad := degenerate[:, a:b]).any():
             found = [f"{name} in {hit.sum()} of {b - a} samples from "
                      f"t={samples[a + hit.argmax()].timestamp}"
                      for name, hit in zip(readings.degenerate, bad) if hit.any()]
@@ -233,7 +251,8 @@ def _build_groups(groups: list[list[list[HandLandmarkFrame]]], th: RuleThreshold
         m = GestureStateMatrix(channel1=channel1[:, a:b],
                                channel2=channel2[: 3 if depth[a:b].all() else 2, a:b],
                                hand_width=float(np.mean(widths[a:b])))
-        validate_state_matrix(m)
+        if not (checked and 0 < m.hand_width < math.inf):
+            validate_state_matrix(m)
         return m
 
     results, spans = [], iter(zip(bounds, bounds[1:]))
@@ -262,24 +281,34 @@ def build_state_matrix(samples: list[HandLandmarkFrame], th: RuleThresholds) -> 
     return m[0]
 
 
+def _state_rows(channel1: np.ndarray) -> list[str]:
+    """Each channel-1 row's cells as text: one lookup in the table of states
+    for a block of states, else cell by cell."""
+    if (channel1.ndim == 2 and channel1.dtype.kind in "iu" and channel1.size
+            and -1 <= channel1.min() and channel1.max() <= 1):
+        text, width = _STATE_TEXT.take(channel1 + 1).tobytes().decode(), 3 * channel1.shape[1]
+        return [text[i : i + width - 1] for i in range(0, len(text), width)]
+    return [" ".join([f"{int(v):>2d}" for v in row]) for row in channel1.tolist()]
+
+
+def _real_rows(channel2: np.ndarray) -> list[str]:
+    """Each channel-2 row's cells as 3-decimal text, one format call a row."""
+    row_format = " ".join(["{:.3f}"] * channel2.shape[-1])
+    return [row_format.format(*row) for row in channel2.tolist()]
+
+
 def serialize_matrix(m: GestureStateMatrix) -> str:
     """Deterministic text rendering for prompt embedding.
 
-    Labeled integer rows for channel1, 3-decimal reals for channel2,
-    and a header carrying T, the sample interval, and the hand width.
+    Labeled integer rows for channel1, 3-decimal reals for channel2, and a
+    header carrying T, the sample interval, and the hand width. A channel-1
+    cell prints as f"{int(v):>2d}": a state as "-1", " 0" or " 1", and a
+    cell built by hand as its integer part (-10 as "-10", -0.0 as " 0").
     """
-    lines = [
-        _MATRIX_HEADER,
-        f"T={m.T} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
-    ]
-    label_w = max(len(s) for s in POSE_ROW_LABELS + _CHANNEL2_LABELS)
-    state_cell = _STATE_CELLS.get
-    for label, row in zip(POSE_ROW_LABELS, m.channel1.tolist()):
-        cells = " ".join([state_cell(v) or f"{int(v):>2d}" for v in row])
-        lines.append(f"{label:<{label_w}} {cells}")
-    for label, row in zip(_CHANNEL2_LABELS, m.channel2.tolist()):
-        cells = " ".join([f"{v:.3f}" for v in row])
-        lines.append(f"{label:<{label_w}} {cells}")
+    lines = [_MATRIX_HEADER,
+             f"T={m.T} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
+             *[label + cells for label, cells in zip(_POSE_PADDED, _state_rows(m.channel1))],
+             *[label + cells for label, cells in zip(_CHANNEL2_PADDED, _real_rows(m.channel2))]]
     return "\n".join(lines) + "\n"
 
 
@@ -288,12 +317,9 @@ def serialize_movement(m: GestureStateMatrix, start: int, end: int) -> str:
     text style, for the movement-description prompt."""
     if not (0 <= start <= end < m.T):
         raise MalformedInput(f"bad movement span [{start}, {end}] for T={m.T}")
-    lines = [
-        f"span={start}..{end} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
-    ]
-    for label, row in zip(_CHANNEL2_LABELS, m.channel2[:, start : end + 1].tolist()):
-        cells = " ".join([f"{v:.3f}" for v in row])
-        lines.append(f"{label} {cells}")
+    rows = _real_rows(m.channel2[:, start : end + 1])
+    lines = [f"span={start}..{end} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
+             *[f"{label} {cells}" for label, cells in zip(_CHANNEL2_LABELS, rows)]]
     return "\n".join(lines) + "\n"
 
 

@@ -441,6 +441,19 @@ def hand_centers(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords.mean(axis=1), np.sqrt(_rowdot(across, across))
 
 
+def center_heights(coords: np.ndarray) -> np.ndarray:
+    """(N,) mean landmark heights of an (N, 21, 3) array, bit for bit
+    hand_centers(coords)[0][:, 1]: numpy's mean adds the heights from 0.0,
+    one at a time in landmark order, unless the landmark axis runs backwards
+    or innermost in memory, where those layouts take hand_centers' mean."""
+    if not coords.strides[1] > abs(coords.strides[2]):
+        return hand_centers(coords)[0][:, 1]
+    total = coords[:, 0, 1] + 0.0  # so -0.0 heights sum to 0.0, as in numpy's mean
+    for k in range(1, 21):
+        total += coords[:, k, 1]
+    return total / 21
+
+
 def hand_center(frame: HandLandmarkFrame) -> HandCenter:
     """Component-wise mean of all 21 landmarks plus the hand width."""
     centers, widths = hand_centers(frame.coords[None])

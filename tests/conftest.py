@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import cProfile
 import json
 import math
+import pstats
 import random
 import re
 from collections import defaultdict
@@ -70,6 +72,21 @@ FLAT_HAND_POINTS = [
     (0.58, 0.72, 0.0), (0.58, 0.62, 0.0), (0.58, 0.56, 0.0), (0.58, 0.50, 0.0),  # ring
     (0.66, 0.74, 0.0), (0.66, 0.66, 0.0), (0.66, 0.61, 0.0), (0.66, 0.56, 0.0),  # pinky
 ]
+
+
+def python_calls(fn, *args):
+    """(Python calls of fn(*args) counted by cProfile, its result or the
+    exception it raised). The count does not depend on the host's speed;
+    numpy's and the json scanner's loops in C are not counted."""
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - returned for the caller to check
+        result = exc
+    finally:
+        profile.disable()
+    return pstats.Stats(profile).total_calls, result
 
 
 def make_frame(points, t=0.0, handedness=Handedness.RIGHT, has_depth=True):

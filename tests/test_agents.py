@@ -14,6 +14,7 @@ from conftest import (
     make_frame,
     movement_reply,
     pose_reply,
+    python_calls,
     question_reply,
     seq_fixtures,
     smart_home_library,
@@ -158,6 +159,21 @@ _REPLY_TOKENS = ["{", "}", "{", "}", '"', '"', " ", "\t", "\n", "\r", "\x0b", "\
 @example(raw="{" * 500 + "}")
 def test_extract_matches_a_decode_at_every_brace(raw):
     assert _extracted(extract_json_object, raw) == _extracted(every_brace_extract, raw)
+
+
+def test_extract_python_work_grows_linearly_in_reply_length():
+    """Doubling a reply of many "{" starts that never decode at most about
+    doubles the Python calls of extract_json_object, counted by cProfile,
+    so the bound does not depend on the host's speed. The scan inside each
+    raw_decode runs in C and is not counted; a decode may scan to the
+    reply's end, which MAX_REPLY_CHARS bounds."""
+    def calls(chars):
+        count, result = python_calls(extract_json_object, '{"a" ' * (chars // 5))
+        assert isinstance(result, ParseError) and "no JSON object" in str(result)
+        return count
+
+    assert 2 * 15_000 <= MAX_REPLY_CHARS
+    assert calls(2 * 15_000) / calls(15_000) <= 2.2
 
 
 # --- inference turn parsing ------------------------------------------------------

@@ -17,6 +17,7 @@ from conftest import (
     movement_reply,
     parse_frame,
     pose_reply,
+    python_calls,
     question_reply,
     random_points,
     seq_fixtures,
@@ -477,6 +478,28 @@ def test_tune_line_nested_too_deep_exits_2_with_location(tmp_path, capsys):
     assert code == 2
     assert f"{dataset}:2: bad dataset line: maximum recursion depth" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _tune_calls(tmp_path, labels):
+    """Python calls of a tune command on labels index-curl labels, straight
+    below 30 degrees and bent from 35, with a small fixed grid."""
+    thetas = [(k * 37) % 120 + 0.5 for k in range(labels)]
+    lines = [tuning_line(t, [1] if t < 30 else [-1]) for t in thetas if not 30 <= t < 35]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"flexion_finger": {"low": [0, 90, 15], "high": [15, 180, 15]}}),
+                    encoding="utf-8")
+    calls, (code, *_) = python_calls(run_tune, tmp_path, lines, "--grid", str(grid))
+    assert code == 0
+    return calls
+
+
+def test_tune_python_work_grows_linearly_in_labels(tmp_path):
+    """Doubling the labels at most about doubles the Python calls of the
+    tune command (load, readings, grid search, report), counted by
+    cProfile, so the bound does not depend on the host's speed."""
+    (tmp_path / "n").mkdir()
+    (tmp_path / "2n").mkdir()
+    assert _tune_calls(tmp_path / "2n", 2000) / _tune_calls(tmp_path / "n", 1000) <= 2.2
 
 
 # Each rule's reading of one frame, read as encode reads it, from the

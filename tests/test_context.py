@@ -8,7 +8,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import smart_home_functions, smart_home_library
+from conftest import python_calls, smart_home_functions, smart_home_library
 from gesturelink.context import (
     BUILTIN_CALCULATORS,
     ContextLibrary,
@@ -411,6 +411,44 @@ def test_unclosed_placeholders_resolve_in_linear_time():
     start = time.perf_counter()
     assert resolve_placeholders(lib, text) == text
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("piece", ["{{CALC:x:", "{{CALC:gaze_target}} ", "{{CALC:nope}} "],
+                         ids=["unclosed-openers", "closed", "closed-failing"])
+def test_placeholder_python_work_grows_linearly_in_reply_length(piece):
+    """Doubling a reply made of one placeholder piece at most about doubles
+    the Python calls of resolve_placeholders, counted by cProfile."""
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+
+    def calls(chars):
+        count, result = python_calls(resolve_placeholders, lib, piece * (chars // len(piece)))
+        assert isinstance(result, str)
+        return count
+
+    assert calls(40_000) / calls(20_000) <= 2.2
+
+
+def _library_calls(count):
+    """Python calls of building a library of count functions on a grid,
+    reading its function list and prompt, and resolving gaze_target."""
+    functions = [FunctionEntry(f"device{k}.power", f"Device {k} Power",
+                               (float(k % 20), float(k // 20), 1.0)) for k in range(count)]
+
+    def work():
+        lib = ContextLibrary([make_function_list_context("Grid", functions),
+                              make_gaze_context(gaze_at(3.0, 4.0, 1.0))])
+        texts = function_list_text(lib), render_library_prompt(lib)
+        return texts, resolve_placeholders(lib, "look at {{CALC:gaze_target}}")
+
+    calls, ((listing, _), resolved) = python_calls(work)
+    assert len(listing.splitlines()) == count and resolved == "look at Device 83 Power"
+    return calls
+
+
+def test_library_python_work_grows_linearly_in_functions():
+    """Doubling the library's functions at most about doubles the Python
+    calls of building, rendering and resolving gaze_target over it."""
+    assert _library_calls(400) / _library_calls(200) <= 2.2
 
 
 # --- rendering and serialization ------------------------------------------------

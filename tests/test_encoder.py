@@ -1,4 +1,5 @@
 import cProfile
+import itertools
 import json
 import logging
 import math
@@ -14,6 +15,7 @@ from conftest import (
     hand_at,
     make_frame,
     make_stream,
+    python_calls,
     random_points,
     stream_json,
     trajectory_stream,
@@ -24,6 +26,7 @@ from gesturelink.encoder import (
     GestureWindow,
     SegmentationConfig,
     build_state_matrices,
+    _build_groups,
     build_state_matrix,
     detect_gesture_window,
     encode_stream,
@@ -200,6 +203,44 @@ def test_run_rules_match_the_frame_loop(seed):
         assert [(w.start_time, w.end_time) for w in got] == [
             (w.start_time, w.end_time) for w in want]
         assert all(g.stream == w.stream for g, w in zip(got, want))
+        windows += len(got)
+    assert windows > 250
+
+
+def _hand_centers_windows(stream, cfg):
+    """Reference: detect_gesture_window as it read the chest line from
+    hand_centers, verbatim but for its debug log."""
+    raised = np.append(hand_centers(stream.coords)[0][:, 1] <= cfg.chest_line, False)
+    edges = [0, *(np.flatnonzero(raised[1:] != raised[:-1]) + 1).tolist(), len(raised)]
+    times = stream.timestamps.tolist()
+    windows, start = [], None
+    for first, stop in zip(edges, edges[1:]):
+        if raised[first]:
+            if start is None and stop - first >= cfg.trigger_frames:
+                start = first
+        elif start is not None and (
+                stop > len(times) or times[stop - 1] - times[first] >= cfg.end_hold):
+            if times[first - 1] > times[start]:  # first - 1 is the last raised frame
+                windows.append(GestureWindow(times[start], times[first - 1], stream[start:first]))
+            start = None
+    return windows
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_windows_match_the_hand_centers_chest_line(seed):
+    """On the 2,000 streams of the run-rule test, each also copied into
+    Fortran order and into every other row of a larger array, the windows
+    equal those of the chest line read from hand_centers."""
+    local = random.Random(seed)
+    windows = 0
+    for _ in range(500):
+        stream, cfg = _random_segmentation_case(local)
+        for coords in (stream.coords, np.asfortranarray(stream.coords),
+                       np.repeat(stream.coords, 2, axis=0)[::2]):
+            copy = LandmarkStream(coords, stream.timestamps, stream.depth_flags)
+            got, want = detect_gesture_window(copy, cfg), _hand_centers_windows(copy, cfg)
+            assert [(w.start_time, w.end_time, w.stream) for w in got] == [
+                (w.start_time, w.end_time, w.stream) for w in want]
         windows += len(got)
     assert windows > 250
 
@@ -511,6 +552,107 @@ def test_serialize_matches_per_cell_formatting(rng):
         assert serialize_matrix(m) == per_cell_matrix_text(m)
 
 
+_STATE_CELLS = {-1: "-1", 0: " 0", 1: " 1"}
+_CHANNEL2_LABELS = ("center_x", "center_y_up", "center_z")
+
+
+def _cell_by_cell_serialize_matrix(m):
+    """Reference: serialize_matrix as it rendered cell by cell, verbatim."""
+    lines = [
+        "gesture-state-matrix v1",
+        f"T={m.T} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
+    ]
+    label_w = max(len(s) for s in POSE_ROW_LABELS + _CHANNEL2_LABELS)
+    state_cell = _STATE_CELLS.get
+    for label, row in zip(POSE_ROW_LABELS, m.channel1.tolist()):
+        cells = " ".join([state_cell(v) or f"{int(v):>2d}" for v in row])
+        lines.append(f"{label:<{label_w}} {cells}")
+    for label, row in zip(_CHANNEL2_LABELS, m.channel2.tolist()):
+        cells = " ".join([f"{v:.3f}" for v in row])
+        lines.append(f"{label:<{label_w}} {cells}")
+    return "\n".join(lines) + "\n"
+
+
+def _cell_by_cell_serialize_movement(m, start, end):
+    """Reference: serialize_movement as it rendered cell by cell, verbatim."""
+    if not (0 <= start <= end < m.T):
+        raise MalformedInput(f"bad movement span [{start}, {end}] for T={m.T}")
+    lines = [
+        f"span={start}..{end} interval={m.sample_interval:.3f} hand_width={m.hand_width:.3f}",
+    ]
+    for label, row in zip(_CHANNEL2_LABELS, m.channel2[:, start : end + 1].tolist()):
+        cells = " ".join([f"{v:.3f}" for v in row])
+        lines.append(f"{label} {cells}")
+    return "\n".join(lines) + "\n"
+
+
+def _random_rendering_matrix(gen, t_count):
+    """A matrix of t_count columns as a caller may hand it over: states in
+    any integer dtype or layout, hand-built cells (integers outside
+    {-1, 0, 1}, floats, -0.0), and 2 or 3 channel-2 rows of reals near
+    the 3-decimal rounding points, signed zeros and large values."""
+    kind = gen.choice(["states", "states", "int8", "view", "fortran", "integers", "floats"])
+    states = gen.integers(-1, 2, (19, t_count))
+    if kind == "int8":
+        channel1 = states.astype(np.int8)
+    elif kind == "view":
+        channel1 = np.concatenate([states, states], axis=1)[:, t_count // 2 : t_count // 2 + t_count]
+    elif kind == "fortran":
+        channel1 = np.asfortranarray(states)
+    elif kind == "integers":
+        channel1 = states * gen.choice([1, 2, 3, 10, 100], (19, t_count))
+    elif kind == "floats":
+        channel1 = gen.choice([-1.0, 0.0, 1.0, -0.0, 0.5, -0.5, 1.5, 2.0, -10.0], (19, t_count))
+    else:
+        channel1 = states
+    rows = int(gen.choice([2, 3]))
+    channel2 = gen.uniform(-0.5, 1.5, (rows, t_count))
+    special = gen.random((rows, t_count)) < 0.3
+    channel2[special] = gen.choice(
+        [0.0005, 0.0015, -0.0005, -0.0001, 0.0, -0.0, 1.2345, 0.0625, 1e6, -1e-9, 1.5, -0.5],
+        special.sum())
+    return GestureStateMatrix(channel1, channel2, hand_width=float(gen.uniform(0.0, 0.5)))
+
+
+def test_rendering_matches_the_cell_by_cell_text():
+    """2,000 matrices, T from 1 to 600: 400 built from random windows and
+    1,600 handed over as GestureStateMatrix, render as the cell-by-cell
+    serializers did; so does every movement span of those with T <= 8."""
+    gen = np.random.default_rng(20241019)
+    built = []
+    while len(built) < 400:
+        sample_lists = [_random_window(gen, 2.0 * j) for j in range(8)]
+        sample_lists.append([make_frame(np.array(FLAT_HAND_POINTS) + gen.normal(0, 0.02, (21, 3)),
+                                        t=0.2 * k) for k in range(int(gen.integers(9, 120)))])
+        built += [m for m in build_state_matrices(sample_lists, TH)
+                  if not isinstance(m, MalformedInput)]
+    matrices = built[:400] + [
+        _random_rendering_matrix(gen, int(gen.choice([gen.integers(1, 21), gen.integers(21, 601)],
+                                                     p=[0.7, 0.3])))
+        for _ in range(1600)]
+    assert max(m.T for m in matrices) > 500 and min(m.T for m in matrices) == 1
+    spans = 0
+    for m in matrices:
+        assert serialize_matrix(m) == _cell_by_cell_serialize_matrix(m)
+        pairs = ([(a, b) for b in range(m.T) for a in range(b + 1)] if m.T <= 8
+                 else [tuple(sorted(gen.integers(0, m.T, 2).tolist())), (0, m.T - 1)])
+        for a, b in pairs:
+            assert serialize_movement(m, a, b) == _cell_by_cell_serialize_movement(m, a, b)
+        spans += len(pairs)
+    assert spans > 10_000
+
+
+def _serialize_calls(t_count):
+    m = GestureStateMatrix(np.zeros((19, t_count), dtype=int), np.full((3, t_count), 0.25), 0.1)
+    return python_calls(lambda: (serialize_matrix(m), serialize_movement(m, 0, t_count - 1)))[0]
+
+
+def test_rendering_python_work_does_not_grow_with_columns():
+    """Rendering costs Python calls per row, not per cell: ten times the
+    columns make the same calls, counted by cProfile."""
+    assert _serialize_calls(500) / _serialize_calls(50) <= 1.1
+
+
 def test_serialize_is_deterministic(flat_hand):
     m = build_state_matrix([flat_hand], TH)
     assert serialize_matrix(m) == serialize_matrix(m)
@@ -799,3 +941,46 @@ def test_encode_streams_logs_as_the_window_by_window_encode(caplog):
     assert isinstance(results[1], MalformedInput) and results[3] == []
     with pytest.raises(MalformedInput, match="hand_width must be positive"):
         encode_stream(streams[0], TH, CFG)
+
+
+def _window_frames(kind, t0):
+    """Sampled frames of a 1 s window: plain, with a zero-length index bone
+    (a warning), pinched to hand width 0 (failing on hand_width) or with
+    depths near the float maximum (a warning, and failing on channel2)."""
+    frames = []
+    for k in range(6):
+        points = np.array(hand_at(0.4))
+        if kind == "degenerate":
+            points[6] = points[5]
+        elif kind == "pinched":
+            points[17] = points[5]
+        elif kind == "deep":
+            points[:, 2] = 1e308
+        frames.append(make_frame(points, t=round(t0 + 0.2 * k, 6)))
+    return frames
+
+
+@pytest.mark.parametrize("failing", ["pinched", "deep"])
+@pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+def test_batch_check_keeps_each_failing_lists_error_and_warnings(caplog, failing, position):
+    """A failing list first, in the middle or last, beside lists that warn:
+    in one group (as one stream's windows), in a group each (as separate
+    streams or build_state_matrices) and in mixed groups, each group gets
+    what building its lists alone gave, up to its first failing list, and
+    logs the same records."""
+    caplog.set_level(logging.WARNING, logger="gesturelink.encoder")
+    kinds = ["degenerate", "plain", "degenerate", "plain", "degenerate"]
+    kinds[position] = failing
+    lists = [_window_frames(kind, 2.0 * j) for j, kind in enumerate(kinds)]
+    for sizes in ([5], [1] * 5, [2, 1, 2]):
+        groups = [lists[a:b] for a, b in itertools.pairwise(itertools.accumulate(sizes, initial=0))]
+        expected, records = [], []
+        for group in groups:
+            outcomes, group_records = _reference_outcomes(group, caplog, stop_early=True)
+            expected.append(outcomes[-1] if isinstance(outcomes[-1], str) else outcomes)
+            records += group_records
+        caplog.clear()
+        results = _build_groups(groups, TH)
+        assert _records(caplog) == records
+        assert [str(r) if isinstance(r, MalformedInput) else r for r in results] == expected
+        assert sum(isinstance(r, MalformedInput) for r in results) == 1

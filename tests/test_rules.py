@@ -26,12 +26,14 @@ from gesturelink.rules import (
     RuleThresholds,
     ThreeWay,
     ThumbDirection,
+    center_heights,
     contact,
     contact_distances,
     encode_pose_vector,
     finger_curl_deg,
     flexion,
     hand_center,
+    hand_centers,
     palm_orientation,
     palm_orientation_measurement,
     pose_readings,
@@ -345,6 +347,47 @@ def test_hand_center_matches_brute_force(rng):
 def test_hand_width_is_mcp_span(flat_hand):
     c = hand_center(flat_hand)
     assert c.hand_width == pytest.approx(math.hypot(0.66 - 0.42, 0.74 - 0.72))
+
+
+def _coordinate_layout(base, layout):
+    """base, an (N, 21, 3) array, copied into the given memory layout."""
+    if layout == "C":
+        return base.copy()
+    if layout == "F":
+        return np.asfortranarray(base)
+    if layout == "every other frame":
+        return np.repeat(base, 2, axis=0)[::2]
+    if layout == "frames reversed":
+        return np.ascontiguousarray(base[::-1])[::-1]
+    if layout == "landmarks innermost":  # (N, 3, 21) in memory
+        return np.ascontiguousarray(base.transpose(0, 2, 1)).transpose(0, 2, 1)
+    if layout == "frames innermost":  # (21, 3, N) in memory
+        return np.ascontiguousarray(base.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert layout == "landmarks reversed"
+    return np.ascontiguousarray(base[:, ::-1])[:, ::-1]
+
+
+def test_center_heights_equal_hand_centers_heights_bit_for_bit():
+    """2,100 coordinate arrays of 1 to 5,000 frames, in seven memory
+    layouts, with heights at the -0.5 and 1.5 edges, signed zeros and
+    2D frames (z = 0): the mean landmark heights equal hand_centers' y."""
+    gen = np.random.default_rng(20241019)
+    layouts = ("C", "F", "every other frame", "frames reversed", "landmarks innermost",
+               "frames innermost", "landmarks reversed")
+    sizes = [1, 2, 3, 7, 8, 9, 20, 21, 22, 64, 500, 5000]
+    for case in range(2100):
+        n = sizes[case % len(sizes)] if case < 600 else int(gen.integers(1, 200))
+        base = np.concatenate([gen.uniform(-0.5, 1.5, (n, 21, 2)),
+                               gen.uniform(-0.3, 0.3, (n, 21, 1))], axis=2)
+        edges = gen.random((n, 21, 2)) < gen.choice([0.0, 0.3, 1.0])
+        base[:, :, :2][edges] = gen.choice([-0.5, 1.5, 0.0, -0.0], edges.sum())
+        if case % 5 == 0:
+            base[:, :, 2] = 0.0
+        if case % 11 == 0:
+            base[gen.random(n) < 0.5, :, 1] = -0.0
+        coords = _coordinate_layout(base, layouts[case % len(layouts)])
+        assert np.array_equal(coords, base)
+        assert center_heights(coords).tobytes() == hand_centers(coords)[0][:, 1].tobytes()
 
 
 # --- pose vector -----------------------------------------------------------------
