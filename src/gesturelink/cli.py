@@ -28,6 +28,7 @@ from .encoder import (
 )
 from .errors import GestureLinkError, MalformedInput, TransportError, read_input
 from .evaluation import (
+    METRIC_NAMES,
     ContextSetting,
     PipelineHandles,
     load_manifest,
@@ -304,21 +305,12 @@ def cmd_ground(args) -> int:
         print(f"transport failure: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
     _write_atomic(out_dir / "transcript.jsonl", transcript.to_jsonl())
+    doc = ({"result": "negative"} if conclusion is None
+           else {"result": "conclusion", "ranked_functions": list(conclusion.ranked_functions)})
+    _write_atomic(out_dir / "conclusion.json", json.dumps(doc, indent=2) + "\n")
     if conclusion is None:
-        _write_atomic(
-            out_dir / "conclusion.json",
-            json.dumps({"result": "negative"}, indent=2) + "\n",
-        )
         print("negative: no usable conclusion")
         return EXIT_NEGATIVE
-    _write_atomic(
-        out_dir / "conclusion.json",
-        json.dumps(
-            {"result": "conclusion", "ranked_functions": list(conclusion.ranked_functions)},
-            indent=2,
-        )
-        + "\n",
-    )
     print("conclusion:", " > ".join(conclusion.ranked_functions))
     return EXIT_OK
 
@@ -347,12 +339,8 @@ def cmd_eval(args) -> int:
     )
     runs = run_protocol(tasks, settings, repetitions=args.repetitions, handles=handles, jobs=args.jobs)
     for run in runs:
-        m = run.metrics
-        print(
-            f"{run.setting.value}: top1={m.top1.mean:.2%} top3={m.top3.mean:.2%} "
-            f"top5={m.top5.mean:.2%} negative={m.negative.mean:.2%} "
-            f"(completed {run.completed}, failures {run.failures})"
-        )
+        means = " ".join(f"{name}={getattr(run.metrics, name).mean:.2%}" for name in METRIC_NAMES)
+        print(f"{run.setting.value}: {means} (completed {run.completed}, failures {run.failures})")
     doc = report(runs, baseline=random_guess_baseline(tasks))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
@@ -87,11 +86,11 @@ class Metrics:
     negative: MetricValue
 
     def __post_init__(self):
-        means = (self.top1.mean, self.top3.mean, self.top5.mean)
-        if not (0 <= means[0] <= means[1] <= means[2] <= 1):
-            raise MalformedInput(f"top-k means must be nested fractions: {means}")
-        if abs(self.negative.mean - (1 - self.top5.mean)) > 1e-9:
-            raise MalformedInput("negative must equal 1 - top5")
+        *means, negative = (getattr(self, name).mean for name in METRIC_NAMES)
+        if not all(a <= b for a, b in zip((0, *means), (*means, 1))):
+            raise MalformedInput(f"top-k means must be nested fractions: {tuple(means)}")
+        if abs(negative - (1 - means[-1])) > 1e-9:
+            raise MalformedInput(f"negative must equal 1 - top{TOP_K[-1]}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +99,12 @@ class SessionCost:
     input_tokens: int
     output_tokens: int
     latency: float
+
+
+# The metrics are the Top-k fractions, then Negative = 1 - the widest Top-k.
+TOP_K = (1, 3, 5)
+METRIC_NAMES = tuple(f.name for f in fields(Metrics))
+COST_FIELDS = tuple(f.name for f in fields(SessionCost))
 
 
 @dataclass
@@ -154,33 +159,22 @@ def run_task(
     conclusion, transcript = ground_matrix(
         matrices[0], lib, handles.prompts, backend, handles.session
     )
-    cost = SessionCost(
-        rounds=transcript.rounds,
-        input_tokens=transcript.total_input_tokens,
-        output_tokens=transcript.total_output_tokens,
-        latency=transcript.total_latency,
-    )
+    cost = SessionCost(transcript.rounds, transcript.total_input_tokens,
+                       transcript.total_output_tokens, transcript.total_latency)
     return topk_rank(conclusion, task.truth_id), cost
 
 
-def _ranks_to_fractions(ranks: Sequence[int | None]) -> tuple[float, float, float]:
-    n = len(ranks)
-    top1 = sum(1 for r in ranks if r is not None and r <= 1) / n
-    top3 = sum(1 for r in ranks if r is not None and r <= 3) / n
-    top5 = sum(1 for r in ranks if r is not None and r <= 5) / n
-    return top1, top3, top5
-
-
-def _aggregate(per_rep: Sequence[tuple[float, float, float]]) -> Metrics:
-    arr = np.array(per_rep, dtype=float)  # shape (reps, 3)
-    means = arr.mean(axis=0)
-    stds = arr.std(axis=0)  # population std across repetitions
-    neg_vals = 1.0 - arr[:, 2]
+def _score(rep_ranks: Sequence[Sequence[int | None]]) -> Metrics:
+    """One setting's metrics from each repetition's ranks: each Top-k
+    fraction's and Negative's mean and population std across repetitions."""
+    fractions = np.array([
+        [sum(1 for r in ranks if r is not None and r <= k) / len(ranks) for k in TOP_K]
+        for ranks in rep_ranks
+    ], dtype=float)  # shape (repetitions, len(TOP_K))
+    negative = 1.0 - fractions[:, -1]
     return Metrics(
-        top1=MetricValue(float(means[0]), float(stds[0])),
-        top3=MetricValue(float(means[1]), float(stds[1])),
-        top5=MetricValue(float(means[2]), float(stds[2])),
-        negative=MetricValue(float(neg_vals.mean()), float(neg_vals.std())),
+        *map(MetricValue, fractions.mean(axis=0).tolist(), fractions.std(axis=0).tolist()),
+        MetricValue(float(negative.mean()), float(negative.std())),
     )
 
 
@@ -252,24 +246,22 @@ def run_protocol(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = iter(list(pool.map(attempt, task_runs)))
+            outcomes = list(pool.map(attempt, task_runs))
     else:
-        outcomes = map(attempt, task_runs)
+        outcomes = list(map(attempt, task_runs))
 
+    n, per_setting = len(tasks), repetitions * len(tasks)
     runs = []
-    for setting in settings:
-        per_rep = []
-        costs: list[SessionCost] = []
-        for _ in range(repetitions):
-            done = list(itertools.islice(outcomes, len(tasks)))
-            per_rep.append(_ranks_to_fractions([rank for rank, _ in done]))
-            costs += [cost for _, cost in done if cost is not None]
+    for start, setting in zip(range(0, len(outcomes), per_setting), settings):
+        done = outcomes[start:start + per_setting]
+        ranks = [rank for rank, _ in done]
+        costs = [cost for _, cost in done if cost is not None]
         runs.append(SettingRun(
             setting=setting,
-            metrics=_aggregate(per_rep),
+            metrics=_score([ranks[i:i + n] for i in range(0, per_setting, n)]),
             costs=costs,
             completed=len(costs),
-            failures=repetitions * len(tasks) - len(costs),
+            failures=per_setting - len(costs),
         ))
     return runs
 
@@ -294,16 +286,8 @@ def random_guess_baseline(tasks: Sequence) -> Metrics:
     if not counts or any(n < 1 for n in counts):
         raise MalformedInput("every task needs at least one function")
 
-    def expected(k: int) -> float:
-        return float(np.mean([min(k, n) / n for n in counts]))
-
-    top5 = expected(5)
-    return Metrics(
-        top1=MetricValue(expected(1)),
-        top3=MetricValue(expected(3)),
-        top5=MetricValue(top5),
-        negative=MetricValue(1.0 - top5),
-    )
+    topk = [float(np.mean([min(k, n) / n for n in counts])) for k in TOP_K]
+    return Metrics(*map(MetricValue, topk), MetricValue(1.0 - topk[-1]))
 
 
 @dataclass(frozen=True)
@@ -312,45 +296,33 @@ class ReportDocument:
     csv_text: str
 
 
+_STATS = ("mean", "std")
+_COST_KEYS = tuple(f"mean_{name}" for name in COST_FIELDS)
 _CSV_COLUMNS = (
-    "setting",
-    "top1_mean", "top1_std", "top3_mean", "top3_std",
-    "top5_mean", "top5_std", "negative_mean", "negative_std",
-    "mean_rounds", "mean_input_tokens", "mean_output_tokens", "mean_latency",
+    "setting", *(f"{name}_{stat}" for name in METRIC_NAMES for stat in _STATS), *_COST_KEYS,
 )
 
 
 def _cost_summary(costs: Sequence[SessionCost]) -> dict:
-    if not costs:
-        return {
-            "mean_rounds": None,
-            "mean_input_tokens": None,
-            "mean_output_tokens": None,
-            "mean_latency": None,
-        }
     return {
-        "mean_rounds": float(np.mean([c.rounds for c in costs])),
-        "mean_input_tokens": float(np.mean([c.input_tokens for c in costs])),
-        "mean_output_tokens": float(np.mean([c.output_tokens for c in costs])),
-        "mean_latency": float(np.mean([c.latency for c in costs])),
+        key: float(np.mean([getattr(c, name) for c in costs])) if costs else None
+        for key, name in zip(_COST_KEYS, COST_FIELDS)
     }
 
 
 def _metrics_doc(m: Metrics) -> dict:
     return {
-        name: {"mean": round(getattr(m, name).mean, 6), "std": round(getattr(m, name).std, 6)}
-        for name in ("top1", "top3", "top5", "negative")
+        name: {stat: round(getattr(getattr(m, name), stat), 6) for stat in _STATS}
+        for name in METRIC_NAMES
     }
 
 
-def _csv_row(setting: str, metrics: Metrics, cost: dict) -> dict:
-    row = {"setting": setting}
-    for name in ("top1", "top3", "top5", "negative"):
-        row[f"{name}_mean"] = f"{getattr(metrics, name).mean:.4f}"
-        row[f"{name}_std"] = f"{getattr(metrics, name).std:.4f}"
-    for col, value in cost.items():
-        row[col] = "unavailable" if value is None else f"{value:.4f}"
-    return row
+def _csv_row(setting: str, metrics: Metrics, cost: dict) -> list[str]:
+    return [
+        setting,
+        *(f"{getattr(getattr(metrics, name), stat):.4f}" for name in METRIC_NAMES for stat in _STATS),
+        *("unavailable" if value is None else f"{value:.4f}" for value in cost.values()),
+    ]
 
 
 def report(
@@ -375,9 +347,7 @@ def report(
 
     json_text = json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([_CSV_COLUMNS, *rows])
     return ReportDocument(json_text=json_text, csv_text=buf.getvalue())
 
 

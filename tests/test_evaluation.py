@@ -3,6 +3,7 @@ import json
 import pstats
 import random
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -24,6 +25,9 @@ from gesturelink.agents import Conclusion
 from gesturelink.encoder import encode_stream
 from gesturelink.errors import MalformedInput
 from gesturelink.evaluation import (
+    COST_FIELDS,
+    METRIC_NAMES,
+    TOP_K,
     ContextSetting,
     Metrics,
     MetricValue,
@@ -31,6 +35,7 @@ from gesturelink.evaluation import (
     SessionCost,
     SettingRun,
     TaskRecord,
+    _score,
     build_task_library,
     load_manifest,
     random_guess_baseline,
@@ -116,6 +121,76 @@ def test_metrics_reject_inconsistent_negative():
             top1=MetricValue(0.1), top3=MetricValue(0.2),
             top5=MetricValue(0.5), negative=MetricValue(0.1),
         )
+
+
+def test_metric_and_cost_tables_follow_the_dataclasses():
+    assert METRIC_NAMES == (*(f"top{k}" for k in TOP_K), "negative")
+    assert COST_FIELDS == ("rounds", "input_tokens", "output_tokens", "latency")
+
+
+# --- scoring against the per-repetition reference ----------------------------------
+# Verbatim copies of the scoring that kept one function per rank. The Top-k
+# means and stds are reductions over the (repetitions, 3) block and Negative
+# is a 1-D reduction; a 1-D reduction of a Top-k column sums pairwise and,
+# past 8 repetitions, can round differently, so these pin numpy's order.
+
+def _reference_ranks_to_fractions(ranks):
+    n = len(ranks)
+    top1 = sum(1 for r in ranks if r is not None and r <= 1) / n
+    top3 = sum(1 for r in ranks if r is not None and r <= 3) / n
+    top5 = sum(1 for r in ranks if r is not None and r <= 5) / n
+    return top1, top3, top5
+
+
+def _reference_aggregate(per_rep):
+    arr = np.array(per_rep, dtype=float)  # shape (reps, 3)
+    means = arr.mean(axis=0)
+    stds = arr.std(axis=0)  # population std across repetitions
+    neg_vals = 1.0 - arr[:, 2]
+    return Metrics(
+        top1=MetricValue(float(means[0]), float(stds[0])),
+        top3=MetricValue(float(means[1]), float(stds[1])),
+        top5=MetricValue(float(means[2]), float(stds[2])),
+        negative=MetricValue(float(neg_vals.mean()), float(neg_vals.std())),
+    )
+
+
+def _reference_random_guess_baseline(counts):
+    def expected(k: int) -> float:
+        return float(np.mean([min(k, n) / n for n in counts]))
+
+    top5 = expected(5)
+    return Metrics(
+        top1=MetricValue(expected(1)),
+        top3=MetricValue(expected(3)),
+        top5=MetricValue(top5),
+        negative=MetricValue(1.0 - top5),
+    )
+
+
+def _assert_metrics_equal(got, expected):
+    for name in ("top1", "top3", "top5", "negative"):
+        assert getattr(got, name) == getattr(expected, name), name
+
+
+def test_score_matches_per_repetition_reference_bit_for_bit():
+    rng = random.Random(25)
+    for _ in range(10_000):
+        repetitions, n_tasks = rng.randint(1, 25), rng.randint(1, 40)
+        p_negative = rng.random()
+        rep_ranks = [
+            [None if rng.random() < p_negative else rng.randint(1, 10) for _ in range(n_tasks)]
+            for _ in range(repetitions)
+        ]
+        expected = _reference_aggregate([_reference_ranks_to_fractions(r) for r in rep_ranks])
+        _assert_metrics_equal(_score(rep_ranks), expected)
+
+
+def test_random_guess_matches_reference_bit_for_bit():
+    rng = random.Random(25)
+    for _ in range(10_000):
+        counts = [rng.randint(1, 100) for _ in range(rng.randint(1, 40))]
+        _assert_metrics_equal(random_guess_baseline(counts), _reference_random_guess_baseline(counts))
 
 
 # --- random guess baseline --------------------------------------------------------
@@ -458,6 +533,59 @@ baseline,0.5000,0.0000,0.5000,0.0000,1.0000,0.0000,0.0000,0.0000,3.0000,150.0000
 """
 
 
+GOLDEN_JSON = """{
+  "random_guess": {
+    "negative": {
+      "mean": 0.722222,
+      "std": 0.0
+    },
+    "top1": {
+      "mean": 0.055556,
+      "std": 0.0
+    },
+    "top3": {
+      "mean": 0.166667,
+      "std": 0.0
+    },
+    "top5": {
+      "mean": 0.277778,
+      "std": 0.0
+    }
+  },
+  "settings": {
+    "baseline": {
+      "completed": 2,
+      "cost": {
+        "mean_input_tokens": 150.0,
+        "mean_latency": 0.0,
+        "mean_output_tokens": 30.0,
+        "mean_rounds": 3.0
+      },
+      "failures": 0,
+      "metrics": {
+        "negative": {
+          "mean": 0.0,
+          "std": 0.0
+        },
+        "top1": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top3": {
+          "mean": 0.5,
+          "std": 0.0
+        },
+        "top5": {
+          "mean": 1.0,
+          "std": 0.0
+        }
+      }
+    }
+  }
+}
+"""
+
+
 def _fixture_run():
     metrics = Metrics(
         top1=MetricValue(0.5, 0.0), top3=MetricValue(0.5, 0.0),
@@ -477,6 +605,11 @@ def test_report_matches_golden_csv():
     parsed = json.loads(doc.json_text)
     assert parsed["settings"]["baseline"]["cost"]["mean_rounds"] == 3.0
     assert parsed["random_guess"]["top1"]["mean"] == pytest.approx(0.055556)
+
+
+def test_report_matches_golden_json():
+    doc = report([_fixture_run()], baseline=random_guess_baseline([18, 18]))
+    assert doc.json_text == GOLDEN_JSON
 
 
 def test_report_marks_missing_costs_unavailable():
