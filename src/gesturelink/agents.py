@@ -39,7 +39,7 @@ _DECODER = json.JSONDecoder()  # for model replies, not input files: failures ar
 # A "{" where a JSON object can start: JSON whitespace, then a key's
 # opening quote or the closing brace. Decoding fails at any other "{".
 _OBJECT_START_RE = re.compile(r'\{[ \t\n\r]*["}]')
-_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+_JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
 
 _REPAIR_REMINDER = (
     "Your previous reply could not be parsed. Respond again with exactly one "

@@ -26,7 +26,7 @@ from .encoder import (
     matrix_to_json,
     serialize_matrix,
 )
-from .errors import GestureLinkError, MalformedInput, TransportError, read_input
+from .errors import GestureLinkError, MalformedInput, TransportError, parse_finite_json, read_input
 from .evaluation import (
     METRIC_NAMES,
     ContextSetting,
@@ -46,11 +46,10 @@ from .landmarks import (
 )
 from .prompts import load_prompt_set
 from .rules import RuleThresholds
-from .transport import RetryPolicy, load_backend
+from .transport import load_backend
 from .tuning import (
     TUNABLE_RULES,
     GridSpec,
-    LossWeights,
     MeasuredSample,
     assess,
     assessment_rates,
@@ -252,13 +251,12 @@ def cmd_tune(args) -> int:
         return EXIT_INPUT
     grid_doc = _load_grid_doc(args.grid)  # every entry is checked, labelled or not
     grids = {r: _grid_from_file(grid_doc, r, args.grid) for r in sorted({*grid_doc, *per_rule})}
-    weights = LossWeights()
     report_doc: dict = {}
     tuned: dict = {}
     for rule_id, samples in sorted(per_rule.items()):
         rule = TUNABLE_RULES[rule_id]
         grid = grids[rule_id]
-        cell, loss = grid_search(samples, grid, weights)
+        cell, loss = grid_search(samples, grid)
         preds = predictions_for_cell(samples, grid.paired, cell, unsure=rule.space.unsure)
         rates = assessment_rates(
             [assess(p, s.label, rule.space) for p, s in zip(preds, samples)]
@@ -273,7 +271,8 @@ def cmd_tune(args) -> int:
     # Validates the optima, so nothing encode would reject gets written.
     thresholds = RuleThresholds(**tuned)
     _write_atomic(Path(args.out), thresholds.to_json())
-    _write_atomic(Path(args.report), json.dumps(report_doc, indent=2, sort_keys=True) + "\n")
+    _write_atomic(Path(args.report),
+                  json.dumps(report_doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
     for rule_id, entry in sorted(report_doc.items()):
         r = entry["rates"]
         print(
@@ -292,7 +291,7 @@ def cmd_ground(args) -> int:
         print("context library has no function_list context", file=sys.stderr)
         return EXIT_INPUT
     prompts = load_prompt_set(args.prompts)
-    backend = load_backend(args.backend, RetryPolicy(seed=args.seed))
+    backend = load_backend(args.backend, args.seed)
     cfg = SessionConfig(max_rounds=args.max_rounds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -307,7 +306,7 @@ def cmd_ground(args) -> int:
     _write_atomic(out_dir / "transcript.jsonl", transcript.to_jsonl())
     doc = ({"result": "negative"} if conclusion is None
            else {"result": "conclusion", "ranked_functions": list(conclusion.ranked_functions)})
-    _write_atomic(out_dir / "conclusion.json", json.dumps(doc, indent=2) + "\n")
+    _write_atomic(out_dir / "conclusion.json", json.dumps(doc, indent=2, allow_nan=False) + "\n")
     if conclusion is None:
         print("negative: no usable conclusion")
         return EXIT_NEGATIVE
@@ -330,10 +329,9 @@ def cmd_eval(args) -> int:
     except ValueError as exc:
         names = ", ".join(s.value for s in ContextSetting)
         raise MalformedInput(f"--settings: {exc}; choose from {names}") from exc
-    policy = RetryPolicy(seed=args.seed)
     handles = PipelineHandles(
         prompts=prompts,
-        backend_factory=lambda task: load_backend(args.backend, policy),
+        backend_factory=lambda task: load_backend(args.backend, args.seed),
         thresholds=th,
         session=SessionConfig(max_rounds=args.max_rounds),
     )
@@ -357,7 +355,7 @@ def cmd_eval(args) -> int:
 def cmd_context_add(args) -> int:
     path = Path(args.library)
     lib = read_input(path, ContextLibrary.from_json) if path.exists() else ContextLibrary([])
-    values = read_input(args.values) if args.values else None
+    values = read_input(args.values, parse_finite_json) if args.values else None
     description = (
         _read_text(args.description_file) if args.description_file else args.description
     )
@@ -375,7 +373,7 @@ def cmd_context_add(args) -> int:
 def cmd_context_show(args) -> int:
     lib = read_input(args.library, ContextLibrary.from_json)
     if args.name:
-        print(json.dumps(lib.get(args.name).values, ensure_ascii=False, indent=2))
+        print(json.dumps(lib.get(args.name).values, ensure_ascii=False, indent=2, allow_nan=False))
     else:
         print(render_library_prompt(lib), end="")
     return EXIT_OK

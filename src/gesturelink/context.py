@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CalculatorFailure, MalformedInput, parse_json
+from .errors import CalculatorFailure, MalformedInput, parse_finite_json
 
 logger = logging.getLogger(__name__)
 
@@ -135,11 +135,11 @@ class ContextLibrary:
                 for c in self._entries.values()
             ]
         }
-        return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+        return json.dumps(doc, ensure_ascii=False, indent=2, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "ContextLibrary":
-        doc = parse_json(text)
+        doc = parse_finite_json(text)
         try:
             contexts = [
                 ContextType(
@@ -422,7 +422,7 @@ def _gaze_candidates(functions, locations, point) -> Sequence[FunctionEntry]:
 
 def _gaze_trace(lib: ContextLibrary, args: dict) -> str:
     """Raw recent gaze samples as compact JSON."""
-    return json.dumps(_recent_gaze(lib, args), ensure_ascii=False)
+    return json.dumps(_recent_gaze(lib, args), ensure_ascii=False, allow_nan=False)
 
 
 def _mean(values: Sequence[float]) -> float:

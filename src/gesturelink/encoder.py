@@ -265,16 +265,8 @@ def _build_groups(groups: list[list[list[HandLandmarkFrame]]], th: RuleThreshold
     return results
 
 
-def build_state_matrices(sample_lists: list[list[HandLandmarkFrame]],
-                         th: RuleThresholds) -> list[GestureStateMatrix | MalformedInput]:
-    """Each list's matrix, or the MalformedInput that rejects it, from one
-    batched reading of all the lists' samples; warnings in list order."""
-    built = _build_groups([[frames] for frames in sample_lists], th)
-    return [m if isinstance(m, MalformedInput) else m[0] for m in built]
-
-
 def build_state_matrix(samples: list[HandLandmarkFrame], th: RuleThresholds) -> GestureStateMatrix:
-    """The matrix of one list of sampled frames (see build_state_matrices)."""
+    """The matrix of one list of sampled frames (see _build_groups)."""
     (m,) = _build_groups([[samples]], th)
     if isinstance(m, MalformedInput):
         raise m
@@ -332,7 +324,7 @@ def matrix_to_json(m: GestureStateMatrix) -> str:
         "T": m.T,
         "interval": m.sample_interval,
     }
-    return json.dumps(doc, ensure_ascii=False) + "\n"
+    return json.dumps(doc, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def matrix_from_json(text: str | bytes) -> GestureStateMatrix:

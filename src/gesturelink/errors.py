@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the pipeline, and the one reader of
 input JSON: parse_json turns every decode failure of an input document
-into MalformedInput, and read_input reads an input file and names it in
-the error. Model replies are not input files and keep their own decoding.
+into MalformedInput (parse_finite_json a NaN or infinite number too),
+and read_input reads an input file and names it in the error. Model
+replies are not input files and keep their own decoding.
 
 The CLI maps these onto exit codes: transport failures exit 4, every
 other error exits 2 (bad input), and a session that ends without a
@@ -23,6 +24,7 @@ some `except` or retry decision tells apart from its parent:
 """
 
 import json
+import math
 from pathlib import Path
 
 
@@ -83,6 +85,22 @@ def parse_json(text: str | bytes, **json_kwargs):
         return json.loads(text, **json_kwargs)
     except (ValueError, RecursionError) as exc:  # also too many digits, too deep
         raise MalformedInput(f"not valid JSON: {exc}") from exc
+
+
+def _finite(text: str) -> float:
+    """A JSON number, or a NaN/Infinity constant, as a float; ValueError
+    unless finite (1e999 overflows to infinity)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def parse_finite_json(text: str | bytes):
+    """parse_json for a document that is written back out as JSON, which
+    holds no NaN or Infinity: such a value, or a number too large for a
+    float, is MalformedInput too."""
+    return parse_json(text, parse_float=_finite, parse_constant=_finite)
 
 
 def read_input(path: str | Path, parse=parse_json):

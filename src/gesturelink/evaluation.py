@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -86,7 +87,10 @@ class Metrics:
     negative: MetricValue
 
     def __post_init__(self):
-        *means, negative = (getattr(self, name).mean for name in METRIC_NAMES)
+        values = [getattr(self, name) for name in METRIC_NAMES]
+        if not all(math.isfinite(v.mean) and math.isfinite(v.std) for v in values):
+            raise MalformedInput(f"metric means and stds must be finite: {values}")
+        *means, negative = (v.mean for v in values)
         if not all(a <= b for a, b in zip((0, *means), (*means, 1))):
             raise MalformedInput(f"top-k means must be nested fractions: {tuple(means)}")
         if abs(negative - (1 - means[-1])) > 1e-9:
@@ -345,7 +349,8 @@ def report(
         }
         rows.append(_csv_row(run.setting.value, run.metrics, cost))
 
-    json_text = json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    json_text = json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True,
+                           allow_nan=False) + "\n"
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows([_CSV_COLUMNS, *rows])
     return ReportDocument(json_text=json_text, csv_text=buf.getvalue())

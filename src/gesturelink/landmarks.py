@@ -281,4 +281,4 @@ def serialize_landmark_stream(stream: LandmarkStream) -> bytes:
             )
         ],
     }
-    return json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    return json.dumps(doc, ensure_ascii=False, allow_nan=False).encode("utf-8")

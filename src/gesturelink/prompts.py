@@ -47,9 +47,6 @@ class AgentPromptSet:
     inference_prompt: str
     context_prompt: str
 
-    def template(self, which: str) -> str:
-        return getattr(self, f"{which}_prompt")
-
 
 @lru_cache(maxsize=64)
 def _placeholders(template: str) -> frozenset[str]:
@@ -74,7 +71,7 @@ def load_prompt_set(directory: str | Path | None = None) -> AgentPromptSet:
     texts = {}
     for which, filename in PROMPT_FILES.items():
         if directory is None:
-            path = resources.files("gesturelink").joinpath("assets/prompts", filename)
+            path = resources.files(__package__).joinpath("assets/prompts", filename)
         else:
             path = Path(directory) / filename
             if not path.is_file():

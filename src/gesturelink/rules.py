@@ -138,7 +138,7 @@ class RuleThresholds:
     def to_json(self) -> str:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["distance_mode"] = "xy"  # a fixed key of the file format
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "RuleThresholds":

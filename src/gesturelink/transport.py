@@ -68,9 +68,8 @@ def approx_tokens(text: str) -> int:
 
 def message_hash(messages: tuple[ChatMessage, ...]) -> str:
     """Stable short digest of the request messages, for error messages."""
-    doc = json.dumps(
-        [{"role": m.role, "content": m.content} for m in messages], sort_keys=True
-    )
+    doc = json.dumps([{"role": m.role, "content": m.content} for m in messages],
+                     sort_keys=True, allow_nan=False)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
@@ -168,7 +167,8 @@ class LiveBackend:
                 "messages": [
                     {"role": m.role, "content": m.content} for m in req.messages
                 ],
-            }
+            },
+            allow_nan=False,
         ).encode()
         request = urllib.request.Request(
             self.config.provider_url,
@@ -220,55 +220,47 @@ def _delta_seconds(value: str | None) -> float | None:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    max_attempts: int = 3
-    base_delay: float = 0.5
-    max_delay: float = 30.0
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise MalformedInput("max_attempts must be >= 1")
+# Retry schedule for transient failures.
+MAX_ATTEMPTS = 3
+BASE_DELAY = 0.5  # seconds; doubles with each attempt
+MAX_DELAY = 30.0  # seconds; caps every wait, Retry-After included
 
 
 class RetryingBackend:
     """Retries transient failures with exponential backoff + full jitter,
     or after the server's Retry-After delay when the failure carries one;
-    either wait is capped at max_delay.
+    either wait is capped at MAX_DELAY. seed seeds the jitter.
 
     AuthError and FixtureExhausted are permanent, so a scripted replay
     is never retried.
     """
 
-    def __init__(self, inner, policy: RetryPolicy = RetryPolicy(), sleep=time.sleep):
+    def __init__(self, inner, seed: int | None = None, sleep=time.sleep):
         self.inner = inner
-        self.policy = policy
         self._sleep = sleep
-        self._rng = random.Random(policy.seed)
+        self._rng = random.Random(seed)
 
     def complete(self, req: CompletionRequest) -> tuple[str, UsageRecord]:
         last_error: TransportError | None = None
-        for attempt in range(1, self.policy.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 return self.inner.complete(req)
             except (AuthError, FixtureExhausted):
                 raise
             except TransportError as exc:
                 last_error = exc
-                if attempt == self.policy.max_attempts:
+                if attempt == MAX_ATTEMPTS:
                     break
                 delay = exc.retry_after
                 if delay is None:
-                    cap = min(self.policy.base_delay * 2 ** (attempt - 1), self.policy.max_delay)
-                    delay = self._rng.uniform(0, cap)
-                self._sleep(min(delay, self.policy.max_delay))
+                    delay = self._rng.uniform(0, min(BASE_DELAY * 2 ** (attempt - 1), MAX_DELAY))
+                self._sleep(min(delay, MAX_DELAY))
         raise last_error
 
 
-def load_backend(spec: str, policy: RetryPolicy = RetryPolicy()):
+def load_backend(spec: str, seed: int | None = None):
     """CLI backend selector: "scripted:<fixtures.json>" for replay, or the
-    path to a live BackendConfig JSON."""
+    path to a live BackendConfig JSON, retried with jitter seeded by seed."""
     if spec.startswith("scripted:"):
         return ScriptedBackend.from_file(spec.split(":", 1)[1])
-    return RetryingBackend(LiveBackend(BackendConfig.from_file(spec)), policy)
+    return RetryingBackend(LiveBackend(BackendConfig.from_file(spec)), seed)

@@ -39,24 +39,11 @@ class Assessment(Enum):
     UNSURE = "unsure"
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Per-outcome losses. The unsure loss sits strictly between correct
-    and error so the optimum neither abstains everywhere nor never.
-
-    unsure_loss == error_loss is tolerated (degenerate weighting used to
-    probe that boundary behaviour), but never exceeds it.
-    """
-
-    unsure_loss: float = 0.2
-    error_loss: float = 1.0
-    correct_loss: float = 0.0
-
-    def __post_init__(self):
-        if not (0 <= self.correct_loss < self.unsure_loss <= self.error_loss):
-            raise MalformedInput(
-                "loss weights must satisfy 0 <= correct < unsure <= error"
-            )
+# Per-outcome losses. The unsure loss sits strictly between correct and
+# error so the optimum neither abstains everywhere nor never.
+CORRECT_LOSS = 0.0
+UNSURE_LOSS = 0.2
+ERROR_LOSS = 1.0
 
 
 @dataclass(frozen=True)
@@ -106,13 +93,13 @@ def assess(prediction, label: GroundTruthLabel, space: StateSpace) -> Assessment
     return Assessment.ERROR
 
 
-def average_loss(assessments: Sequence[Assessment], w: LossWeights) -> float:
+def average_loss(assessments: Sequence[Assessment]) -> float:
     if not assessments:
         raise MalformedInput("average_loss over zero assessments")
     per = {
-        Assessment.CORRECT: w.correct_loss,
-        Assessment.ERROR: w.error_loss,
-        Assessment.UNSURE: w.unsure_loss,
+        Assessment.CORRECT: CORRECT_LOSS,
+        Assessment.ERROR: ERROR_LOSS,
+        Assessment.UNSURE: UNSURE_LOSS,
     }
     return float(np.mean([per[a] for a in assessments]))
 
@@ -240,7 +227,6 @@ TUNABLE_RULES = {
     "palm_orientation": TunableRule("palm_angle_threshold", PALM_SPACE, PalmOrientation, _ANGLE, (),
                                     lambda c, depth, left, target: palm_readings(c, depth, left)[:2]),
 }
-RULE_STATE_SPACES = {rule_id: rule.space for rule_id, rule in TUNABLE_RULES.items()}
 
 
 def tunable_rule(rule_id: str) -> TunableRule:
@@ -279,7 +265,7 @@ def _tuning_arrays(dataset: Sequence[MeasuredSample], paired: bool):
     return m, cand_ok, cand_ok
 
 
-def _cell_loss(m, ok, cell, w: LossWeights) -> float:
+def _cell_loss(m, ok, cell) -> float:
     """Average of one cell's per-sample loss vector. ok pairs the "+1 is
     correct" and "-1 is correct" masks. The verdicts are those of
     predictions_for_cell; a single-threshold cell has no high, so it
@@ -287,15 +273,12 @@ def _cell_loss(m, ok, cell, w: LossWeights) -> float:
     high = cell[1] if len(cell) > 1 else np.nan
     verdict = np.where(m <= cell[0], 1, np.where(m >= high, -1, 0))
     correct = np.where(verdict == 1, ok[0], ok[1])
-    loss = np.where(
-        verdict == 0, w.unsure_loss, np.where(correct, w.correct_loss, w.error_loss)
-    )
+    loss = np.where(verdict == 0, UNSURE_LOSS, np.where(correct, CORRECT_LOSS, ERROR_LOSS))
     return float(loss.mean())
 
 
-def grid_search(
-    dataset: Sequence[MeasuredSample], grid: GridSpec, w: LossWeights | None = None
-) -> tuple[tuple[float, ...], float]:
+def grid_search(dataset: Sequence[MeasuredSample], grid: GridSpec
+                ) -> tuple[tuple[float, ...], float]:
     """Exhaustive sweep; returns (best cell, minimal average loss).
 
     Every cell is scored at once from counts over the sorted measurements,
@@ -304,7 +287,6 @@ def grid_search(
     lexicographically smallest cell. The dataset must be pre-filtered of
     ambiguous labels (asserted here).
     """
-    w = w or LossWeights()
     m, *ok = _tuning_arrays(dataset, grid.paired)
     lows = sorted(grid.low_values)
     highs = sorted(grid.high_values) if grid.paired else [np.nan]
@@ -319,14 +301,10 @@ def grid_search(
     j = np.searchsorted(s, hi_v, "left")
     decided = i[:, None] + (n - j)[None, :]
     correct = pos_c[i][:, None] + (neg_c[n] - neg_c[j])[None, :]
-    score = (
-        correct * w.correct_loss
-        + (decided - correct) * w.error_loss
-        + (n - decided) * w.unsure_loss
-    )
+    score = correct * CORRECT_LOSS + (decided - correct) * ERROR_LOSS + (n - decided) * UNSURE_LOSS
     if grid.paired:
         score[~(lo_v[:, None] < hi_v[None, :])] = np.inf
-    near = score <= score.min() + 1e-9 * n * w.error_loss
+    near = score <= score.min() + 1e-9 * n * ERROR_LOSS
     # Cells that split the sorted samples alike share one loss vector.
     best_cell, best_loss, seen = None, np.inf, set()
     for a, b in np.argwhere(near).tolist():
@@ -334,14 +312,10 @@ def grid_search(
             continue
         seen.add((i[a], j[b]))
         cell = (lows[a], highs[b]) if grid.paired else (lows[a],)
-        loss = _cell_loss(m, ok, cell, w)
+        loss = _cell_loss(m, ok, cell)
         if loss < best_loss:
             best_cell, best_loss = cell, loss
     return best_cell, best_loss
-
-
-classify_paired = three_way_verdict
-classify_single = threshold_verdict
 
 
 def predictions_for_cell(
@@ -349,8 +323,8 @@ def predictions_for_cell(
 ) -> list:
     """Verdicts of one grid cell over the dataset (report generation)."""
     if grid_paired:
-        return [classify_paired(s.measurement, *cell) for s in dataset]
-    return [classify_single(s.measurement, s.candidate_state, cell[0], unsure) for s in dataset]
+        return [three_way_verdict(s.measurement, *cell) for s in dataset]
+    return [threshold_verdict(s.measurement, s.candidate_state, cell[0], unsure) for s in dataset]
 
 
 def targeted_rule(rule_id: str, target) -> TunableRule:

@@ -56,7 +56,6 @@ from gesturelink.tuning import (
     Assessment,
     GridSpec,
     GroundTruthLabel,
-    LossWeights,
     MeasuredSample,
     assess,
     grid_search,
@@ -136,7 +135,7 @@ def test_criterion_2_tuner_planted_recovery_and_band_property():
             )
         )
     grid = GridSpec.from_ranges((0.0, 0.2, step), (0.0, 0.2, step))
-    (low, high), loss = grid_search(samples[:500], grid, LossWeights())
+    (low, high), loss = grid_search(samples[:500], grid)
     assert loss == 0.0
     assert abs(low - planted_low) <= step + 1e-12
     assert abs(high - planted_high) <= step + 1e-12
@@ -542,7 +541,8 @@ def test_criterion_7_landmark_dump_rule_error():
     from pathlib import Path
 
     from gesturelink.landmarks import parse_landmark_stream
-    from gesturelink.tuning import RULE_STATE_SPACES, classify_paired, classify_single
+    from gesturelink.rules import three_way_verdict, threshold_verdict
+    from gesturelink.tuning import TUNABLE_RULES
 
     labels_path = Path(os.environ["GESTURELINK_HAGRID_DIR"]) / "labels.jsonl"
     assessments = []
@@ -551,7 +551,7 @@ def test_criterion_7_landmark_dump_rule_error():
             continue
         entry = json.loads(line)
         rule_id = entry["rule"]
-        space = RULE_STATE_SPACES[rule_id]
+        space = TUNABLE_RULES[rule_id].space
         if rule_id == "palm_orientation":
             from gesturelink.rules import PalmOrientation
 
@@ -565,17 +565,17 @@ def test_criterion_7_landmark_dump_rule_error():
         frame = parse_landmark_stream(json.dumps(doc)).frames[0]
         measurement, candidate = rule_measurement(frame, rule_id, entry.get("target"))
         if rule_id in ("flexion_thumb", "flexion_finger"):
-            pred = classify_paired(measurement, *(
+            pred = three_way_verdict(measurement, *(
                 TH.flexion_thumb if rule_id == "flexion_thumb" else TH.flexion_finger
             ))
         elif rule_id == "proximity":
-            pred = classify_paired(measurement, *TH.proximity)
+            pred = three_way_verdict(measurement, *TH.proximity)
         elif rule_id == "contact":
-            pred = classify_paired(measurement, *TH.contact)
+            pred = three_way_verdict(measurement, *TH.contact)
         elif rule_id == "thumb_direction":
-            pred = classify_single(measurement, candidate, TH.thumb_dir_angle_threshold, 0)
+            pred = threshold_verdict(measurement, candidate, TH.thumb_dir_angle_threshold, 0)
         else:
-            pred = classify_single(
+            pred = threshold_verdict(
                 measurement, candidate, TH.palm_angle_threshold, space.unsure
             )
         assessments.append(assess(pred, label, space))

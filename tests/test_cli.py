@@ -1122,6 +1122,26 @@ def test_context_add_values_that_are_not_json_exit_2_naming_the_file(tmp_path, c
     assert not lib_path.exists()
 
 
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_context_add_values_with_a_non_finite_number_exit_2_naming_the_file(
+    tmp_path, capsys, number
+):
+    lib_path = tmp_path / "lib.json"
+    assert main(["context", "add", "--library", str(lib_path), "--name", "gaze",
+                 "--description", "Gaze samples."]) == 0
+    library = lib_path.read_bytes()
+    values = tmp_path / "values.json"
+    values.write_text(f'[{{"t": 1.0, "reading": {number}}}]')
+    code = main([
+        "context", "add", "--library", str(lib_path), "--name", "external",
+        "--description", "Reports from other devices.", "--values", str(values),
+    ])
+    assert code == 2
+    assert f"error: {values}: not valid JSON: {number} is not a finite number" in (
+        capsys.readouterr().err)
+    assert lib_path.read_bytes() == library
+
+
 def run_context_add_from_file(tmp_path, description: bytes):
     lib_path, desc = tmp_path / "lib.json", tmp_path / "desc.md"
     desc.write_bytes(description)
@@ -1162,6 +1182,28 @@ def test_library_with_a_repeated_context_name_exits_2_naming_it(
     }[command]
     assert main(argv) == 2
     assert f"error: {lib_path}: duplicate context name: 'a'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number", ["Infinity", "1e999"])
+@pytest.mark.parametrize("command", ["ground", "show", "add"])
+def test_library_with_a_non_finite_number_exits_2_naming_it(
+    tmp_path, matrix_file, capsys, command, number
+):
+    lib_path = tmp_path / "lib.json"
+    lib_path.write_text(f'{{"contexts": [{{"name": "a", "description_md": "A.", '
+                        f'"values": [{number}]}}]}}')
+    argv = {
+        "ground": ["ground", str(matrix_file), "--library", str(lib_path),
+                   "--backend", "scripted:unused.json", "--out-dir", str(tmp_path / "out")],
+        "show": ["context", "show", "--library", str(lib_path), "--name", "a"],
+        "add": ["context", "add", "--library", str(lib_path), "--name", "b",
+                "--description", "B."],
+    }[command]
+    library = lib_path.read_bytes()
+    assert main(argv) == 2
+    assert f"error: {lib_path}: not valid JSON: {number} is not a finite number" in (
+        capsys.readouterr().err)
+    assert lib_path.read_bytes() == library
 
 
 # --- each input is checked where it enters ------------------------------------------
@@ -1484,7 +1526,7 @@ def prompt_typo_dir(tmp_path):
     prompts = tmp_path / "prompts"
     prompts.mkdir()
     for which, filename in PROMPT_FILES.items():
-        (prompts / filename).write_text(load_prompt_set().template(which))
+        (prompts / filename).write_text(getattr(load_prompt_set(), f"{which}_prompt"))
     inference = prompts / "inference.md"
     inference.write_text(inference.read_text().replace("$function_list", "$functoin_list"))
     return prompts

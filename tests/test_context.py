@@ -289,6 +289,13 @@ def test_gaze_trace_returns_recent_samples():
     assert json.loads(calculate(lib, "{{CALC:gaze_trace}}")) == samples
 
 
+def test_non_finite_values_are_never_written_as_json():
+    lib = smart_home_library(gaze=[{"t": 0.0, "x": math.nan, "y": 0.5}])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        lib.to_json()
+    assert resolve_placeholders(lib, "{{CALC:gaze_trace}}") == "[calculation gaze_trace unavailable]"
+
+
 def test_unknown_calculator():
     with pytest.raises(CalculatorFailure, match="no calculator registered as 'nonexistent'") as exc:
         calculate(smart_home_library(), "{{CALC:nonexistent}}")

@@ -25,7 +25,6 @@ from gesturelink.encoder import (
     GestureStateMatrix,
     GestureWindow,
     SegmentationConfig,
-    build_state_matrices,
     _build_groups,
     build_state_matrix,
     detect_gesture_window,
@@ -624,8 +623,7 @@ def test_rendering_matches_the_cell_by_cell_text():
         sample_lists = [_random_window(gen, 2.0 * j) for j in range(8)]
         sample_lists.append([make_frame(np.array(FLAT_HAND_POINTS) + gen.normal(0, 0.02, (21, 3)),
                                         t=0.2 * k) for k in range(int(gen.integers(9, 120)))])
-        built += [m for m in build_state_matrices(sample_lists, TH)
-                  if not isinstance(m, MalformedInput)]
+        built += [m for m in _build_each(sample_lists) if not isinstance(m, MalformedInput)]
     matrices = built[:400] + [
         _random_rendering_matrix(gen, int(gen.choice([gen.integers(1, 21), gen.integers(21, 601)],
                                                      p=[0.7, 0.3])))
@@ -781,8 +779,15 @@ def test_build_rejects_zero_hand_width():
 
 # --- batched build -------------------------------------------------------------------
 
+def _build_each(sample_lists):
+    """Each list's matrix, or the MalformedInput that rejects it, from one
+    _build_groups call with a group of one list per list."""
+    return [m if isinstance(m, MalformedInput) else m[0]
+            for m in _build_groups([[frames] for frames in sample_lists], TH)]
+
+
 def _reference_build_state_matrix(samples, th):
-    """The per-window build_state_matrix that build_state_matrices replaced,
+    """The per-window build_state_matrix that the batched build replaced,
     verbatim, logging through the encoder's logger."""
     logger = logging.getLogger("gesturelink.encoder")
     if not samples:
@@ -860,8 +865,8 @@ def _random_window(gen, t0):
 
 
 def test_batched_build_matches_the_per_window_build(caplog):
-    """build_state_matrices over random window lists gives each list's
-    matrix, error message and warnings exactly as building it alone."""
+    """A batched build of random window lists gives each list's matrix,
+    error message and warnings exactly as building it alone."""
     gen = np.random.default_rng(20240817)
     caplog.set_level(logging.WARNING, logger="gesturelink.encoder")
     lists = errors = warned = 0
@@ -869,7 +874,7 @@ def test_batched_build_matches_the_per_window_build(caplog):
         sample_lists = [_random_window(gen, 2.0 * j) for j in range(int(gen.integers(1, 4)))]
         expected, expected_records = _reference_outcomes(sample_lists, caplog)
         caplog.clear()
-        built = build_state_matrices(sample_lists, TH)
+        built = _build_each(sample_lists)
         assert _records(caplog) == expected_records
         assert len(built) == len(expected)
         for got, want in zip(built, expected):
@@ -888,7 +893,7 @@ def test_batched_build_matches_the_per_window_build(caplog):
 def test_build_state_matrix_raises_what_the_batched_build_returns():
     pinched = list(FLAT_HAND_POINTS)
     pinched[17] = pinched[5]
-    built = build_state_matrices([[make_frame(FLAT_HAND_POINTS)], [make_frame(pinched)], []], TH)
+    built = _build_each([[make_frame(FLAT_HAND_POINTS)], [make_frame(pinched)], []])
     assert build_state_matrix([make_frame(FLAT_HAND_POINTS)], TH) == built[0]
     for samples, error in (([make_frame(pinched)], built[1]), ([], built[2])):
         with pytest.raises(MalformedInput, match=re.escape(str(error))):
@@ -965,9 +970,8 @@ def _window_frames(kind, t0):
 def test_batch_check_keeps_each_failing_lists_error_and_warnings(caplog, failing, position):
     """A failing list first, in the middle or last, beside lists that warn:
     in one group (as one stream's windows), in a group each (as separate
-    streams or build_state_matrices) and in mixed groups, each group gets
-    what building its lists alone gave, up to its first failing list, and
-    logs the same records."""
+    streams) and in mixed groups, each group gets what building its lists
+    alone gave, up to its first failing list, and logs the same records."""
     caplog.set_level(logging.WARNING, logger="gesturelink.encoder")
     kinds = ["degenerate", "plain", "degenerate", "plain", "degenerate"]
     kinds[position] = failing

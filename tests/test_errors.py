@@ -110,3 +110,21 @@ def test_json_is_reached_only_through_the_json_module_name():
                 assert node.module != "json", path.name
             if isinstance(node, ast.Import):
                 assert all(a.asname is None for a in node.names if a.name == "json"), path.name
+
+
+def test_every_json_writer_refuses_nan_and_infinity():
+    """Every json.dump(s) and json.JSONEncoder in the package passes
+    allow_nan=False, so a non-finite number raises instead of being
+    written as a bare NaN or Infinity, which is not JSON."""
+    writers, unguarded = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and node.func.attr in ("dump", "dumps", "JSONEncoder")):
+                writers += 1
+                if not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                           and k.value.value is False for k in node.keywords):
+                    unguarded.append((path.name, node.lineno))
+    assert writers >= 10
+    assert unguarded == []

@@ -1,5 +1,7 @@
 import cProfile
+import dataclasses
 import json
+import math
 import pstats
 import random
 
@@ -121,6 +123,17 @@ def test_metrics_reject_inconsistent_negative():
             top1=MetricValue(0.1), top3=MetricValue(0.2),
             top5=MetricValue(0.5), negative=MetricValue(0.1),
         )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("stat", ["mean", "std"])
+@pytest.mark.parametrize("name", ["top1", "negative"])
+def test_metrics_reject_non_finite_means_and_stds(name, stat, value):
+    values = {"top1": MetricValue(0.1), "top3": MetricValue(0.2), "top5": MetricValue(0.5),
+              "negative": MetricValue(0.5)}
+    values[name] = dataclasses.replace(values[name], **{stat: value})
+    with pytest.raises(MalformedInput, match="metric means and stds must be finite"):
+        Metrics(**values)
 
 
 def test_metric_and_cost_tables_follow_the_dataclasses():

@@ -1,7 +1,12 @@
+import importlib
 import re
+import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
+import gesturelink
 from gesturelink.errors import MalformedInput
 from gesturelink.prompts import (
     PROMPT_FILES,
@@ -44,9 +49,26 @@ def test_missing_section_rejected():
 
 def test_custom_prompt_directory(tmp_path):
     for which, filename in PROMPT_FILES.items():
-        src = load_prompt_set().template(which)
+        src = getattr(load_prompt_set(), f"{which}_prompt")
         (tmp_path / filename).write_text(src)
     assert load_prompt_set(tmp_path).inference_prompt == load_prompt_set().inference_prompt
+
+
+def test_a_copy_under_another_package_name_loads_its_own_prompts(tmp_path, monkeypatch):
+    copy = tmp_path / "gesturelink_copy"
+    shutil.copytree(Path(gesturelink.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    inference = copy / "assets" / "prompts" / "inference.md"
+    inference.write_text(inference.read_text(encoding="utf-8") + "\nCopied.\n", encoding="utf-8")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        prompts = importlib.import_module("gesturelink_copy.prompts").load_prompt_set()
+        assert prompts.inference_prompt.endswith("\nCopied.\n")
+        assert prompts.context_prompt == load_prompt_set().context_prompt
+        assert not load_prompt_set().inference_prompt.endswith("\nCopied.\n")
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "gesturelink_copy"]:
+            del sys.modules[name]
 
 
 def test_missing_prompt_file_rejected(tmp_path):

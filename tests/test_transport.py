@@ -15,7 +15,6 @@ from gesturelink.transport import (
     CompletionRequest,
     LiveBackend,
     RetryingBackend,
-    RetryPolicy,
     ScriptedBackend,
     UsageRecord,
     approx_tokens,
@@ -240,7 +239,7 @@ def test_live_backend_timeout_is_transport_error(loopback):
 def test_retrying_live_backend_recovers_from_500(loopback):
     loopback.replies += [(500, b"busy", 0.0), (200, ok_body("second"), 0.0)]
     sleeps = []
-    backend = RetryingBackend(loopback.backend(), RetryPolicy(seed=1), sleep=sleeps.append)
+    backend = RetryingBackend(loopback.backend(), seed=1, sleep=sleeps.append)
     assert backend.complete(req("x"))[0] == "second"
     assert len(sleeps) == 1
     assert len(loopback.requests) == 2
@@ -256,9 +255,8 @@ def test_retrying_live_backend_sleeps_for_retry_after(loopback, status, retry_af
         (status, b"busy", 0.0, {"Retry-After": retry_after}), (200, ok_body("second"), 0.0)
     ]
     sleeps = []
-    policy = RetryPolicy(seed=1)
-    assert (policy.base_delay, policy.max_delay) == (0.5, 30.0)
-    backend = RetryingBackend(loopback.backend(), policy, sleep=sleeps.append)
+    assert (transport.BASE_DELAY, transport.MAX_DELAY) == (0.5, 30.0)
+    backend = RetryingBackend(loopback.backend(), seed=1, sleep=sleeps.append)
     assert backend.complete(req("x"))[0] == "second"
     assert sleeps == [slept]
 
@@ -290,7 +288,7 @@ class FlakyBackend:
 def test_retry_succeeds_after_transient_failures():
     sleeps = []
     inner = FlakyBackend(failures=2)
-    backend = RetryingBackend(inner, RetryPolicy(max_attempts=3, seed=7), sleep=sleeps.append)
+    backend = RetryingBackend(inner, seed=7, sleep=sleeps.append)
     text, _ = backend.complete(req("x"))
     assert text == "ok"
     assert inner.calls == 3
@@ -300,39 +298,28 @@ def test_retry_succeeds_after_transient_failures():
 
 def test_retry_gives_up_after_budget():
     inner = FlakyBackend(failures=5)
-    backend = RetryingBackend(inner, RetryPolicy(max_attempts=2), sleep=lambda s: None)
+    sleeps = []
+    backend = RetryingBackend(inner, sleep=sleeps.append)
     with pytest.raises(TransportError, match="rate limited: slow down"):
         backend.complete(req("x"))
-    assert inner.calls == 2
+    assert inner.calls == transport.MAX_ATTEMPTS == 3
+    assert len(sleeps) == 2  # none after the last attempt
 
 
 def test_auth_error_never_retried():
     inner = FlakyBackend(failures=5, error=AuthError("bad key"))
-    backend = RetryingBackend(inner, RetryPolicy(max_attempts=4), sleep=lambda s: None)
+    backend = RetryingBackend(inner, sleep=lambda s: None)
     with pytest.raises(AuthError):
-        backend.complete(req("x"))
-    assert inner.calls == 1
-
-
-def test_single_attempt_policy():
-    inner = FlakyBackend(failures=1)
-    backend = RetryingBackend(inner, RetryPolicy(max_attempts=1), sleep=lambda s: None)
-    with pytest.raises(TransportError, match="rate limited: slow down"):
         backend.complete(req("x"))
     assert inner.calls == 1
 
 
 def test_deterministic_backend_never_retried():
     scripted = ScriptedBackend([])  # any call would exhaust
-    backend = RetryingBackend(scripted, RetryPolicy(max_attempts=5), sleep=lambda s: None)
+    backend = RetryingBackend(scripted, sleep=lambda s: None)
     with pytest.raises(FixtureExhausted):
         backend.complete(req("x"))
     assert scripted.calls == 1
-
-
-def test_retry_policy_validation():
-    with pytest.raises(MalformedInput):
-        RetryPolicy(max_attempts=0)
 
 
 def test_load_backend_scripted_spec(tmp_path):
@@ -345,8 +332,8 @@ def test_load_backend_scripted_spec(tmp_path):
 def test_load_backend_live_spec_retries_with_the_default_policy(tmp_path):
     path = tmp_path / "backend.json"
     path.write_text(json.dumps({"model_id": "local-model"}))
-    backend = load_backend(str(path))
+    backend = load_backend(str(path), seed=5)
     assert isinstance(backend, RetryingBackend)
     assert isinstance(backend.inner, LiveBackend)
     assert backend.inner.config.model_id == "local-model"
-    assert backend.policy == RetryPolicy()
+    assert backend._rng.getstate() == random.Random(5).getstate()  # the jitter's seed

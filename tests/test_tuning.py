@@ -19,13 +19,11 @@ from gesturelink.rules import (
 )
 from gesturelink.tuning import (
     PALM_SPACE,
-    RULE_STATE_SPACES,
     THREE_WAY_SPACE,
     TUNABLE_RULES,
     Assessment,
     GridSpec,
     GroundTruthLabel,
-    LossWeights,
     MeasuredSample,
     assess,
     assessment_rates,
@@ -35,8 +33,6 @@ from gesturelink.tuning import (
     predictions_for_cell,
     rule_measurement,
 )
-
-W = LossWeights()
 
 
 def label(*states):
@@ -78,14 +74,14 @@ def test_assess_state_space_mismatch():
 
 def test_average_loss_values():
     C, E, U = Assessment.CORRECT, Assessment.ERROR, Assessment.UNSURE
-    assert average_loss([C, C], W) == 0.0
-    assert average_loss([U], W) == pytest.approx(0.2)
-    assert average_loss([C, E, U, C], W) == pytest.approx(0.3)
+    assert average_loss([C, C]) == 0.0
+    assert average_loss([U]) == pytest.approx(0.2)
+    assert average_loss([C, E, U, C]) == pytest.approx(0.3)
 
 
 def test_average_loss_empty():
     with pytest.raises(MalformedInput, match="average_loss over zero assessments"):
-        average_loss([], W)
+        average_loss([])
 
 
 def test_rates_sum_to_one():
@@ -94,15 +90,6 @@ def test_rates_sum_to_one():
     assert rates["correct"] == pytest.approx(0.6)
     assert rates["error"] == pytest.approx(0.2)
     assert rates["unsure"] == pytest.approx(0.2)
-
-
-def test_loss_weights_validation():
-    with pytest.raises(MalformedInput):
-        LossWeights(unsure_loss=0.0)
-    with pytest.raises(MalformedInput):
-        LossWeights(unsure_loss=1.5, error_loss=1.0)
-    # Degenerate but tolerated: unsure as costly as error.
-    LossWeights(unsure_loss=1.0, error_loss=1.0)
 
 
 def test_ambiguous_label_flag():
@@ -165,7 +152,7 @@ def test_grid_search_recovers_planted_thresholds(rng):
     low_star, high_star = 30.0, 60.0
     dataset = _planted_paired_dataset(rng, low_star, high_star, 200)
     grid = GridSpec.from_ranges((0, 180, 1), (0, 180, 1))
-    cell, loss = grid_search(dataset, grid, W)
+    cell, loss = grid_search(dataset, grid)
     assert loss == 0.0
     # The cell at the planted value itself is zero loss too.
     preds = predictions_for_cell(dataset, True, (low_star, high_star))
@@ -182,7 +169,7 @@ def test_grid_search_single_cell():
         MeasuredSample(measurement=50.0, label=label(-1)),
         MeasuredSample(measurement=30.0, label=label(1)),
     ]
-    cell, loss = grid_search(dataset, GridSpec(low_values=(20.0,), high_values=(40.0,)), W)
+    cell, loss = grid_search(dataset, GridSpec(low_values=(20.0,), high_values=(40.0,)))
     assert cell == (20.0, 40.0)
     # 10 -> +1 correct; 50 -> -1 correct; 30 -> unsure.
     assert loss == pytest.approx(0.2 / 3)
@@ -191,18 +178,18 @@ def test_grid_search_single_cell():
 def test_grid_search_rejects_ambiguous_labels():
     dataset = [MeasuredSample(measurement=10.0, label=label(1, -1))]
     with pytest.raises(MalformedInput, match="ambiguous labels must be filtered"):
-        grid_search(dataset, GridSpec(low_values=(5.0,), high_values=(15.0,)), W)
+        grid_search(dataset, GridSpec(low_values=(5.0,), high_values=(15.0,)))
 
 
 def test_grid_search_empty_dataset():
     with pytest.raises(MalformedInput, match="grid search over zero samples"):
-        grid_search([], GridSpec(low_values=(1.0,), high_values=(2.0,)), W)
+        grid_search([], GridSpec(low_values=(1.0,), high_values=(2.0,)))
 
 
 def test_grid_search_tie_breaks_lexicographically():
     dataset = [MeasuredSample(measurement=5.0, label=label(1))]
     grid = GridSpec(low_values=(1.0, 2.0, 6.0), high_values=(7.0, 8.0))
-    cell, loss = grid_search(dataset, grid, W)
+    cell, loss = grid_search(dataset, grid)
     assert cell == (6.0, 7.0)
     assert loss == 0.0
 
@@ -214,22 +201,23 @@ def test_grid_search_matches_exhaustive_rescan(rng):
         for _ in range(60)
     ]
     grid = GridSpec.from_ranges((10, 50, 10), (55, 95, 10))
-    cell, loss = grid_search(dataset, grid, W)
+    cell, loss = grid_search(dataset, grid)
     losses = {}
     for candidate in grid.cells():
         preds = predictions_for_cell(dataset, True, candidate)
         losses[candidate] = average_loss(
-            [assess(p, s.label, THREE_WAY_SPACE) for p, s in zip(preds, dataset)], W
+            [assess(p, s.label, THREE_WAY_SPACE) for p, s in zip(preds, dataset)]
         )
     assert loss == pytest.approx(min(losses.values()))
     assert all(loss <= v + 1e-12 for v in losses.values())
     assert losses[cell] == pytest.approx(loss)
 
 
-def _rescan(dataset, grid, w):
+def _rescan(dataset, grid):
     """Reference sweep: every cell of grid.cells() in order, each scored by
-    its own per-sample loss vector; a cell wins only on a strictly smaller
-    loss, so ties keep the lexicographically first."""
+    its own per-sample loss vector (correct 0, unsure 0.2, error 1); a cell
+    wins only on a strictly smaller loss, so ties keep the lexicographically
+    first."""
     m = np.array([s.measurement for s in dataset], dtype=float)
     best_cell, best_loss = None, np.inf
     for cell in grid.cells():
@@ -241,27 +229,17 @@ def _rescan(dataset, grid, w):
         else:
             verdict = np.where(m <= cell[0], 1, 0)
             correct = np.array([s.candidate_state in s.label.acceptable_states for s in dataset])
-        loss = np.where(
-            verdict == 0, w.unsure_loss, np.where(correct, w.correct_loss, w.error_loss)
-        )
-        loss = float(loss.mean())
+        loss = float(np.where(verdict == 0, 0.2, np.where(correct, 0.0, 1.0)).mean())
         if loss < best_loss:
             best_cell, best_loss = cell, loss
     return best_cell, best_loss
 
 
-def _assert_matches_rescan(dataset, grid, w):
-    cell, loss = grid_search(dataset, grid, w)
-    want_cell, want_loss = _rescan(dataset, grid, w)
+def _assert_matches_rescan(dataset, grid):
+    cell, loss = grid_search(dataset, grid)
+    want_cell, want_loss = _rescan(dataset, grid)
     assert (cell, loss) == (want_cell, want_loss)
     assert [type(v) for v in cell] == [type(v) for v in want_cell]
-
-
-def _random_weights(local):
-    error = local.choice([1.0, 0.7, 3.0])
-    unsure = local.choice([error, error * local.uniform(0.05, 0.95), 0.2 * error])
-    correct = local.choice([0.0, 0.0, unsure * local.uniform(0.0, 0.9)])
-    return LossWeights(unsure_loss=unsure, error_loss=error, correct_loss=correct)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -272,8 +250,7 @@ def test_grid_search_matches_rescan_on_integer_ties(seed):
         for _ in range(local.randint(1, 60))
     ]
     grid = GridSpec.from_ranges((0, 15, 1), (local.randint(0, 8), 16, 1))
-    _assert_matches_rescan(dataset, grid, W)
-    _assert_matches_rescan(dataset, grid, _random_weights(local))
+    _assert_matches_rescan(dataset, grid)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -285,8 +262,7 @@ def test_grid_search_matches_rescan_on_grid_valued_measurements(seed):
         MeasuredSample(measurement=local.choice(values), label=label(local.choice([1, -1])))
         for _ in range(local.randint(1, 80))
     ]
-    _assert_matches_rescan(dataset, grid, W)
-    _assert_matches_rescan(dataset, grid, _random_weights(local))
+    _assert_matches_rescan(dataset, grid)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -305,8 +281,7 @@ def test_grid_search_matches_rescan_on_duplicate_and_disjoint_grids(seed):
     else:  # overlapping, with repeats
         highs = tuple(local.choice(range(0, 110, 10)) for _ in range(8)) + (100,)
     grid = GridSpec(low_values=lows + (0,), high_values=highs)
-    for w in (W, _random_weights(local), LossWeights(unsure_loss=1.0, error_loss=1.0)):
-        _assert_matches_rescan(dataset, grid, w)
+    _assert_matches_rescan(dataset, grid)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -322,8 +297,7 @@ def test_grid_search_matches_rescan_on_palm_candidates(seed):
         for _ in range(local.randint(1, 60))
     ]
     grid = GridSpec.from_ranges((0, 90, 1))
-    for w in (W, _random_weights(local), LossWeights(unsure_loss=1.0, error_loss=1.0)):
-        _assert_matches_rescan(dataset, grid, w)
+    _assert_matches_rescan(dataset, grid)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -339,8 +313,8 @@ def test_grid_search_matches_rescan_with_nan(seed):
         for _ in range(local.randint(1, 30))
     ]
     nan = float("nan")
-    _assert_matches_rescan(dataset, GridSpec(low_values=(2, nan, 5), high_values=(nan, 6, 9)), W)
-    _assert_matches_rescan(dataset, GridSpec(low_values=(nan, 3, 7)), W)
+    _assert_matches_rescan(dataset, GridSpec(low_values=(2, nan, 5), high_values=(nan, 6, 9)))
+    _assert_matches_rescan(dataset, GridSpec(low_values=(nan, 3, 7)))
 
 
 def test_grid_search_real_valued_tie_goes_to_first_cell():
@@ -349,10 +323,10 @@ def test_grid_search_real_valued_tie_goes_to_first_cell():
     dataset = [MeasuredSample(measurement=5.0, label=label(1)) for _ in range(5)]
     dataset.append(MeasuredSample(measurement=5.5, label=label(-1)))
     grid = GridSpec(low_values=(6.0, 1.0), high_values=(7.0, 5.2))
-    cell, loss = grid_search(dataset, grid, W)
+    cell, loss = grid_search(dataset, grid)
     assert cell == (1.0, 5.2)
     assert loss == pytest.approx(1 / 6)
-    assert (cell, loss) == _rescan(dataset, grid, W)
+    assert (cell, loss) == _rescan(dataset, grid)
 
 
 def test_single_threshold_grid_search():
@@ -362,7 +336,7 @@ def test_single_threshold_grid_search():
         MeasuredSample(measurement=20.0, label=label(-1), candidate_state=-1),
         MeasuredSample(measurement=70.0, label=label(1), candidate_state=-1),  # would be wrong
     ]
-    cell, loss = grid_search(dataset, GridSpec.from_ranges((0, 90, 10)), W)
+    cell, loss = grid_search(dataset, GridSpec.from_ranges((0, 90, 10)))
     # Threshold 20 decides the first two correctly and abstains on the third.
     assert cell == (20.0,)
     assert loss == pytest.approx(0.2 / 3)
@@ -391,28 +365,6 @@ def test_widening_unsure_band_never_increases_errors(seed, low, high, widen_low,
         )
 
     assert error_count(low - widen_low, high + widen_high) <= error_count(low, high)
-
-
-def test_degenerate_weights_maximize_correct_count(rng):
-    """With unsure as costly as error, the optimum abstains only where no
-    competing cell could have been correct instead."""
-    degenerate = LossWeights(unsure_loss=1.0, error_loss=1.0)
-    dataset = [
-        MeasuredSample(measurement=rng.uniform(0, 100), label=label(rng.choice([1, -1])))
-        for _ in range(80)
-    ]
-    grid = GridSpec.from_ranges((0, 45, 5), (50, 100, 5))
-    cell, _ = grid_search(dataset, grid, degenerate)
-
-    def correct_count(c):
-        preds = predictions_for_cell(dataset, True, c)
-        return sum(
-            assess(p, s.label, THREE_WAY_SPACE) == Assessment.CORRECT
-            for p, s in zip(preds, dataset)
-        )
-
-    best_correct = correct_count(cell)
-    assert best_correct == max(correct_count(c) for c in grid.cells())
 
 
 # --- measurement bridge ----------------------------------------------------------
@@ -453,7 +405,7 @@ def test_rule_measurement_rejects_unknown_target(flat_hand, rule_id, target):
         rule_measurement(flat_hand, rule_id, target)
 
 
-@pytest.mark.parametrize("rule_id", sorted(RULE_STATE_SPACES))
+@pytest.mark.parametrize("rule_id", sorted(TUNABLE_RULES))
 def test_default_grids_start_above_zero(rule_id):
     # RuleThresholds rejects 0, so no default grid may offer it.
     grid = default_grid(rule_id)
@@ -541,7 +493,7 @@ def test_tuner_verdict_equals_encoder_verdict_and_grid_loss(rng):
             grid = GridSpec(low_values=cell[:1], high_values=cell[1:])
             preds = predictions_for_cell(samples, paired, cell, unsure=rule.space.unsure)
             want = average_loss(
-                [assess(p, s.label, rule.space) for p, s in zip(preds, samples)], W
+                [assess(p, s.label, rule.space) for p, s in zip(preds, samples)]
             )
-            assert grid_search(samples, grid, W) == (cell, want)
+            assert grid_search(samples, grid) == (cell, want)
     assert checked == 14 * len(frames)
