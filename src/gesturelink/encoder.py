@@ -47,6 +47,7 @@ _POSE_PADDED = [f"{label:<{_LABEL_WIDTH}} " for label in POSE_ROW_LABELS]
 _CHANNEL2_PADDED = [f"{label:<{_LABEL_WIDTH}} " for label in _CHANNEL2_LABELS]
 # Cell text of the states -1, 0 and 1, each followed by a space.
 _STATE_TEXT = np.array([b"-1 ", b" 0 ", b" 1 "])
+_LEFT = Handedness.LEFT  # read once per sample, cheaper as a module global
 
 
 @dataclass(frozen=True)
@@ -227,7 +228,7 @@ def _build_groups(groups: list[list[list[HandLandmarkFrame]]], th: RuleThreshold
     coords = np.array([f.coords for f in samples]).reshape(-1, 21, 3)
     depth = np.array([f.has_depth for f in samples], dtype=bool)
     readings = pose_readings(
-        coords, depth, np.array([f.handedness == Handedness.LEFT for f in samples], dtype=bool))
+        coords, depth, np.array([f.handedness == _LEFT for f in samples], dtype=bool))
     degenerate = np.array(list(readings.degenerate.values()))
     channel1 = pose_vectors(readings, th)
     centers, widths = hand_centers(coords)

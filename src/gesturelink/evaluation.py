@@ -32,7 +32,7 @@ from .context import (
     parse_function_list,
 )
 from .encoder import GestureStateMatrix, encode_streams
-from .errors import GestureLinkError, MalformedInput, parse_json
+from .errors import GestureLinkError, MalformedInput, parse_finite_json
 from .landmarks import LandmarkStream, parse_landmark_stream
 from .prompts import AgentPromptSet
 from .rules import RuleThresholds
@@ -361,10 +361,11 @@ def report(
 def load_manifest(path: str | Path) -> list[TaskRecord]:
     """Dataset manifest: {"tasks": [{scenario_id, stream, interface,
     functions, gaze, history, external, truth}]} with stream paths
-    resolved relative to the manifest file."""
+    resolved relative to the manifest file. Standard JSON only: a NaN,
+    Infinity or 1e999 anywhere in it is MalformedInput."""
     path = Path(path)
     try:
-        doc = parse_json(path.read_bytes())
+        doc = parse_finite_json(path.read_bytes())
     except (OSError, MalformedInput) as exc:
         raise MalformedInput(f"bad manifest {path}: {exc}") from exc
     entries = doc.get("tasks", []) if isinstance(doc, dict) else None

@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -51,10 +52,16 @@ class PalmOrientation(Enum):
     UNKNOWN = "unknown"
 
 
+# The members each verdict returns, bound once: a module global reads in
+# about a tenth of the time of a member lookup such as ThreeWay.POSITIVE.
+_POSITIVE, _UNSURE, _NEGATIVE = ThreeWay.POSITIVE, ThreeWay.UNSURE, ThreeWay.NEGATIVE
+_THUMB_UNSURE, _PALM_UNKNOWN = ThumbDirection.UNSURE, PalmOrientation.UNKNOWN
+
 # One-hot order of pose-vector rows 14-19.
 PALM_ONE_HOT_ORDER = (PalmOrientation.LEFT, PalmOrientation.RIGHT, PalmOrientation.DOWN,
                       PalmOrientation.UP, PalmOrientation.INWARD, PalmOrientation.OUTWARD)
 
+FINGERS = tuple(FINGER_JOINTS)
 PROXIMITY_PAIRS = ("index_middle", "middle_ring", "ring_pinky")
 CONTACT_FINGERS = ("index", "middle", "ring", "pinky")
 
@@ -97,11 +104,13 @@ def _pair_ends(pair: str) -> np.ndarray:
     return _take_index(np.array(rows).transpose(2, 0, 1), cols=2)
 
 
-# Take indices per target, and under the tuple of all targets (CONTACT_FINGERS,
-# PROXIMITY_PAIRS) their stack along a target axis. Curls: thumb MCP, IP,
-# TIP; other fingers MCP to TIP. Contacts: the thumb's tip, the finger's tip.
-_CURL_ENDS = {f: _curl_ends(j[1:] if f == "thumb" else j) for f, j in FINGER_JOINTS.items()}
-_CURL_ENDS[CONTACT_FINGERS] = np.stack([_CURL_ENDS[f] for f in CONTACT_FINGERS], axis=2)
+# Take indices per target, and under the tuple of all targets (FINGERS,
+# PROXIMITY_PAIRS, CONTACT_FINGERS) their stack along a target axis. Curls:
+# each finger's four joints, the thumb's CMC to TIP. Contacts: the thumb's
+# tip, the finger's tip.
+_CURL_ENDS = {f: _curl_ends(j) for f, j in FINGER_JOINTS.items()}
+_CURL_ENDS[FINGERS] = np.stack(list(_CURL_ENDS.values()), axis=2)
+_CURL_THUMB = {target: np.array(target) == "thumb" for target in _CURL_ENDS}
 _PAIR_ENDS = {pair: _pair_ends(pair) for pair in PROXIMITY_PAIRS}
 _PAIR_ENDS[PROXIMITY_PAIRS] = np.stack(list(_PAIR_ENDS.values()), axis=1)
 _CONTACT_ENDS = {f: _take_index([_THUMB_TIP, FINGER_JOINTS[f][3]], cols=2)
@@ -184,10 +193,10 @@ def three_way_verdict(measurement: float, low: float, high: float) -> ThreeWay:
     Boundary values resolve away from unsure, so the unsure band is open.
     """
     if measurement <= low:
-        return ThreeWay.POSITIVE
+        return _POSITIVE
     if measurement >= high:
-        return ThreeWay.NEGATIVE
-    return ThreeWay.UNSURE
+        return _NEGATIVE
+    return _UNSURE
 
 
 def threshold_verdict(measurement: float, candidate, threshold: float, unsure):
@@ -219,15 +228,15 @@ def contact(distance: float, th: RuleThresholds) -> ThreeWay:
 def thumb_pointing(reading: tuple, thumb_flexion: ThreeWay, th: RuleThresholds) -> ThumbDirection:
     """Up (+1) / down (-1) / unsure (0) from the (angle, direction) thumb
     reading. Only a straight thumb points."""
-    if thumb_flexion != ThreeWay.POSITIVE:
-        return ThumbDirection.UNSURE
-    return threshold_verdict(*reading, th.thumb_dir_angle_threshold, ThumbDirection.UNSURE)
+    if thumb_flexion != _POSITIVE:
+        return _THUMB_UNSURE
+    return threshold_verdict(*reading, th.thumb_dir_angle_threshold, _THUMB_UNSURE)
 
 
 def palm_orientation(reading: tuple, th: RuleThresholds) -> PalmOrientation:
     """Facing direction of the palm from its (angle, orientation) reading,
     or UNKNOWN outside the angle threshold."""
-    return threshold_verdict(*reading, th.palm_angle_threshold, PalmOrientation.UNKNOWN)
+    return threshold_verdict(*reading, th.palm_angle_threshold, _PALM_UNKNOWN)
 
 
 # Readings: each maps an (N, 21, 3) coordinate array to one rule's readings
@@ -261,17 +270,17 @@ def _degrees(cosines: np.ndarray) -> np.ndarray:
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def curl_readings(coords: np.ndarray, finger) -> tuple[np.ndarray, np.ndarray]:
     """(curls, degenerate): the finger's total bending angle in degrees (3D)
-    in each frame, NaN where a bone has zero length, and that mask. Thumb:
-    the IP joint angle (MCP->IP vs IP->TIP); other fingers: the sum of the
-    PIP and DIP joint angles."""
+    in each frame, NaN where a bone it bends has zero length, and that mask.
+    Thumb: the IP joint angle (MCP->IP vs IP->TIP); other fingers: the sum
+    of the PIP and DIP joint angles."""
     ends = _take(coords, _CURL_ENDS[finger])
     bones = ends[:, 0] - ends[:, 1]
     dots = _rowdot(bones[:, 0], bones[:, 1])
-    k = (dots.shape[-1] + 1) // 2  # k squared bone lengths, then k - 1 joint dots
-    lengths = np.sqrt(dots[..., :k])
-    angles = _degrees(dots[..., k:] / (lengths[..., :-1] * lengths[..., 1:]))
-    curl = angles[..., 0] + angles[..., 1] if angles.shape[-1] == 2 else angles[..., 0]
-    degenerate = lengths.min(axis=-1) < _EPS
+    lengths = np.sqrt(dots[..., :3])  # three squared bone lengths, then two joint dots
+    angles = _degrees(dots[..., 3:] / (lengths[..., :-1] * lengths[..., 1:]))
+    thumb = _CURL_THUMB[finger]  # its CMC->MCP bone bends no joint of its curl
+    curl = np.where(thumb, angles[..., 1], angles[..., 0] + angles[..., 1])
+    degenerate = np.where(thumb, lengths[..., 1:].min(axis=-1), lengths.min(axis=-1)) < _EPS
     return np.where(degenerate, np.nan, curl), degenerate
 
 
@@ -323,7 +332,7 @@ def thumb_direction_readings(coords: np.ndarray) -> tuple[np.ndarray, list, np.n
     MCP->TIP vector to the closer of down/up and that direction, (NaN,
     UNSURE) where the vector vanishes, and that mask."""
     angles, k = _closest_axes(coords[:, _THUMB_TIP] - coords[:, _THUMB_MCP], _THUMB_AXES, _EPS)
-    states = (*_THUMB_STATES, ThumbDirection.UNSURE)
+    states = (*_THUMB_STATES, _THUMB_UNSURE)
     return angles, [states[i] for i in k.tolist()], k == 2
 
 
@@ -346,7 +355,7 @@ def palm_readings(coords: np.ndarray, depth: np.ndarray,
     normal = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx], axis=1)
     angles, k = _closest_axes(normal, _PALM_AXES, _NORMAL_EPS)
     flat = ~depth & (k >= 4) & (k < 6)  # inward/outward without depth
-    states = (*_PALM_STATES, PalmOrientation.UNKNOWN)
+    states = (*_PALM_STATES, _PALM_UNKNOWN)
     return (np.where(flat, np.nan, angles), [states[i] for i in np.where(flat, 6, k).tolist()],
             k == 6)
 
@@ -364,17 +373,18 @@ class PoseReadings(NamedTuple):
     degenerate: dict[str, np.ndarray]
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def pose_readings(coords: np.ndarray, depth: np.ndarray, left: np.ndarray) -> PoseReadings:
     """All readings of N frames from their (N, 21, 3) coordinates and (N,)
-    has_depth and left-hand flags, one batched call per kind of reading."""
-    thumb_curl, thumb_bad = curl_readings(coords, "thumb")
-    curls, bad = curl_readings(coords, CONTACT_FINGERS)
-    degenerate = {f"{f}_curl": b for f, b in zip(FINGER_JOINTS, (thumb_bad, *bad.T))}
-    *thumb, degenerate["thumb_direction"] = thumb_direction_readings(coords)
-    *palm, degenerate["palm_normal"] = palm_readings(coords, depth, left)
-    return PoseReadings(curl=np.vstack((thumb_curl, curls.T)),
-                        proximity=proximity_distances(coords, PROXIMITY_PAIRS).T,
-                        contact=contact_distances(coords, CONTACT_FINGERS).T,
+    has_depth and left-hand flags, one batched call per kind of reading.
+    Each runs undecorated (__wrapped__), under this function's errstate."""
+    curls, bad = curl_readings.__wrapped__(coords, FINGERS)
+    degenerate = {f"{f}_curl": b for f, b in zip(FINGERS, bad.T)}
+    *thumb, degenerate["thumb_direction"] = thumb_direction_readings.__wrapped__(coords)
+    *palm, degenerate["palm_normal"] = palm_readings.__wrapped__(coords, depth, left)
+    return PoseReadings(curl=curls.T,
+                        proximity=proximity_distances.__wrapped__(coords, PROXIMITY_PAIRS).T,
+                        contact=contact_distances.__wrapped__(coords, CONTACT_FINGERS).T,
                         thumb=tuple(thumb), palm=tuple(palm), degenerate=degenerate)
 
 
@@ -391,7 +401,7 @@ def pose_vectors(r: PoseReadings, th: RuleThresholds) -> np.ndarray:
             [thumb_pointing(t, f, th) for t, f in zip(thumb, flex[0])]]
     palms = [palm_orientation(p, th) for p in zip(r.palm[0].tolist(), r.palm[1])]
     rows += [[palm is state for palm in palms] for state in PALM_ONE_HOT_ORDER]
-    return np.array(rows, dtype=int)
+    return np.fromiter(chain.from_iterable(rows), dtype=int, count=19 * len(palms)).reshape(19, -1)
 
 
 def encode_pose_vector(frame: HandLandmarkFrame, th: RuleThresholds) -> np.ndarray:

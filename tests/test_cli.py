@@ -1044,6 +1044,31 @@ def test_eval_manifest_that_is_not_an_object_exits_2_naming_it(tmp_path, capsys)
     assert f"error: bad manifest {manifest}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where, number", [("gaze", "NaN"), ("history", "Infinity"),
+                                           ("external", "-Infinity"), ("location", "1e999")])
+def test_eval_manifest_with_a_non_finite_number_exits_2_naming_it(tmp_path, capsys, where,
+                                                                  number):
+    manifest = write_manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    task = doc["tasks"][1]
+    sentinel = 424242.5
+    if where == "gaze":
+        task["gaze"][0]["x"] = sentinel
+    elif where == "history":
+        task["history"][0]["t"] = sentinel
+    elif where == "external":
+        task["external"].append({"lux": sentinel})
+    else:
+        task["functions"][-1]["location"][1] = sentinel
+    manifest.write_text(json.dumps(doc).replace(str(sentinel), number))
+    out_dir = tmp_path / "out"
+    assert main(["eval", str(manifest), "--backend", "scripted:unused.json",
+                 "--out-dir", str(out_dir)]) == 2
+    assert f"error: bad manifest {manifest}: not valid JSON: {number} is not a finite number" in (
+        capsys.readouterr().err)
+    assert not out_dir.exists()
+
+
 def test_eval_manifest_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_bytes(b'{"tasks": []}\xff')

@@ -6,6 +6,8 @@ import math
 import pstats
 import random
 import re
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -946,6 +948,35 @@ def test_encode_streams_logs_as_the_window_by_window_encode(caplog):
     assert isinstance(results[1], MalformedInput) and results[3] == []
     with pytest.raises(MalformedInput, match="hand_width must be positive"):
         encode_stream(streams[0], TH, CFG)
+
+
+def test_encode_streams_calls_each_verdict_once_per_sample_and_row(monkeypatch):
+    """The benchmark's tracer (perfbench/spans.py, Instrumented) counts the
+    rules' decided verdicts by patching a counting wrapper into every
+    package module attribute that holds a verdict function. encode_streams
+    must call each one through that attribute, once per sample and pose
+    row: a verdict bound at import, say as a module alias or a default
+    argument, escapes the wrapper and fails here."""
+    rules_mod = sys.modules["gesturelink.rules"]
+    package = [m for name, m in sys.modules.items() if name.partition(".")[0] == "gesturelink"]
+    calls = Counter()
+    for name in ("flexion", "proximity", "contact", "thumb_pointing", "palm_orientation"):
+        original = getattr(rules_mod, name)
+
+        def counted(*args, _fn=original, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        for mod in package:
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    streams = [_warn_stream(3, degenerate=(1,)), trajectory_stream([0.8] * 10),
+               _warn_stream(2, degenerate=(0,))]
+    results = encode_streams(streams, TH, CFG)
+    n = sum(m.channel1.shape[1] for ms in results if isinstance(ms, list) for m in ms)
+    assert n == 30  # five 1.1 s windows of six samples
+    assert calls == {"flexion": 5 * n, "proximity": 3 * n, "contact": 4 * n,
+                     "thumb_pointing": n, "palm_orientation": n}
 
 
 def _window_frames(kind, t0):

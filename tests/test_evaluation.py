@@ -678,6 +678,41 @@ def test_load_manifest_rejects_missing_fields(tmp_path):
         load_manifest(tmp_path / "manifest.json")
 
 
+def _manifest_holding(tmp_path, where, number):
+    """A one-task manifest holding the JSON number text `number` in the
+    task's gaze, history, external or first function's location."""
+    sentinel = 424242.5
+    task = {"scenario_id": "t", "stream": "t.stream.json", "interface": "Smart Home",
+            "functions": [{"id": f.id, "name": f.name, "location": list(f.location)}
+                          for f in smart_home_functions()],
+            "gaze": [{"t": 1.0, "x": 0.2, "y": 0.4, "z": 1.5}],
+            "history": [{"t": 0.0, "description": "turned on the light"}],
+            "external": ["It is 7:05 PM now."], "truth": "light.power"}
+    if where == "gaze":
+        task["gaze"][0]["x"] = sentinel
+    elif where == "history":
+        task["history"][0]["t"] = sentinel
+    elif where == "external":
+        task["external"].append({"lux": sentinel})
+    else:
+        task["functions"][0]["location"][0] = sentinel
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"tasks": [task]}).replace(str(sentinel), number))
+    return path
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("where", ["gaze", "history", "external", "location"])
+def test_load_manifest_rejects_non_finite_numbers_naming_it(tmp_path, where, number):
+    """A context library file holding such a number is refused, so the same
+    values in a manifest's task, which become its library, are too."""
+    path = _manifest_holding(tmp_path, where, number)
+    with pytest.raises(MalformedInput) as caught:
+        load_manifest(path)
+    assert str(caught.value) == (
+        f"bad manifest {path}: not valid JSON: {number} is not a finite number")
+
+
 def test_load_manifest_rejects_empty(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"tasks": []}))
     with pytest.raises(MalformedInput):

@@ -1,11 +1,12 @@
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gesturelink.rules as rules_mod
 import oracles
 from conftest import (
     FLAT_HAND_POINTS,
@@ -20,15 +21,18 @@ from gesturelink.errors import DegenerateGeometry, MalformedInput
 from gesturelink.landmarks import FINGER_JOINTS, Handedness
 from gesturelink.rules import (
     CONTACT_FINGERS,
+    FINGERS,
     PALM_ONE_HOT_ORDER,
     PROXIMITY_PAIRS,
     PalmOrientation,
+    PoseReadings,
     RuleThresholds,
     ThreeWay,
     ThumbDirection,
     center_heights,
     contact,
     contact_distances,
+    curl_readings,
     encode_pose_vector,
     finger_curl_deg,
     flexion,
@@ -36,12 +40,15 @@ from gesturelink.rules import (
     hand_centers,
     palm_orientation,
     palm_orientation_measurement,
+    palm_readings,
     pose_readings,
+    pose_vectors,
     proximity,
     proximity_distances,
     three_way_verdict,
     threshold_verdict,
     thumb_direction_measurement,
+    thumb_direction_readings,
     thumb_pointing,
     validate_pose_vector,
 )
@@ -926,3 +933,187 @@ def test_batched_readings_match_the_per_frame_ones_where_depth_overflows():
             assert _bits(angle) == _bits(per_frame["thumb"][0])
             assert direction is per_frame["thumb"][1]
             palm_orientation_measurement(frame)
+
+
+# The pose kernel as it stood before the one-pass curl and the fromiter
+# block, verbatim but for its names: the thumb curled over its three-joint
+# chain (MCP, IP, TIP) in a call of its own and the other four fingers in a
+# second call, the verdicts looked their members up on the enum classes,
+# and pose_vectors built its block with np.array over lists of members.
+
+_PRIOR_CURL_ENDS = {f: rules_mod._curl_ends(j[1:] if f == "thumb" else j)
+                    for f, j in FINGER_JOINTS.items()}
+_PRIOR_CURL_ENDS[CONTACT_FINGERS] = np.stack([_PRIOR_CURL_ENDS[f] for f in CONTACT_FINGERS],
+                                             axis=2)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _prior_curl_readings(coords, finger):
+    ends = rules_mod._take(coords, _PRIOR_CURL_ENDS[finger])
+    bones = ends[:, 0] - ends[:, 1]
+    dots = rules_mod._rowdot(bones[:, 0], bones[:, 1])
+    k = (dots.shape[-1] + 1) // 2  # k squared bone lengths, then k - 1 joint dots
+    lengths = np.sqrt(dots[..., :k])
+    angles = rules_mod._degrees(dots[..., k:] / (lengths[..., :-1] * lengths[..., 1:]))
+    curl = angles[..., 0] + angles[..., 1] if angles.shape[-1] == 2 else angles[..., 0]
+    degenerate = lengths.min(axis=-1) < rules_mod._EPS
+    return np.where(degenerate, np.nan, curl), degenerate
+
+
+def _prior_pose_readings(coords, depth, left):
+    thumb_curl, thumb_bad = _prior_curl_readings(coords, "thumb")
+    curls, bad = _prior_curl_readings(coords, CONTACT_FINGERS)
+    degenerate = {f"{f}_curl": b for f, b in zip(FINGER_JOINTS, (thumb_bad, *bad.T))}
+    *thumb, degenerate["thumb_direction"] = thumb_direction_readings(coords)
+    *palm, degenerate["palm_normal"] = palm_readings(coords, depth, left)
+    return PoseReadings(curl=np.vstack((thumb_curl, curls.T)),
+                        proximity=proximity_distances(coords, PROXIMITY_PAIRS).T,
+                        contact=contact_distances(coords, CONTACT_FINGERS).T,
+                        thumb=tuple(thumb), palm=tuple(palm), degenerate=degenerate)
+
+
+def _prior_three_way_verdict(measurement, low, high):
+    if measurement <= low:
+        return ThreeWay.POSITIVE
+    if measurement >= high:
+        return ThreeWay.NEGATIVE
+    return ThreeWay.UNSURE
+
+
+def _prior_flexion(curl_deg, finger, th):
+    if finger not in FINGER_JOINTS:
+        raise ValueError(f"unknown finger: {finger!r}")
+    low, high = th.flexion_thumb if finger == "thumb" else th.flexion_finger
+    return _prior_three_way_verdict(curl_deg, low, high)
+
+
+def _prior_proximity(distance, th):
+    return _prior_three_way_verdict(distance, *th.proximity)
+
+
+def _prior_contact(distance, th):
+    return _prior_three_way_verdict(distance, *th.contact)
+
+
+def _prior_thumb_pointing(reading, thumb_flexion, th):
+    if thumb_flexion != ThreeWay.POSITIVE:
+        return ThumbDirection.UNSURE
+    return threshold_verdict(*reading, th.thumb_dir_angle_threshold, ThumbDirection.UNSURE)
+
+
+def _prior_palm_orientation(reading, th):
+    return threshold_verdict(*reading, th.palm_angle_threshold, PalmOrientation.UNKNOWN)
+
+
+def _prior_pose_vectors(r, th):
+    flex = [[_prior_flexion(c, finger, th) for c in curls]
+            for finger, curls in zip(FINGER_JOINTS, r.curl.tolist())]
+    thumb = zip(r.thumb[0].tolist(), r.thumb[1])
+    rows = [*flex, *([_prior_proximity(d, th) for d in ds] for ds in r.proximity.tolist()),
+            *([_prior_contact(d, th) for d in ds] for ds in r.contact.tolist()),
+            [_prior_thumb_pointing(t, f, th) for t, f in zip(thumb, flex[0])]]
+    palms = [_prior_palm_orientation(p, th) for p in zip(r.palm[0].tolist(), r.palm[1])]
+    rows += [[palm is state for palm in palms] for state in PALM_ONE_HOT_ORDER]
+    return np.array(rows, dtype=int)
+
+
+def _kernel_frames(n, seed):
+    """(coords, depth, left) of n hostile frames: random hands, and flat
+    hands upright or upside down (straight thumbs that point); a third
+    rounded to 0.1 (axis-aligned bones, exact ties); scaled by 1e-13 to
+    1e3; zero-length bones in any finger, the thumb's CMC->MCP bone
+    included; collapsed palms; a quarter without depth; and inf, -inf, NaN
+    or float-limit coordinates. Both hands."""
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(0.0, 1.0, (n, 21, 3))
+    coords[:, :, 2] -= 0.5
+    flat = rng.uniform(size=n) < 0.3
+    coords[flat] = np.array(FLAT_HAND_POINTS) + rng.normal(0.0, 0.004, (flat.sum(), 21, 3))
+    coords[flat & (rng.uniform(size=n) < 0.5), :, 1] *= -1.0
+    coords[::3] = np.round(coords[::3], 1)
+    coords *= 10.0 ** rng.uniform(-13, 3, (n, 1, 1))
+    for c in coords:
+        draw = rng.uniform(size=6)
+        chain = FINGER_JOINTS[FINGERS[rng.integers(5)]]
+        if draw[0] < 0.3:  # one bone of any finger
+            b = rng.integers(3)
+            c[chain[b + 1]] = c[chain[b]]
+        if draw[1] < 0.1:  # the thumb's CMC->MCP bone, which bends no joint of its curl
+            c[2] = c[1]
+        if draw[2] < 0.05:
+            c[list(chain[1:])] = c[chain[0]]
+        if draw[3] < 0.05:
+            c[5], c[0] = c[17], c[9]
+        if draw[4] < 0.1:
+            c[rng.integers(21), rng.integers(3)] = rng.choice([np.inf, -np.inf, np.nan])
+        if draw[5] < 0.05:
+            c[:, 2] = rng.choice([1e200, -1e300, 1.7e308], 21)
+    depth = rng.uniform(size=n) >= 0.25
+    coords[~depth, :, 2] = 0.0
+    return coords, depth, rng.uniform(size=n) < 0.5
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, but for the sign of a NaN: numpy's loops give one
+    frame's NaN curl either sign, depending on the shape of the batch it
+    sits in, in the prior kernel too (its one-finger and four-finger calls
+    differ so on these frames). No verdict or output can tell them apart."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def test_pose_kernel_matches_the_prior_kernel_bit_for_bit():
+    """On 12,000 hostile frames, whole and in windows of 1 to 64: the
+    one-pass curls and their masks equal the prior two-call ones bit for
+    bit, so does each finger's tuner reading, the pose blocks are equal in
+    values and dtype, and each verdict returns the prior one's member."""
+    coords, depth, left = _kernel_frames(12_000, seed=2718)
+    with np.errstate(all="ignore"):
+        seen = Counter(non_finite=(~np.isfinite(coords)).any(axis=(1, 2)).sum(),
+                       thumb_cmc_bone=(coords[:, 1] == coords[:, 2]).all(axis=1).sum())
+    local, start, windows = random.Random(2718), 0, [(0, len(coords))]
+    while start < len(coords):
+        windows.append((start, start + local.choice([1, local.randint(1, 64)])))
+        start = windows[-1][1]
+    for a, b in windows:
+        prior = _prior_pose_readings(coords[a:b], depth[a:b], left[a:b])
+        got = pose_readings(coords[a:b], depth[a:b], left[a:b])
+        assert _same_bits(got.curl, prior.curl)
+        assert list(got.degenerate) == list(prior.degenerate)
+        for name, mask in prior.degenerate.items():
+            assert np.array_equal(got.degenerate[name], mask), name
+        curls, bad = curl_readings(coords[a:b], FINGERS)
+        assert _same_bits(curls.T, prior.curl)
+        assert np.array_equal(bad.T, np.array([prior.degenerate[f"{f}_curl"] for f in FINGERS]))
+        for finger in FINGERS:  # the tuner's one-finger call
+            one, one_bad = curl_readings(coords[a:b], finger)
+            prior_one, prior_bad = _prior_curl_readings(coords[a:b], finger)
+            assert _same_bits(one, prior_one) and np.array_equal(one_bad, prior_bad)
+        block, prior_block = pose_vectors(got, TH), _prior_pose_vectors(prior, TH)
+        assert block.dtype == prior_block.dtype and block.shape == prior_block.shape
+        assert np.array_equal(block, prior_block)
+    r = pose_readings(coords, depth, left)
+    members = defaultdict(set)
+    for finger, curls in zip(FINGERS, r.curl.tolist()):
+        for c in curls:
+            assert (v := flexion(c, finger, TH)) is _prior_flexion(c, finger, TH)
+            members[flexion].add(v)
+    for distances, verdict, prior_verdict in ((r.proximity, proximity, _prior_proximity),
+                                              (r.contact, contact, _prior_contact)):
+        for d in distances.ravel().tolist():
+            assert (v := verdict(d, TH)) is prior_verdict(d, TH)
+            members[verdict].add(v)
+    thumb_flexion = [_prior_flexion(c, "thumb", TH) for c in r.curl[0].tolist()]
+    for reading, f in zip(zip(r.thumb[0].tolist(), r.thumb[1]), thumb_flexion):
+        assert (v := thumb_pointing(reading, f, TH)) is _prior_thumb_pointing(reading, f, TH)
+        members[thumb_pointing].add(v)
+    for reading in zip(r.palm[0].tolist(), r.palm[1]):
+        assert (v := palm_orientation(reading, TH)) is _prior_palm_orientation(reading, TH)
+        members[palm_orientation].add(v)
+    seen.update(degenerate_thumb=r.degenerate["thumb_curl"].sum(),
+                degenerate_finger=r.degenerate["index_curl"].sum(), no_depth=(~depth).sum(),
+                left=left.sum(), tiny=(np.abs(coords).max(axis=(1, 2)) < 1e-9).sum())
+    # Each verdict returns every member of its enum, and each hostile case occurs.
+    assert members == {flexion: {*ThreeWay}, proximity: {*ThreeWay}, contact: {*ThreeWay},
+                       thumb_pointing: {*ThumbDirection}, palm_orientation: {*PalmOrientation}}
+    assert min(seen.values()) >= 100, dict(seen)
