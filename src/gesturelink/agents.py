@@ -124,7 +124,9 @@ class DialogueTranscript:
         return sum(t.usage.latency for t in self.turns if t.usage)
 
     def to_jsonl(self) -> str:
-        return "\n".join([_JSONL_ENCODER.encode(t.to_record()) for t in self.turns]) + "\n"
+        """One JSON line per turn; empty when there are no turns."""
+        lines = [_JSONL_ENCODER.encode(t.to_record()) for t in self.turns]
+        return "\n".join(lines) + "\n" if lines else ""
 
 
 def extract_json_object(raw: str) -> dict:

@@ -13,6 +13,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -54,6 +55,13 @@ class ContextType:
             raise MalformedInput(f"context name must be a non-empty string, got {self.name!r}")
         if not (isinstance(self.description_md, str) and self.description_md.strip()):
             raise MalformedInput(f"context {self.name} needs a non-empty description string")
+
+    @cached_property
+    def _gaze(self) -> "_GazeSamples":
+        """The values read as gaze samples, once, at the first gaze
+        calculation on this context. Libraries that hold this object share
+        it; editing values in place afterwards is not seen."""
+        return _GazeSamples(self.values)
 
 
 @dataclass(frozen=True)
@@ -362,26 +370,75 @@ def function_list_text(lib: ContextLibrary) -> str:
 
 # --- built-in calculators --------------------------------------------------
 
-def _recent_gaze(lib: ContextLibrary, args: dict) -> list[dict]:
-    samples = lib.get(args.get("context", "gaze")).values or []
-    if not samples:
-        return []
+class _GazeSamples:
+    """A context's values read as gaze samples: one column per reading in
+    _GAZE_COLUMNS, each holding that reading of every sample, or the
+    exception it raised in place of the value. Values that cannot be
+    iterated raise here, so no reading is kept and each calculation
+    raises that error anew."""
+
+    __slots__ = ("columns", "failed")
+
+    def __init__(self, values: Any):
+        self.columns, self.failed = [], []
+        for read in _GAZE_COLUMNS:
+            column = []
+            for s in values:
+                try:
+                    column.append(read(s))
+                except Exception as exc:  # noqa: BLE001 - raised when a calculation reads it
+                    column.append(exc)
+            self.columns.append(column)
+            self.failed.append(any(isinstance(v, Exception) for v in column))
+
+    def pick(self, column: int, indices: Sequence[int] | None = None) -> list:
+        """The column's values at indices (all of them by default), in
+        their order; raises the exception of the first that failed. A
+        stored exception loses its last traceback first, so that raising
+        it again does not chain frames onto it."""
+        values = self.columns[column]
+        picked = values if indices is None else [values[i] for i in indices]
+        if self.failed[column]:
+            for value in picked:
+                if isinstance(value, Exception):
+                    raise value.with_traceback(None)
+        return picked
+
+
+# What the gaze calculators read of each sample, in _GazeSamples' columns:
+# the conversions they once made on every call, so that a malformed sample
+# raises the same exception.
+_T, _X, _Y, _Z, _HAS_Z, _TEXT = range(6)
+_GAZE_COLUMNS = (
+    lambda s: float(s["t"]),
+    lambda s: float(s["x"]),
+    lambda s: float(s["y"]),
+    lambda s: float(s.get("z", 0.0)),
+    lambda s: "z" in s,
+    lambda s: json.dumps(s, ensure_ascii=False, allow_nan=False),
+)
+
+
+def _recent_gaze(lib: ContextLibrary, args: dict) -> tuple[_GazeSamples | None, list[int]]:
+    """The reading of the context args names (gaze by default) and the
+    indices of its samples within args' window of the newest, oldest first."""
+    ctx = lib.get(args.get("context", "gaze"))
+    if not ctx.values:
+        return None, []
     window = float(args.get("window", GAZE_WINDOW_SECONDS))
-    newest = max(float(s["t"]) for s in samples)
-    return [s for s in samples if float(s["t"]) >= newest - window]
+    gaze = ctx._gaze
+    times = gaze.pick(_T)
+    cutoff = max(times) - window
+    return gaze, [i for i, t in enumerate(times) if t >= cutoff]
 
 
 def _gaze_target(lib: ContextLibrary, args: dict) -> str:
     """Name of the function nearest the recent-gaze centroid; ties go to
     the lower function id."""
-    recent = _recent_gaze(lib, args)
+    gaze, recent = _recent_gaze(lib, args)
     if not recent:
         return "no gaze data available"
-    centroid = [
-        float(_mean([float(s["x"]) for s in recent])),
-        float(_mean([float(s["y"]) for s in recent])),
-        float(_mean([float(s.get("z", 0.0)) for s in recent])),
-    ]
+    centroid = [_mean(gaze.pick(column, recent)) for column in (_X, _Y, _Z)]
     functions = function_entries(lib)
     if not functions:
         raise MalformedInput("gaze_target needs a function_list context")
@@ -392,7 +449,7 @@ def _gaze_target(lib: ContextLibrary, args: dict) -> str:
     # distance keeps ** and sum, whose rounding (compensated from Python
     # 3.12 on) neither numpy nor a hand-written accumulation reproduces,
     # so numpy only screens out the functions that cannot win.
-    point = centroid[:3] if any("z" in s for s in recent) else centroid[:2]
+    point = centroid if any(gaze.pick(_HAS_Z, recent)) else centroid[:2]
     best = best_key = None
     for entry in _gaze_candidates(functions, lib._locations, point):
         key = (math.sqrt(sum([(c - v) ** 2 for c, v in zip(point, entry.location)])), entry.id)
@@ -422,7 +479,8 @@ def _gaze_candidates(functions, locations, point) -> Sequence[FunctionEntry]:
 
 def _gaze_trace(lib: ContextLibrary, args: dict) -> str:
     """Raw recent gaze samples as compact JSON."""
-    return json.dumps(_recent_gaze(lib, args), ensure_ascii=False, allow_nan=False)
+    gaze, recent = _recent_gaze(lib, args)
+    return "[" + ", ".join(gaze.pick(_TEXT, recent) if recent else ()) + "]"
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -696,6 +696,11 @@ def test_unparseable_inference_transcript_bytes():
     assert transcript.to_jsonl() == UNPARSEABLE_INFERENCE_JSONL
 
 
+def test_empty_transcript_writes_no_lines():
+    # No turns is no JSONL lines, not one blank line that is not JSON.
+    assert DialogueTranscript().to_jsonl() == ""
+
+
 def test_session_with_gaze_placeholders_parses_no_function_list(monkeypatch):
     import gesturelink.context
 

@@ -3,10 +3,12 @@ import math
 import random
 import re
 import time
+from collections import Counter
 from decimal import Decimal
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import python_calls, smart_home_functions, smart_home_library
 from gesturelink.context import (
@@ -14,7 +16,10 @@ from gesturelink.context import (
     ContextLibrary,
     ContextType,
     FunctionEntry,
+    GAZE_WINDOW_SECONDS,
+    _gaze_candidates,
     _gaze_target,
+    _mean,
     _placeholder_spans,
     add_context_type,
     calculate,
@@ -294,6 +299,184 @@ def test_non_finite_values_are_never_written_as_json():
     with pytest.raises(ValueError, match="not JSON compliant"):
         lib.to_json()
     assert resolve_placeholders(lib, "{{CALC:gaze_trace}}") == "[calculation gaze_trace unavailable]"
+
+
+# --- the gaze reading ---------------------------------------------------------
+
+def _prior_recent_gaze(lib, args):
+    samples = lib.get(args.get("context", "gaze")).values or []
+    if not samples:
+        return []
+    window = float(args.get("window", GAZE_WINDOW_SECONDS))
+    newest = max(float(s["t"]) for s in samples)
+    return [s for s in samples if float(s["t"]) >= newest - window]
+
+
+def _prior_gaze_target(lib, args):
+    """The calculator as it was before gaze samples were read once per
+    context: every sample converted again on each call."""
+    recent = _prior_recent_gaze(lib, args)
+    if not recent:
+        return "no gaze data available"
+    centroid = [
+        float(_mean([float(s["x"]) for s in recent])),
+        float(_mean([float(s["y"]) for s in recent])),
+        float(_mean([float(s.get("z", 0.0)) for s in recent])),
+    ]
+    functions = function_entries(lib)
+    if not functions:
+        raise MalformedInput("gaze_target needs a function_list context")
+    point = centroid[:3] if any("z" in s for s in recent) else centroid[:2]
+    best = best_key = None
+    for entry in _gaze_candidates(functions, lib._locations, point):
+        key = (math.sqrt(sum([(c - v) ** 2 for c, v in zip(point, entry.location)])), entry.id)
+        if best is None or key < best_key:
+            best, best_key = entry, key
+    return best.name
+
+
+def _prior_gaze_trace(lib, args):
+    return json.dumps(_prior_recent_gaze(lib, args), ensure_ascii=False, allow_nan=False)
+
+
+_PRIOR_CALCULATORS = {"gaze_target": _prior_gaze_target, "gaze_trace": _prior_gaze_trace}
+
+
+def _delivered(lib, placeholder):
+    """calculate's text, or its failure's message and diagnostics."""
+    try:
+        return calculate(lib, placeholder)
+    except CalculatorFailure as exc:
+        return str(exc), exc.diagnostics
+
+
+_hostile_scalar = st.sampled_from([
+    math.nan, math.nan, math.inf, -math.inf, 10**400,  # 10**400: too large for a float
+    "1.5", " 2 ", "nan", "1e999", "1_0", "x", "", None, True, False, [1.0], {"v": 1.0},
+])
+_times = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _hostile_sample(draw):
+    """A well-formed {t, x, y[, z]} sample (six draws in ten), one with a
+    key removed or set to a hostile value, or not a dict at all."""
+    sample = draw(st.fixed_dictionaries({"t": _times, "x": _coord, "y": _coord},
+                                        optional={"z": _coord, "label": st.text(max_size=2)}))
+    kind = draw(st.integers(0, 9))
+    if kind == 9:
+        return draw(st.sampled_from([[], [1.0], "t", "", 3, None, True]))
+    if kind >= 6:
+        key = draw(st.sampled_from(["t", "x", "y", "z"]))
+        if kind == 8:
+            sample.pop(key, None)
+        else:
+            sample[key] = draw(_hostile_scalar)
+    return sample
+
+
+_hostile_values = st.one_of(
+    st.lists(_hostile_sample(), max_size=6),
+    st.sampled_from([None, 0, 7, True, "gaze", {}, {"t": 1.0}]),
+)
+_hostile_args = st.fixed_dictionaries({}, optional={
+    "window": st.one_of(st.sampled_from([0.0, 0.25, 1.0, 100.0, -1.0]), _hostile_scalar, st.floats()),
+    "context": st.sampled_from(["gaze", "gaze", "history", "function_list", "absent"]),
+})
+
+
+# Two functions at the same image point, one deep: a 2D centroid ties them
+# (the lower id wins) and a 3D one picks the flat one, so every answer
+# shows whether the recent samples had a depth.
+_DEPTH_PROBE = [FunctionEntry("a", "Deep", (0.0, 0.0, 10.0)), FunctionEntry("b", "Flat", (0.0, 0.0))]
+_FUNCTIONS = {"none": None, "smart_home": smart_home_functions(), "depth_probe": _DEPTH_PROBE}
+_TARGET = [("gaze_target", {})]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=_hostile_values,
+    history=st.lists(_hostile_sample(), max_size=3),
+    functions=st.sampled_from(sorted(_FUNCTIONS)),
+    calls=st.lists(st.tuples(st.sampled_from(["gaze_target", "gaze_trace"]), _hostile_args),
+                   min_size=1, max_size=4),
+)
+# Only an old sample has a depth: the centroid is 2D.
+@example([{"t": 0.0, "x": 0.0, "y": 0.0, "z": 1.0}, {"t": 2.0, "x": 0.0, "y": 0.0}],
+         [], "depth_probe", _TARGET)
+# The first recent sample whose x fails decides, before any y; an old
+# failing x is never read.
+@example([{"t": 0.0, "x": "old", "y": 0.0}, {"t": 2.0, "x": 0.0, "y": "y"},
+          {"t": 2.0, "x": "x", "y": 0.0}, {"t": 2.0, "x": None, "y": 0.0}], [], "none", _TARGET)
+# A NaN fails the trace only in a recent sample.
+@example([{"t": 0.0, "x": math.nan, "y": 0.0}, {"t": 2.0, "x": 0.0, "y": 0.0}], [], "none",
+         [("gaze_trace", {}), ("gaze_trace", {"window": 5.0})])
+def test_gaze_calculators_match_the_per_call_conversions(values, history, functions, calls):
+    """The shared reading delivers what converting every sample on each
+    call delivered: the same text, or the same failure and diagnostics,
+    on the first calculation and on every later one."""
+    contexts = [ContextType("gaze", "Gaze samples.", values),
+                ContextType("history", "Earlier samples.", history)]
+    if _FUNCTIONS[functions] is not None:
+        contexts.insert(0, make_function_list_context("room", _FUNCTIONS[functions]))
+    lib = ContextLibrary(contexts)
+    for calc_id, args in calls * 2:
+        placeholder = f"{{{{CALC:{calc_id}:{json.dumps(args)}}}}}" if args else f"{{{{CALC:{calc_id}}}}}"
+        with mock.patch.dict(BUILTIN_CALCULATORS, _PRIOR_CALCULATORS):
+            prior = _delivered(lib, placeholder)
+        assert _delivered(lib, placeholder) == prior
+
+
+class _CountingSample(dict):
+    """A gaze sample that counts the reads of each of its keys."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reads = Counter()
+
+    def __getitem__(self, key):
+        self.reads[key] += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
+
+
+def test_a_gaze_context_is_read_once_and_shared_by_every_library(monkeypatch):
+    samples = [_CountingSample(s) for s in gaze_at(0.2, 0.4, 1.5, n=4)]
+    samples.append(_CountingSample(t=12.0, x=0.2, y=0.4))  # the only recent one; no z
+    dumps = Counter()
+    real_dumps = json.dumps
+
+    def counting_dumps(obj, **kwargs):
+        dumps[id(obj)] += 1
+        return real_dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    lib = smart_home_library(gaze=samples)
+    gaze = lib.get("gaze")
+    libs = [lib, lib.filtered(["function_list", "gaze"]), lib.filtered(["gaze", "history"]),
+            add_context_type(lib.filtered(["function_list", "gaze"]),
+                             make_external_context(["door open"]))]
+    wide = '{"window": 100.0}'
+    for other in libs * 3:
+        assert other.get("gaze") is gaze
+        assert json.loads(calculate(other, f"{{{{CALC:gaze_trace:{wide}}}}}")) == samples
+        assert calculate(other, "{{CALC:gaze_trace}}") == real_dumps([samples[-1]])
+        if "function_list" in other:
+            assert calculate(other, f"{{{{CALC:gaze_target:{wide}}}}}").startswith("Light")
+    reading = gaze._gaze
+    assert all(other.get("gaze")._gaze is reading for other in libs)
+    for s in samples:
+        assert s.reads == Counter("txyz")
+        assert dumps[id(s)] == 1
+    # The reading stays out of equality and repr, and in-place edits of the
+    # values after the first calculation are not seen.
+    assert gaze == ContextType(gaze.name, gaze.description_md, gaze.values)
+    assert "_gaze" not in repr(gaze)
+    gaze.values.append({"t": 20.0, "x": 9.0, "y": 9.0})
+    assert calculate(lib, "{{CALC:gaze_trace}}") == real_dumps([samples[-1]])
 
 
 def test_unknown_calculator():
