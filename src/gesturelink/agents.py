@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 from .context import (
     ContextLibrary,
-    function_entries,
-    function_list_text,
     render_library_prompt,
     resolve_placeholders,
 )
@@ -325,11 +323,11 @@ def run_inference_session(
     transcript = transcript if transcript is not None else DialogueTranscript()
     if "function_list" not in lib:
         raise MalformedInput("session needs a function_list context")
-    valid_ids = {f.id for f in function_entries(lib)}
+    valid_ids = {f.id for f in lib.functions}
 
     inference_messages = [
         ChatMessage("system", render_prompt(
-            prompts.inference_prompt, function_list=function_list_text(lib)
+            prompts.inference_prompt, function_list=lib.function_list_text
         )),
         ChatMessage("user", f"Gesture description:\n{description}"),
     ]

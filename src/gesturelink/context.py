@@ -81,7 +81,9 @@ Calculator = Callable[["ContextLibrary", dict], str]
 
 class ContextLibrary:
     """Ordered map of context types. The function_list context's values
-    are parsed here, once, and every reader uses that parse.
+    are parsed here, once, into `functions`, and every reader uses that
+    parse; `function_list_text` is its rendering for the inference
+    prompt, empty when the library has no function_list.
 
     Reads never mutate; add_context_type returns a new library so shared
     instances stay safe across concurrent sessions.
@@ -98,9 +100,9 @@ class ContextLibrary:
         listing = self._entries.get("function_list")
         if functions is None:
             functions = () if listing is None else parse_function_list(listing.values)
-        self._functions = tuple(functions)
-        self._function_list_text = _render_function_list(self._functions)
-        self._locations = _function_locations(self._functions)
+        self.functions: tuple[FunctionEntry, ...] = tuple(functions)
+        self.function_list_text = _render_function_list(self.functions)
+        self._locations = _function_locations(self.functions)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -126,10 +128,10 @@ class ContextLibrary:
         lib = ContextLibrary.__new__(ContextLibrary)
         lib._entries = {name: c for name, c in self._entries.items() if name in keep}
         if "function_list" in keep:
-            lib._functions, lib._function_list_text = self._functions, self._function_list_text
+            lib.functions, lib.function_list_text = self.functions, self.function_list_text
             lib._locations = self._locations
         else:
-            lib._functions, lib._function_list_text, lib._locations = (), "", None
+            lib.functions, lib.function_list_text, lib._locations = (), "", None
         return lib
 
     def to_json(self) -> str:
@@ -169,25 +171,18 @@ def add_context_type(lib: ContextLibrary, ctx: ContextType) -> ContextLibrary:
     return ContextLibrary([lib.get(n) for n in lib.names] + [ctx])
 
 
-def calculate(lib: ContextLibrary, placeholder: str) -> str:
-    """Run the calculator a placeholder names and return its text output.
-    The placeholder, stripped, must be one whole placeholder as
-    _placeholder_spans finds it."""
-    text = placeholder.strip()
-    span = next(_placeholder_spans(text), None)
-    if span is None or span[:2] != (0, len(text)):
-        raise CalculatorFailure(f"not a calculation placeholder: {placeholder!r}")
-    _, _, calc_id, raw_args = span
+def calculate(lib: ContextLibrary, calc_id: str, raw_args: str | None) -> str:
+    """Run the calculator calc_id names on raw_args, a placeholder's
+    arguments as JSON text (None when it has none), and return its text
+    output. The arguments must decode to a JSON object."""
     if calc_id not in BUILTIN_CALCULATORS:
         raise CalculatorFailure(f"no calculator registered as {calc_id!r}")
-    args: dict = {}
-    if raw_args:
-        try:
-            args = json.loads(raw_args)  # model output, not an input file
-        except (ValueError, RecursionError) as exc:  # also too many digits, too deep
-            raise CalculatorFailure(
-                f"bad calculator args for {calc_id}", diagnostics=str(exc)
-            ) from exc
+    try:
+        args = {} if raw_args is None else json.loads(raw_args)  # model output, not an input file
+        if not isinstance(args, dict):
+            raise TypeError(f"arguments must be a JSON object, got {type(args).__name__}")
+    except (ValueError, RecursionError, TypeError) as exc:  # also too many digits, too deep
+        raise CalculatorFailure(f"bad calculator args for {calc_id}", diagnostics=str(exc)) from exc
     try:
         return BUILTIN_CALCULATORS[calc_id](lib, args)
     except Exception as exc:  # noqa: BLE001 - diagnostics wrapped for the caller
@@ -231,14 +226,13 @@ def resolve_placeholders(lib: ContextLibrary, text: str) -> str:
     """
     parts = []
     done = 0
-    for start, end, calc_id, _ in _placeholder_spans(text):
-        placeholder = text[start:end]
+    for start, end, calc_id, raw_args in _placeholder_spans(text):
         parts.append(text[done:start])
         try:
-            parts.append(calculate(lib, placeholder))
+            parts.append(calculate(lib, calc_id, raw_args))
         except CalculatorFailure as exc:
             logger.warning(
-                "placeholder %s failed: %s; diagnostics: %s", placeholder, exc, exc.diagnostics
+                "placeholder %s failed: %s; diagnostics: %s", text[start:end], exc, exc.diagnostics
             )
             parts.append(f"[calculation {calc_id} unavailable]")
         done = end
@@ -356,18 +350,6 @@ def _function_locations(
     return coords.reshape(len(functions), 3), present
 
 
-def function_entries(lib: ContextLibrary) -> tuple[FunctionEntry, ...]:
-    """The function_list context's entries as the library parsed them;
-    empty when the library has no function_list."""
-    return lib._functions
-
-
-def function_list_text(lib: ContextLibrary) -> str:
-    """The library's function list as the inference prompt shows it,
-    rendered once when the library was built."""
-    return lib._function_list_text
-
-
 # --- built-in calculators --------------------------------------------------
 
 class _GazeSamples:
@@ -421,11 +403,14 @@ _GAZE_COLUMNS = (
 
 def _recent_gaze(lib: ContextLibrary, args: dict) -> tuple[_GazeSamples | None, list[int]]:
     """The reading of the context args names (gaze by default) and the
-    indices of its samples within args' window of the newest, oldest first."""
+    indices of its samples within args' window of the newest, oldest first.
+    The window is seconds before the newest sample; NaN or below 0 raises."""
     ctx = lib.get(args.get("context", "gaze"))
     if not ctx.values:
         return None, []
     window = float(args.get("window", GAZE_WINDOW_SECONDS))
+    if not window >= 0.0:  # also NaN
+        raise MalformedInput(f"window must be a number of seconds >= 0, got {window!r}")
     gaze = ctx._gaze
     times = gaze.pick(_T)
     cutoff = max(times) - window
@@ -439,7 +424,7 @@ def _gaze_target(lib: ContextLibrary, args: dict) -> str:
     if not recent:
         return "no gaze data available"
     centroid = [_mean(gaze.pick(column, recent)) for column in (_X, _Y, _Z)]
-    functions = function_entries(lib)
+    functions = lib.functions
     if not functions:
         raise MalformedInput("gaze_target needs a function_list context")
 

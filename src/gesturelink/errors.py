@@ -46,8 +46,8 @@ class DegenerateGeometry(GestureLinkError):
 
 
 class CalculatorFailure(GestureLinkError):
-    """A placeholder names no calculator, or its calculator failed;
-    diagnostics are attached."""
+    """A placeholder names no calculator, its arguments are not a JSON
+    object, or its calculator failed; diagnostics are attached."""
 
     def __init__(self, message: str, diagnostics: str = ""):
         super().__init__(message)

@@ -24,7 +24,6 @@ import numpy as np
 from .agents import Conclusion, SessionConfig, ground_matrix
 from .context import (
     ContextLibrary,
-    function_entries,
     make_external_context,
     make_function_list_context,
     make_gaze_context,
@@ -67,7 +66,7 @@ class TaskRecord:
     truth_id: str
 
     def __post_init__(self):
-        if self.truth_id not in {f.id for f in function_entries(self.library)}:
+        if self.truth_id not in {f.id for f in self.library.functions}:
             raise MalformedInput(
                 f"task {self.scenario_id}: truth id {self.truth_id!r} not in function list"
             )
@@ -286,7 +285,7 @@ def random_guess_baseline(tasks: Sequence) -> Metrics:
 
     Accepts TaskRecord objects or bare function counts.
     """
-    counts = [t if isinstance(t, int) else len(function_entries(t.library)) for t in tasks]
+    counts = [t if isinstance(t, int) else len(t.library.functions) for t in tasks]
     if not counts or any(n < 1 for n in counts):
         raise MalformedInput("every task needs at least one function")
 

@@ -23,8 +23,7 @@ from gesturelink.context import (
     _placeholder_spans,
     add_context_type,
     calculate,
-    function_entries,
-    function_list_text,
+    logger,
     make_external_context,
     make_function_list_context,
     make_gaze_context,
@@ -64,7 +63,7 @@ def test_smart_home_fixture_has_18_functions():
     lib = smart_home_library()
     values = lib.get("function_list").values
     assert len(values["functions"]) == 18
-    assert len(function_entries(lib)) == 18
+    assert len(lib.functions) == 18
 
 
 def test_retrieve_empty_history():
@@ -98,7 +97,7 @@ def brute_force_nearest(functions, centroid):
 def test_gaze_target_resolves_nearest_function():
     light_location = (0.2, 0.4, 1.5)
     lib = smart_home_library(gaze=gaze_at(*light_location))
-    result = calculate(lib, "{{CALC:gaze_target}}")
+    result = calculate(lib, "gaze_target", None)
     assert result == brute_force_nearest(smart_home_functions(), light_location)
     assert result.startswith("Light")
 
@@ -114,7 +113,7 @@ def test_gaze_target_tie_breaks_on_lower_id():
             make_gaze_context([{"t": 0.0, "x": 0.5, "y": 0.5}]),
         ]
     )
-    assert calculate(lib, "{{CALC:gaze_target}}") == "Lamp"
+    assert calculate(lib, "gaze_target", None) == "Lamp"
 
 
 def min_formula_gaze_target(lib):
@@ -133,7 +132,7 @@ def min_formula_gaze_target(lib):
         dims = min(len(entry.location), depth_dims)
         return math.sqrt(sum((centroid[i] - entry.location[i]) ** 2 for i in range(dims)))
 
-    return min(function_entries(lib), key=lambda f: (dist(f), f.id)).name
+    return min(lib.functions, key=lambda f: (dist(f), f.id)).name
 
 
 # Few distinct coordinates, so that distances often tie exactly.
@@ -285,13 +284,13 @@ def test_gaze_target_uses_recent_window_only():
     old = [{"t": 0.0, "x": 2.4, "y": 0.9, "z": 2.2}] * 5
     recent = gaze_at(0.2, 0.4, 1.5, n=3, t0=5.0)
     lib = smart_home_library(gaze=old + recent)
-    assert calculate(lib, "{{CALC:gaze_target}}").startswith("Light")
+    assert calculate(lib, "gaze_target", None).startswith("Light")
 
 
 def test_gaze_trace_returns_recent_samples():
     samples = gaze_at(0.3, 0.3, 1.0)
     lib = smart_home_library(gaze=samples)
-    assert json.loads(calculate(lib, "{{CALC:gaze_trace}}")) == samples
+    assert json.loads(calculate(lib, "gaze_trace", None)) == samples
 
 
 def test_non_finite_values_are_never_written_as_json():
@@ -323,7 +322,7 @@ def _prior_gaze_target(lib, args):
         float(_mean([float(s["y"]) for s in recent])),
         float(_mean([float(s.get("z", 0.0)) for s in recent])),
     ]
-    functions = function_entries(lib)
+    functions = lib.functions
     if not functions:
         raise MalformedInput("gaze_target needs a function_list context")
     point = centroid[:3] if any("z" in s for s in recent) else centroid[:2]
@@ -342,12 +341,24 @@ def _prior_gaze_trace(lib, args):
 _PRIOR_CALCULATORS = {"gaze_target": _prior_gaze_target, "gaze_trace": _prior_gaze_trace}
 
 
-def _delivered(lib, placeholder):
+def _delivered(lib, calc_id, args):
     """calculate's text, or its failure's message and diagnostics."""
     try:
-        return calculate(lib, placeholder)
+        return calculate(lib, calc_id, json.dumps(args) if args else None)
     except CalculatorFailure as exc:
         return str(exc), exc.diagnostics
+
+
+def _rejected_window(lib, args):
+    """The window _recent_gaze rejects in args, or None: one that converts
+    to NaN or a negative number, once args' context exists and holds values."""
+    try:
+        if not lib.get(args.get("context", "gaze")).values:
+            return None
+        window = float(args.get("window", GAZE_WINDOW_SECONDS))
+    except (MalformedInput, TypeError, ValueError, OverflowError):  # the prior fail so too
+        return None
+    return None if window >= 0.0 else window
 
 
 _hostile_scalar = st.sampled_from([
@@ -411,20 +422,30 @@ _TARGET = [("gaze_target", {})]
 # A NaN fails the trace only in a recent sample.
 @example([{"t": 0.0, "x": math.nan, "y": 0.0}, {"t": 2.0, "x": 0.0, "y": 0.0}], [], "none",
          [("gaze_trace", {}), ("gaze_trace", {"window": 5.0})])
+# A NaN or negative window fails where samples exist, and only there.
+@example([{"t": 0.0, "x": "x", "y": 0.0}], [], "smart_home",
+         [("gaze_target", {"window": math.nan}), ("gaze_trace", {"window": -5}),
+          ("gaze_trace", {"window": -math.inf}), ("gaze_target", {"window": 0.0}),
+          ("gaze_trace", {"window": math.nan, "context": "history"})])
 def test_gaze_calculators_match_the_per_call_conversions(values, history, functions, calls):
     """The shared reading delivers what converting every sample on each
     call delivered: the same text, or the same failure and diagnostics,
-    on the first calculation and on every later one."""
+    on the first calculation and on every later one. The one exception is
+    a window of NaN or below 0 over a context that holds values, which
+    the prior calculators read as selecting no sample: it now fails."""
     contexts = [ContextType("gaze", "Gaze samples.", values),
                 ContextType("history", "Earlier samples.", history)]
     if _FUNCTIONS[functions] is not None:
         contexts.insert(0, make_function_list_context("room", _FUNCTIONS[functions]))
     lib = ContextLibrary(contexts)
     for calc_id, args in calls * 2:
-        placeholder = f"{{{{CALC:{calc_id}:{json.dumps(args)}}}}}" if args else f"{{{{CALC:{calc_id}}}}}"
         with mock.patch.dict(BUILTIN_CALCULATORS, _PRIOR_CALCULATORS):
-            prior = _delivered(lib, placeholder)
-        assert _delivered(lib, placeholder) == prior
+            prior = _delivered(lib, calc_id, args)
+        window = _rejected_window(lib, args)
+        if window is not None:
+            reason = MalformedInput(f"window must be a number of seconds >= 0, got {window!r}")
+            prior = f"calculator {calc_id} raised", repr(reason)
+        assert _delivered(lib, calc_id, args) == prior
 
 
 class _CountingSample(dict):
@@ -462,10 +483,10 @@ def test_a_gaze_context_is_read_once_and_shared_by_every_library(monkeypatch):
     wide = '{"window": 100.0}'
     for other in libs * 3:
         assert other.get("gaze") is gaze
-        assert json.loads(calculate(other, f"{{{{CALC:gaze_trace:{wide}}}}}")) == samples
-        assert calculate(other, "{{CALC:gaze_trace}}") == real_dumps([samples[-1]])
+        assert json.loads(calculate(other, "gaze_trace", wide)) == samples
+        assert calculate(other, "gaze_trace", None) == real_dumps([samples[-1]])
         if "function_list" in other:
-            assert calculate(other, f"{{{{CALC:gaze_target:{wide}}}}}").startswith("Light")
+            assert calculate(other, "gaze_target", wide).startswith("Light")
     reading = gaze._gaze
     assert all(other.get("gaze")._gaze is reading for other in libs)
     for s in samples:
@@ -476,21 +497,21 @@ def test_a_gaze_context_is_read_once_and_shared_by_every_library(monkeypatch):
     assert gaze == ContextType(gaze.name, gaze.description_md, gaze.values)
     assert "_gaze" not in repr(gaze)
     gaze.values.append({"t": 20.0, "x": 9.0, "y": 9.0})
-    assert calculate(lib, "{{CALC:gaze_trace}}") == real_dumps([samples[-1]])
+    assert calculate(lib, "gaze_trace", None) == real_dumps([samples[-1]])
 
 
 def test_unknown_calculator():
     with pytest.raises(CalculatorFailure, match="no calculator registered as 'nonexistent'") as exc:
-        calculate(smart_home_library(), "{{CALC:nonexistent}}")
+        calculate(smart_home_library(), "nonexistent", None)
     assert exc.value.diagnostics == ""
 
 
 def test_calculator_args_parsed_as_json():
     lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
-    wide = calculate(lib, '{{CALC:gaze_trace:{"window": 100.0}}}')
+    wide = calculate(lib, "gaze_trace", '{"window": 100.0}')
     assert len(json.loads(wide)) == 3
     with pytest.raises(CalculatorFailure):
-        calculate(lib, "{{CALC:gaze_trace:not-json}}")
+        calculate(lib, "gaze_trace", "not-json")
 
 
 @pytest.mark.parametrize(
@@ -502,7 +523,7 @@ def test_calculator_args_that_fail_to_decode_raise_calculator_failure(raw_args):
     lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
     placeholder = "{{CALC:gaze_target:" + raw_args + "}}"
     with pytest.raises(CalculatorFailure, match="bad calculator args for gaze_target") as exc:
-        calculate(lib, placeholder)
+        calculate(lib, "gaze_target", raw_args)
     assert exc.value.diagnostics
     # The whole run of "}" closes the placeholder, an object's own "}" included.
     assert resolve_placeholders(lib, f"at {placeholder}.") == (
@@ -510,15 +531,51 @@ def test_calculator_args_that_fail_to_decode_raise_calculator_failure(raw_args):
     )
 
 
+@pytest.mark.parametrize("raw_args", ["null", "[1]", '"abc"', "2"])
+def test_calculator_args_must_be_a_json_object(raw_args):
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    with pytest.raises(CalculatorFailure, match="bad calculator args for gaze_trace") as exc:
+        calculate(lib, "gaze_trace", raw_args)
+    decoded = type(json.loads(raw_args)).__name__
+    assert exc.value.diagnostics == f"arguments must be a JSON object, got {decoded}"
+    placeholder = "{{CALC:gaze_trace:" + raw_args + "}}"
+    with mock.patch.object(logger, "warning") as warn:
+        assert resolve_placeholders(lib, f"at {placeholder}.") == (
+            "at [calculation gaze_trace unavailable]."
+        )
+    _, logged, failure, diagnostics = warn.call_args.args
+    assert (logged, str(failure)) == (placeholder, str(exc.value))
+    assert diagnostics == exc.value.diagnostics
+
+
+@pytest.mark.parametrize("window", ["NaN", "-5", "-Infinity", "-1e-300", '"nan"'])
+@pytest.mark.parametrize("calc_id", ["gaze_target", "gaze_trace"])
+def test_a_nan_or_negative_window_fails_the_calculation(calc_id, window):
+    """Such a window once selected no sample, so gaze_target answered "no
+    gaze data available" and gaze_trace "[]" while samples existed."""
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    placeholder = f'{{{{CALC:{calc_id}:{{"window": {window}}}}}}}'
+    with mock.patch.object(logger, "warning") as warn:
+        assert resolve_placeholders(lib, placeholder) == f"[calculation {calc_id} unavailable]"
+    _, logged, failure, diagnostics = warn.call_args.args
+    assert (logged, str(failure)) == (placeholder, f"calculator {calc_id} raised")
+    assert diagnostics.startswith("MalformedInput('window must be a number of seconds >= 0, got ")
+    # A zero window keeps the newest sample, and without samples the
+    # window is not read.
+    assert calculate(lib, "gaze_trace", '{"window": 0}') == json.dumps([lib.get("gaze").values[-1]])
+    no_samples = {"gaze_target": "no gaze data available", "gaze_trace": "[]"}[calc_id]
+    assert calculate(smart_home_library(), calc_id, '{"window": -5}') == no_samples
+
+
 def test_calculate_is_referentially_transparent():
     lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
-    assert calculate(lib, "{{CALC:gaze_target}}") == calculate(lib, "{{CALC:gaze_target}}")
+    assert calculate(lib, "gaze_target", None) == calculate(lib, "gaze_target", None)
 
 
 def test_plugin_exception_wrapped_with_diagnostics():
     lib = smart_home_library(gaze=[{"x": 0.2, "y": 0.4}])  # samples without "t"
     with pytest.raises(CalculatorFailure) as exc:
-        calculate(lib, "{{CALC:gaze_target}}")
+        calculate(lib, "gaze_target", None)
     assert exc.value.diagnostics == "KeyError('t')"
 
 
@@ -539,7 +596,7 @@ def test_object_arguments_resolve_inside_text(args):
     lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5) + [{"t": 0.0, "x": 2.4, "y": 0.9}])
     placeholder = "{{CALC:gaze_trace:" + args + "}}"
     try:
-        expected = calculate(lib, placeholder)
+        expected = calculate(lib, "gaze_trace", args)
     except CalculatorFailure:
         expected = "[calculation gaze_trace unavailable]"
     assert resolve_placeholders(lib, f"x {placeholder} y") == f"x {expected} y"
@@ -550,7 +607,8 @@ def test_object_arguments_resolve_inside_text(args):
 def test_placeholder_resolves_as_documented():
     lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
     text = 'x {{CALC:gaze_trace:{"window": 100.0}}} y'
-    assert resolve_placeholders(lib, text) == f"x {calculate(lib, text[2:-2])} y"
+    expected = calculate(lib, "gaze_trace", '{"window": 100.0}')
+    assert resolve_placeholders(lib, text) == f"x {expected} y"
 
 
 # The grammar before arguments could end in a JSON object's own braces; its
@@ -563,7 +621,7 @@ def regex_resolve(lib, text):
     reference for the linear scan wherever the two grammars agree."""
     def sub(match):
         try:
-            return calculate(lib, match.group(0))
+            return calculate(lib, match.group(1), match.group(2))
         except CalculatorFailure:
             return f"[calculation {match.group(1)} unavailable]"
 
@@ -593,6 +651,126 @@ def test_placeholder_scan_matches_the_regex(text):
         assert new == old
         lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
         assert resolve_placeholders(lib, text) == regex_resolve(lib, text)
+
+
+def test_each_reply_is_scanned_once(monkeypatch):
+    import gesturelink.context
+
+    scans = []
+    scan = gesturelink.context._placeholder_spans
+
+    def counting_scan(text):
+        scans.append(text)
+        return scan(text)
+
+    monkeypatch.setattr(gesturelink.context, "_placeholder_spans", counting_scan)
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    text = 'at {{CALC:gaze_target}}, {{CALC:gaze_trace:{"window": 100.0}}} and {{CALC:nope}}.'
+    resolved = resolve_placeholders(lib, text)
+    assert scans == [text]
+    assert resolved.startswith("at Light") and resolved.endswith("[calculation nope unavailable].")
+
+
+def _parent_calculate(lib, placeholder: str) -> str:
+    """calculate as it was when it took the placeholder's text and
+    scanned it again; the reference for the one resolver."""
+    text = placeholder.strip()
+    span = next(_placeholder_spans(text), None)
+    if span is None or span[:2] != (0, len(text)):
+        raise CalculatorFailure(f"not a calculation placeholder: {placeholder!r}")
+    _, _, calc_id, raw_args = span
+    if calc_id not in BUILTIN_CALCULATORS:
+        raise CalculatorFailure(f"no calculator registered as {calc_id!r}")
+    args: dict = {}
+    if raw_args:
+        try:
+            args = json.loads(raw_args)  # model output, not an input file
+        except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+            raise CalculatorFailure(
+                f"bad calculator args for {calc_id}", diagnostics=str(exc)
+            ) from exc
+    try:
+        return BUILTIN_CALCULATORS[calc_id](lib, args)
+    except Exception as exc:  # noqa: BLE001 - diagnostics wrapped for the caller
+        raise CalculatorFailure(f"calculator {calc_id} raised", diagnostics=repr(exc)) from exc
+
+
+def _parent_resolve_placeholders(lib, text: str) -> str:
+    """resolve_placeholders as it was, passing each placeholder's text to
+    _parent_calculate."""
+    parts = []
+    done = 0
+    for start, end, calc_id, _ in _placeholder_spans(text):
+        placeholder = text[start:end]
+        parts.append(text[done:start])
+        try:
+            parts.append(_parent_calculate(lib, placeholder))
+        except CalculatorFailure as exc:
+            logger.warning(
+                "placeholder %s failed: %s; diagnostics: %s", placeholder, exc, exc.diagnostics
+            )
+            parts.append(f"[calculation {calc_id} unavailable]")
+        done = end
+    parts.append(text[done:])
+    return "".join(parts)
+
+
+def _resolved_and_logged(resolve, lib, text):
+    """resolve's text and the (placeholder, message, diagnostics) it logged."""
+    with mock.patch.object(logger, "warning") as warn:
+        resolved = resolve(lib, text)
+    return resolved, [(p, str(f), d) for _, p, f, d in (c.args for c in warn.call_args_list)]
+
+
+def _non_object(raw_args):
+    """The type name of what raw_args decodes to, when that is not an
+    object; None otherwise."""
+    try:
+        decoded = json.loads(raw_args)
+    except (TypeError, ValueError, RecursionError):  # TypeError: no arguments
+        return None
+    return None if isinstance(decoded, dict) else type(decoded).__name__
+
+
+_ODD_ARGS = ['{"window": NaN}', '{"window": -5}', '{"window": -Infinity}', '{"window": 0}',
+             "NaN", "-1", "null", "[1]", '"abc"']
+# The placeholder tokens and odd arguments, half the time as a whole
+# placeholder, so that most draws hold one.
+_resolver_texts = st.lists(st.one_of(
+    st.sampled_from(_PLACEHOLDER_TOKENS + _ODD_ARGS),
+    st.builds("{{{{CALC:{}:{}}}}}".format, st.sampled_from(["gaze_target", "gaze_trace", "nope"]),
+              st.sampled_from(_ODD_ARGS)),
+), max_size=40).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_resolver_texts)
+@example('at {{CALC:gaze_target:{"window": NaN}}}, {{CALC:gaze_trace:[1]}}, '
+         '{{CALC:gaze_trace:"abc"}}, {{CALC:gaze_trace:null}} and {{CALC:nope:2}}.')
+def test_one_scan_resolves_as_the_resolver_that_scanned_twice(text):
+    """Passing each span's id and arguments to calculate delivers the text
+    that passing the placeholder's text did, and logs the same failures,
+    except that arguments that decode to something other than an object
+    now fail as bad arguments instead of inside the calculator. Both run
+    the same calculators, so the window they reject shows in neither;
+    test_gaze_calculators_match_the_per_call_conversions covers it."""
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    resolved, logged = _resolved_and_logged(resolve_placeholders, lib, text)
+    parent_resolved, parent_logged = _resolved_and_logged(_parent_resolve_placeholders, lib, text)
+    assert resolved == parent_resolved
+    assert len(logged) == len(parent_logged)
+    for (placeholder, message, diagnostics), parent in zip(logged, parent_logged):
+        _, _, calc_id, raw_args = next(_placeholder_spans(placeholder))
+        decoded = _non_object(raw_args)
+        if calc_id in BUILTIN_CALCULATORS and decoded is not None:
+            assert (message, diagnostics) == (
+                f"bad calculator args for {calc_id}",
+                f"arguments must be a JSON object, got {decoded}",
+            )
+            assert parent[:2] == (placeholder, f"calculator {calc_id} raised")
+            assert parent[2].startswith("AttributeError(") and "'get'" in parent[2]
+        else:
+            assert (placeholder, message, diagnostics) == parent
 
 
 def test_unclosed_placeholders_resolve_in_linear_time():
@@ -627,7 +805,7 @@ def _library_calls(count):
     def work():
         lib = ContextLibrary([make_function_list_context("Grid", functions),
                               make_gaze_context(gaze_at(3.0, 4.0, 1.0))])
-        texts = function_list_text(lib), render_library_prompt(lib)
+        texts = lib.function_list_text, render_library_prompt(lib)
         return texts, resolve_placeholders(lib, "look at {{CALC:gaze_target}}")
 
     calls, ((listing, _), resolved) = python_calls(work)
@@ -645,14 +823,14 @@ def test_library_python_work_grows_linearly_in_functions():
 
 def test_function_list_text_is_rendered_once_and_shared_by_filters():
     lib = smart_home_library()
-    text = function_list_text(lib)
+    text = lib.function_list_text
     assert text.splitlines()[0] == "- light.power: Light Power (location: 0.2, 0.4, 1.5)"
-    assert len(text.splitlines()) == len(function_entries(lib))
+    assert len(text.splitlines()) == len(lib.functions)
     for keep in (["function_list"], ["function_list", "gaze"], lib.names):
-        assert function_list_text(lib.filtered(keep)) is text
+        assert lib.filtered(keep).function_list_text is text
         assert lib.filtered(keep)._locations is lib._locations
-    assert function_list_text(lib.filtered(["gaze"])) == ""
-    assert function_list_text(ContextLibrary([])) == ""
+    assert lib.filtered(["gaze"]).function_list_text == ""
+    assert ContextLibrary([]).function_list_text == ""
 
 
 def test_render_empty_library_is_fixed_header():
@@ -710,4 +888,4 @@ def test_context_type_validation():
 def test_builtin_calculators_registered_by_default():
     lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
     for calc_id in BUILTIN_CALCULATORS:
-        assert isinstance(calculate(lib, "{{CALC:" + calc_id + "}}"), str)
+        assert isinstance(calculate(lib, calc_id, None), str)

@@ -47,7 +47,6 @@ from gesturelink.evaluation import (
     run_task,
     topk_rank,
 )
-from gesturelink.context import function_entries
 from gesturelink.landmarks import Handedness, parse_landmark_stream
 from gesturelink.prompts import load_prompt_set
 from gesturelink.transport import ScriptedBackend
@@ -505,7 +504,7 @@ def test_load_manifest_parses_each_function_list_once(tmp_path, monkeypatch):
     monkeypatch.setattr(evaluation, "parse_function_list", counting)
     tasks = load_manifest(tmp_path / "manifest.json")
     assert len(parsed) == 2
-    assert [len(function_entries(t.library)) for t in tasks] == [len(functions)] * 2
+    assert [len(t.library.functions) for t in tasks] == [len(functions)] * 2
     assert tasks[0].library.get("function_list").values["functions"][0] == {
         "id": functions[0]["id"], "name": functions[0]["name"], "location": []}
 
