@@ -39,7 +39,6 @@ from .evaluation import (
 from .landmarks import (
     Handedness,
     LandmarkStream,
-    _lm_as_array,
     decode_frame,
     first_bad_frame,
     parse_landmark_stream,
@@ -121,9 +120,8 @@ def _load_tuning_dataset(path: Path):
     error is raised, the frames of the lines before it are checked.
     """
     lines = _read_text(path).splitlines()
-    # One decoder for every line, not errors.parse_json: json.loads with an
-    # object_hook builds a new decoder per call, a cost paid once per line.
-    decode = json.JSONDecoder(object_hook=_lm_as_array).decode
+    # Not errors.parse_json: a line that fails to decode is a "bad dataset line".
+    decode = json.JSONDecoder().decode
     n = len(lines)
     coords, times = np.zeros((n, 21, 3)), np.empty(n)
     depth, left = np.empty(n, dtype=bool), np.zeros(n, dtype=bool)

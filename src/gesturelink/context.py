@@ -91,7 +91,7 @@ class ContextLibrary:
 
     def __init__(self, contexts: Sequence[ContextType] = (),
                  functions: Sequence[FunctionEntry] | None = None):
-        """functions, if given, is the caller's parse of the function_list context."""
+        """functions, if given, must be parse_function_list's output for function_list."""
         self._entries: dict[str, ContextType] = {}
         for ctx in contexts:
             if ctx.name in self._entries:
@@ -336,15 +336,10 @@ def _render_function_list(functions: Sequence[FunctionEntry]) -> str:
     )
 
 
-def _function_locations(
-    functions: Sequence[FunctionEntry],
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _function_locations(functions: Sequence[FunctionEntry]) -> tuple[np.ndarray, np.ndarray]:
     """The first three coordinates of each function's location as one
     (F, 3) float array, 0 where absent, and the (F, 3) mask of the present
-    ones. None when a coordinate is not a float (a caller-built entry), so
-    that gaze_target computes with exactly what the entries hold."""
-    if not all(isinstance(v, float) for f in functions for v in f.location):
-        return None
+    ones."""
     coords = np.array([(*f.location, 0.0, 0.0, 0.0)[:3] for f in functions], dtype=float)
     present = np.arange(3) < np.array([len(f.location) for f in functions])[:, None]
     return coords.reshape(len(functions), 3), present
@@ -387,12 +382,19 @@ class _GazeSamples:
         return picked
 
 
+def _gaze_time(sample) -> float:
+    """A sample's t as a float, finite so that the samples have an order."""
+    if not math.isfinite(t := float(sample["t"])):
+        raise MalformedInput(f"gaze sample t must be a finite number, got {t!r}")
+    return t
+
+
 # What the gaze calculators read of each sample, in _GazeSamples' columns:
 # the conversions they once made on every call, so that a malformed sample
-# raises the same exception.
+# raises the same exception, and a time that is NaN or infinite raises too.
 _T, _X, _Y, _Z, _HAS_Z, _TEXT = range(6)
 _GAZE_COLUMNS = (
-    lambda s: float(s["t"]),
+    _gaze_time,
     lambda s: float(s["x"]),
     lambda s: float(s["y"]),
     lambda s: float(s.get("z", 0.0)),
@@ -449,8 +451,6 @@ def _gaze_candidates(functions, locations, point) -> Sequence[FunctionEntry]:
     _SCREEN_SLACK) of the smallest. All of them when a distance is not
     finite or nears the float limit, so that the exact loop meets the NaN
     or overflow it always met."""
-    if locations is None:
-        return functions
     coords, present = locations
     dims = len(point)
     with np.errstate(all="ignore"):

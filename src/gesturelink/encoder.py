@@ -179,10 +179,6 @@ class GestureStateMatrix:
     def T(self) -> int:
         return int(self.channel1.shape[1])
 
-    @property
-    def has_depth(self) -> bool:
-        return self.channel2.shape[0] == 3
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GestureStateMatrix):
             return NotImplemented

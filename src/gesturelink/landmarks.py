@@ -12,7 +12,6 @@ producer before they reach this module.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -264,21 +263,3 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
             raise
     return LandmarkStream(coords, times, depth, handedness, source_view)
 
-
-def serialize_landmark_stream(stream: LandmarkStream) -> bytes:
-    """Inverse of parse_landmark_stream; exact value round-trip.
-
-    Floats are emitted at full repr precision so parse(serialize(s)) == s.
-    Frames without depth serialize landmarks as [x, y].
-    """
-    doc = {
-        "source_view": stream.source_view.value,
-        "handedness": stream.handedness.value,
-        "frames": [
-            {"t": t, "lm": (coords if has_depth else coords[:, :2]).tolist()}
-            for t, coords, has_depth in zip(
-                stream.timestamps.tolist(), stream.coords, stream.depth_flags.tolist()
-            )
-        ],
-    }
-    return json.dumps(doc, ensure_ascii=False, allow_nan=False).encode("utf-8")

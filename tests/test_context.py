@@ -4,7 +4,6 @@ import random
 import re
 import time
 from collections import Counter
-from decimal import Decimal
 from unittest import mock
 
 import pytest
@@ -268,15 +267,11 @@ def test_gaze_target_overflow_anywhere_is_unavailable():
 
 
 def test_gaze_target_reads_caller_built_entries_as_they_are():
-    # Entries passed as functions= are not parsed, so they may hold ints or
-    # Decimals; a Decimal coordinate raises however far its function lies.
+    # Entries passed as functions= are not parsed, so they may hold ints.
     gaze = [make_gaze_context([{"t": 0.0, "x": 2, "y": 1}])]
     ints = [FunctionEntry("b", "B", (1, 2)), FunctionEntry("a", "A", (3, 0)),
             FunctionEntry("c", "C", (2, 1))]
     assert _gaze_target(ContextLibrary(gaze, functions=ints), {}) == "C"
-    decimals = [FunctionEntry("a", "A", (2.0, 1.0)), FunctionEntry("b", "B", (Decimal(9), 9.0))]
-    with pytest.raises(TypeError):
-        _gaze_target(ContextLibrary(gaze, functions=decimals), {})
 
 
 def test_gaze_target_uses_recent_window_only():
@@ -361,6 +356,24 @@ def _rejected_window(lib, args):
     return None if window >= 0.0 else window
 
 
+def _non_finite_time(lib, args):
+    """The sample time _recent_gaze rejects, or None: the first time that
+    is NaN or infinite, once args' context holds values, its window
+    converts and no earlier sample's time fails to convert."""
+    try:
+        values = lib.get(args.get("context", "gaze")).values
+        if not values:
+            return None
+        float(args.get("window", GAZE_WINDOW_SECONDS))
+        for s in values:
+            t = float(s["t"])
+            if not math.isfinite(t):
+                return t
+    except (MalformedInput, LookupError, TypeError, ValueError, OverflowError):  # the prior too
+        return None
+    return None
+
+
 _hostile_scalar = st.sampled_from([
     math.nan, math.nan, math.inf, -math.inf, 10**400,  # 10**400: too large for a float
     "1.5", " 2 ", "nan", "1e999", "1_0", "x", "", None, True, False, [1.0], {"v": 1.0},
@@ -427,12 +440,19 @@ _TARGET = [("gaze_target", {})]
          [("gaze_target", {"window": math.nan}), ("gaze_trace", {"window": -5}),
           ("gaze_trace", {"window": -math.inf}), ("gaze_target", {"window": 0.0}),
           ("gaze_trace", {"window": math.nan, "context": "history"})])
+# A NaN or infinite time fails every calculation on its context, unless
+# an earlier sample's time fails to convert or the window is rejected.
+@example([{"t": 0.0, "x": 0.0, "y": 0.0}, {"t": "nan", "x": 0.0, "y": 0.0},
+          {"t": "x", "x": 0.0, "y": 0.0}], [{"t": None}, {"t": math.inf}], "smart_home",
+         [("gaze_target", {}), ("gaze_trace", {"context": "history"}),
+          ("gaze_trace", {"window": -1.0})])
 def test_gaze_calculators_match_the_per_call_conversions(values, history, functions, calls):
     """The shared reading delivers what converting every sample on each
     call delivered: the same text, or the same failure and diagnostics,
-    on the first calculation and on every later one. The one exception is
-    a window of NaN or below 0 over a context that holds values, which
-    the prior calculators read as selecting no sample: it now fails."""
+    on the first calculation and on every later one. The exceptions fail
+    where the prior calculators selected samples by an order that does
+    not exist: a window of NaN or below 0, or a sample time of NaN or an
+    infinity, over a context that holds values."""
     contexts = [ContextType("gaze", "Gaze samples.", values),
                 ContextType("history", "Earlier samples.", history)]
     if _FUNCTIONS[functions] is not None:
@@ -444,6 +464,9 @@ def test_gaze_calculators_match_the_per_call_conversions(values, history, functi
         window = _rejected_window(lib, args)
         if window is not None:
             reason = MalformedInput(f"window must be a number of seconds >= 0, got {window!r}")
+            prior = f"calculator {calc_id} raised", repr(reason)
+        elif (t := _non_finite_time(lib, args)) is not None:
+            reason = MalformedInput(f"gaze sample t must be a finite number, got {t!r}")
             prior = f"calculator {calc_id} raised", repr(reason)
         assert _delivered(lib, calc_id, args) == prior
 
@@ -565,6 +588,30 @@ def test_a_nan_or_negative_window_fails_the_calculation(calc_id, window):
     assert calculate(lib, "gaze_trace", '{"window": 0}') == json.dumps([lib.get("gaze").values[-1]])
     no_samples = {"gaze_target": "no gaze data available", "gaze_trace": "[]"}[calc_id]
     assert calculate(smart_home_library(), calc_id, '{"window": -5}') == no_samples
+
+
+_LAMP_AND_FAN = [FunctionEntry("lamp", "Lamp", (0.2, 0.2)), FunctionEntry("fan", "Fan", (0.8, 0.8))]
+
+
+@pytest.mark.parametrize("samples, bad", [
+    ([{"t": "nan", "x": 0.2, "y": 0.2}, {"t": 1.0, "x": 0.8, "y": 0.8}], "nan"),
+    ([{"t": 1.0, "x": 0.8, "y": 0.8}, {"t": "nan", "x": 0.2, "y": 0.2}], "nan"),
+    ([{"t": 0.0, "x": 0.8, "y": 0.8}, {"t": "inf", "x": 0.2, "y": 0.2}], "inf"),
+    ([{"t": "-Infinity", "x": 0.8, "y": 0.8}, {"t": 1.0, "x": 0.2, "y": 0.2}], "-inf"),
+], ids=["nan-first", "nan-last", "inf", "minus-inf"])
+@pytest.mark.parametrize("calc_id", ["gaze_target", "gaze_trace"])
+def test_a_non_finite_sample_time_fails_the_calculation(calc_id, samples, bad):
+    """Such a time once made the answer depend on the samples' order: a
+    leading NaN selected no sample, a later one was dropped, and an
+    infinity alone counted as recent."""
+    lib = ContextLibrary([make_function_list_context("room", _LAMP_AND_FAN),
+                          make_gaze_context(samples)])
+    placeholder = f"{{{{CALC:{calc_id}}}}}"
+    with mock.patch.object(logger, "warning") as warn:
+        assert resolve_placeholders(lib, placeholder) == f"[calculation {calc_id} unavailable]"
+    _, logged, failure, diagnostics = warn.call_args.args
+    assert (logged, str(failure)) == (placeholder, f"calculator {calc_id} raised")
+    assert diagnostics == f"MalformedInput('gaze sample t must be a finite number, got {bad}')"
 
 
 def test_calculate_is_referentially_transparent():
