@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CalculatorFailure, MalformedInput, parse_finite_json
+from .errors import CalculatorFailure, MalformedInput, finite_float, parse_finite_json
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +30,11 @@ _BRACES_RE = re.compile(r"\}*")
 # "recent" for the built-in gaze calculators. The window length is an
 # artifact choice, not a tuned value.
 GAZE_WINDOW_SECONDS = 1.0
+
+# At most this many calculation results are stored on one library (see
+# calculate). Once that many are stored, new results are computed and not
+# kept; sessions sharing the library at that moment may each add one more.
+STORED_RESULTS_LIMIT = 256
 
 # gaze_target's numpy screen keeps the functions whose squared distance
 # lies within this relative margin, plus _SCREEN_SLACK, of the smallest.
@@ -85,8 +90,10 @@ class ContextLibrary:
     parse; `function_list_text` is its rendering for the inference
     prompt, empty when the library has no function_list.
 
-    Reads never mutate; add_context_type returns a new library so shared
-    instances stay safe across concurrent sessions.
+    Reads never change what a library answers: it stores only the results
+    of its own calculations and its filtered views, and add_context_type
+    returns a new library, so shared instances stay safe across concurrent
+    sessions.
     """
 
     def __init__(self, contexts: Sequence[ContextType] = (),
@@ -103,6 +110,8 @@ class ContextLibrary:
         self.functions: tuple[FunctionEntry, ...] = tuple(functions)
         self.function_list_text = _render_function_list(self.functions)
         self._locations = _function_locations(self.functions)
+        self._results: dict[tuple[Calculator, str | None], str] = {}
+        self._views: dict[frozenset, ContextLibrary] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -121,10 +130,13 @@ class ContextLibrary:
             raise MalformedInput(f"no context named {name!r}") from None
 
     def filtered(self, keep: Sequence[str]) -> "ContextLibrary":
-        """Library restricted to the given context names (order kept). It
-        shares this library's parsed and rendered function list and its
-        function locations."""
-        keep = set(keep)
+        """Library restricted to the given context names (this library's
+        order kept). It is one view per set of names, in any order, so its
+        callers share its stored results. It shares this library's parsed
+        and rendered function list and its function locations."""
+        keep = frozenset(keep)
+        if (view := self._views.get(keep)) is not None:
+            return view
         lib = ContextLibrary.__new__(ContextLibrary)
         lib._entries = {name: c for name, c in self._entries.items() if name in keep}
         if "function_list" in keep:
@@ -132,7 +144,8 @@ class ContextLibrary:
             lib._locations = self._locations
         else:
             lib.functions, lib.function_list_text, lib._locations = (), "", None
-        return lib
+        lib._results, lib._views = {}, {}
+        return self._views.setdefault(keep, lib)
 
     def to_json(self) -> str:
         doc = {
@@ -174,9 +187,18 @@ def add_context_type(lib: ContextLibrary, ctx: ContextType) -> ContextLibrary:
 def calculate(lib: ContextLibrary, calc_id: str, raw_args: str | None) -> str:
     """Run the calculator calc_id names on raw_args, a placeholder's
     arguments as JSON text (None when it has none), and return its text
-    output. The arguments must decode to a JSON object."""
-    if calc_id not in BUILTIN_CALCULATORS:
+    output. The arguments must decode to a JSON object.
+
+    The library stores each output under the calculator function and
+    raw_args, and a repeat returns it before decoding the arguments: a
+    library's contexts do not change and the calculators are pure. A
+    failure is never stored, so a repeat raises it anew."""
+    calculator = BUILTIN_CALCULATORS.get(calc_id)
+    if calculator is None:
         raise CalculatorFailure(f"no calculator registered as {calc_id!r}")
+    key = (calculator, raw_args)
+    if (text := lib._results.get(key)) is not None:
+        return text
     try:
         args = {} if raw_args is None else json.loads(raw_args)  # model output, not an input file
         if not isinstance(args, dict):
@@ -184,9 +206,12 @@ def calculate(lib: ContextLibrary, calc_id: str, raw_args: str | None) -> str:
     except (ValueError, RecursionError, TypeError) as exc:  # also too many digits, too deep
         raise CalculatorFailure(f"bad calculator args for {calc_id}", diagnostics=str(exc)) from exc
     try:
-        return BUILTIN_CALCULATORS[calc_id](lib, args)
+        text = calculator(lib, args)
     except Exception as exc:  # noqa: BLE001 - diagnostics wrapped for the caller
         raise CalculatorFailure(f"calculator {calc_id} raised", diagnostics=repr(exc)) from exc
+    if len(lib._results) < STORED_RESULTS_LIMIT:
+        lib._results[key] = text
+    return text
 
 
 def _placeholder_spans(text: str) -> Iterator[tuple[int, int, str, str | None]]:
@@ -320,8 +345,9 @@ def parse_function_list(doc: Any) -> list[FunctionEntry]:
         if fid in entries:
             raise MalformedInput(f"duplicate function id {fid!r}")
         try:
-            location = tuple(float(v) for v in item.get("location", ()))
-        except (TypeError, ValueError):
+            location = tuple(finite_float(v, f"function {fid!r} location")
+                             for v in item.get("location", ()))
+        except (TypeError, ValueError, OverflowError):
             raise MalformedInput(f"function {fid!r} needs a list of numbers as location") from None
         entries[fid] = FunctionEntry(fid, str(item["name"]), location)
     return list(entries.values())
@@ -382,22 +408,16 @@ class _GazeSamples:
         return picked
 
 
-def _gaze_time(sample) -> float:
-    """A sample's t as a float, finite so that the samples have an order."""
-    if not math.isfinite(t := float(sample["t"])):
-        raise MalformedInput(f"gaze sample t must be a finite number, got {t!r}")
-    return t
-
-
 # What the gaze calculators read of each sample, in _GazeSamples' columns:
 # the conversions they once made on every call, so that a malformed sample
-# raises the same exception, and a time that is NaN or infinite raises too.
+# raises the same exception, and a t, x, y or z that is NaN or infinite
+# raises too (a time must be finite for the samples to have an order).
 _T, _X, _Y, _Z, _HAS_Z, _TEXT = range(6)
 _GAZE_COLUMNS = (
-    _gaze_time,
-    lambda s: float(s["x"]),
-    lambda s: float(s["y"]),
-    lambda s: float(s.get("z", 0.0)),
+    lambda s: finite_float(s["t"], "gaze sample t"),
+    lambda s: finite_float(s["x"], "gaze sample x"),
+    lambda s: finite_float(s["y"], "gaze sample y"),
+    lambda s: finite_float(s.get("z", 0.0), "gaze sample z"),
     lambda s: "z" in s,
     lambda s: json.dumps(s, ensure_ascii=False, allow_nan=False),
 )
@@ -437,6 +457,8 @@ def _gaze_target(lib: ContextLibrary, args: dict) -> str:
     # 3.12 on) neither numpy nor a hand-written accumulation reproduces,
     # so numpy only screens out the functions that cannot win.
     point = centroid if any(gaze.pick(_HAS_Z, recent)) else centroid[:2]
+    if not all(map(math.isfinite, point)):  # finite samples whose sum overflowed
+        raise OverflowError(f"gaze centroid {point} is not finite")
     best = best_key = None
     for entry in _gaze_candidates(functions, lib._locations, point):
         key = (math.sqrt(sum([(c - v) ** 2 for c, v in zip(point, entry.location)])), entry.id)

@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the pipeline, and the one reader of
 input JSON: parse_json turns every decode failure of an input document
 into MalformedInput (parse_finite_json a NaN or infinite number too),
-and read_input reads an input file and names it in the error. Model
-replies are not input files and keep their own decoding.
+finite_float converts one value read from an input and rejects a NaN or
+infinite result, and read_input reads an input file and names it in the
+error. Model replies are not input files and keep their own decoding.
 
 The CLI maps these onto exit codes: transport failures exit 4, every
 other error exits 2 (bad input), and a session that ends without a
@@ -85,6 +86,15 @@ def parse_json(text: str | bytes, **json_kwargs):
         return json.loads(text, **json_kwargs)
     except (ValueError, RecursionError) as exc:  # also too many digits, too deep
         raise MalformedInput(f"not valid JSON: {exc}") from exc
+
+
+def finite_float(value, what: str) -> float:
+    """float(value), which raises as float does; MalformedInput naming
+    what if the result is NaN or infinite ("nan", "inf" and "1e999"
+    convert to such a float)."""
+    if not math.isfinite(number := float(value)):
+        raise MalformedInput(f"{what} must be a finite number, got {number!r}")
+    return number
 
 
 def _finite(text: str) -> float:

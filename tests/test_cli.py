@@ -1231,6 +1231,29 @@ def test_library_with_a_non_finite_number_exits_2_naming_it(
     assert lib_path.read_bytes() == library
 
 
+@pytest.mark.parametrize("coordinate, reason", [
+    ('"nan"', "function 'a' location must be a finite number, got nan"),
+    ('"-inf"', "function 'a' location must be a finite number, got -inf"),
+    ("1" + "0" * 400, "function 'a' needs a list of numbers as location"),
+], ids=["nan", "minus-inf", "huge-int"])
+@pytest.mark.parametrize("command", ["ground", "show"])
+def test_library_with_a_non_finite_location_exits_2_naming_it(
+    tmp_path, matrix_file, capsys, command, coordinate, reason
+):
+    lib_path = tmp_path / "lib.json"
+    lib_path.write_text('{"contexts": [{"name": "function_list", "description_md": "F.", '
+                        '"values": {"functions": [{"id": "a", "name": "A", '
+                        f'"location": [{coordinate}, 0.5]}}]}}}}]}}')
+    argv = {
+        "ground": ["ground", str(matrix_file), "--library", str(lib_path),
+                   "--backend", "scripted:unused.json", "--out-dir", str(tmp_path / "out")],
+        "show": ["context", "show", "--library", str(lib_path)],
+    }[command]
+    assert main(argv) == 2
+    assert f"error: {lib_path}: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- each input is checked where it enters ------------------------------------------
 
 def write_flat_width_stream(path):

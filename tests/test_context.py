@@ -2,6 +2,8 @@ import json
 import math
 import random
 import re
+import sys
+import threading
 import time
 from collections import Counter
 from unittest import mock
@@ -16,6 +18,7 @@ from gesturelink.context import (
     ContextType,
     FunctionEntry,
     GAZE_WINDOW_SECONDS,
+    STORED_RESULTS_LIMIT,
     _gaze_candidates,
     _gaze_target,
     _mean,
@@ -26,6 +29,7 @@ from gesturelink.context import (
     make_external_context,
     make_function_list_context,
     make_gaze_context,
+    parse_function_list,
     render_library_prompt,
     resolve_placeholders,
 )
@@ -162,7 +166,12 @@ def test_gaze_target_matches_min_formula(locations, ids, samples, nan_centroid):
     lib = ContextLibrary(
         [make_function_list_context("room", functions), make_gaze_context(samples)]
     )
-    assert _gaze_target(lib, {}) == min_formula_gaze_target(lib)
+    if nan_centroid and samples[-1]["t"] >= max(s["t"] for s in samples) - 1.0:
+        # A recent NaN x fails; it once made every distance NaN.
+        with pytest.raises(MalformedInput, match="gaze sample x must be a finite number"):
+            _gaze_target(lib, {})
+    else:
+        assert _gaze_target(lib, {}) == min_formula_gaze_target(lib)
 
 
 def test_gaze_target_ties_and_nan_follow_min():
@@ -171,20 +180,21 @@ def test_gaze_target_ties_and_nan_follow_min():
         FunctionEntry(id="a", name="A", location=(0.5, 1.0)),
         FunctionEntry(id="b", name="B", location=(0.0, 0.5, 9.0)),
     ]
-    for samples, expected in [
-        ([{"t": 0.0, "x": 0.5, "y": 0.5}], "A"),  # three exact ties: lowest id
-        ([{"t": 0.0, "x": math.nan, "y": 0.5}], "C"),  # NaN distances: the first function
+    nan_first = [FunctionEntry("c", "C", (math.nan, 0.0)), *functions[1:]]
+    for entries, expected in [
+        (functions, "A"),  # three exact ties: lowest id
+        (nan_first, "C"),  # a NaN distance, listed first, is never displaced
     ]:
-        lib = ContextLibrary(
-            [make_function_list_context("room", functions), make_gaze_context(samples)]
-        )
+        # Entries passed as functions= are not parsed, so they may hold NaN.
+        lib = ContextLibrary([make_gaze_context([{"t": 0.0, "x": 0.5, "y": 0.5}])],
+                             functions=entries)
         assert _gaze_target(lib, {}) == min_formula_gaze_target(lib) == expected
 
 
 def _outcome(fn, lib):
     try:
         return fn(lib)
-    except OverflowError as exc:
+    except (OverflowError, MalformedInput) as exc:
         return type(exc)
 
 
@@ -247,10 +257,12 @@ def screened_gaze_cases(draw):
 @given(case=screened_gaze_cases())
 def test_gaze_target_screen_matches_min_formula(case):
     functions, samples = case
-    lib = ContextLibrary(
-        [make_function_list_context("room", functions), make_gaze_context(samples)]
-    )
-    assert _outcome(lambda lib: _gaze_target(lib, {}), lib) == _outcome(min_formula_gaze_target, lib)
+    # Entries passed as functions= are not parsed, so they keep NaN and infinities.
+    lib = ContextLibrary([make_gaze_context(samples)], functions=functions)
+    expected = _outcome(min_formula_gaze_target, lib)
+    if not all(math.isfinite(v) for s in samples for v in s.values()):
+        expected = MalformedInput  # every sample is recent, and a non-finite one fails
+    assert _outcome(lambda lib: _gaze_target(lib, {}), lib) == expected
 
 
 def test_gaze_target_overflow_anywhere_is_unavailable():
@@ -374,6 +386,28 @@ def _non_finite_time(lib, args):
     return None
 
 
+def _non_finite_coordinate(lib, calc_id, args):
+    """The (axis, value) of the sample coordinate gaze_target rejects, or
+    None: the first NaN or infinite value where the prior gaze_target
+    read the recent samples' x, then their y, then their z, unless a value
+    before it failed to convert. gaze_trace reads no coordinate."""
+    if calc_id != "gaze_target":
+        return None
+    try:
+        recent = _prior_recent_gaze(lib, args)
+    except Exception:  # noqa: BLE001 - the prior failed before reading a coordinate
+        return None
+    for axis in "xyz":
+        for s in recent:
+            try:
+                value = float(s[axis] if axis != "z" else s.get("z", 0.0))
+            except (LookupError, TypeError, ValueError, OverflowError):  # the prior too
+                return None
+            if not math.isfinite(value):
+                return axis, value
+    return None
+
+
 _hostile_scalar = st.sampled_from([
     math.nan, math.nan, math.inf, -math.inf, 10**400,  # 10**400: too large for a float
     "1.5", " 2 ", "nan", "1e999", "1_0", "x", "", None, True, False, [1.0], {"v": 1.0},
@@ -417,6 +451,16 @@ _FUNCTIONS = {"none": None, "smart_home": smart_home_functions(), "depth_probe":
 _TARGET = [("gaze_target", {})]
 
 
+def _library(values, history, functions):
+    """A library of gaze and history contexts holding values and history,
+    and the function list _FUNCTIONS names, if any."""
+    contexts = [ContextType("gaze", "Gaze samples.", values),
+                ContextType("history", "Earlier samples.", history)]
+    if _FUNCTIONS[functions] is not None:
+        contexts.insert(0, make_function_list_context("room", _FUNCTIONS[functions]))
+    return ContextLibrary(contexts)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     values=_hostile_values,
@@ -446,18 +490,22 @@ _TARGET = [("gaze_target", {})]
           {"t": "x", "x": 0.0, "y": 0.0}], [{"t": None}, {"t": math.inf}], "smart_home",
          [("gaze_target", {}), ("gaze_trace", {"context": "history"}),
           ("gaze_trace", {"window": -1.0})])
+# A recent NaN or infinite coordinate fails gaze_target, y before z, while
+# an old one is never read, one that fails to convert first decides, and
+# the trace returns the samples as they are.
+@example([{"t": 0.0, "x": math.nan, "y": 0.0}, {"t": 2.0, "x": 0.0, "y": 0.0, "z": "nan"},
+          {"t": 2.0, "x": 0.0, "y": "1e999"}], [{"t": 0.0, "x": "x", "y": 0.0},
+                                                {"t": 0.0, "x": "-inf", "y": 0.0}], "smart_home",
+         [("gaze_target", {}), ("gaze_trace", {}), ("gaze_target", {"context": "history"})])
 def test_gaze_calculators_match_the_per_call_conversions(values, history, functions, calls):
     """The shared reading delivers what converting every sample on each
     call delivered: the same text, or the same failure and diagnostics,
     on the first calculation and on every later one. The exceptions fail
     where the prior calculators selected samples by an order that does
     not exist: a window of NaN or below 0, or a sample time of NaN or an
-    infinity, over a context that holds values."""
-    contexts = [ContextType("gaze", "Gaze samples.", values),
-                ContextType("history", "Earlier samples.", history)]
-    if _FUNCTIONS[functions] is not None:
-        contexts.insert(0, make_function_list_context("room", _FUNCTIONS[functions]))
-    lib = ContextLibrary(contexts)
+    infinity, over a context that holds values; and where the prior
+    gaze_target averaged a recent x, y or z of NaN or an infinity."""
+    lib = _library(values, history, functions)
     for calc_id, args in calls * 2:
         with mock.patch.dict(BUILTIN_CALCULATORS, _PRIOR_CALCULATORS):
             prior = _delivered(lib, calc_id, args)
@@ -467,6 +515,9 @@ def test_gaze_calculators_match_the_per_call_conversions(values, history, functi
             prior = f"calculator {calc_id} raised", repr(reason)
         elif (t := _non_finite_time(lib, args)) is not None:
             reason = MalformedInput(f"gaze sample t must be a finite number, got {t!r}")
+            prior = f"calculator {calc_id} raised", repr(reason)
+        elif (bad := _non_finite_coordinate(lib, calc_id, args)) is not None:
+            reason = MalformedInput(f"gaze sample {bad[0]} must be a finite number, got {bad[1]!r}")
             prior = f"calculator {calc_id} raised", repr(reason)
         assert _delivered(lib, calc_id, args) == prior
 
@@ -612,6 +663,52 @@ def test_a_non_finite_sample_time_fails_the_calculation(calc_id, samples, bad):
     _, logged, failure, diagnostics = warn.call_args.args
     assert (logged, str(failure)) == (placeholder, f"calculator {calc_id} raised")
     assert diagnostics == f"MalformedInput('gaze sample t must be a finite number, got {bad}')"
+
+
+@pytest.mark.parametrize("samples, axis, bad", [
+    ([{"t": 0.0, "x": 0.8, "y": 0.8}, {"t": 0.5, "x": "nan", "y": 0.8}], "x", "nan"),
+    ([{"t": 0.0, "x": 0.2, "y": 0.2}, {"t": 0.5, "x": "inf", "y": 0.2}], "x", "inf"),
+    ([{"t": 0.0, "x": 0.2, "y": math.nan}], "y", "nan"),
+    ([{"t": 0.0, "x": 0.2, "y": 0.2, "z": "-1e999"}], "z", "-inf"),
+], ids=["nan-x", "inf-x", "nan-y", "minus-inf-z"])
+def test_a_non_finite_recent_coordinate_fails_gaze_target(samples, axis, bad):
+    """Such a sample once gave an arbitrary answer: NaN distances kept the
+    first function listed, and infinite ones the lower id."""
+    lib = ContextLibrary([make_function_list_context("room", _LAMP_AND_FAN),
+                          make_gaze_context(samples)])
+    with mock.patch.object(logger, "warning") as warn:
+        assert resolve_placeholders(lib, "{{CALC:gaze_target}}") == (
+            "[calculation gaze_target unavailable]")
+    assert warn.call_args.args[-1] == (
+        f"MalformedInput('gaze sample {axis} must be a finite number, got {bad}')")
+
+
+def test_a_gaze_centroid_that_overflows_is_unavailable():
+    """Two finite samples whose sum overflows once made every distance
+    infinite, so the lower id won."""
+    samples = [{"t": 0.0, "x": 1e308, "y": 0.2}, {"t": 0.5, "x": 1e308, "y": 0.2}]
+    lib = ContextLibrary([make_function_list_context("room", _LAMP_AND_FAN),
+                          make_gaze_context(samples)])
+    with pytest.raises(CalculatorFailure) as exc:
+        calculate(lib, "gaze_target", None)
+    assert exc.value.diagnostics.startswith("OverflowError('gaze centroid [inf, ")
+
+
+@pytest.mark.parametrize("coordinate, message", [
+    ("nan", "function 'fan' location must be a finite number, got nan"),
+    ("inf", "function 'fan' location must be a finite number, got inf"),
+    ("-Infinity", "function 'fan' location must be a finite number, got -inf"),
+    ("1e999", "function 'fan' location must be a finite number, got inf"),
+    (10**400, "function 'fan' needs a list of numbers as location"),
+], ids=["nan", "inf", "minus-infinity", "1e999", "huge-int"])
+def test_a_non_finite_location_is_malformed(coordinate, message):
+    """float() accepts "nan" and "inf", so such a location once passed as a
+    number; an integer too large for a float raised OverflowError."""
+    doc = {"functions": [{"id": "lamp", "name": "Lamp", "location": [0.2, 0.2]},
+                         {"id": "fan", "name": "Fan", "location": [coordinate, 0.8]}]}
+    with pytest.raises(MalformedInput) as exc:
+        parse_function_list(doc)
+    assert str(exc.value) == message
 
 
 def test_calculate_is_referentially_transparent():
@@ -818,6 +915,132 @@ def test_one_scan_resolves_as_the_resolver_that_scanned_twice(text):
             assert parent[2].startswith("AttributeError(") and "'get'" in parent[2]
         else:
             assert (placeholder, message, diagnostics) == parent
+
+
+# --- stored results -------------------------------------------------------------
+
+def _placeholder(calc_id, args):
+    return "{{CALC:" + calc_id + (":" + json.dumps(args) if args else "") + "}}"
+
+
+_replies = st.lists(st.lists(st.one_of(
+    st.builds(_placeholder, st.sampled_from(["gaze_target", "gaze_trace", "nope"]), _hostile_args),
+    st.sampled_from(_ODD_ARGS).map("{{{{CALC:gaze_target:{}}}}}".format),
+), min_size=1, max_size=3).map(" and ".join), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_hostile_values, history=st.lists(_hostile_sample(), max_size=3),
+       functions=st.sampled_from(sorted(_FUNCTIONS)),
+       keep=st.sampled_from([None, ("function_list", "gaze"), ("history", "gaze"), ("history",)]),
+       replies=_replies)
+@example([{"t": 0.0, "x": 0.2, "y": 0.4}, {"t": 1.0, "x": "nan", "y": 0.4}], [], "smart_home",
+         None, ['{{CALC:gaze_target}} and {{CALC:gaze_trace:{"window": 0.5}}}',
+                '{{CALC:gaze_target:{"window": 0.5}}} and {{CALC:gaze_trace:{"window": 0.5}}}'])
+def test_stored_results_answer_as_a_fresh_library(values, history, functions, keep, replies):
+    """Replies resolved in turn on one library, or on one filtered view,
+    deliver the text, and log the failures, that each reply resolved on a
+    fresh library delivers and logs."""
+    def fresh():
+        lib = _library(values, history, functions)
+        return lib if keep is None else lib.filtered(keep)
+
+    shared = fresh()
+    for text in replies * 2:
+        assert (_resolved_and_logged(resolve_placeholders, shared, text)
+                == _resolved_and_logged(resolve_placeholders, fresh(), text))
+
+
+def test_the_store_keeps_at_most_its_limit_and_answers_the_same():
+    def library():
+        return smart_home_library(gaze=gaze_at(2.4, 0.9, 2.2, t0=0.0) + gaze_at(0.2, 0.4, 1.5))
+
+    lib = library()
+    windows = [json.dumps({"window": 0.011 * k}) for k in range(1000)]  # 0 to 11 s
+    answers = [calculate(lib, "gaze_target", w) for w in windows]
+    assert len(lib._results) == STORED_RESULTS_LIMIT < len(windows)
+    assert len(set(answers)) > 1
+    assert [calculate(lib, "gaze_target", w) for w in windows] == answers
+    assert [calculate(library(), "gaze_target", w) for w in windows] == answers
+    assert len(lib._results) == STORED_RESULTS_LIMIT
+
+
+def test_filtered_hands_out_one_view_per_set_of_names():
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    view = lib.filtered(["function_list", "gaze"])
+    assert lib.filtered(("gaze", "function_list")) is view
+    assert lib.filtered(["gaze", "function_list", "gaze"]) is view
+    other = lib.filtered(["function_list", "gaze", "history"])
+    assert other is not view and lib.filtered(["gaze"]) is not view
+    assert view.names == ["function_list", "gaze"]
+    assert other.names == ["function_list", "gaze", "history"]
+    assert calculate(view, "gaze_target", None).startswith("Light")
+    assert (len(view._results), len(other._results), len(lib._results)) == (1, 0, 0)
+
+
+def test_threads_share_one_view_and_its_stored_answers():
+    """Eight threads, with a short switch interval, filter each of a run of
+    libraries at once by shuffled names and resolve replies on the view:
+    each set of names yields one view per library, and every reply
+    resolves as on a fresh library."""
+    def library():
+        return smart_home_library(gaze=gaze_at(2.4, 0.9, 2.2, t0=0.0) + gaze_at(0.2, 0.4, 1.5))
+
+    names = [("function_list", "gaze"), ("function_list", "gaze", "history"), ("gaze",)]
+    texts = ["at {{CALC:gaze_target:" + json.dumps({"window": 0.5 * k}) + "}} and "
+             "{{CALC:gaze_trace:" + json.dumps({"window": 0.5 * k}) + "}}" for k in range(24)]
+    expected = {(keep, text): resolve_placeholders(library().filtered(keep), text)
+                for keep in names for text in texts}
+    libs = [library() for _ in range(300)]
+    barrier = threading.Barrier(8, timeout=60)
+    seen, errors = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for lib in libs:
+                keep = rng.choice(names)
+                barrier.wait()
+                view = lib.filtered(rng.sample(keep, len(keep)))
+                text = rng.choice(texts)
+                same = resolve_placeholders(view, text) == expected[keep, text]
+                seen.append((lib, keep, view, same))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and errors == []
+    assert len(seen) == 8 * len(libs) and all(same for *_, same in seen)
+    assert all(view is lib.filtered(keep) for lib, keep, view, _ in seen)
+
+
+def test_a_repeat_answers_from_the_store_and_a_patched_calculator_takes_effect():
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    answer = calculate(lib, "gaze_target", None)
+    calls = []
+
+    def counting(lib, args):
+        calls.append(args)
+        return "patched"
+
+    with mock.patch.dict(BUILTIN_CALCULATORS, {"gaze_target": counting}):
+        assert calculate(lib, "gaze_target", None) == "patched"
+        with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            for _ in range(3):
+                assert calculate(lib, "gaze_target", '{"window": 1.0}') == "patched"
+        assert loads.call_count == 1  # the first of the three decodes; the repeats do not
+    assert calls == [{}, {"window": 1.0}]
+    assert calculate(lib, "gaze_target", None) == answer
 
 
 def test_unclosed_placeholders_resolve_in_linear_time():

@@ -712,6 +712,15 @@ def test_load_manifest_rejects_non_finite_numbers_naming_it(tmp_path, where, num
         f"bad manifest {path}: not valid JSON: {number} is not a finite number")
 
 
+@pytest.mark.parametrize("number", ['"nan"', '"Infinity"', '"-1e999"'])
+def test_load_manifest_rejects_a_location_that_converts_to_non_finite(tmp_path, number):
+    path = _manifest_holding(tmp_path, "location", number)
+    with pytest.raises(MalformedInput) as caught:
+        load_manifest(path)
+    assert str(caught.value).startswith(
+        f"bad task entry in {path}: function 'light.power' location must be a finite number")
+
+
 def test_load_manifest_rejects_empty(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"tasks": []}))
     with pytest.raises(MalformedInput):
