@@ -17,11 +17,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 
-from .context import (
-    ContextLibrary,
-    render_library_prompt,
-    resolve_placeholders,
-)
+from .context import ContextLibrary, resolve_placeholders
 from .encoder import GestureStateMatrix, serialize_matrix, serialize_movement
 from .errors import MalformedInput, ParseError
 from .prompts import AgentPromptSet, render_prompt
@@ -210,17 +206,52 @@ def _describe(llm, role: str, prompt: str, parser, transcript) -> dict:
     return record
 
 
+class DescriptionPrompts:
+    """The description agent's prompts for one matrix under one prompt set:
+    the pose prompt, rendered here, and each time span's movement prompt,
+    rendered at its first use. Every grounding of the matrix given this
+    object as its prompts reuses them. They are read from the matrix as it
+    is when they are rendered, so it must not change while this is in use.
+    """
+
+    def __init__(self, matrix: GestureStateMatrix, prompts: AgentPromptSet):
+        self.matrix, self.prompts = matrix, prompts
+        self.pose = render_prompt(
+            prompts.description_pose_prompt, matrix_text=serialize_matrix(matrix)
+        )
+        self._movement: dict[tuple[int, int], str] = {}
+
+    def movement(self, start: int, end: int) -> str:
+        """The movement prompt over columns start..end. Threads that race
+        to render it first all return the same text."""
+        if (prompt := self._movement.get((start, end))) is None:
+            prompt = self._movement.setdefault((start, end), render_prompt(
+                self.prompts.description_movement_prompt,
+                movement_text=serialize_movement(self.matrix, start, end),
+            ))
+        return prompt
+
+
+def _description_prompts(matrix: GestureStateMatrix,
+                         prompts: AgentPromptSet | DescriptionPrompts) -> DescriptionPrompts:
+    """prompts when it holds matrix's description prompts, else new ones
+    for matrix under the prompt set prompts."""
+    if not isinstance(prompts, DescriptionPrompts):
+        return DescriptionPrompts(matrix, prompts)
+    if prompts.matrix is not matrix:
+        raise ValueError("description prompts built for another matrix")
+    return prompts
+
+
 def describe_pose(
     matrix: GestureStateMatrix,
-    prompts: AgentPromptSet,
+    prompts: AgentPromptSet | DescriptionPrompts,
     llm,
     transcript: DialogueTranscript | None = None,
 ) -> PoseDescription:
     """Pose-channel description: candidate gestures plus the time span,
     clamped to the matrix's column range."""
-    prompt = render_prompt(
-        prompts.description_pose_prompt, matrix_text=serialize_matrix(matrix)
-    )
+    prompt = _description_prompts(matrix, prompts).pose
 
     def parser(raw: str) -> dict:
         obj = extract_json_object(raw)
@@ -248,15 +279,12 @@ def describe_pose(
 def describe_movement(
     matrix: GestureStateMatrix,
     span: tuple[int, int],
-    prompts: AgentPromptSet,
+    prompts: AgentPromptSet | DescriptionPrompts,
     llm,
     transcript: DialogueTranscript | None = None,
 ) -> str:
     """Movement description over the pose's time span."""
-    prompt = render_prompt(
-        prompts.description_movement_prompt,
-        movement_text=serialize_movement(matrix, span[0], span[1]),
-    )
+    prompt = _description_prompts(matrix, prompts).movement(span[0], span[1])
 
     def parser(raw: str) -> dict:
         obj = extract_json_object(raw)
@@ -281,7 +309,7 @@ def compose_description(pose: PoseDescription, movement: str) -> str:
     return "\n".join(bullets)
 
 
-def _prune_conclusion(ids: list[str], valid: set[str]) -> tuple[str, ...]:
+def _prune_conclusion(ids: list[str], valid: frozenset[str]) -> tuple[str, ...]:
     """Drop unknown ids and duplicates (keep first), cap at five."""
     seen: list[str] = []
     for fid in ids:
@@ -323,19 +351,12 @@ def run_inference_session(
     transcript = transcript if transcript is not None else DialogueTranscript()
     if "function_list" not in lib:
         raise MalformedInput("session needs a function_list context")
-    valid_ids = {f.id for f in lib.functions}
-
+    inference_system, context_system = lib.system_prompts(prompts)
     inference_messages = [
-        ChatMessage("system", render_prompt(
-            prompts.inference_prompt, function_list=lib.function_list_text
-        )),
+        ChatMessage("system", inference_system),
         ChatMessage("user", f"Gesture description:\n{description}"),
     ]
-    context_messages = [
-        ChatMessage("system", render_prompt(
-            prompts.context_prompt, library_overview=render_library_prompt(lib)
-        )),
-    ]
+    context_messages = [ChatMessage("system", context_system)]
 
     rounds = 0
     forced = False
@@ -350,7 +371,7 @@ def run_inference_session(
         inference_messages.append(ChatMessage("assistant", raw or "(empty)"))
 
         if "conclusion" in turn:
-            kept = _prune_conclusion(turn["conclusion"], valid_ids)
+            kept = _prune_conclusion(turn["conclusion"], lib.function_ids)
             if not kept:
                 return _negative(transcript, "conclusion contained no valid function ids")
             _outcome(transcript, result="conclusion", ranked=list(kept))
@@ -378,14 +399,18 @@ def run_inference_session(
 def ground_matrix(
     matrix: GestureStateMatrix,
     lib: ContextLibrary,
-    prompts: AgentPromptSet,
+    prompts: AgentPromptSet | DescriptionPrompts,
     llm,
     cfg: SessionConfig | None = None,
     transcript: DialogueTranscript | None = None,
 ) -> tuple[Conclusion | None, DialogueTranscript]:
     """Full grounding of one matrix: describe (pose + movement), compose,
     then run the inference session. One transcript covers all stages; a
-    TransportError leaves the turns so far in the one passed in."""
+    TransportError leaves the turns so far in the one passed in.
+
+    prompts is the agent prompt set, or the DescriptionPrompts of matrix
+    under it, which run_protocol builds once for all a task's runs."""
+    prompts = _description_prompts(matrix, prompts)
     transcript = transcript if transcript is not None else DialogueTranscript()
     try:
         pose = describe_pose(matrix, prompts, llm, transcript)
@@ -393,4 +418,4 @@ def ground_matrix(
     except ParseError as exc:
         return _negative(transcript, f"description failed: {exc}")
     description = compose_description(pose, movement)
-    return run_inference_session(description, lib, prompts, llm, cfg, transcript)
+    return run_inference_session(description, lib, prompts.prompts, llm, cfg, transcript)

@@ -45,7 +45,7 @@ from .landmarks import (
 )
 from .prompts import load_prompt_set
 from .rules import RuleThresholds
-from .transport import load_backend
+from .transport import backend_factory, load_backend
 from .tuning import (
     TUNABLE_RULES,
     GridSpec,
@@ -318,6 +318,7 @@ def cmd_eval(args) -> int:
     tasks = load_manifest(args.manifest)
     th = _load_thresholds(args.thresholds)
     prompts = load_prompt_set(args.prompts)
+    new_backend = backend_factory(args.backend, args.seed)
     try:
         settings = (
             [ContextSetting(s.strip()) for s in args.settings.split(",")]
@@ -329,7 +330,7 @@ def cmd_eval(args) -> int:
         raise MalformedInput(f"--settings: {exc}; choose from {names}") from exc
     handles = PipelineHandles(
         prompts=prompts,
-        backend_factory=lambda task: load_backend(args.backend, args.seed),
+        backend_factory=lambda task: new_backend(),
         thresholds=th,
         session=SessionConfig(max_rounds=args.max_rounds),
     )

@@ -19,6 +19,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import CalculatorFailure, MalformedInput, finite_float, parse_finite_json
+from .prompts import AgentPromptSet, render_prompt
 
 logger = logging.getLogger(__name__)
 
@@ -87,13 +88,14 @@ Calculator = Callable[["ContextLibrary", dict], str]
 class ContextLibrary:
     """Ordered map of context types. The function_list context's values
     are parsed here, once, into `functions`, and every reader uses that
-    parse; `function_list_text` is its rendering for the inference
-    prompt, empty when the library has no function_list.
+    parse; `function_ids` holds their ids, and `function_list_text` is
+    their rendering for the inference prompt, empty when the library has
+    no function_list.
 
     Reads never change what a library answers: it stores only the results
-    of its own calculations and its filtered views, and add_context_type
-    returns a new library, so shared instances stay safe across concurrent
-    sessions.
+    of its own calculations, its agents' system prompts and its filtered
+    views, and add_context_type returns a new library, so shared instances
+    stay safe across concurrent sessions.
     """
 
     def __init__(self, contexts: Sequence[ContextType] = (),
@@ -108,9 +110,11 @@ class ContextLibrary:
         if functions is None:
             functions = () if listing is None else parse_function_list(listing.values)
         self.functions: tuple[FunctionEntry, ...] = tuple(functions)
+        self.function_ids = frozenset(f.id for f in self.functions)
         self.function_list_text = _render_function_list(self.functions)
         self._locations = _function_locations(self.functions)
         self._results: dict[tuple[Calculator, str | None], str] = {}
+        self._system: dict[tuple[str, str], tuple[str, str]] = {}
         self._views: dict[frozenset, ContextLibrary] = {}
 
     def __len__(self) -> int:
@@ -132,20 +136,37 @@ class ContextLibrary:
     def filtered(self, keep: Sequence[str]) -> "ContextLibrary":
         """Library restricted to the given context names (this library's
         order kept). It is one view per set of names, in any order, so its
-        callers share its stored results. It shares this library's parsed
-        and rendered function list and its function locations."""
+        callers share its stored results and system prompts. It shares
+        this library's parsed and rendered function list and its function
+        locations."""
         keep = frozenset(keep)
         if (view := self._views.get(keep)) is not None:
             return view
         lib = ContextLibrary.__new__(ContextLibrary)
         lib._entries = {name: c for name, c in self._entries.items() if name in keep}
         if "function_list" in keep:
-            lib.functions, lib.function_list_text = self.functions, self.function_list_text
-            lib._locations = self._locations
+            lib.functions, lib.function_ids = self.functions, self.function_ids
+            lib.function_list_text, lib._locations = self.function_list_text, self._locations
         else:
-            lib.functions, lib.function_list_text, lib._locations = (), "", None
-        lib._results, lib._views = {}, {}
+            lib.functions, lib.function_ids = (), frozenset()
+            lib.function_list_text, lib._locations = "", None
+        lib._results, lib._system, lib._views = {}, {}, {}
         return self._views.setdefault(keep, lib)
+
+    def system_prompts(self, prompts: AgentPromptSet) -> tuple[str, str]:
+        """The inference and context agents' system prompts under prompts:
+        its inference template with this library's function list, and its
+        context template with this library's overview. Rendered at the
+        first call for each pair of templates and kept; threads that race
+        to render them all return the same texts."""
+        key = (prompts.inference_prompt, prompts.context_prompt)
+        if (texts := self._system.get(key)) is None:
+            texts = self._system.setdefault(key, (
+                render_prompt(prompts.inference_prompt, function_list=self.function_list_text),
+                render_prompt(prompts.context_prompt,
+                              library_overview=render_library_prompt(self)),
+            ))
+        return texts
 
     def to_json(self) -> str:
         doc = {

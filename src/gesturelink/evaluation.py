@@ -1,10 +1,11 @@
 """Top-k evaluation protocol: context settings, repetitions, metrics,
 and the analytic random-guess baseline.
 
-All tasks' streams are encoded in one batch per protocol run; every
-setting and repetition then grounds each task's result with its context
-library filtered to the active setting. Per-task failures score as
-Negative with a logged cause so a bad task never aborts a setting.
+All tasks' streams are encoded in one batch per protocol run, and each
+task's description prompts are built once from its result; every setting
+and repetition then grounds that result with the task's context library
+filtered to the active setting. Per-task failures score as Negative with
+a logged cause so a bad task never aborts a setting.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .agents import Conclusion, SessionConfig, ground_matrix
+from .agents import Conclusion, DescriptionPrompts, SessionConfig, ground_matrix
 from .context import (
     ContextLibrary,
     make_external_context,
@@ -66,7 +67,7 @@ class TaskRecord:
     truth_id: str
 
     def __post_init__(self):
-        if self.truth_id not in {f.id for f in self.library.functions}:
+        if self.truth_id not in self.library.function_ids:
             raise MalformedInput(
                 f"task {self.scenario_id}: truth id {self.truth_id!r} not in function list"
             )
@@ -123,9 +124,10 @@ class SettingRun:
 class PipelineHandles:
     """Everything run_protocol needs to execute a task end to end. The
     backend factory yields a fresh backend per task run so scripted
-    replays stay independent."""
+    replays stay independent. run_protocol hands run_task each task's
+    handles with its DescriptionPrompts as prompts."""
 
-    prompts: AgentPromptSet
+    prompts: AgentPromptSet | DescriptionPrompts
     backend_factory: Callable[[TaskRecord], object]
     thresholds: RuleThresholds = RuleThresholds()
     session: SessionConfig = SessionConfig()
@@ -205,13 +207,14 @@ def run_protocol(
 ) -> list[SettingRun]:
     """Run every task `repetitions` times under each context setting.
 
-    All tasks are encoded in one batch; every setting and repetition grounds
-    those results. Pipeline failures (GestureLinkError, OSError) score
-    Negative and are counted, never raised; anything else is a bug and
-    propagates. A task the encoder rejects fails alone, logged once, in
-    every setting and repetition. With jobs > 1 the task runs share one
-    thread pool; each run gets its own backend, so results match sequential
-    evaluation.
+    All tasks are encoded in one batch, and each task's description
+    prompts are built once, before any task run; every setting and
+    repetition grounds those results. Pipeline failures (GestureLinkError,
+    OSError) score Negative and are counted, never raised; anything else is
+    a bug and propagates. A task the encoder rejects fails alone, logged
+    once, in every setting and repetition. With jobs > 1 the task runs
+    share one thread pool; each run gets its own backend, so results match
+    sequential evaluation.
     """
     if repetitions < 1:
         raise MalformedInput("repetitions must be >= 1")
@@ -225,13 +228,20 @@ def run_protocol(
         raise MalformedInput("each context setting may be run only once")
     encoded = [_encode_task(task, result) for task, result in
                zip(tasks, encode_streams([task.stream for task in tasks], handles.thresholds))]
+    # Built here, before any thread starts: each task's handles carry its
+    # description prompts to all its settings and repetitions.
+    prepared = [
+        (task, matrices, replace(handles, prompts=DescriptionPrompts(matrices[0], handles.prompts))
+         if matrices else handles)
+        for task, matrices in zip(tasks, encoded)
+    ]
 
     def attempt(run):
-        setting, rep, task, matrices = run
+        setting, rep, (task, matrices, task_handles) = run
         if matrices is None:
             return None, None
         try:
-            return run_task(task, setting, matrices, handles)
+            return run_task(task, setting, matrices, task_handles)
         except (GestureLinkError, OSError) as exc:
             logger.warning(
                 "task %s %s rep %d failed (%s); scoring Negative",
@@ -239,12 +249,8 @@ def run_protocol(
             )
             return None, None
 
-    task_runs = [
-        (setting, rep, task, matrices)
-        for setting in settings
-        for rep in range(repetitions)
-        for task, matrices in zip(tasks, encoded)
-    ]
+    task_runs = [(setting, rep, inputs) for setting in settings
+                 for rep in range(repetitions) for inputs in prepared]
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 

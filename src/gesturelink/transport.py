@@ -8,6 +8,7 @@ ceil(chars / 4) so accounting tests run offline.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -19,6 +20,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
+from typing import Callable
 
 from .errors import AuthError, FixtureExhausted, MalformedInput, TransportError, parse_json
 
@@ -258,9 +260,18 @@ class RetryingBackend:
         raise last_error
 
 
-def load_backend(spec: str, seed: int | None = None):
+def backend_factory(spec: str, seed: int | None = None) -> Callable[[], object]:
     """CLI backend selector: "scripted:<fixtures.json>" for replay, or the
-    path to a live BackendConfig JSON, retried with jitter seeded by seed."""
+    path to a live BackendConfig JSON, retried with jitter seeded by seed.
+    The file is read and checked here, once; each call of the returned
+    factory builds a fresh backend from what was read."""
     if spec.startswith("scripted:"):
-        return ScriptedBackend.from_file(spec.split(":", 1)[1])
-    return RetryingBackend(LiveBackend(BackendConfig.from_file(spec)), seed)
+        replay = ScriptedBackend.from_file(spec.split(":", 1)[1])
+        return lambda: copy.copy(replay)  # each copy starts at call 0: replay is never called
+    config = BackendConfig.from_file(spec)
+    return lambda: RetryingBackend(LiveBackend(config), seed)
+
+
+def load_backend(spec: str, seed: int | None = None):
+    """One backend from backend_factory's spec."""
+    return backend_factory(spec, seed)()

@@ -21,6 +21,7 @@ from conftest import (
 )
 from gesturelink.agents import (
     Conclusion,
+    DescriptionPrompts,
     DialogueTranscript,
     MAX_REPLY_CHARS,
     PoseDescription,
@@ -732,3 +733,84 @@ def test_sessions_reuse_the_library_function_list_text(monkeypatch):
         run_inference_session("- palm", lib.filtered(keep), PROMPTS, backend)
         system = backend.requests[0].messages[0].content
         assert "- light.power: Light Power (location: 0.2, 0.4, 1.5)\n" in system
+
+
+# --- description prompts built once per matrix ----------------------------------------
+
+_GAZE_ANSWER = context_reply("at the {{CALC:gaze_target}} ({{CALC:gaze_trace}})")
+# Scripts for a 4-column matrix, each with the SessionConfig it runs under.
+PREPARED_SCRIPTS = {
+    "repairs": ([
+        "not json", pose_reply("open palm", (0, 2)), "still prose", movement_reply(),
+        question_reply("where is the user looking?"), "garbage", _GAZE_ANSWER,
+        "more garbage", conclusion_reply(["light.power"]),
+    ], SessionConfig()),
+    "clamped-span": ([
+        pose_reply("fist", (-3, 99)), movement_reply("moves up"),
+        conclusion_reply(["oven.power", "light.power"]),
+    ], SessionConfig()),
+    "reversed-span-then-valid": ([
+        pose_reply("pinch", (3, 1)), pose_reply("pinch", (1, 3)), movement_reply(),
+        conclusion_reply(["light.power"]),
+    ], SessionConfig()),
+    "reversed-span-twice": ([pose_reply("pinch", (3, 1)), pose_reply("pinch", (2, 0))],
+                            SessionConfig()),
+    "description-fails": (["junk", "junk again"], SessionConfig()),
+    "forced-conclusion": ([
+        pose_reply("wave", (1, 1)), movement_reply("side to side"),
+        question_reply("gaze?"), _GAZE_ANSWER, question_reply("history?"),
+        conclusion_reply(["light.mode_switch"]),
+    ], SessionConfig(max_rounds=2)),
+}
+
+
+def _grounding(matrix, lib, prompts, script):
+    """(requests sent, transcript bytes, conclusion) of one grounding."""
+    replies, cfg = PREPARED_SCRIPTS[script]
+    backend = RecordingBackend(replies)
+    conclusion, transcript = ground_matrix(matrix, lib, prompts, backend, cfg)
+    assert backend.inner.calls == len(replies)
+    requests = [[(m.role, m.content) for m in r.messages] for r in backend.requests]
+    return requests, transcript.to_jsonl(), conclusion
+
+
+def test_prepared_description_prompts_give_the_transcripts_of_fresh_groundings():
+    """One DescriptionPrompts reused across K sessions of every script, on
+    a library with gaze and a view without, sends the requests and writes
+    the transcript bytes of a fresh ground_matrix call, and concludes the
+    same."""
+    matrix, full = make_matrix(), session_lib()
+    libs = {"gaze": full, "no-gaze": full.filtered(["function_list", "history", "external"])}
+    fresh = {(lib, script): _grounding(matrix, libs[lib], PROMPTS, script)
+             for lib in libs for script in PREPARED_SCRIPTS}
+    assert {c is None for _, _, c in fresh.values()} == {True, False}
+    assert fresh["gaze", "repairs"][1] != fresh["no-gaze", "repairs"][1]
+    assert "round limit" in fresh["gaze", "forced-conclusion"][0][-1][-1][1]
+    prepared = DescriptionPrompts(matrix, PROMPTS)
+    for _ in range(3):
+        for lib, script in fresh:
+            assert _grounding(matrix, libs[lib], prepared, script) == fresh[lib, script]
+    assert sorted(prepared._movement) == [(0, 2), (0, 3), (1, 1), (1, 3)]
+
+
+def test_prepared_description_prompts_render_each_prompt_once(monkeypatch):
+    import gesturelink.agents
+
+    rendered = []
+    for name in ("serialize_matrix", "serialize_movement"):
+        original = getattr(gesturelink.agents, name)
+        monkeypatch.setattr(gesturelink.agents, name,
+                            lambda *a, f=original, n=name: rendered.append(n) or f(*a))
+    matrix, lib = make_matrix(), session_lib()
+    prepared = DescriptionPrompts(matrix, PROMPTS)
+    for _ in range(3):
+        _grounding(matrix, lib, prepared, "clamped-span")
+    assert rendered == ["serialize_matrix", "serialize_movement"]
+    _grounding(matrix, lib, PROMPTS, "clamped-span")
+    assert rendered[2:] == ["serialize_matrix", "serialize_movement"]
+
+
+def test_description_prompts_of_another_matrix_are_refused():
+    prepared = DescriptionPrompts(make_matrix(), PROMPTS)
+    with pytest.raises(ValueError, match="another matrix"):
+        ground_matrix(make_matrix(), session_lib(), prepared, RecordingBackend([]))

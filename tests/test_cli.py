@@ -731,6 +731,59 @@ def test_ground_malformed_fixture_exits_2_naming_the_file(
     assert f"error: bad fixture file {path}: fixture #0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec, content, message",
+    [
+        ("scripted:{}", '[{"response": 5}]', "error: bad fixture file {}: fixture #0"),
+        ("scripted:{}", '{"response": "a reply"}',
+         "error: bad fixture file {}: must hold a JSON array"),
+        ("scripted:{}", None, "error: [Errno 2] No such file or directory: '{}'"),
+        ("{}", '{"timeout": 0}', "error: bad backend config {}: timeout must be > 0"),
+        ("{}", None, "error: [Errno 2] No such file or directory: '{}'"),
+    ],
+    ids=["malformed-fixture", "fixtures-not-a-list", "missing-fixtures", "bad-live-config",
+         "missing-live-config"],
+)
+def test_eval_bad_backend_file_exits_2_naming_it_before_any_work(
+    tmp_path, monkeypatch, backend_calls, capsys, spec, content, message
+):
+    """The backend file is read once, before the streams are encoded: a bad
+    one ends eval with no model call and no report, as it ends ground."""
+    from gesturelink import evaluation
+
+    encoded = []
+    monkeypatch.setattr(evaluation, "encode_streams", lambda *a: encoded.append(a))
+    manifest = write_manifest(tmp_path)
+    path = tmp_path / "backend.json"
+    if content is not None:
+        path.write_text(content)
+    out_dir = tmp_path / "out"
+    code = main(["eval", str(manifest), "--backend", spec.format(path),
+                 "--repetitions", "1", "--out-dir", str(out_dir)])
+    assert code == 2
+    assert message.format(path) in capsys.readouterr().err
+    assert (encoded, backend_calls) == ([], [])
+    assert not out_dir.exists()
+
+
+def test_eval_reads_the_fixture_file_once(tmp_path, monkeypatch):
+    from gesturelink import transport
+
+    manifest = write_manifest(tmp_path)
+    fixtures = tmp_path / "fx.json"
+    write_grounding_fixtures(fixtures, GROUND_REPLIES)
+    read = []
+    original = transport.ScriptedBackend.from_file
+    monkeypatch.setattr(transport.ScriptedBackend, "from_file",
+                        lambda path: read.append(path) or original(path))
+    code = main(["eval", str(manifest), "--backend", f"scripted:{fixtures}",
+                 "--repetitions", "3", "--jobs", "2", "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert read == [str(fixtures)]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert {s["completed"] for s in report["settings"].values()} == {6}
+
+
 def test_ground_zero_max_rounds_exits_2(tmp_path, matrix_file, library_file, capsys):
     fixtures = tmp_path / "fx.json"
     write_grounding_fixtures(fixtures, GROUND_REPLIES)
@@ -1582,11 +1635,11 @@ def prompt_typo_dir(tmp_path):
 
 @pytest.fixture
 def backend_calls(monkeypatch):
-    """Requests sent to every backend the CLI loads."""
+    """Requests sent to every backend the CLI loads or builds."""
     import gesturelink.cli
 
     calls = []
-    load = gesturelink.cli.load_backend
+    load, factory = gesturelink.cli.load_backend, gesturelink.cli.backend_factory
 
     class Counting:
         def __init__(self, inner):
@@ -1596,7 +1649,12 @@ def backend_calls(monkeypatch):
             calls.append(req)
             return self.inner.complete(req)
 
+    def counting_factory(*args):
+        new_backend = factory(*args)
+        return lambda: Counting(new_backend())
+
     monkeypatch.setattr(gesturelink.cli, "load_backend", lambda *a: Counting(load(*a)))
+    monkeypatch.setattr(gesturelink.cli, "backend_factory", counting_factory)
     return calls
 
 

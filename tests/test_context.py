@@ -978,6 +978,33 @@ def test_filtered_hands_out_one_view_per_set_of_names():
     assert (len(view._results), len(other._results), len(lib._results)) == (1, 0, 0)
 
 
+def test_system_prompts_are_rendered_once_per_view_and_prompt_set(monkeypatch):
+    import dataclasses
+
+    import gesturelink.context
+    from gesturelink.prompts import load_prompt_set, render_prompt
+
+    prompts = load_prompt_set()
+    edited = dataclasses.replace(prompts, context_prompt=prompts.context_prompt + "\nBe brief.")
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
+    rendered = []
+    original = gesturelink.context.render_library_prompt
+    monkeypatch.setattr(gesturelink.context, "render_library_prompt",
+                        lambda lib: rendered.append(lib) or original(lib))
+    views = [lib, lib.filtered(["function_list", "gaze"]), lib.filtered(["gaze"])]
+    for _ in range(3):
+        for view in views:
+            for which in (prompts, edited):
+                assert view.system_prompts(which) == (
+                    render_prompt(which.inference_prompt, function_list=view.function_list_text),
+                    render_prompt(which.context_prompt, library_overview=original(view)),
+                )
+    assert rendered == [view for view in views for _ in (prompts, edited)]
+    assert lib.system_prompts(prompts) is lib.system_prompts(load_prompt_set())
+    assert views[2].function_list_text == "" and views[2].function_ids == frozenset()
+    assert views[1].function_ids == lib.function_ids == {f.id for f in lib.functions}
+
+
 def test_threads_share_one_view_and_its_stored_answers():
     """Eight threads, with a short switch interval, filter each of a run of
     libraries at once by shuffled names and resolve replies on the view:

@@ -532,6 +532,67 @@ def test_parallel_jobs_match_sequential():
     assert seq.completed == par.completed
 
 
+def _counting(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.update([name]) or original(*args))
+
+
+def test_protocol_builds_each_task_prompt_once_and_each_view_prompt_once(monkeypatch):
+    """Over S settings x R repetitions x T tasks, each task's matrix is
+    serialized once (not S * R * T times) and each view renders its
+    overview once. A second run builds the description prompts anew, and
+    the views answer from their kept system prompts."""
+    from collections import Counter
+
+    from gesturelink import agents, context
+
+    calls = Counter()
+    for module, name in ((agents, "serialize_matrix"), (agents, "serialize_movement"),
+                         (context, "render_library_prompt")):
+        _counting(monkeypatch, calls, module, name)
+    tasks = [make_task(f"t{k}") for k in range(3)]
+    settings = list(ContextSetting)
+    handles = handles_for({t.scenario_id: grounding_replies(["light.power"]) for t in tasks})
+    runs = run_protocol(tasks, settings, 3, handles)
+    assert [run.completed for run in runs] == [9] * len(settings)
+    assert calls == {"serialize_matrix": 3, "serialize_movement": 3,
+                     "render_library_prompt": 3 * len(settings)}
+    run_protocol(tasks, settings, 3, handles)
+    assert calls == {"serialize_matrix": 6, "serialize_movement": 6,
+                     "render_library_prompt": 3 * len(settings)}
+
+
+def _mixed_report(jobs):
+    """report() of run_protocol over fresh tasks that conclude, rank the
+    truth lower, end Negative or fail to encode, run with `jobs` threads."""
+    tasks = [make_task("t1"), make_task("t2", truth="oven.power"), make_task("t3"),
+             TaskRecord("flat", parse_landmark_stream(flat_width_stream_json()),
+                        smart_home_library(), "light.power")]
+    replies = {"t1": grounding_replies(["light.power"]),
+               "t2": grounding_replies(["light.power", "oven.power"]),
+               "t3": ["junk", "junk again"], "flat": []}
+    runs = run_protocol(tasks, list(ContextSetting), 3, handles_for(replies), jobs=jobs)
+    doc = report(runs, baseline=random_guess_baseline(tasks))
+    return doc.json_text + doc.csv_text
+
+
+def test_report_bytes_at_four_jobs_equal_those_at_one():
+    import sys
+
+    sequential = _mixed_report(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel = [_mixed_report(4) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == [sequential] * 3
+    settings = json.JSONDecoder().raw_decode(sequential)[0]["settings"]
+    assert {(s["completed"], s["failures"], s["metrics"]["top1"]["mean"],
+             s["metrics"]["top3"]["mean"]) for s in settings.values()} == {(9, 3, 0.25, 0.5)}
+
+
 def test_truth_must_be_in_function_list():
     with pytest.raises(MalformedInput):
         make_task(truth="not.a.function")

@@ -18,6 +18,7 @@ from gesturelink.transport import (
     ScriptedBackend,
     UsageRecord,
     approx_tokens,
+    backend_factory,
     load_backend,
 )
 
@@ -327,6 +328,31 @@ def test_load_backend_scripted_spec(tmp_path):
     path.write_text(json.dumps([{"response": "hi"}]))
     backend = load_backend(f"scripted:{path}")
     assert backend.complete(req("x"))[0] == "hi"
+
+
+def test_backend_factory_reads_the_fixture_file_once_and_replays_it_afresh(tmp_path):
+    path = tmp_path / "fx.json"
+    path.write_text(json.dumps([{"response": "hi"}, {"response": "again"}]))
+    new_backend = backend_factory(f"scripted:{path}")
+    path.unlink()
+    first = new_backend()
+    assert [first.complete(req("x"))[0] for _ in range(2)] == ["hi", "again"]
+    second = new_backend()
+    assert (second.calls, second.complete(req("y"))[0], first.calls) == (0, "hi", 2)
+    with pytest.raises(FixtureExhausted):
+        first.complete(req("z"))
+
+
+def test_backend_factory_builds_each_live_backend_with_a_fresh_jitter(tmp_path):
+    path = tmp_path / "backend.json"
+    path.write_text(json.dumps({"model_id": "local-model"}))
+    new_backend = backend_factory(str(path), seed=5)
+    path.unlink()
+    backends = [new_backend(), new_backend()]
+    assert backends[0] is not backends[1] and backends[0]._rng is not backends[1]._rng
+    for backend in backends:
+        assert backend.inner.config.model_id == "local-model"
+        assert backend._rng.getstate() == random.Random(5).getstate()
 
 
 def test_load_backend_live_spec_retries_with_the_default_policy(tmp_path):
