@@ -3,6 +3,8 @@
 A stream stores its recording as arrays: one (N, 21, 3) coordinate
 array, the N timestamps and the N per-frame depth flags. HandLandmarkFrame
 is the per-frame API; a stream hands out frames as views over its arrays.
+Parsing packs each well-formed frame's landmark rows into bytes as the
+JSON is decoded, and the parsed coordinate array is one buffer over them.
 
 Coordinate convention (fixed artifact-wide): x grows rightward, y grows
 downward, z is relative depth with more negative values closer to the
@@ -12,9 +14,11 @@ producer before they reach this module.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from operator import is_
 
 import numpy as np
 
@@ -217,9 +221,10 @@ def decode_frame(entry, i: int, coords: np.ndarray, times: np.ndarray,
 
 
 def _lm_as_array(obj: dict) -> dict:
-    """json.loads object_hook: an object's "lm" value becomes a float array
-    as the decoder builds the object, so no row list outlives its frame. A
-    value the conversion rejects stays as decoded; decode_frame reports it."""
+    """The object_hook step for an "lm" that _packing_hook does not pack:
+    the value becomes a float array as np.array converts it, so no row
+    list outlives its object. A value the conversion rejects stays as
+    decoded; decode_frame reports it."""
     if "lm" in obj:
         try:
             obj["lm"] = np.array(obj["lm"], dtype=float)
@@ -228,17 +233,71 @@ def _lm_as_array(obj: dict) -> dict:
     return obj
 
 
+# 21 rows of [x, y, z], or of [x, y] followed by 8 zero bytes: a +0.0 z.
+_ROW_PACKERS = {3: struct.Struct("=63d").pack, 2: struct.Struct("=" + "2d8x" * 21).pack}
+
+
+def _packing_hook():
+    """A json.loads object_hook and the lists it fills, in decode order.
+
+    The hook packs an object whose "lm" is 21 lists of numbers, all of
+    length 3 or all of length 2, and whose "t" converts with float(), into
+    a frame's 63 native doubles. It stores those bytes as the object's
+    "lm" and appends the object, its bytes, float(t) and whether its rows
+    had a z to the four lists, so no row list outlives its object. Every
+    other object goes through _lm_as_array.
+    """
+    objects, chunks, times, depths = [], [], [], []
+
+    def hook(obj: dict) -> dict:
+        if "lm" not in obj:
+            return obj
+        lm = obj["lm"]
+        try:
+            # ValueError unless there are 21 rows, all of one length.
+            (width,) = set(map(len, lm)) if type(lm) is list and len(lm) == 21 else ()
+            # One starred display of the 21 rows builds the arguments about
+            # twice as fast as itertools.chain.from_iterable(lm).
+            chunk = _ROW_PACKERS[width](
+                *lm[0], *lm[1], *lm[2], *lm[3], *lm[4], *lm[5], *lm[6], *lm[7], *lm[8],
+                *lm[9], *lm[10], *lm[11], *lm[12], *lm[13], *lm[14], *lm[15], *lm[16],
+                *lm[17], *lm[18], *lm[19], *lm[20])
+            t = float(obj["t"])
+        except (KeyError, TypeError, ValueError, OverflowError, struct.error):
+            return _lm_as_array(obj)
+        obj["lm"] = chunk
+        objects.append(obj)
+        chunks.append(chunk)
+        times.append(t)
+        depths.append(width == 3)
+        return obj
+
+    return hook, objects, chunks, times, depths
+
+
 def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
     """Parse the documented JSON stream format into a validated stream.
 
     Schema: {"source_view": "...", "handedness": "right"|"left",
     "frames": [{"t": seconds, "lm": [[x, y, z] or [x, y]] * 21}, ...]}.
-    Bytes must be UTF-8. The decoder turns each "lm" into an array as it
-    builds its object, so the row lists never pile up; the frames are then
-    copied into preallocated arrays and checked all at once. A value shown
-    in an error message prints any "lm" inside it as an array.
+    Bytes must be UTF-8. The text is decoded once, and the decoder packs
+    each well-formed frame into bytes as it builds its object, so the row
+    lists never pile up. When the packed objects are exactly the entries
+    of "frames", in order, coords is one read-only buffer over the joined
+    bytes. Otherwise every packed "lm" becomes the array np.array would
+    make, each entry is copied into preallocated arrays by decode_frame,
+    and a value shown in an error message prints any "lm" inside it as an
+    array. Either way the frames are then checked all at once.
     """
-    doc = parse_json(raw, object_hook=_lm_as_array)  # its decoded text is freed on return
+    hook, packed, chunks, packed_times, packed_depths = _packing_hook()
+    doc = parse_json(raw, object_hook=hook)  # its decoded text is freed on return
+    raw_frames = doc.get("frames") if isinstance(doc, dict) else None
+    exact = (isinstance(raw_frames, list) and len(packed) == len(raw_frames)
+             and all(map(is_, packed, raw_frames)))
+    if not exact:
+        for obj, has_depth in zip(packed, packed_depths):
+            lm = np.frombuffer(obj["lm"]).reshape(21, 3)
+            obj["lm"] = lm if has_depth else lm[:, :2]
     if not isinstance(doc, dict):
         raise MalformedInput("stream document must be a JSON object")
 
@@ -248,11 +307,14 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
     except ValueError as exc:
         raise MalformedInput(str(exc)) from exc
 
-    raw_frames = doc.get("frames")
     if not isinstance(raw_frames, list):
         raise MalformedInput('missing or non-list "frames"')
 
     n = len(raw_frames)
+    if exact:
+        coords = np.frombuffer(b"".join(chunks)).reshape(n, 21, 3)
+        return LandmarkStream(coords, np.array(packed_times, dtype=float),
+                              np.array(packed_depths, dtype=bool), handedness, source_view)
     coords, times, depth = np.zeros((n, 21, 3)), np.empty(n), np.empty(n, dtype=bool)
     for i, entry in enumerate(raw_frames):
         try:
@@ -262,4 +324,3 @@ def parse_landmark_stream(raw: bytes | str) -> LandmarkStream:
                 raise MalformedInput(bad[1]) from None
             raise
     return LandmarkStream(coords, times, depth, handedness, source_view)
-

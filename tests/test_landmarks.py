@@ -1,11 +1,12 @@
+import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gesturelink.errors import GestureLinkError, MalformedInput
+from gesturelink.errors import GestureLinkError, MalformedInput, parse_json
 from gesturelink.landmarks import (
     LANDMARK_NAMES,
     HandLandmarkFrame,
@@ -291,6 +292,26 @@ HOSTILE_FRAMES = {
     "far_and_negative_t": _entries((-1.0, _FAR_ROWS)),
     "negative_t_then_nan": _entries((-1.0, _ROWS), (0.1, _NAN_ROWS)),
     "infinite_t": _entries((0.0, _ROWS), (float("inf"), _ROWS)),
+    # Values a packer of well-formed frames must decline, or take as np.array does.
+    "string_rows": _entries((0.0, ["123"] * 21)),
+    "flat_string_rows": _entries((0.0, ["12"] * 21)),
+    "ragged_rows_of_63_numbers": _entries((0.0, _ROWS[:3] + [_ROWS[3] + [0.0], _ROWS[4][:2]]
+                                                + _ROWS[5:])),
+    "object_rows": _entries((0.0, [{"x": 0.5, "y": 0.5, "z": 0.0}] * 21)),
+    "true_timestamp_then_more": _entries((True, _ROWS), (2.0, _FLAT_ROWS)),
+    "numeric_string_timestamp": _entries(("0.5", _ROWS), (0.6, _ROWS)),
+    "int_timestamps": _entries((0, _ROWS), (1, _FLAT_ROWS), (2, _ROWS)),
+    "int_coordinates": _entries((0.0, [[0, 1, 0]] * 21), (0.1, [[1, 0]] * 21)),
+    "bool_flat_coordinates": _entries((0.0, [[True, False]] * 21)),
+    "null_coordinate": _entries((0.0, _ROWS[:3] + [[0.5, None, 0.0]] + _ROWS[4:])),
+    "huge_int_coordinate": _entries((0.0, _ROWS[:3] + [[0.5, 10 ** 400, 0.0]] + _ROWS[4:])),
+    "negative_zero_coordinates": _entries((0.0, [[-0.0, 0.5, -0.0]] * 21),
+                                          (0.1, [[0.5, -0.0]] * 21)),
+    "extra_frame_keys": [dict(e, id=k, note="x", score=None)
+                         for k, e in enumerate(_entries((0.0, _ROWS), (0.1, _FLAT_ROWS)))],
+    "frame_in_extra_key": [dict(e, extra={"t": 0.0, "lm": _ROWS})
+                           for e in _entries((0.0, _ROWS), (0.1, _FLAT_ROWS))],
+    "flat_frame_in_t": [{"t": {"t": 0.0, "lm": _FLAT_ROWS}, "lm": _ROWS}],
 }
 # An earlier frame's bad value wins over each later structural fault.
 _STRUCTURAL_FAULTS = {
@@ -314,10 +335,11 @@ HOSTILE_DOCUMENTS = {
                           f'"lm": {json.dumps(_FLAT_ROWS)}}}]}}',
     "lm_twice_last_bad": f'{{"handedness": "HAND", "frames": [{{"t": 0.0, "lm": '
                          f'{json.dumps(_ROWS)}, "lm": [[0.5]]}}]}}',
+    "handedness_frame": f'{{"handedness": {_FRAME}, "frames": [{_FRAME}]}}',
 }
 
 # The message prints a value holding an "lm", which the parse shows as an array.
-_ARRAY_IN_MESSAGE = {"frame_in_t", "handedness_object"}
+_ARRAY_IN_MESSAGE = {"frame_in_t", "flat_frame_in_t", "handedness_object", "handedness_frame"}
 
 
 def _hostile_text(name, handedness):
@@ -366,6 +388,149 @@ def test_parse_peak_memory_stays_within_three_times_the_text():
         tracemalloc.stop()
     assert parsed == stream
     assert peak <= 3 * len(text)
+
+
+# --- packed parse against the prior parse -----------------------------------------
+
+def _prior_lm_as_array(obj: dict) -> dict:
+    """The parse's object_hook before it packed frames, verbatim."""
+    if "lm" in obj:
+        try:
+            obj["lm"] = np.array(obj["lm"], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return obj
+
+
+def _prior_parse(raw):
+    """The parse before it packed frames, verbatim: every "lm" becomes an
+    array as it is decoded, then decode_frame copies each entry."""
+    doc = parse_json(raw, object_hook=_prior_lm_as_array)
+    if not isinstance(doc, dict):
+        raise MalformedInput("stream document must be a JSON object")
+
+    try:
+        handedness = Handedness(doc.get("handedness", "right"))
+        source_view = SourceView(doc.get("source_view", "third_person"))
+    except ValueError as exc:
+        raise MalformedInput(str(exc)) from exc
+
+    raw_frames = doc.get("frames")
+    if not isinstance(raw_frames, list):
+        raise MalformedInput('missing or non-list "frames"')
+
+    n = len(raw_frames)
+    coords, times, depth = np.zeros((n, 21, 3)), np.empty(n), np.empty(n, dtype=bool)
+    for i, entry in enumerate(raw_frames):
+        try:
+            decode_frame(entry, i, coords, times, depth)
+        except MalformedInput:
+            if bad := first_bad_frame(coords[:i], times[:i]):  # the first bad frame wins
+                raise MalformedInput(bad[1]) from None
+            raise
+    return LandmarkStream(coords, times, depth, handedness, source_view)
+
+
+def _exact_outcome(parse, text):
+    """The stream's array bits, handedness and view, or the error's class and
+    message. The bits are hashed, so a failure prints no long byte strings."""
+    try:
+        s = parse(text)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+    arrays = [(a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+              for a in (s.coords, s.timestamps, s.depth_flags)]
+    return "ok", arrays, s.handedness, s.source_view
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FRAMES) + sorted(HOSTILE_DOCUMENTS))
+def test_packed_parse_matches_the_prior_parse_bit_for_bit(name):
+    text = _hostile_text(name, "left")
+    assert _exact_outcome(parse_landmark_stream, text) == _exact_outcome(_prior_parse, text)
+
+
+_HOSTILE_VALUES = ["123", "0.5", None, True, False, 1, 0, 10 ** 400, -0.0, float("nan"),
+                   float("inf"), 2.0, [0.5], {"x": 0.5}]
+_HOSTILE_ROWS = ["123", "12", {"x": 0.5, "y": 0.5, "z": 0.0}, [0.5], [0.5, 0.5], [0.5, 0.5, 0.5],
+                 [0.5, 0.5, 0.5, 0.5], [], None, 0.5]
+_HOSTILE_TIMES = [True, False, "0.5", "x", 3, 0, None, -1.0, 10 ** 400, float("nan"), [0.1],
+                  {"t": 0.0, "lm": _ROWS}, {"t": 0.0, "lm": _FLAT_ROWS}, {"lm": _ROWS}]
+_NESTED = [{"t": 0.0, "lm": _ROWS}, {"t": 0.0, "lm": _FLAT_ROWS}, {"lm": _ROWS},
+           {"t": 0.0, "lm": "x"}, 5]
+
+
+def _mutate(doc, kind, value, k, r, c):
+    """doc with one change of the given kind at frame k, row r, column c."""
+    frames = doc["frames"]
+    frame = frames[k]
+    if kind == "coordinate":
+        row = frame["lm"][r]
+        row[c % len(row)] = value
+    elif kind == "row":
+        frame["lm"][r] = value
+    elif kind == "row_count":
+        frame["lm"] = frame["lm"][:r] + frame["lm"][r + 1:] if c else frame["lm"] + [[0.5] * 3]
+    elif kind == "t":
+        frame["t"] = value
+    elif kind == "extra_key":
+        frame["extra"] = value
+    elif kind == "missing_key":
+        del frame["t" if c else "lm"]
+    elif kind == "entry":
+        frames[k] = value
+    elif kind == "handedness":
+        doc["handedness"] = value
+    elif kind == "top_level_lm":
+        doc["lm"] = frame["lm"]
+    elif kind == "swap_times":
+        frame["t"], frames[-1]["t"] = frames[-1]["t"], frame["t"]
+    return doc
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid 3D, 2D or mixed document, then one mutation of it."""
+    mode = draw(st.sampled_from(["3d", "2d", "mixed"]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    frames = []
+    for i in range(n):
+        width = 3 if mode == "3d" or (mode == "mixed" and draw(st.booleans())) else 2
+        rows = draw(_frame_points)
+        frames.append({"t": i / 30, "lm": [list(p[:width]) for p in rows]})
+    doc = {"source_view": draw(st.sampled_from(["first_person", "third_person"])),
+           "handedness": draw(st.sampled_from(["right", "left"])), "frames": frames}
+    kind, values = draw(st.sampled_from([
+        ("none", [None]), ("coordinate", _HOSTILE_VALUES), ("row", _HOSTILE_ROWS),
+        ("row_count", [None]), ("t", _HOSTILE_TIMES), ("extra_key", _NESTED),
+        ("missing_key", [None]), ("entry", ["frame", None, [0.1, _ROWS], _NESTED[0]]),
+        ("handedness", _NESTED + ["up"]), ("top_level_lm", [None]), ("swap_times", [None]),
+    ]))
+    value = draw(st.sampled_from(values))
+    k, r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, 20)), draw(st.integers(0, 2))
+    return json.dumps(_mutate(doc, kind, value, k, r, c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_packed_parse_matches_the_prior_parse_on_mutated_documents(text):
+    assert _exact_outcome(parse_landmark_stream, text) == _exact_outcome(_prior_parse, text)
+
+
+@pytest.mark.parametrize("frames", [
+    _entries((0.0, _ROWS), (0.1, _ROWS)), _entries((0.0, _FLAT_ROWS), (0.1, _FLAT_ROWS)),
+    HOSTILE_FRAMES["mixed_2d_3d"], _entries((0.0, _ROWS)),
+], ids=["3d", "2d", "mixed", "one_frame"])
+def test_parsed_coords_are_one_read_only_contiguous_float_block(frames):
+    # rules._take reads coords.reshape(N, 63), which must stay a view.
+    stream = parse_landmark_stream(json.dumps({"frames": frames}))
+    coords = stream.coords
+    assert coords.dtype == np.float64 and coords.flags.c_contiguous
+    assert not coords.flags.writeable
+    with pytest.raises(ValueError):
+        coords[0, 0, 0] = 0.5
+    assert np.shares_memory(coords.reshape(len(coords), 63), coords)
+    for frame in stream.frames:
+        assert np.shares_memory(frame.coords, coords) and frame.coords.flags.c_contiguous
 
 
 @pytest.mark.parametrize(
