@@ -148,7 +148,8 @@ def _load_tuning_dataset(path: Path):
             entry = decode(line)
             rule_id = entry["rule"]
             label = parse_label(rule_id, entry["acceptable_states"])
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # also nesting too deep
+        # RecursionError: nesting too deep; OverflowError: a state of 1e999
+        except (KeyError, TypeError, ValueError, RecursionError, OverflowError) as exc:
             raise line_error(line_no, f"bad dataset line: {exc}") from exc
         except GestureLinkError as exc:
             raise line_error(line_no, str(exc)) from exc

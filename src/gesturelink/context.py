@@ -13,10 +13,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import CalculatorFailure, MalformedInput, finite_float, parse_finite_json
 from .prompts import AgentPromptSet, render_prompt
@@ -37,16 +34,6 @@ GAZE_WINDOW_SECONDS = 1.0
 # kept; sessions sharing the library at that moment may each add one more.
 STORED_RESULTS_LIMIT = 256
 
-# gaze_target's numpy screen keeps the functions whose squared distance
-# lies within this relative margin, plus _SCREEN_SLACK, of the smallest.
-# numpy's x * x and sum round differently from ** and sum by a few ulps,
-# so the exact loop's winner is always among them. At _SCREEN_LIMIT or
-# above, a term could overflow in ** (which raises) and not in numpy, so
-# the screen gives way to the whole loop.
-_SCREEN_REL = 1e-9
-_SCREEN_SLACK = 1e-300
-_SCREEN_LIMIT = 1e300
-
 
 @dataclass(frozen=True)
 class ContextType:
@@ -61,13 +48,6 @@ class ContextType:
             raise MalformedInput(f"context name must be a non-empty string, got {self.name!r}")
         if not (isinstance(self.description_md, str) and self.description_md.strip()):
             raise MalformedInput(f"context {self.name} needs a non-empty description string")
-
-    @cached_property
-    def _gaze(self) -> "_GazeSamples":
-        """The values read as gaze samples, once, at the first gaze
-        calculation on this context. Libraries that hold this object share
-        it; editing values in place afterwards is not seen."""
-        return _GazeSamples(self.values)
 
 
 @dataclass(frozen=True)
@@ -112,7 +92,6 @@ class ContextLibrary:
         self.functions: tuple[FunctionEntry, ...] = tuple(functions)
         self.function_ids = frozenset(f.id for f in self.functions)
         self.function_list_text = _render_function_list(self.functions)
-        self._locations = _function_locations(self.functions)
         self._results: dict[tuple[Calculator, str | None], str] = {}
         self._system: dict[tuple[str, str], tuple[str, str]] = {}
         self._views: dict[frozenset, ContextLibrary] = {}
@@ -137,8 +116,7 @@ class ContextLibrary:
         """Library restricted to the given context names (this library's
         order kept). It is one view per set of names, in any order, so its
         callers share its stored results and system prompts. It shares
-        this library's parsed and rendered function list and its function
-        locations."""
+        this library's parsed and rendered function list."""
         keep = frozenset(keep)
         if (view := self._views.get(keep)) is not None:
             return view
@@ -146,10 +124,9 @@ class ContextLibrary:
         lib._entries = {name: c for name, c in self._entries.items() if name in keep}
         if "function_list" in keep:
             lib.functions, lib.function_ids = self.functions, self.function_ids
-            lib.function_list_text, lib._locations = self.function_list_text, self._locations
+            lib.function_list_text = self.function_list_text
         else:
-            lib.functions, lib.function_ids = (), frozenset()
-            lib.function_list_text, lib._locations = "", None
+            lib.functions, lib.function_ids, lib.function_list_text = (), frozenset(), ""
         lib._results, lib._system, lib._views = {}, {}, {}
         return self._views.setdefault(keep, lib)
 
@@ -212,8 +189,9 @@ def calculate(lib: ContextLibrary, calc_id: str, raw_args: str | None) -> str:
 
     The library stores each output under the calculator function and
     raw_args, and a repeat returns it before decoding the arguments: a
-    library's contexts do not change and the calculators are pure. A
-    failure is never stored, so a repeat raises it anew."""
+    library's contexts do not change and the calculators are pure, so an
+    edit made in place to a context's values afterwards does not reach a
+    stored answer. A failure is never stored, so a repeat raises it anew."""
     calculator = BUILTIN_CALCULATORS.get(calc_id)
     if calculator is None:
         raise CalculatorFailure(f"no calculator registered as {calc_id!r}")
@@ -383,132 +361,54 @@ def _render_function_list(functions: Sequence[FunctionEntry]) -> str:
     )
 
 
-def _function_locations(functions: Sequence[FunctionEntry]) -> tuple[np.ndarray, np.ndarray]:
-    """The first three coordinates of each function's location as one
-    (F, 3) float array, 0 where absent, and the (F, 3) mask of the present
-    ones."""
-    coords = np.array([(*f.location, 0.0, 0.0, 0.0)[:3] for f in functions], dtype=float)
-    present = np.arange(3) < np.array([len(f.location) for f in functions])[:, None]
-    return coords.reshape(len(functions), 3), present
-
-
 # --- built-in calculators --------------------------------------------------
 
-class _GazeSamples:
-    """A context's values read as gaze samples: one column per reading in
-    _GAZE_COLUMNS, each holding that reading of every sample, or the
-    exception it raised in place of the value. Values that cannot be
-    iterated raise here, so no reading is kept and each calculation
-    raises that error anew."""
-
-    __slots__ = ("columns", "failed")
-
-    def __init__(self, values: Any):
-        self.columns, self.failed = [], []
-        for read in _GAZE_COLUMNS:
-            column = []
-            for s in values:
-                try:
-                    column.append(read(s))
-                except Exception as exc:  # noqa: BLE001 - raised when a calculation reads it
-                    column.append(exc)
-            self.columns.append(column)
-            self.failed.append(any(isinstance(v, Exception) for v in column))
-
-    def pick(self, column: int, indices: Sequence[int] | None = None) -> list:
-        """The column's values at indices (all of them by default), in
-        their order; raises the exception of the first that failed. A
-        stored exception loses its last traceback first, so that raising
-        it again does not chain frames onto it."""
-        values = self.columns[column]
-        picked = values if indices is None else [values[i] for i in indices]
-        if self.failed[column]:
-            for value in picked:
-                if isinstance(value, Exception):
-                    raise value.with_traceback(None)
-        return picked
-
-
-# What the gaze calculators read of each sample, in _GazeSamples' columns:
-# the conversions they once made on every call, so that a malformed sample
-# raises the same exception, and a t, x, y or z that is NaN or infinite
-# raises too (a time must be finite for the samples to have an order).
-_T, _X, _Y, _Z, _HAS_Z, _TEXT = range(6)
-_GAZE_COLUMNS = (
-    lambda s: finite_float(s["t"], "gaze sample t"),
-    lambda s: finite_float(s["x"], "gaze sample x"),
-    lambda s: finite_float(s["y"], "gaze sample y"),
-    lambda s: finite_float(s.get("z", 0.0), "gaze sample z"),
-    lambda s: "z" in s,
-    lambda s: json.dumps(s, ensure_ascii=False, allow_nan=False),
-)
-
-
-def _recent_gaze(lib: ContextLibrary, args: dict) -> tuple[_GazeSamples | None, list[int]]:
-    """The reading of the context args names (gaze by default) and the
-    indices of its samples within args' window of the newest, oldest first.
-    The window is seconds before the newest sample; NaN or below 0 raises."""
-    ctx = lib.get(args.get("context", "gaze"))
-    if not ctx.values:
-        return None, []
+def _recent_gaze(lib: ContextLibrary, args: dict) -> list:
+    """The samples of the context args names (gaze by default) within
+    args' window of the newest, oldest first. The window is seconds before
+    the newest sample; NaN or below 0 raises. So does a sample t that is
+    not a finite number, for the samples would have no order."""
+    samples = lib.get(args.get("context", "gaze")).values
+    if not samples:
+        return []
     window = float(args.get("window", GAZE_WINDOW_SECONDS))
     if not window >= 0.0:  # also NaN
         raise MalformedInput(f"window must be a number of seconds >= 0, got {window!r}")
-    gaze = ctx._gaze
-    times = gaze.pick(_T)
+    times = [finite_float(s["t"], "gaze sample t") for s in samples]
     cutoff = max(times) - window
-    return gaze, [i for i, t in enumerate(times) if t >= cutoff]
+    return [s for s, t in zip(samples, times) if t >= cutoff]
 
 
 def _gaze_target(lib: ContextLibrary, args: dict) -> str:
     """Name of the function nearest the recent-gaze centroid; ties go to
-    the lower function id."""
-    gaze, recent = _recent_gaze(lib, args)
+    the lower function id. A recent x, y or z that is not a finite number
+    raises, x before y before z."""
+    recent = _recent_gaze(lib, args)
     if not recent:
         return "no gaze data available"
-    centroid = [_mean(gaze.pick(column, recent)) for column in (_X, _Y, _Z)]
-    functions = lib.functions
-    if not functions:
+    centroid = [
+        _mean([finite_float(s["x"], "gaze sample x") for s in recent]),
+        _mean([finite_float(s["y"], "gaze sample y") for s in recent]),
+        _mean([finite_float(s.get("z", 0.0), "gaze sample z") for s in recent]),
+    ]
+    if not lib.functions:
         raise MalformedInput("gaze_target needs a function_list context")
-
-    # min's rule on the (distance, id) key: a function replaces the best
-    # only if its key is strictly smaller, so an exact tie goes to the
-    # lower id and a NaN distance neither displaces nor is displaced. The
-    # distance keeps ** and sum, whose rounding (compensated from Python
-    # 3.12 on) neither numpy nor a hand-written accumulation reproduces,
-    # so numpy only screens out the functions that cannot win.
-    point = centroid if any(gaze.pick(_HAS_Z, recent)) else centroid[:2]
+    point = centroid if any("z" in s for s in recent) else centroid[:2]
     if not all(map(math.isfinite, point)):  # finite samples whose sum overflowed
         raise OverflowError(f"gaze centroid {point} is not finite")
-    best = best_key = None
-    for entry in _gaze_candidates(functions, lib._locations, point):
-        key = (math.sqrt(sum([(c - v) ** 2 for c, v in zip(point, entry.location)])), entry.id)
-        if best is None or key < best_key:
-            best, best_key = entry, key
-    return best.name
 
+    # min replaces its best only on a strictly smaller (distance, id) key,
+    # so an exact tie goes to the lower id and a NaN distance (possible in
+    # entries passed as functions=) neither displaces nor is displaced.
+    def key(entry: FunctionEntry) -> tuple[float, str]:
+        return math.sqrt(sum([(c - v) ** 2 for c, v in zip(point, entry.location)])), entry.id
 
-def _gaze_candidates(functions, locations, point) -> Sequence[FunctionEntry]:
-    """The functions, in order, whose squared distance to point, taken
-    over the coordinates both have, is within _SCREEN_REL (plus
-    _SCREEN_SLACK) of the smallest. All of them when a distance is not
-    finite or nears the float limit, so that the exact loop meets the NaN
-    or overflow it always met."""
-    coords, present = locations
-    dims = len(point)
-    with np.errstate(all="ignore"):
-        diff = np.subtract(point, coords[:, :dims])
-        squared = np.where(present[:, :dims], diff * diff, 0.0).sum(axis=1)
-    if not squared.max() < _SCREEN_LIMIT:  # also NaN
-        return functions
-    keep = np.flatnonzero(squared <= squared.min() * (1.0 + _SCREEN_REL) + _SCREEN_SLACK)
-    return [functions[i] for i in keep.tolist()]
+    return min(lib.functions, key=key).name
 
 
 def _gaze_trace(lib: ContextLibrary, args: dict) -> str:
     """Raw recent gaze samples as compact JSON."""
-    gaze, recent = _recent_gaze(lib, args)
-    return "[" + ", ".join(gaze.pick(_TEXT, recent) if recent else ()) + "]"
+    return json.dumps(_recent_gaze(lib, args), ensure_ascii=False, allow_nan=False)
 
 
 def _mean(values: Sequence[float]) -> float:

@@ -135,7 +135,7 @@ class BackendConfig:
                     raise MalformedInput(f"{name} must be a string")
             try:
                 timeout = float(doc.get("timeout", cls.timeout))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedInput(f"timeout: {exc}") from exc
             if not 0 < timeout < math.inf:
                 raise MalformedInput("timeout must be > 0 seconds")

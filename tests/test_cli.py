@@ -298,7 +298,10 @@ def test_tune_unknown_target_exits_2_with_location(tmp_path, capsys, rule_id, ta
 
 
 @pytest.mark.parametrize(
-    "line", ["[1]", '{"rule": "flexion_finger", "acceptable_states": 5, "frame": {}}']
+    "line",
+    ["[1]", '{"rule": "flexion_finger", "acceptable_states": 5, "frame": {}}',
+     '{"rule": "flexion_finger", "acceptable_states": [1e999], "frame": {}}',
+     '{"rule": "flexion_finger", "acceptable_states": [-1e999], "frame": {}}'],
 )
 def test_tune_line_of_wrong_shape_exits_2_with_location(tmp_path, capsys, line):
     code, dataset, _, _ = run_tune(tmp_path, [line])
@@ -694,7 +697,9 @@ def test_ground_missing_function_list_exits_2(tmp_path, matrix_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "config", ["[]", '{"timeout": "x"}', '{"timeout": 0}', '{"provider_url": 5}']
+    "config",
+    ["[]", '{"timeout": "x"}', '{"timeout": 0}', '{"provider_url": 5}',
+     pytest.param('{"timeout": 1' + "0" * 400 + "}", id="timeout-too-large-for-a-float")],
 )
 def test_ground_malformed_backend_config_exits_2_naming_it(
     tmp_path, matrix_file, library_file, capsys, config

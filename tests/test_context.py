@@ -5,7 +5,6 @@ import re
 import sys
 import threading
 import time
-from collections import Counter
 from unittest import mock
 
 import pytest
@@ -19,7 +18,6 @@ from gesturelink.context import (
     FunctionEntry,
     GAZE_WINDOW_SECONDS,
     STORED_RESULTS_LIMIT,
-    _gaze_candidates,
     _gaze_target,
     _mean,
     _placeholder_spans,
@@ -334,7 +332,7 @@ def _prior_gaze_target(lib, args):
         raise MalformedInput("gaze_target needs a function_list context")
     point = centroid[:3] if any("z" in s for s in recent) else centroid[:2]
     best = best_key = None
-    for entry in _gaze_candidates(functions, lib._locations, point):
+    for entry in functions:
         key = (math.sqrt(sum([(c - v) ** 2 for c, v in zip(point, entry.location)])), entry.id)
         if best is None or key < best_key:
             best, best_key = entry, key
@@ -522,56 +520,17 @@ def test_gaze_calculators_match_the_per_call_conversions(values, history, functi
         assert _delivered(lib, calc_id, args) == prior
 
 
-class _CountingSample(dict):
-    """A gaze sample that counts the reads of each of its keys."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.reads = Counter()
-
-    def __getitem__(self, key):
-        self.reads[key] += 1
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.reads[key] += 1
-        return super().get(key, default)
-
-
-def test_a_gaze_context_is_read_once_and_shared_by_every_library(monkeypatch):
-    samples = [_CountingSample(s) for s in gaze_at(0.2, 0.4, 1.5, n=4)]
-    samples.append(_CountingSample(t=12.0, x=0.2, y=0.4))  # the only recent one; no z
-    dumps = Counter()
-    real_dumps = json.dumps
-
-    def counting_dumps(obj, **kwargs):
-        dumps[id(obj)] += 1
-        return real_dumps(obj, **kwargs)
-
-    monkeypatch.setattr(json, "dumps", counting_dumps)
-    lib = smart_home_library(gaze=samples)
-    gaze = lib.get("gaze")
-    libs = [lib, lib.filtered(["function_list", "gaze"]), lib.filtered(["gaze", "history"]),
-            add_context_type(lib.filtered(["function_list", "gaze"]),
-                             make_external_context(["door open"]))]
-    wide = '{"window": 100.0}'
-    for other in libs * 3:
-        assert other.get("gaze") is gaze
-        assert json.loads(calculate(other, "gaze_trace", wide)) == samples
-        assert calculate(other, "gaze_trace", None) == real_dumps([samples[-1]])
-        if "function_list" in other:
-            assert calculate(other, "gaze_target", wide).startswith("Light")
-    reading = gaze._gaze
-    assert all(other.get("gaze")._gaze is reading for other in libs)
-    for s in samples:
-        assert s.reads == Counter("txyz")
-        assert dumps[id(s)] == 1
-    # The reading stays out of equality and repr, and in-place edits of the
-    # values after the first calculation are not seen.
-    assert gaze == ContextType(gaze.name, gaze.description_md, gaze.values)
-    assert "_gaze" not in repr(gaze)
-    gaze.values.append({"t": 20.0, "x": 9.0, "y": 9.0})
-    assert calculate(lib, "gaze_trace", None) == real_dumps([samples[-1]])
+def test_an_edit_in_place_reaches_new_libraries_but_not_stored_answers():
+    gaze = make_gaze_context(gaze_at(0.2, 0.4, 1.5))
+    listing = make_function_list_context("home", smart_home_functions())
+    first = ContextLibrary([listing, gaze])
+    answers = calculate(first, "gaze_target", None), calculate(first, "gaze_trace", None)
+    assert answers[0].startswith("Light")
+    gaze.values.append({"t": 20.0, "x": 2.4, "y": 0.9, "z": 2.2})  # at the oven
+    second = ContextLibrary([listing, gaze])
+    assert calculate(second, "gaze_trace", None) == json.dumps([gaze.values[-1]])
+    assert calculate(second, "gaze_target", None).startswith("Oven")
+    assert (calculate(first, "gaze_target", None), calculate(first, "gaze_trace", None)) == answers
 
 
 def test_unknown_calculator():
@@ -976,6 +935,14 @@ def test_filtered_hands_out_one_view_per_set_of_names():
     assert other.names == ["function_list", "gaze", "history"]
     assert calculate(view, "gaze_target", None).startswith("Light")
     assert (len(view._results), len(other._results), len(lib._results)) == (1, 0, 0)
+    # Views and extended libraries hold the same context and answer alike.
+    wide = '{"window": 100.0}'
+    for derived in (view, other, lib.filtered(["gaze", "history"]),
+                    add_context_type(view, make_external_context(["door open"]))):
+        assert derived.get("gaze") is lib.get("gaze")
+        assert calculate(derived, "gaze_trace", wide) == calculate(lib, "gaze_trace", wide)
+        if "function_list" in derived:
+            assert calculate(derived, "gaze_target", wide) == calculate(lib, "gaze_target", wide)
 
 
 def test_system_prompts_are_rendered_once_per_view_and_prompt_set(monkeypatch):
@@ -1116,6 +1083,23 @@ def test_library_python_work_grows_linearly_in_functions():
     assert _library_calls(400) / _library_calls(200) <= 2.2
 
 
+def _first_gaze_calls(count):
+    """Python calls of a first gaze_target and gaze_trace over count
+    recent samples on a fresh library."""
+    lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5, n=count))
+    wide = json.dumps({"window": float(count)})
+    calls, (target, trace) = python_calls(
+        lambda: [calculate(lib, calc_id, wide) for calc_id in ("gaze_target", "gaze_trace")])
+    assert target.startswith("Light") and len(json.loads(trace)) == count
+    return calls
+
+
+def test_gaze_python_work_grows_linearly_in_samples():
+    """Doubling a gaze context's samples at most about doubles the Python
+    calls of a first gaze_target and gaze_trace on a fresh library."""
+    assert _first_gaze_calls(400) / _first_gaze_calls(200) <= 2.2
+
+
 # --- rendering and serialization ------------------------------------------------
 
 def test_function_list_text_is_rendered_once_and_shared_by_filters():
@@ -1125,7 +1109,6 @@ def test_function_list_text_is_rendered_once_and_shared_by_filters():
     assert len(text.splitlines()) == len(lib.functions)
     for keep in (["function_list"], ["function_list", "gaze"], lib.names):
         assert lib.filtered(keep).function_list_text is text
-        assert lib.filtered(keep)._locations is lib._locations
     assert lib.filtered(["gaze"]).function_list_text == ""
     assert ContextLibrary([]).function_list_text == ""
 

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from gesturelink.errors import GestureLinkError, MalformedInput, parse_json
 from gesturelink.landmarks import (
@@ -510,7 +510,8 @@ def _mutated_documents(draw):
     return json.dumps(_mutate(doc, kind, value, k, r, c))
 
 
-@settings(max_examples=300, deadline=None)
+# No shrink phase: shrinking these documents ran for minutes on a failure.
+@settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(_mutated_documents())
 def test_packed_parse_matches_the_prior_parse_on_mutated_documents(text):
     assert _exact_outcome(parse_landmark_stream, text) == _exact_outcome(_prior_parse, text)
