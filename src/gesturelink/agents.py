@@ -232,26 +232,14 @@ class DescriptionPrompts:
         return prompt
 
 
-def _description_prompts(matrix: GestureStateMatrix,
-                         prompts: AgentPromptSet | DescriptionPrompts) -> DescriptionPrompts:
-    """prompts when it holds matrix's description prompts, else new ones
-    for matrix under the prompt set prompts."""
-    if not isinstance(prompts, DescriptionPrompts):
-        return DescriptionPrompts(matrix, prompts)
-    if prompts.matrix is not matrix:
-        raise ValueError("description prompts built for another matrix")
-    return prompts
-
-
 def describe_pose(
-    matrix: GestureStateMatrix,
-    prompts: AgentPromptSet | DescriptionPrompts,
+    prompts: DescriptionPrompts,
     llm,
     transcript: DialogueTranscript | None = None,
 ) -> PoseDescription:
-    """Pose-channel description: candidate gestures plus the time span,
-    clamped to the matrix's column range."""
-    prompt = _description_prompts(matrix, prompts).pose
+    """Pose-channel description of prompts' matrix: candidate gestures
+    plus the time span, clamped to the matrix's column range."""
+    matrix = prompts.matrix
 
     def parser(raw: str) -> dict:
         obj = extract_json_object(raw)
@@ -272,19 +260,18 @@ def describe_pose(
             raise ParseError(f"time span reversed: {span}")
         return {"candidate_gestures": gestures, "time_span": list(clamped)}
 
-    record = _describe(llm, "description_pose", prompt, parser, transcript)
+    record = _describe(llm, "description_pose", prompts.pose, parser, transcript)
     return PoseDescription(record["candidate_gestures"], tuple(record["time_span"]))
 
 
 def describe_movement(
-    matrix: GestureStateMatrix,
+    prompts: DescriptionPrompts,
     span: tuple[int, int],
-    prompts: AgentPromptSet | DescriptionPrompts,
     llm,
     transcript: DialogueTranscript | None = None,
 ) -> str:
-    """Movement description over the pose's time span."""
-    prompt = _description_prompts(matrix, prompts).movement(span[0], span[1])
+    """Movement description of prompts' matrix over the pose's time span."""
+    prompt = prompts.movement(span[0], span[1])
 
     def parser(raw: str) -> dict:
         obj = extract_json_object(raw)
@@ -410,11 +397,14 @@ def ground_matrix(
 
     prompts is the agent prompt set, or the DescriptionPrompts of matrix
     under it, which run_protocol builds once for all a task's runs."""
-    prompts = _description_prompts(matrix, prompts)
+    if not isinstance(prompts, DescriptionPrompts):
+        prompts = DescriptionPrompts(matrix, prompts)
+    elif prompts.matrix is not matrix:
+        raise ValueError("description prompts built for another matrix")
     transcript = transcript if transcript is not None else DialogueTranscript()
     try:
-        pose = describe_pose(matrix, prompts, llm, transcript)
-        movement = describe_movement(matrix, pose.time_span, prompts, llm, transcript)
+        pose = describe_pose(prompts, llm, transcript)
+        movement = describe_movement(prompts, pose.time_span, llm, transcript)
     except ParseError as exc:
         return _negative(transcript, f"description failed: {exc}")
     description = compose_description(pose, movement)

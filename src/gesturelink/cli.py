@@ -45,7 +45,7 @@ from .landmarks import (
 )
 from .prompts import load_prompt_set
 from .rules import RuleThresholds
-from .transport import backend_factory, load_backend
+from .transport import backend_factory
 from .tuning import (
     TUNABLE_RULES,
     GridSpec,
@@ -148,8 +148,7 @@ def _load_tuning_dataset(path: Path):
             entry = decode(line)
             rule_id = entry["rule"]
             label = parse_label(rule_id, entry["acceptable_states"])
-        # RecursionError: nesting too deep; OverflowError: a state of 1e999
-        except (KeyError, TypeError, ValueError, RecursionError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:  # also nesting too deep
             raise line_error(line_no, f"bad dataset line: {exc}") from exc
         except GestureLinkError as exc:
             raise line_error(line_no, str(exc)) from exc
@@ -290,7 +289,7 @@ def cmd_ground(args) -> int:
         print("context library has no function_list context", file=sys.stderr)
         return EXIT_INPUT
     prompts = load_prompt_set(args.prompts)
-    backend = load_backend(args.backend, args.seed)
+    backend = backend_factory(args.backend, args.seed)()
     cfg = SessionConfig(max_rounds=args.max_rounds)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -68,9 +68,8 @@ Calculator = Callable[["ContextLibrary", dict], str]
 class ContextLibrary:
     """Ordered map of context types. The function_list context's values
     are parsed here, once, into `functions`, and every reader uses that
-    parse; `function_ids` holds their ids, and `function_list_text` is
-    their rendering for the inference prompt, empty when the library has
-    no function_list.
+    parse; `function_ids` holds their ids. Both are empty when the library
+    has no function_list.
 
     Reads never change what a library answers: it stores only the results
     of its own calculations, its agents' system prompts and its filtered
@@ -91,7 +90,6 @@ class ContextLibrary:
             functions = () if listing is None else parse_function_list(listing.values)
         self.functions: tuple[FunctionEntry, ...] = tuple(functions)
         self.function_ids = frozenset(f.id for f in self.functions)
-        self.function_list_text = _render_function_list(self.functions)
         self._results: dict[tuple[Calculator, str | None], str] = {}
         self._system: dict[tuple[str, str], tuple[str, str]] = {}
         self._views: dict[frozenset, ContextLibrary] = {}
@@ -116,19 +114,13 @@ class ContextLibrary:
         """Library restricted to the given context names (this library's
         order kept). It is one view per set of names, in any order, so its
         callers share its stored results and system prompts. It shares
-        this library's parsed and rendered function list."""
+        this library's parsed function list."""
         keep = frozenset(keep)
         if (view := self._views.get(keep)) is not None:
             return view
-        lib = ContextLibrary.__new__(ContextLibrary)
-        lib._entries = {name: c for name, c in self._entries.items() if name in keep}
-        if "function_list" in keep:
-            lib.functions, lib.function_ids = self.functions, self.function_ids
-            lib.function_list_text = self.function_list_text
-        else:
-            lib.functions, lib.function_ids, lib.function_list_text = (), frozenset(), ""
-        lib._results, lib._system, lib._views = {}, {}, {}
-        return self._views.setdefault(keep, lib)
+        view = ContextLibrary([c for name, c in self._entries.items() if name in keep],
+                              self.functions if "function_list" in keep else ())
+        return self._views.setdefault(keep, view)
 
     def system_prompts(self, prompts: AgentPromptSet) -> tuple[str, str]:
         """The inference and context agents' system prompts under prompts:
@@ -139,7 +131,8 @@ class ContextLibrary:
         key = (prompts.inference_prompt, prompts.context_prompt)
         if (texts := self._system.get(key)) is None:
             texts = self._system.setdefault(key, (
-                render_prompt(prompts.inference_prompt, function_list=self.function_list_text),
+                render_prompt(prompts.inference_prompt,
+                              function_list=_render_function_list(self.functions)),
                 render_prompt(prompts.context_prompt,
                               library_overview=render_library_prompt(self)),
             ))

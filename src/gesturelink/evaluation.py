@@ -15,7 +15,7 @@ import io
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
@@ -124,10 +124,9 @@ class SettingRun:
 class PipelineHandles:
     """Everything run_protocol needs to execute a task end to end. The
     backend factory yields a fresh backend per task run so scripted
-    replays stay independent. run_protocol hands run_task each task's
-    handles with its DescriptionPrompts as prompts."""
+    replays stay independent."""
 
-    prompts: AgentPromptSet | DescriptionPrompts
+    prompts: AgentPromptSet
     backend_factory: Callable[[TaskRecord], object]
     thresholds: RuleThresholds = RuleThresholds()
     session: SessionConfig = SessionConfig()
@@ -152,17 +151,18 @@ def build_task_library(task: TaskRecord, setting: ContextSetting) -> ContextLibr
 def run_task(
     task: TaskRecord,
     setting: ContextSetting,
-    matrices: Sequence[GestureStateMatrix],
+    described: DescriptionPrompts | None,
     handles: PipelineHandles,
 ) -> tuple[int | None, SessionCost]:
-    """Ground the first of the task's encoded windows, rank the truth. No
-    window scores Negative at zero cost."""
-    if not matrices:
+    """Ground the matrix of described, the description prompts of the
+    first of the task's encoded windows, and rank the truth. None, for no
+    window, scores Negative at zero cost."""
+    if described is None:
         return None, SessionCost(0, 0, 0, 0.0)
     lib = build_task_library(task, setting)
     backend = handles.backend_factory(task)
     conclusion, transcript = ground_matrix(
-        matrices[0], lib, handles.prompts, backend, handles.session
+        described.matrix, lib, described, backend, handles.session
     )
     cost = SessionCost(transcript.rounds, transcript.total_input_tokens,
                        transcript.total_output_tokens, transcript.total_latency)
@@ -228,20 +228,19 @@ def run_protocol(
         raise MalformedInput("each context setting may be run only once")
     encoded = [_encode_task(task, result) for task, result in
                zip(tasks, encode_streams([task.stream for task in tasks], handles.thresholds))]
-    # Built here, before any thread starts: each task's handles carry its
-    # description prompts to all its settings and repetitions.
+    # Built here, before any thread starts, for all of a task's settings
+    # and repetitions.
     prepared = [
-        (task, matrices, replace(handles, prompts=DescriptionPrompts(matrices[0], handles.prompts))
-         if matrices else handles)
+        (task, matrices, DescriptionPrompts(matrices[0], handles.prompts) if matrices else None)
         for task, matrices in zip(tasks, encoded)
     ]
 
     def attempt(run):
-        setting, rep, (task, matrices, task_handles) = run
+        setting, rep, (task, matrices, described) = run
         if matrices is None:
             return None, None
         try:
-            return run_task(task, setting, matrices, task_handles)
+            return run_task(task, setting, described, handles)
         except (GestureLinkError, OSError) as exc:
             logger.warning(
                 "task %s %s rep %d failed (%s); scoring Negative",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 import os
 import random
 import time
@@ -22,7 +21,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable
 
-from .errors import AuthError, FixtureExhausted, MalformedInput, TransportError, parse_json
+from .errors import AuthError, FixtureExhausted, MalformedInput, TransportError, finite_float, parse_json
 
 DEFAULT_MODEL_ID = "gpt-4-1106-preview"
 
@@ -134,10 +133,10 @@ class BackendConfig:
                 if not isinstance(doc.get(name, ""), str):
                     raise MalformedInput(f"{name} must be a string")
             try:
-                timeout = float(doc.get("timeout", cls.timeout))
+                timeout = finite_float(doc.get("timeout", cls.timeout), "timeout")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedInput(f"timeout: {exc}") from exc
-            if not 0 < timeout < math.inf:
+            if not timeout > 0:
                 raise MalformedInput("timeout must be > 0 seconds")
         except MalformedInput as exc:
             raise MalformedInput(f"bad backend config {path}: {exc}") from exc
@@ -270,8 +269,3 @@ def backend_factory(spec: str, seed: int | None = None) -> Callable[[], object]:
         return lambda: copy.copy(replay)  # each copy starts at call 0: replay is never called
     config = BackendConfig.from_file(spec)
     return lambda: RetryingBackend(LiveBackend(config), seed)
-
-
-def load_backend(spec: str, seed: int | None = None):
-    """One backend from backend_factory's spec."""
-    return backend_factory(spec, seed)()

@@ -52,16 +52,23 @@ class StateSpace:
 
     states: frozenset
     unsure: Hashable
+    parse: Callable  # label state as written in a dataset -> state
 
     def __post_init__(self):
         if self.unsure not in self.states:
             raise MalformedInput("unsure marker must be a member of the state space")
 
 
-THREE_WAY_SPACE = StateSpace(states=frozenset({-1, 0, 1}), unsure=0)
-PALM_SPACE = StateSpace(
-    states=frozenset(PalmOrientation), unsure=PalmOrientation.UNKNOWN
-)
+def _three_way_state(value) -> int:
+    """A three-way label state as a dataset writes it: a JSON number with
+    a whole value (1.0 too), not a bool. parse_label checks the range."""
+    if type(value) not in (int, float) or value % 1:  # also NaN and the infinities
+        raise ValueError(f"three-way label state must be -1, 0 or 1, got {value!r}")
+    return int(value)
+
+
+THREE_WAY_SPACE = StateSpace(frozenset({-1, 0, 1}), 0, _three_way_state)
+PALM_SPACE = StateSpace(frozenset(PalmOrientation), PalmOrientation.UNKNOWN, PalmOrientation)
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,6 @@ class TunableRule:
 
     field: str  # RuleThresholds field the optimum lands in
     space: StateSpace
-    parse_state: Callable  # label state as written in a dataset -> state
     ranges: tuple  # default grid: (low, high) ranges, or (threshold,)
     targets: tuple[str, ...]  # valid targets; empty when the rule takes none
     read: Callable
@@ -214,17 +220,17 @@ _DISTANCES = ((0.001, 0.2, 0.001), (0.001, 0.2, 0.001))
 _ANGLE = ((1, 90, 1),)
 
 TUNABLE_RULES = {
-    "flexion_thumb": TunableRule("flexion_thumb", THREE_WAY_SPACE, int, _DEGREES, (),
+    "flexion_thumb": TunableRule("flexion_thumb", THREE_WAY_SPACE, _DEGREES, (),
                                  lambda c, depth, left, target: (curl_readings(c, "thumb")[0], None)),
-    "flexion_finger": TunableRule("flexion_finger", THREE_WAY_SPACE, int, _DEGREES, CONTACT_FINGERS,
+    "flexion_finger": TunableRule("flexion_finger", THREE_WAY_SPACE, _DEGREES, CONTACT_FINGERS,
                                   lambda c, depth, left, finger: (curl_readings(c, finger)[0], None)),
-    "proximity": TunableRule("proximity", THREE_WAY_SPACE, int, _DISTANCES, PROXIMITY_PAIRS,
+    "proximity": TunableRule("proximity", THREE_WAY_SPACE, _DISTANCES, PROXIMITY_PAIRS,
                              lambda c, depth, left, pair: (proximity_distances(c, pair), None)),
-    "contact": TunableRule("contact", THREE_WAY_SPACE, int, _DISTANCES, CONTACT_FINGERS,
+    "contact": TunableRule("contact", THREE_WAY_SPACE, _DISTANCES, CONTACT_FINGERS,
                            lambda c, depth, left, finger: (contact_distances(c, finger), None)),
-    "thumb_direction": TunableRule("thumb_dir_angle_threshold", THREE_WAY_SPACE, int, _ANGLE, (),
+    "thumb_direction": TunableRule("thumb_dir_angle_threshold", THREE_WAY_SPACE, _ANGLE, (),
                                    lambda c, depth, left, target: thumb_direction_readings(c)[:2]),
-    "palm_orientation": TunableRule("palm_angle_threshold", PALM_SPACE, PalmOrientation, _ANGLE, (),
+    "palm_orientation": TunableRule("palm_angle_threshold", PALM_SPACE, _ANGLE, (),
                                     lambda c, depth, left, target: palm_readings(c, depth, left)[:2]),
 }
 
@@ -242,7 +248,7 @@ def default_grid(rule_id: str) -> GridSpec:
 def parse_label(rule_id: str, states: list) -> GroundTruthLabel:
     """A dataset label's acceptable states, which must be the rule's own."""
     rule = tunable_rule(rule_id)
-    label = GroundTruthLabel(acceptable_states=frozenset(map(rule.parse_state, states)))
+    label = GroundTruthLabel(acceptable_states=frozenset(map(rule.space.parse, states)))
     if not label.acceptable_states <= rule.space.states:
         raise MalformedInput(f"{rule_id} label states outside the rule's states: {states!r}")
     return label

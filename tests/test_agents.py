@@ -210,7 +210,7 @@ def test_parse_rejects_empty_conclusion():
 def test_describe_pose_replays_fixture():
     matrix = make_matrix()
     backend = RecordingBackend([pose_reply("pinch and move up", (1, 2))])
-    desc = describe_pose(matrix, PROMPTS, backend)
+    desc = describe_pose(DescriptionPrompts(matrix, PROMPTS), backend)
     assert desc == PoseDescription(candidate_gestures="pinch and move up", time_span=(1, 2))
     # The prompt carried the serialized matrix.
     assert "gesture-state-matrix v1" in backend.requests[0].messages[0].content
@@ -239,21 +239,21 @@ def test_live_backend_receives_model_id(monkeypatch, session_model, sent_model):
     backend = LiveBackend(
         BackendConfig(model_id="config-model", api_key_env="GESTURELINK_TEST_KEY")
     )
-    describe_pose(make_matrix(), PROMPTS, backend)
+    describe_pose(DescriptionPrompts(make_matrix(), PROMPTS), backend)
     assert [b["model"] for b in bodies] == [sent_model]
 
 
 def test_describe_pose_clamps_span():
     matrix = make_matrix(t_count=10)
     backend = RecordingBackend([pose_reply(span=(3, 99))])
-    desc = describe_pose(matrix, PROMPTS, backend)
+    desc = describe_pose(DescriptionPrompts(matrix, PROMPTS), backend)
     assert desc.time_span == (3, 9)
 
 
 def test_describe_pose_repair_retry_then_success():
     matrix = make_matrix()
     backend = RecordingBackend(["not json at all", pose_reply(span=(0, 1))])
-    desc = describe_pose(matrix, PROMPTS, backend)
+    desc = describe_pose(DescriptionPrompts(matrix, PROMPTS), backend)
     assert desc.time_span == (0, 1)
     assert len(backend.requests) == 2
     assert "could not be parsed" in backend.requests[1].messages[-1].content
@@ -277,7 +277,7 @@ def test_describe_pose_fails_after_two_malformed():
     matrix = make_matrix()
     backend = RecordingBackend(["garbage", "more garbage"])
     with pytest.raises(ParseError):
-        describe_pose(matrix, PROMPTS, backend)
+        describe_pose(DescriptionPrompts(matrix, PROMPTS), backend)
 
 
 def _movement_block(prompt: str) -> list[str]:
@@ -290,7 +290,7 @@ def _movement_block(prompt: str) -> list[str]:
 def test_describe_movement_slices_span():
     matrix = make_matrix(t_count=5)
     backend = RecordingBackend([movement_reply("moves right slightly")])
-    text = describe_movement(matrix, (2, 2), PROMPTS, backend)
+    text = describe_movement(DescriptionPrompts(matrix, PROMPTS), (2, 2), backend)
     assert text == "moves right slightly"
     prompt = backend.requests[0].messages[0].content
     assert "span=2..2" in prompt
@@ -301,7 +301,7 @@ def test_describe_movement_slices_span():
 def test_describe_movement_full_span_serializes_whole_channel():
     matrix = make_matrix(t_count=3)
     backend = RecordingBackend([movement_reply()])
-    describe_movement(matrix, (0, matrix.T - 1), PROMPTS, backend)
+    describe_movement(DescriptionPrompts(matrix, PROMPTS), (0, matrix.T - 1), backend)
     prompt = backend.requests[0].messages[0].content
     line = _movement_block(prompt)[0]
     assert len(line.split()) == 1 + matrix.T
@@ -724,15 +724,23 @@ def test_session_with_gaze_placeholders_parses_no_function_list(monkeypatch):
 
 
 def test_sessions_reuse_the_library_function_list_text(monkeypatch):
+    """Repeated sessions on a view render its function list once, with its
+    system prompts."""
     import gesturelink.context
 
     lib = session_lib()
-    monkeypatch.setattr(gesturelink.context, "_render_function_list", None)  # a call would raise
-    for keep in (lib.names, ["function_list"]):
-        backend = RecordingBackend([conclusion_reply(["light.power"])])
-        run_inference_session("- palm", lib.filtered(keep), PROMPTS, backend)
-        system = backend.requests[0].messages[0].content
-        assert "- light.power: Light Power (location: 0.2, 0.4, 1.5)\n" in system
+    rendered = []
+    original = gesturelink.context._render_function_list
+    monkeypatch.setattr(gesturelink.context, "_render_function_list",
+                        lambda functions: rendered.append(functions) or original(functions))
+    views = [lib.filtered(keep) for keep in (lib.names, ["function_list"])]
+    for _ in range(3):
+        for view in views:
+            backend = RecordingBackend([conclusion_reply(["light.power"])])
+            run_inference_session("- palm", view, PROMPTS, backend)
+            system = backend.requests[0].messages[0].content
+            assert "- light.power: Light Power (location: 0.2, 0.4, 1.5)\n" in system
+    assert rendered == [lib.functions, lib.functions]
 
 
 # --- description prompts built once per matrix ----------------------------------------

@@ -301,7 +301,9 @@ def test_tune_unknown_target_exits_2_with_location(tmp_path, capsys, rule_id, ta
     "line",
     ["[1]", '{"rule": "flexion_finger", "acceptable_states": 5, "frame": {}}',
      '{"rule": "flexion_finger", "acceptable_states": [1e999], "frame": {}}',
-     '{"rule": "flexion_finger", "acceptable_states": [-1e999], "frame": {}}'],
+     '{"rule": "flexion_finger", "acceptable_states": [-1e999], "frame": {}}',
+     # Well-formed lines whose state is not the number -1, 0 or 1.
+     *(tuning_line(10, [state]) for state in (1.7, 0.5, "1", True))],
 )
 def test_tune_line_of_wrong_shape_exits_2_with_location(tmp_path, capsys, line):
     code, dataset, _, _ = run_tune(tmp_path, [line])
@@ -698,7 +700,7 @@ def test_ground_missing_function_list_exits_2(tmp_path, matrix_file, capsys):
 
 @pytest.mark.parametrize(
     "config",
-    ["[]", '{"timeout": "x"}', '{"timeout": 0}', '{"provider_url": 5}',
+    ["[]", '{"timeout": "x"}', '{"timeout": 0}', '{"timeout": true}', '{"provider_url": 5}',
      pytest.param('{"timeout": 1' + "0" * 400 + "}", id="timeout-too-large-for-a-float")],
 )
 def test_ground_malformed_backend_config_exits_2_naming_it(
@@ -1293,7 +1295,8 @@ def test_library_with_a_non_finite_number_exits_2_naming_it(
     ('"nan"', "function 'a' location must be a finite number, got nan"),
     ('"-inf"', "function 'a' location must be a finite number, got -inf"),
     ("1" + "0" * 400, "function 'a' needs a list of numbers as location"),
-], ids=["nan", "minus-inf", "huge-int"])
+    ("true", "function 'a' needs a list of numbers as location"),
+], ids=["nan", "minus-inf", "huge-int", "true"])
 @pytest.mark.parametrize("command", ["ground", "show"])
 def test_library_with_a_non_finite_location_exits_2_naming_it(
     tmp_path, matrix_file, capsys, command, coordinate, reason
@@ -1640,11 +1643,11 @@ def prompt_typo_dir(tmp_path):
 
 @pytest.fixture
 def backend_calls(monkeypatch):
-    """Requests sent to every backend the CLI loads or builds."""
+    """Requests sent to every backend the CLI builds."""
     import gesturelink.cli
 
     calls = []
-    load, factory = gesturelink.cli.load_backend, gesturelink.cli.backend_factory
+    factory = gesturelink.cli.backend_factory
 
     class Counting:
         def __init__(self, inner):
@@ -1658,7 +1661,6 @@ def backend_calls(monkeypatch):
         new_backend = factory(*args)
         return lambda: Counting(new_backend())
 
-    monkeypatch.setattr(gesturelink.cli, "load_backend", lambda *a: Counting(load(*a)))
     monkeypatch.setattr(gesturelink.cli, "backend_factory", counting_factory)
     return calls
 

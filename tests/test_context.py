@@ -20,6 +20,7 @@ from gesturelink.context import (
     STORED_RESULTS_LIMIT,
     _gaze_target,
     _mean,
+    _render_function_list,
     _placeholder_spans,
     add_context_type,
     calculate,
@@ -366,18 +367,25 @@ def _rejected_window(lib, args):
     return None if window >= 0.0 else window
 
 
+def _rejection(what, value):
+    """The error finite_float raises for value, a bool or a NaN or infinite float."""
+    if isinstance(value, bool):
+        return TypeError(f"{what} must be a number, got {value!r}")
+    return MalformedInput(f"{what} must be a finite number, got {value!r}")
+
+
 def _non_finite_time(lib, args):
     """The sample time _recent_gaze rejects, or None: the first time that
-    is NaN or infinite, once args' context holds values, its window
-    converts and no earlier sample's time fails to convert."""
+    is a bool, NaN or infinite, once args' context holds values, its
+    window converts and no earlier sample's time fails to convert."""
     try:
         values = lib.get(args.get("context", "gaze")).values
         if not values:
             return None
         float(args.get("window", GAZE_WINDOW_SECONDS))
         for s in values:
-            t = float(s["t"])
-            if not math.isfinite(t):
+            t = s["t"] if isinstance(s["t"], bool) else float(s["t"])
+            if isinstance(t, bool) or not math.isfinite(t):
                 return t
     except (MalformedInput, LookupError, TypeError, ValueError, OverflowError):  # the prior too
         return None
@@ -386,9 +394,10 @@ def _non_finite_time(lib, args):
 
 def _non_finite_coordinate(lib, calc_id, args):
     """The (axis, value) of the sample coordinate gaze_target rejects, or
-    None: the first NaN or infinite value where the prior gaze_target
-    read the recent samples' x, then their y, then their z, unless a value
-    before it failed to convert. gaze_trace reads no coordinate."""
+    None: the first bool, NaN or infinite value where the prior
+    gaze_target read the recent samples' x, then their y, then their z,
+    unless a value before it failed to convert. gaze_trace reads no
+    coordinate."""
     if calc_id != "gaze_target":
         return None
     try:
@@ -398,10 +407,11 @@ def _non_finite_coordinate(lib, calc_id, args):
     for axis in "xyz":
         for s in recent:
             try:
-                value = float(s[axis] if axis != "z" else s.get("z", 0.0))
+                value = s[axis] if axis != "z" else s.get("z", 0.0)
+                value = value if isinstance(value, bool) else float(value)
             except (LookupError, TypeError, ValueError, OverflowError):  # the prior too
                 return None
-            if not math.isfinite(value):
+            if isinstance(value, bool) or not math.isfinite(value):
                 return axis, value
     return None
 
@@ -495,14 +505,20 @@ def _library(values, history, functions):
           {"t": 2.0, "x": 0.0, "y": "1e999"}], [{"t": 0.0, "x": "x", "y": 0.0},
                                                 {"t": 0.0, "x": "-inf", "y": 0.0}], "smart_home",
          [("gaze_target", {}), ("gaze_trace", {}), ("gaze_target", {"context": "history"})])
+# A bool t fails every calculation on its context, and a recent bool
+# coordinate fails gaze_target, where the prior read them as 0 or 1.
+@example([{"t": 0.0, "x": 0.0, "y": 0.0}, {"t": 2.0, "x": True, "y": 0.0}],
+         [{"t": 0.0, "x": 0.0, "y": 0.0}, {"t": False, "x": 0.0, "y": 0.0}], "smart_home",
+         [("gaze_target", {}), ("gaze_trace", {}), ("gaze_trace", {"context": "history"})])
 def test_gaze_calculators_match_the_per_call_conversions(values, history, functions, calls):
     """The shared reading delivers what converting every sample on each
     call delivered: the same text, or the same failure and diagnostics,
     on the first calculation and on every later one. The exceptions fail
     where the prior calculators selected samples by an order that does
     not exist: a window of NaN or below 0, or a sample time of NaN or an
-    infinity, over a context that holds values; and where the prior
-    gaze_target averaged a recent x, y or z of NaN or an infinity."""
+    infinity, over a context that holds values; where the prior
+    gaze_target averaged a recent x, y or z of NaN or an infinity; and
+    where the prior read a bool t, x, y or z as the number 0 or 1."""
     lib = _library(values, history, functions)
     for calc_id, args in calls * 2:
         with mock.patch.dict(BUILTIN_CALCULATORS, _PRIOR_CALCULATORS):
@@ -512,11 +528,9 @@ def test_gaze_calculators_match_the_per_call_conversions(values, history, functi
             reason = MalformedInput(f"window must be a number of seconds >= 0, got {window!r}")
             prior = f"calculator {calc_id} raised", repr(reason)
         elif (t := _non_finite_time(lib, args)) is not None:
-            reason = MalformedInput(f"gaze sample t must be a finite number, got {t!r}")
-            prior = f"calculator {calc_id} raised", repr(reason)
+            prior = f"calculator {calc_id} raised", repr(_rejection("gaze sample t", t))
         elif (bad := _non_finite_coordinate(lib, calc_id, args)) is not None:
-            reason = MalformedInput(f"gaze sample {bad[0]} must be a finite number, got {bad[1]!r}")
-            prior = f"calculator {calc_id} raised", repr(reason)
+            prior = f"calculator {calc_id} raised", repr(_rejection(f"gaze sample {bad[0]}", bad[1]))
         assert _delivered(lib, calc_id, args) == prior
 
 
@@ -954,21 +968,25 @@ def test_system_prompts_are_rendered_once_per_view_and_prompt_set(monkeypatch):
     prompts = load_prompt_set()
     edited = dataclasses.replace(prompts, context_prompt=prompts.context_prompt + "\nBe brief.")
     lib = smart_home_library(gaze=gaze_at(0.2, 0.4, 1.5))
-    rendered = []
+    rendered, listed = [], []
     original = gesturelink.context.render_library_prompt
     monkeypatch.setattr(gesturelink.context, "render_library_prompt",
                         lambda lib: rendered.append(lib) or original(lib))
+    monkeypatch.setattr(gesturelink.context, "_render_function_list",
+                        lambda fns: listed.append(fns) or _render_function_list(fns))
     views = [lib, lib.filtered(["function_list", "gaze"]), lib.filtered(["gaze"])]
     for _ in range(3):
         for view in views:
             for which in (prompts, edited):
                 assert view.system_prompts(which) == (
-                    render_prompt(which.inference_prompt, function_list=view.function_list_text),
+                    render_prompt(which.inference_prompt,
+                                  function_list=_render_function_list(view.functions)),
                     render_prompt(which.context_prompt, library_overview=original(view)),
                 )
     assert rendered == [view for view in views for _ in (prompts, edited)]
+    assert listed == [view.functions for view in views for _ in (prompts, edited)]
     assert lib.system_prompts(prompts) is lib.system_prompts(load_prompt_set())
-    assert views[2].function_list_text == "" and views[2].function_ids == frozenset()
+    assert views[2].functions == () and views[2].function_ids == frozenset()
     assert views[1].function_ids == lib.function_ids == {f.id for f in lib.functions}
 
 
@@ -1062,18 +1080,21 @@ def test_placeholder_python_work_grows_linearly_in_reply_length(piece):
 
 def _library_calls(count):
     """Python calls of building a library of count functions on a grid,
-    reading its function list and prompt, and resolving gaze_target."""
+    rendering its system prompts, and resolving gaze_target."""
+    from gesturelink.prompts import load_prompt_set
+
     functions = [FunctionEntry(f"device{k}.power", f"Device {k} Power",
                                (float(k % 20), float(k // 20), 1.0)) for k in range(count)]
+    prompts = load_prompt_set()
 
     def work():
         lib = ContextLibrary([make_function_list_context("Grid", functions),
                               make_gaze_context(gaze_at(3.0, 4.0, 1.0))])
-        texts = lib.function_list_text, render_library_prompt(lib)
-        return texts, resolve_placeholders(lib, "look at {{CALC:gaze_target}}")
+        return lib.system_prompts(prompts), resolve_placeholders(lib, "look at {{CALC:gaze_target}}")
 
-    calls, ((listing, _), resolved) = python_calls(work)
-    assert len(listing.splitlines()) == count and resolved == "look at Device 83 Power"
+    calls, ((inference, _), resolved) = python_calls(work)
+    listed = [line for line in inference.splitlines() if line.startswith("- device")]
+    assert len(listed) == count and resolved == "look at Device 83 Power"
     return calls
 
 
@@ -1102,15 +1123,19 @@ def test_gaze_python_work_grows_linearly_in_samples():
 
 # --- rendering and serialization ------------------------------------------------
 
-def test_function_list_text_is_rendered_once_and_shared_by_filters():
+def test_filtered_views_share_the_parsed_function_list():
+    from gesturelink.prompts import load_prompt_set
+
     lib = smart_home_library()
-    text = lib.function_list_text
+    text = _render_function_list(lib.functions)
     assert text.splitlines()[0] == "- light.power: Light Power (location: 0.2, 0.4, 1.5)"
     assert len(text.splitlines()) == len(lib.functions)
     for keep in (["function_list"], ["function_list", "gaze"], lib.names):
-        assert lib.filtered(keep).function_list_text is text
-    assert lib.filtered(["gaze"]).function_list_text == ""
-    assert ContextLibrary([]).function_list_text == ""
+        view = lib.filtered(keep)
+        assert view.functions is lib.functions and view.function_ids == lib.function_ids
+        assert text in view.system_prompts(load_prompt_set())[0]
+    assert lib.filtered(["gaze"]).functions == ()
+    assert _render_function_list(ContextLibrary([]).functions) == ""
 
 
 def test_render_empty_library_is_fixed_header():

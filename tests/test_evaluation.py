@@ -340,9 +340,8 @@ def test_no_window_scores_negative():
     handles = PipelineHandles(
         prompts=PROMPTS, backend_factory=lambda t: ScriptedBackend([])
     )
-    matrices = encode_stream(task.stream, handles.thresholds)
-    assert matrices == []
-    rank, cost = run_task(task, ContextSetting.BASELINE, matrices, handles)
+    assert encode_stream(task.stream, handles.thresholds) == []
+    rank, cost = run_task(task, ContextSetting.BASELINE, None, handles)
     assert rank is None
     assert cost.rounds == 0
 
@@ -383,14 +382,14 @@ def test_encoder_failure_is_negative_in_every_run_and_logged_once(caplog):
 
 def _recorded_runs(monkeypatch, tasks, replies, settings, repetitions=2):
     """run_protocol over tasks, and what each task run got and gave:
-    (setting, scenario id, matrices, rank, cost), in run order."""
+    (setting, scenario id, matrix, rank, cost), in run order."""
     from gesturelink import evaluation
 
     seen = []
 
-    def recording(task, setting, matrices, handles):
-        rank, cost = run_task(task, setting, matrices, handles)
-        seen.append((setting, task.scenario_id, list(matrices), rank, cost))
+    def recording(task, setting, described, handles):
+        rank, cost = run_task(task, setting, described, handles)
+        seen.append((setting, task.scenario_id, described.matrix, rank, cost))
         return rank, cost
 
     monkeypatch.setattr(evaluation, "run_task", recording)
@@ -399,8 +398,9 @@ def _recorded_runs(monkeypatch, tasks, replies, settings, repetitions=2):
 
 def test_mixed_tasks_encoded_together_match_each_encoded_alone(monkeypatch, caplog):
     """A flat-width task and a left-hand task each fail alone, logged once,
-    and score Negative in every run; the other tasks get the matrices,
-    ranks and costs they get when run, and so encoded, by themselves."""
+    and score Negative in every run; the other tasks get the first
+    matrices, ranks and costs they get when run, and so encoded, by
+    themselves."""
     raise_once = [0.8] * 5 + [0.4] * 11 + [0.8] * 10
     flat = TaskRecord("flat", parse_landmark_stream(flat_width_stream_json()),
                       smart_home_library(), "light.power")
@@ -421,9 +421,9 @@ def test_mixed_tasks_encoded_together_match_each_encoded_alone(monkeypatch, capl
         assert caplog.text.count(f"task {task_id} failed to encode ({cause}") == 1
     alone = {t.scenario_id: _recorded_runs(monkeypatch, [t], replies, settings)[1] for t in good}
     assert seen == [alone[t.scenario_id][i] for i in range(4) for t in good]
-    assert [len(alone[t.scenario_id][0][2]) for t in good] == [1, 1, 2]
-    for task in good:
-        assert alone[task.scenario_id][0][2] == encode_stream(task.stream)
+    windows = [encode_stream(task.stream) for task in good]
+    assert [len(w) for w in windows] == [1, 1, 2]
+    assert [alone[t.scenario_id][0][2] for t in good] == [w[0] for w in windows]
 
 
 def _protocol_calls(n):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from gesturelink.errors import GestureLinkError, MalformedInput, parse_json
 from gesturelink.landmarks import (
@@ -513,6 +513,10 @@ def _mutated_documents(draw):
 # No shrink phase: shrinking these documents ran for minutes on a failure.
 @settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(_mutated_documents())
+# A numeric string keeps the second 2D frame from packing, so the first
+# frame's packed bytes are restored as its 21 x 2 array.
+@example(json.dumps({"frames": _entries((0.0, _FLAT_ROWS),
+                                        (1 / 30, [["0.53", 0.5]] + _FLAT_ROWS[1:]))}))
 def test_packed_parse_matches_the_prior_parse_on_mutated_documents(text):
     assert _exact_outcome(parse_landmark_stream, text) == _exact_outcome(_prior_parse, text)
 

@@ -19,7 +19,6 @@ from gesturelink.transport import (
     UsageRecord,
     approx_tokens,
     backend_factory,
-    load_backend,
 )
 
 
@@ -326,7 +325,7 @@ def test_deterministic_backend_never_retried():
 def test_load_backend_scripted_spec(tmp_path):
     path = tmp_path / "fx.json"
     path.write_text(json.dumps([{"response": "hi"}]))
-    backend = load_backend(f"scripted:{path}")
+    backend = backend_factory(f"scripted:{path}")()
     assert backend.complete(req("x"))[0] == "hi"
 
 
@@ -358,7 +357,7 @@ def test_backend_factory_builds_each_live_backend_with_a_fresh_jitter(tmp_path):
 def test_load_backend_live_spec_retries_with_the_default_policy(tmp_path):
     path = tmp_path / "backend.json"
     path.write_text(json.dumps({"model_id": "local-model"}))
-    backend = load_backend(str(path), seed=5)
+    backend = backend_factory(str(path), seed=5)()
     assert isinstance(backend, RetryingBackend)
     assert isinstance(backend.inner, LiveBackend)
     assert backend.inner.config.model_id == "local-model"
